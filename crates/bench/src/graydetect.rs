@@ -1,6 +1,5 @@
 //! F6 scenarios: fixed-timeout vs adaptive (phi-accrual) failure
-//! detection under gray failures. Shared by `exp_graydetect` (the full
-//! table) and `bench_snapshot` (the headline block in BENCH_sim.json).
+//! detection under gray failures, as tabulated by `exp_graydetect`.
 
 use std::collections::{BTreeMap, BTreeSet};
 

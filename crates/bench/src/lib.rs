@@ -14,155 +14,6 @@ use vce_net::{send_msg, Addr, Endpoint, Envelope, Host};
 /// Default horizon for experiment runs (10 simulated minutes).
 pub const HORIZON_US: u64 = 600_000_000;
 
-/// Engine stress scenario: `nodes` endpoints each broadcast to every peer
-/// on a periodic tick, `ticks` times, while re-arming (and cancelling) a
-/// watchdog timer each tick — the all-to-all heartbeat pattern that
-/// dominates F3, concentrated into a dense burst. Exercises the engine's
-/// delivery, timer-cancel and effects paths. Returns events processed.
-pub fn message_storm(nodes: u32, ticks: u32) -> u64 {
-    const TICK: u64 = 1;
-    const WATCHDOG: u64 = 2;
-
-    struct StormPeer {
-        me: Addr,
-        peers: Vec<Addr>,
-        ticks_left: u32,
-        received: u64,
-    }
-
-    impl Endpoint for StormPeer {
-        fn on_start(&mut self, host: &mut dyn Host) {
-            host.set_timer(1_000, TICK);
-            host.set_timer(10_000, WATCHDOG);
-        }
-        fn snapshot_hash(&self) -> u64 {
-            let mut h = vce_net::Fnv64::new();
-            h.write_u64(u64::from(self.me.node.0))
-                .write_u64(u64::from(self.ticks_left))
-                .write_u64(self.received);
-            h.finish()
-        }
-        fn on_envelope(&mut self, _env: Envelope, _host: &mut dyn Host) {
-            self.received += 1;
-        }
-        fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
-            if token != TICK {
-                return; // watchdog fired: quiescent, let the storm drain
-            }
-            for &p in &self.peers {
-                send_msg(host, self.me, p, &self.received);
-            }
-            // Push out the watchdog, as a failure detector would.
-            host.cancel_timer(WATCHDOG);
-            host.set_timer(10_000, WATCHDOG);
-            self.ticks_left -= 1;
-            if self.ticks_left > 0 {
-                host.set_timer(1_000, TICK);
-            }
-        }
-    }
-
-    let mut sim = vce_sim::Sim::new(vce_sim::SimConfig {
-        seed: 0,
-        topology: vce_sim::Topology::default(),
-        trace_enabled: false,
-        shards: vce_sim::SimConfig::shards_from_env(),
-    });
-    let addrs: Vec<Addr> = (0..nodes).map(|i| Addr::daemon(NodeId(i))).collect();
-    for i in 0..nodes {
-        sim.add_node(MachineInfo::workstation(NodeId(i), 100.0));
-        sim.add_endpoint(
-            addrs[i as usize],
-            Box::new(StormPeer {
-                me: addrs[i as usize],
-                peers: addrs
-                    .iter()
-                    .copied()
-                    .filter(|a| a.node != NodeId(i))
-                    .collect(),
-                ticks_left: ticks,
-                received: 0,
-            }),
-        );
-    }
-    sim.run_until_idle();
-    sim.events_processed()
-}
-
-/// Long-horizon heartbeat storm: `nodes` endpoints tick at 20 Hz for
-/// `seconds` of simulated time — each tick sends one small heartbeat to a
-/// neighbour, cancels and re-arms a 1 s watchdog (steady lazy-cancel
-/// churn), and every 64th tick arms a far probe 5 s out, which lives
-/// beyond the calendar queue's wheel horizon and rides the overflow
-/// level. Unlike [`message_storm`] (a dense all-to-all burst), this is
-/// the timer-dominated steady state a real daemon fleet sits in, run long
-/// enough that the wheel's admission window re-bases many times. Returns
-/// events processed.
-pub fn heartbeat_storm(nodes: u32, seconds: u64) -> u64 {
-    const TICK: u64 = 1;
-    const WATCHDOG: u64 = 2;
-    const PROBE: u64 = 3;
-    const TICK_US: u64 = 50_000;
-
-    struct Beater {
-        me: Addr,
-        neighbour: Addr,
-        ticks: u64,
-        received: u64,
-    }
-
-    impl Endpoint for Beater {
-        fn on_start(&mut self, host: &mut dyn Host) {
-            host.set_timer(TICK_US, TICK);
-            host.set_timer(1_000_000, WATCHDOG);
-        }
-        fn snapshot_hash(&self) -> u64 {
-            let mut h = vce_net::Fnv64::new();
-            h.write_u64(u64::from(self.me.node.0))
-                .write_u64(self.ticks)
-                .write_u64(self.received);
-            h.finish()
-        }
-        fn on_envelope(&mut self, _env: Envelope, _host: &mut dyn Host) {
-            self.received += 1;
-        }
-        fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
-            // Watchdog / probe firings are quiescent by design.
-            if token == TICK {
-                send_msg(host, self.me, self.neighbour, &self.received);
-                host.cancel_timer(WATCHDOG);
-                host.set_timer(1_000_000, WATCHDOG);
-                if self.ticks.is_multiple_of(64) {
-                    host.set_timer(5_000_000, PROBE);
-                }
-                self.ticks += 1;
-                host.set_timer(TICK_US, TICK);
-            }
-        }
-    }
-
-    let mut sim = vce_sim::Sim::new(vce_sim::SimConfig {
-        seed: 0,
-        topology: vce_sim::Topology::default(),
-        trace_enabled: false,
-        shards: vce_sim::SimConfig::shards_from_env(),
-    });
-    for i in 0..nodes {
-        sim.add_node(MachineInfo::workstation(NodeId(i), 100.0));
-        sim.add_endpoint(
-            Addr::daemon(NodeId(i)),
-            Box::new(Beater {
-                me: Addr::daemon(NodeId(i)),
-                neighbour: Addr::daemon(NodeId((i + 1) % nodes)),
-                ticks: 0,
-                received: 0,
-            }),
-        );
-    }
-    sim.run_until(seconds * 1_000_000);
-    sim.events_processed()
-}
-
 /// Outcome of one [`sharded_storm`] run: enough to verify two runs were
 /// identical (digest over every endpoint's final state plus the engine's
 /// own counters) and to rate the engine (events processed).
@@ -180,10 +31,9 @@ pub struct StormRun {
 /// Scalable engine stress for the sharded runner: `nodes` endpoints each
 /// tick 20× per simulated second for `ticks` ticks, sending one message to
 /// each of 8 deterministic neighbours (stride pattern, so traffic crosses
-/// any shard layout) and churning a watchdog timer — [`message_storm`]'s
-/// access pattern but with O(n) fan-out so it scales to 10k+ nodes.
-/// `shards` picks the partition count explicitly (pass 1 for the serial
-/// baseline); output must be byte-identical for any value — including
+/// any shard layout) and churning a watchdog timer — O(n) fan-out, so it
+/// scales to 10k+ nodes. `shards` picks the partition count explicitly;
+/// output must be byte-identical for any value — including
 /// under `VCE_SHARDS_STAGGER` wake-order permutations (the
 /// `shard_stagger` race gate drives this harness through seeded sweeps).
 pub fn sharded_storm(nodes: u32, ticks: u32, shards: usize) -> StormRun {

@@ -37,7 +37,6 @@ fn gray_fingerprint() -> String {
 /// test (same pattern as `shard_determinism.rs`).
 #[test]
 fn adaptive_detection_is_identical_across_shard_counts() {
-    std::env::set_var("VCE_SHARDS_THREADS", "1");
     std::env::set_var("VCE_SHARDS", "1");
     let serial = gray_fingerprint();
     std::env::set_var("VCE_SHARDS", "4");

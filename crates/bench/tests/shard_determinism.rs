@@ -15,6 +15,12 @@ use vce_exm::migrate::MigrationTechnique;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// FNV-64 of [`experiment_fingerprint`] at S=1 as the dedicated serial
+/// event loop produced it, captured on the last commit that had one
+/// (1e54bd9). The window loop that replaced it must reproduce it — at S=1
+/// and, through the sweep below, at every other shard count.
+const SERIAL_ENGINE_FINGERPRINT: u64 = 0x3c59_f143_7669_ee3e;
+
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.
 fn experiment_fingerprint() -> String {
@@ -64,15 +70,19 @@ fn experiment_fingerprint() -> String {
 
 #[test]
 fn experiments_are_identical_across_shard_counts() {
-    // Real worker threads even on 1-core CI runners — otherwise the
-    // threaded barrier path would only ever be certified on dev machines.
-    std::env::set_var("VCE_SHARDS_THREADS", "1");
     let mut baseline: Option<String> = None;
     for shards in SHARD_COUNTS {
         std::env::set_var("VCE_SHARDS", shards.to_string());
         let fp = experiment_fingerprint();
         match &baseline {
-            None => baseline = Some(fp),
+            None => {
+                assert_eq!(
+                    vce_net::fnv64(fp.as_bytes()),
+                    SERIAL_ENGINE_FINGERPRINT,
+                    "S=1 no longer reproduces the retired serial engine:\n{fp}"
+                );
+                baseline = Some(fp);
+            }
             Some(b) => assert_eq!(&fp, b, "shard count {shards} diverged from the serial run"),
         }
     }
@@ -81,9 +91,7 @@ fn experiments_are_identical_across_shard_counts() {
 
 #[test]
 fn storm_digests_are_identical_across_shard_counts() {
-    // Direct shard-count injection, larger fleet than the unit test:
-    // 1k nodes through the (forced) threaded runner.
-    std::env::set_var("VCE_SHARDS_THREADS", "1");
+    // Direct shard-count injection, larger fleet than the unit test.
     let serial = sharded_storm(1_024, 6, 1);
     assert!(serial.events > 0);
     for shards in [2, 4, 8] {

@@ -9,9 +9,11 @@
 //! cause)`, and shards advance in conservative time windows sized by the
 //! adaptive lookahead plan (`crate::lookahead` — at least
 //! [`Topology::min_cross_latency_us`], wider on clustered fleets) so
-//! cross-shard events always land in a later window. Traces, experiment stdout and chaos invariants are
-//! byte-identical for `shards` ∈ {1, 2, 4, 8}; with `shards = 1` the
-//! facade compiles down to a plain serial event loop over one shard.
+//! cross-shard events always land in a later window. Traces, experiment
+//! stdout and chaos invariants are byte-identical for `shards` ∈ {1, 2, 4,
+//! 8}; every shard count advances through the one window loop in
+//! [`crate::sharded`], which with `shards = 1` runs on the caller's thread
+//! with fences as the only window boundaries.
 //!
 //! Fault mutations (scheduled chaos ops and driver-time kills/revives) are
 //! not ordinary events: they touch the *global* fault plan, which every
@@ -34,7 +36,7 @@ use crate::lookahead::LookaheadPlan;
 use crate::metrics::NodeMetrics;
 use crate::record::{EventRecord, SnapshotRecord, TraceWriter};
 use crate::shard::{apply_plan_op, cause_key, shard_of, Shard};
-use crate::sharded;
+use crate::sharded::{self, Fence, Rendezvous};
 use crate::topology::Topology;
 use crate::trace::Trace;
 
@@ -48,14 +50,14 @@ pub struct SimConfig {
     /// Whether to keep a full trace (disable for hot benchmarks).
     pub trace_enabled: bool,
     /// Number of shards the node slab is partitioned into (1–64). Output
-    /// is byte-identical for every value; >1 engages the multi-core window
-    /// runner when cores are available. Defaults from `VCE_SHARDS`.
+    /// is byte-identical for every value; each shard past the first runs
+    /// on a worker thread of its own. Defaults from `VCE_SHARDS`.
     pub shards: usize,
 }
 
 impl SimConfig {
     /// Shard count from the `VCE_SHARDS` environment variable, clamped to
-    /// 1–64; 1 (the serial engine) when unset or unparsable.
+    /// 1–64; 1 when unset or unparsable.
     pub fn shards_from_env() -> usize {
         std::env::var("VCE_SHARDS")
             .ok()
@@ -89,9 +91,9 @@ pub struct Sim {
     driver_seq: u64,
     /// Conservative window width: the cheapest latency any *realizable*
     /// cross-shard pair can achieve, per the site-occupancy plan below.
-    /// Starts at the global floor ([`Topology::min_cross_latency_us`]) and
-    /// is recomputed whenever a node registration grows a shard's site
-    /// set; never narrower than the floor.
+    /// Unbounded while no such pair exists (one shard, or no node yet) and
+    /// recomputed whenever a node registration grows a shard's site set;
+    /// never narrower than [`Topology::min_cross_latency_us`].
     lookahead: u64,
     /// Which sites each shard hosts (sources) and owns (destinations) —
     /// the adaptive-window planner behind `lookahead`.
@@ -105,6 +107,8 @@ pub struct Sim {
     trace_enabled: bool,
     /// Attached `.vct` recorder, if any (see [`crate::record`]).
     recorder: Option<Recorder>,
+    /// Barrier, inboxes and window plan the shard workers meet at.
+    rendezvous: Rendezvous,
 }
 
 /// Live recording state: the streaming writer plus snapshot cadence.
@@ -136,14 +140,28 @@ fn sim_hash_of(now: u64, event_index: u64, nodes: &[(NodeId, u64)]) -> u64 {
     h.finish()
 }
 
+/// Drain one keyed buffer from every shard and yield its items in global
+/// `(at_us, phase, cause)` order.
+fn splice<T>(
+    shards: &mut [Shard],
+    buf: impl Fn(&mut Shard) -> &mut Vec<(u64, u8, u64, T)>,
+) -> impl Iterator<Item = T> {
+    let mut batch = Vec::new();
+    for sh in shards {
+        batch.append(buf(sh));
+    }
+    batch.sort_by_key(|a| (a.0, a.1, a.2));
+    batch.into_iter().map(|(_, _, _, item)| item)
+}
+
 impl Sim {
     /// Build an empty simulator.
     pub fn new(config: SimConfig) -> Self {
         let shards = config.shards.clamp(1, 64);
         let topology = Arc::new(config.topology);
         let lookahead_plan = LookaheadPlan::new(shards, &topology);
-        // No node is registered yet, so the plan yields the global floor;
-        // add_node_with_load widens it as site occupancy becomes known.
+        // No node is registered yet, so the window is unbounded;
+        // add_node_with_load narrows it as site occupancy becomes known.
         let lookahead = lookahead_plan.window_us(&topology);
         Self {
             now: 0,
@@ -172,6 +190,7 @@ impl Sim {
             merged_stats: NetStats::new(),
             trace_enabled: config.trace_enabled,
             recorder: None,
+            rendezvous: Rendezvous::new(shards),
         }
     }
 
@@ -282,8 +301,9 @@ impl Sim {
     /// through per barrier round, in µs. At least
     /// [`Topology::min_cross_latency_us`]; wider when the registered fleet
     /// is clustered so that every realizable cross-shard message crosses a
-    /// site boundary (see `crate::lookahead`). Purely diagnostic — output
-    /// is byte-identical whatever the window width.
+    /// site boundary, and `u64::MAX` when no message can cross shards at
+    /// all (see `crate::lookahead`). Purely diagnostic — output is
+    /// byte-identical whatever the window width.
     pub fn window_lookahead_us(&self) -> u64 {
         self.lookahead
     }
@@ -384,7 +404,9 @@ impl Sim {
     }
 
     /// Apply a fault op at driver time (now), on the canonical plan and
-    /// every replica, then sync so its trace line is visible.
+    /// every replica, then sync so its trace line is visible. Cross-shard
+    /// mail an `on_crash` callback produces waits in the outbox for the
+    /// next run to ship.
     fn apply_fence_now(&mut self, op: vce_net::FaultOp) {
         let cause = self.next_driver_cause();
         let now = self.now;
@@ -392,7 +414,6 @@ impl Sim {
         for sh in &mut self.shards {
             sh.apply_fence(now, cause, &op);
         }
-        self.exchange_outboxes();
         self.sync();
     }
 
@@ -450,19 +471,6 @@ impl Sim {
         self.shards[owner].with_endpoint_mut(addr, f)
     }
 
-    /// Advance the simulation by one unit: one event on the serial (1-shard)
-    /// engine, one conservative window on a sharded one. Returns `false`
-    /// when nothing (event or fence) remains.
-    pub fn step(&mut self) -> bool {
-        let progressed = if self.shards.len() == 1 {
-            self.step_serial(u64::MAX)
-        } else {
-            self.run_one_window_inplace(u64::MAX)
-        };
-        self.finish_run(None);
-        progressed
-    }
-
     /// Run until the event heap is empty; returns the final time.
     ///
     /// **Only terminates for self-quenching scenarios.** Endpoints with
@@ -485,8 +493,7 @@ impl Sim {
 
     /// Run for `d_us` more simulated microseconds.
     pub fn run_for(&mut self, d_us: u64) {
-        let t = self.now + d_us;
-        self.run_until(t);
+        self.run_until(self.now.saturating_add(d_us));
     }
 
     // ---- run internals ----
@@ -499,115 +506,30 @@ impl Sim {
 
     /// Run everything (events and fences) at or before `t`.
     fn run_bounded(&mut self, t: u64) {
-        if self.shards.len() == 1 {
-            while self.step_serial(t) {}
-        } else if sharded::use_threads(self.shards.len()) {
-            let fences = self.take_fences_through(t);
-            sharded::run(&mut self.shards, &fences, self.lookahead, t);
-        } else {
-            // Single-core fallback: the identical window schedule, run
-            // in-place — byte-identical output, no thread overhead.
-            while self.run_one_window_inplace(t) {}
-        }
-    }
-
-    /// Serial fast path (1 shard): interleave fences and events directly,
-    /// no windows. A fence at time F applies before events at F — the same
-    /// order the windowed paths produce.
-    fn step_serial(&mut self, t: u64) -> bool {
-        let next_fence = self.fences.keys().next().copied();
-        let next_ev = self.shards[0].peek_time();
-        if let Some((f_at, f_cause)) = next_fence {
-            if f_at <= t && next_ev.is_none_or(|e| f_at <= e) {
-                let op = self
-                    .fences
-                    .remove(&(f_at, f_cause))
-                    .expect("fence vanished");
-                apply_plan_op(&mut self.fault, &op);
-                self.shards[0].apply_fence(f_at, f_cause, &op);
-                return true;
-            }
-        }
-        match next_ev {
-            Some(e) if e <= t => self.shards[0].step_one(),
-            _ => false,
-        }
-    }
-
-    /// One conservative window across all shards, in-place (no threads).
-    /// Returns `false` when nothing remains at or before `t`.
-    fn run_one_window_inplace(&mut self, t: u64) -> bool {
-        let next_fence = self.fences.keys().next().map(|&(at, _)| at);
-        let next_ev = self.shards.iter_mut().filter_map(|s| s.peek_time()).min();
-        let w_start = match (next_fence, next_ev) {
-            (Some(f), Some(e)) => f.min(e),
-            (Some(f), None) => f,
-            (None, Some(e)) => e,
-            (None, None) => return false,
-        };
-        if w_start > t {
-            return false;
-        }
-        while let Some((&(f_at, f_cause), _)) = self.fences.iter().next() {
-            if f_at != w_start {
-                break;
-            }
-            let op = self
-                .fences
-                .remove(&(f_at, f_cause))
-                .expect("fence vanished");
-            apply_plan_op(&mut self.fault, &op);
-            for sh in &mut self.shards {
-                sh.apply_fence(f_at, f_cause, &op);
-            }
-        }
-        let fence_cap = self.fences.keys().next().map_or(u64::MAX, |&(at, _)| at);
-        let w_end = w_start
-            .saturating_add(self.lookahead)
-            .min(fence_cap)
-            .min(t.saturating_add(1));
-        for sh in &mut self.shards {
-            sh.set_window(w_end);
-            sh.run_window(w_end);
-            sh.clear_window();
-        }
-        self.exchange_outboxes();
-        true
+        let fences = self.take_fences_through(t);
+        sharded::run(
+            &mut self.shards,
+            &self.rendezvous,
+            &fences,
+            self.lookahead,
+            t,
+        );
     }
 
     /// Pop every fence at or before `t` (sorted), applying each to the
-    /// canonical plan; the threaded runner applies them to the replicas.
-    fn take_fences_through(&mut self, t: u64) -> Vec<(u64, u64, vce_net::FaultOp)> {
+    /// canonical plan; the workers apply them to the replicas.
+    fn take_fences_through(&mut self, t: u64) -> Vec<Fence> {
         let mut out = Vec::new();
-        while let Some(&(f_at, f_cause)) = self.fences.keys().next() {
-            if f_at > t {
+        while let Some(e) = self.fences.first_entry() {
+            let (at, cause) = *e.key();
+            if at > t {
                 break;
             }
-            let op = self
-                .fences
-                .remove(&(f_at, f_cause))
-                .expect("fence vanished");
+            let op = e.remove();
             apply_plan_op(&mut self.fault, &op);
-            out.push((f_at, f_cause, op));
+            out.push((at, cause, op));
         }
         out
-    }
-
-    /// Move buffered cross-shard events to their owners' queues.
-    fn exchange_outboxes(&mut self) {
-        if self.shards.len() == 1 {
-            return;
-        }
-        let mut mail: Vec<crate::shard::RemoteEvent> = Vec::new();
-        for s in 0..self.shards.len() {
-            for d in 0..self.shards.len() {
-                if s == d || self.shards[s].outbox_is_empty(d) {
-                    continue;
-                }
-                self.shards[s].drain_outbox_into(d, &mut mail);
-                self.shards[d].enqueue_remote_drain(&mut mail);
-            }
-        }
     }
 
     /// Post-run bookkeeping: reconcile the global clock (optionally
@@ -639,8 +561,8 @@ impl Sim {
     /// Merge per-shard statistics and splice per-shard trace buffers into
     /// the master trace in global `(at_us, phase, cause)` order.
     ///
-    /// The batch is *sorted*, not concatenated, on every path including the
-    /// serial one: a zero-delay timer can legitimately execute after a
+    /// The batch is *sorted*, not concatenated, even with one shard: a
+    /// zero-delay timer can legitimately execute after a
     /// same-microsecond event with a larger cause (its key is assigned at
     /// creation, mid-microsecond), so execution order and key order can
     /// differ. Sorting by key yields one canonical order that every shard
@@ -658,12 +580,7 @@ impl Sim {
             self.merged_stats = merged;
         }
         if let Some(r) = self.recorder.as_mut() {
-            let mut batch: Vec<(u64, u8, u64, EventRecord)> = Vec::new();
-            for sh in &mut self.shards {
-                batch.append(&mut sh.rec.buf);
-            }
-            batch.sort_by_key(|a| (a.0, a.1, a.2));
-            let recs: Vec<EventRecord> = batch.into_iter().map(|(_, _, _, r)| r).collect();
+            let recs: Vec<EventRecord> = splice(&mut self.shards, |sh| &mut sh.rec.buf).collect();
             r.event_index += recs.len() as u64;
             if r.io_error.is_none() {
                 if let Err(e) = r.writer.append_events(&recs) {
@@ -671,16 +588,10 @@ impl Sim {
                 }
             }
         }
-        if !self.trace_enabled {
-            return;
-        }
-        let mut batch = Vec::new();
-        for sh in &mut self.shards {
-            batch.append(&mut sh.trace.buf);
-        }
-        batch.sort_by_key(|a| (a.0, a.1, a.2));
-        for (_, _, _, ev) in batch {
-            self.trace.push(ev.at_us, ev.node, ev.line);
+        if self.trace_enabled {
+            for ev in splice(&mut self.shards, |sh| &mut sh.trace.buf) {
+                self.trace.push(ev.at_us, ev.node, ev.line);
+            }
         }
     }
 
@@ -839,10 +750,6 @@ mod tests {
 
     #[test]
     fn shard_counts_produce_identical_runs() {
-        // Force the real threaded runner even on 1-core CI, so the
-        // barrier protocol (not just the in-place fallback) is what this
-        // test certifies.
-        std::env::set_var("VCE_SHARDS_THREADS", "1");
         let baseline = sharded_fingerprint(1);
         for shards in [2, 4, 8] {
             let got = sharded_fingerprint(shards);
@@ -925,7 +832,6 @@ mod tests {
 
     #[test]
     fn adaptive_lookahead_widens_on_clustered_fleet_without_changing_output() {
-        std::env::set_var("VCE_SHARDS_THREADS", "1");
         let baseline = clustered_fingerprint(1);
         assert!(baseline.1 > 0, "workload generated no events");
         for shards in [2, 4, 8] {
@@ -1157,6 +1063,46 @@ mod tests {
         assert_eq!(sim.now_us(), 5_000_000);
         sim.run_for(1_000);
         assert_eq!(sim.now_us(), 5_001_000);
+    }
+
+    #[test]
+    fn run_for_saturates_at_the_end_of_time() {
+        let mut sim = Sim::new(SimConfig::default());
+        sim.run_until(1_000);
+        sim.run_for(u64::MAX);
+        assert_eq!(sim.now_us(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint blew up")]
+    fn panicking_shard_worker_fails_the_run_instead_of_hanging_it() {
+        struct Bomb;
+        impl Endpoint for Bomb {
+            fn on_start(&mut self, host: &mut dyn Host) {
+                host.set_timer(500, 1);
+            }
+            fn on_envelope(&mut self, _env: Envelope, _host: &mut dyn Host) {}
+            fn on_timer(&mut self, _token: u64, _host: &mut dyn Host) {
+                panic!("endpoint blew up");
+            }
+        }
+        fn run_bomb() {
+            let mut sim = Sim::new(SimConfig {
+                shards: 2,
+                ..SimConfig::default()
+            });
+            // Node 1 lives on shard 1 — a spawned worker, not the caller.
+            sim.add_node(MachineInfo::workstation(NodeId(0), 100.0));
+            sim.add_node(MachineInfo::workstation(NodeId(1), 100.0));
+            sim.add_endpoint(Addr::daemon(NodeId(1)), Box::new(Bomb));
+            sim.run_until(10_000);
+        }
+        // Repeated, because how the unwinding worker and the coordinator
+        // interleave around the stop flag is up to the scheduler.
+        for _ in 0..64 {
+            assert!(std::panic::catch_unwind(run_bomb).is_err());
+        }
+        run_bomb();
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Adaptive conservative-window sizing from the fleet's site structure.
 //!
-//! The sharded engine advances every shard through a shared lock-step
-//! window `[w_start, w_start + L)`; correctness requires each cross-shard
+//! The engine advances every shard through a shared lock-step window
+//! `[w_start, w_start + L)`; correctness requires each cross-shard
 //! message created inside a window to land at or after its end (the
-//! always-on assert in `Shard::push_or_remote`). The seed engine used the
-//! global floor `L = Topology::min_cross_latency_us()` — the cheapest link
-//! class anywhere in the topology. But that floor is only *reachable*
+//! always-on assert in `Shard::push_or_remote`). The global floor `L =
+//! Topology::min_cross_latency_us()` — the cheapest link class anywhere
+//! in the topology — is always safe. But that floor is only *reachable*
 //! between two nodes in the same site. When the fleet is clustered and the
 //! modulo node→shard assignment happens to keep each site's nodes on one
 //! shard, every message that actually crosses a shard boundary also
@@ -34,6 +34,9 @@
 //! The result is never narrower than the global floor — every site-pair
 //! minimum is one of the two link-class bases, each ≥ the floor — which
 //! the `window_us` debug assert and the engine's proptest gate both pin.
+//! With no realizable pair at all (a single shard, or no registered node
+//! yet) the minimum is over an empty set: `u64::MAX`, and the only window
+//! boundaries left are fences and the run bound.
 
 use std::collections::BTreeSet;
 
@@ -77,19 +80,12 @@ impl LookaheadPlan {
 
     /// The conservative window width: the minimum over ordered shard pairs
     /// `(s, d)`, `s ≠ d`, of the cheapest site pair `(a ∈ src[s],
-    /// b ∈ dst[d])`. Falls back to the global floor when no cross-shard
-    /// pair is realizable (single shard, or no registered node yet);
-    /// otherwise the result is ≥ the floor by construction.
+    /// b ∈ dst[d])` — `u64::MAX` when no cross-shard pair is realizable
+    /// (single shard, or no registered node yet), and ≥ the global floor
+    /// by construction.
     pub(crate) fn window_us(&self, topo: &Topology) -> u64 {
-        let floor = topo.min_cross_latency_us();
-        if self.src.len() < 2 {
-            return floor;
-        }
         let mut best = u64::MAX;
         for (s, src) in self.src.iter().enumerate() {
-            if src.is_empty() {
-                continue;
-            }
             for (d, dst) in self.dst.iter().enumerate() {
                 if d == s {
                     continue;
@@ -101,15 +97,11 @@ impl LookaheadPlan {
                 }
             }
         }
-        if best == u64::MAX {
-            floor
-        } else {
-            debug_assert!(
-                best >= floor,
-                "adaptive window {best} narrower than floor {floor}"
-            );
-            best
-        }
+        debug_assert!(
+            best >= topo.min_cross_latency_us(),
+            "adaptive window {best} narrower than the global floor"
+        );
+        best
     }
 }
 
@@ -133,10 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_or_single_shard_uses_global_floor() {
+    fn empty_or_single_shard_is_unbounded() {
         let t = campus();
-        assert_eq!(LookaheadPlan::new(2, &t).window_us(&t), 1_000);
-        assert_eq!(plan_with(&t, 1, &[(0, 1), (1, 2)]).window_us(&t), 1_000);
+        assert_eq!(LookaheadPlan::new(2, &t).window_us(&t), u64::MAX);
+        assert_eq!(plan_with(&t, 1, &[(0, 1), (1, 2)]).window_us(&t), u64::MAX);
     }
 
     #[test]

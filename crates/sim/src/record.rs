@@ -30,8 +30,8 @@
 //! `End` (totals + final hash). Since format version 2, `Events` frames
 //! varint delta-encode their records (`at_us` as a delta from the previous
 //! record, `cause` as a zigzag delta, `node`/`a`/`b` as plain varints) —
-//! a ~3× size cut on real recordings; the reader accepts version-1 files
-//! unchanged. The engine writes frames at driver-call
+//! a ~3× size cut on real recordings; version-1 (fixed-width) files are
+//! rejected. The engine writes frames at driver-call
 //! boundaries, which are independent of the shard count — so a `.vct` file
 //! is **byte-identical for `VCE_SHARDS` ∈ {1, 2, 4, 8}**, making the
 //! sharded engine independently verifiable (`scripts/ci.sh` diffs the
@@ -47,13 +47,10 @@ use vce_storage::{crc32, FRAME_HEADER, MAX_RECORD};
 
 /// File magic: "VCT1".
 pub const MAGIC: &[u8; 4] = b"VCT1";
-/// Format version written in the header frame. Version 2 varint
-/// delta-encodes `Events` frames (see [`TraceWriter::append_events`]);
-/// the reader still accepts version-1 recordings, whose event records are
-/// fixed-width.
+/// Format version written in the header frame, and the only one the
+/// reader accepts. Version 2 varint delta-encodes `Events` frames (see
+/// [`TraceWriter::append_events`]).
 pub const VERSION: u16 = 2;
-/// The fixed-width event-record format this reader also accepts.
-pub const VERSION_V1: u16 = 1;
 
 // Event-kind tags inside an `Events` frame (one per engine event pop).
 /// An endpoint `on_start` (node boot or revive).
@@ -367,8 +364,7 @@ impl TraceWriter {
 /// A fully parsed, chain-verified recording.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedTrace {
-    /// Format version from the header (1 = fixed-width event records,
-    /// 2 = varint delta-encoded).
+    /// Format version from the header (always [`VERSION`]).
     pub version: u16,
     /// Scenario string from the header (e.g. `chaos seed=100 shape=crashes
     /// technique=checkpoint`) — enough for a replay tool to re-run the cell.
@@ -442,7 +438,7 @@ fn decode_frame(
                 return Err("header frame not first".into());
             }
             let version = dec.get_u16().map_err(|e| e.to_string())?;
-            if version != VERSION && version != VERSION_V1 {
+            if version != VERSION {
                 return Err(format!("unsupported version {version}"));
             }
             out.version = version;
@@ -453,32 +449,19 @@ fn decode_frame(
             let n = dec.get_u32().map_err(|e| e.to_string())?;
             let (mut prev_at, mut prev_cause) = (0u64, 0u64);
             for _ in 0..n {
-                let rec = if out.version == VERSION_V1 {
-                    EventRecord {
-                        at_us: dec.get_u64().map_err(|e| e.to_string())?,
-                        cause: dec.get_u64().map_err(|e| e.to_string())?,
-                        node: NodeId(dec.get_u32().map_err(|e| e.to_string())?),
-                        kind: dec.get_u8().map_err(|e| e.to_string())?,
-                        a: dec.get_u64().map_err(|e| e.to_string())?,
-                        b: dec.get_u64().map_err(|e| e.to_string())?,
-                    }
-                } else {
-                    let at_us = prev_at.wrapping_add(dec.get_uvarint().map_err(|e| e.to_string())?);
-                    let cause = prev_cause.wrapping_add(unzigzag(
-                        dec.get_uvarint().map_err(|e| e.to_string())?,
-                    ) as u64);
-                    let node = dec.get_uvarint().map_err(|e| e.to_string())?;
-                    let node = NodeId(
-                        u32::try_from(node).map_err(|_| format!("node id {node} overflows"))?,
-                    );
-                    EventRecord {
-                        at_us,
-                        cause,
-                        node,
-                        kind: dec.get_u8().map_err(|e| e.to_string())?,
-                        a: dec.get_uvarint().map_err(|e| e.to_string())?,
-                        b: dec.get_uvarint().map_err(|e| e.to_string())?,
-                    }
+                let at_us = prev_at.wrapping_add(dec.get_uvarint().map_err(|e| e.to_string())?);
+                let cause = prev_cause
+                    .wrapping_add(unzigzag(dec.get_uvarint().map_err(|e| e.to_string())?) as u64);
+                let node = dec.get_uvarint().map_err(|e| e.to_string())?;
+                let node =
+                    NodeId(u32::try_from(node).map_err(|_| format!("node id {node} overflows"))?);
+                let rec = EventRecord {
+                    at_us,
+                    cause,
+                    node,
+                    kind: dec.get_u8().map_err(|e| e.to_string())?,
+                    a: dec.get_uvarint().map_err(|e| e.to_string())?,
+                    b: dec.get_uvarint().map_err(|e| e.to_string())?,
                 };
                 prev_at = rec.at_us;
                 prev_cause = rec.cause;
@@ -854,65 +837,26 @@ mod tests {
         w.finish(h2, 200).unwrap().unwrap()
     }
 
-    /// Hand-frame a version-1 file (fixed-width event records) with the
-    /// same CRC chain the writer uses — the reader must stay compatible
-    /// with recordings committed before the varint format landed.
-    fn sample_v1(recs: &[EventRecord]) -> Vec<u8> {
-        let mut out = MAGIC.to_vec();
-        let mut prev_crc = crc32(MAGIC);
-        let frame = |out: &mut Vec<u8>, prev_crc: &mut u32, tag: u8, body: &[u8]| {
-            let mut crc_input = prev_crc.to_be_bytes().to_vec();
-            crc_input.push(tag);
-            crc_input.extend_from_slice(body);
-            let crc = crc32(&crc_input);
-            out.extend_from_slice(&((body.len() + 1) as u32).to_be_bytes());
-            out.extend_from_slice(&crc.to_be_bytes());
-            out.extend_from_slice(&crc_input[4..]);
-            *prev_crc = crc;
-        };
-        let mut e = Encoder::with_capacity(256);
-        e.put_u16(VERSION_V1);
-        e.put_u64(50);
-        e.put_str("v1 scenario");
-        frame(
-            &mut out,
-            &mut prev_crc,
-            FrameKind::Header.tag(),
-            e.as_slice(),
-        );
-        e.clear();
-        e.put_u32(recs.len() as u32);
-        for r in recs {
-            e.put_u64(r.at_us);
-            e.put_u64(r.cause);
-            e.put_u32(r.node.0);
-            e.put_u8(r.kind);
-            e.put_u64(r.a);
-            e.put_u64(r.b);
-        }
-        frame(
-            &mut out,
-            &mut prev_crc,
-            FrameKind::Events.tag(),
-            e.as_slice(),
-        );
-        e.clear();
-        e.put_u64(recs.len() as u64);
-        e.put_u64(0);
-        e.put_u64(42);
-        e.put_u64(190);
-        frame(&mut out, &mut prev_crc, FrameKind::End.tag(), e.as_slice());
-        out
-    }
-
     #[test]
-    fn version_1_recordings_still_read() {
-        let recs: Vec<EventRecord> = (0..20).map(ev).collect();
-        let t = read_trace(&sample_v1(&recs)).unwrap();
-        assert_eq!(t.version, VERSION_V1);
-        assert_eq!(t.scenario, "v1 scenario");
-        assert_eq!(t.events, recs);
-        assert_eq!(t.end.sim_hash, 42);
+    fn version_1_recordings_are_rejected() {
+        // Rewrite a sealed recording's header to claim version 1 and
+        // re-chain that frame's CRC, so the version check — not the CRC —
+        // is what refuses it.
+        let mut file = TraceWriter::to_memory("v1 scenario", 50)
+            .finish(0, 0)
+            .unwrap()
+            .unwrap();
+        let body = MAGIC.len() + FRAME_HEADER;
+        let end = body + u32::from_be_bytes(file[4..8].try_into().unwrap()) as usize;
+        file[body + 1..body + 3].copy_from_slice(&1u16.to_be_bytes());
+        let mut crc_input = crc32(MAGIC).to_be_bytes().to_vec();
+        crc_input.extend_from_slice(&file[body..end]);
+        file[8..12].copy_from_slice(&crc32(&crc_input).to_be_bytes());
+        let err = read_trace(&file).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported version 1"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -921,16 +865,15 @@ mod tests {
         let mut w = TraceWriter::to_memory("size", 100);
         w.append_events(&recs).unwrap();
         let v2 = w.finish(0, 0).unwrap().unwrap();
-        let v1 = sample_v1(&recs);
-        // Same event stream both ways; the delta-varint records must cut
-        // the file to well under half the fixed-width size (in practice
-        // ~5 bytes/record vs 37).
+        // Fixed width is 37 bytes a record (four `u64`s, a `u32` node and a
+        // kind byte); the delta-varint records must cut the file to well
+        // under half of that (in practice ~5 bytes/record).
+        let fixed_width = recs.len() * (4 * 8 + 4 + 1);
         assert_eq!(read_trace(&v2).unwrap().events, recs);
         assert!(
-            v2.len() * 2 < v1.len(),
-            "v2 {}B not < half of v1 {}B",
-            v2.len(),
-            v1.len()
+            v2.len() * 2 < fixed_width,
+            "v2 {}B not < half of fixed-width {fixed_width}B",
+            v2.len()
         );
     }
 

@@ -1,13 +1,14 @@
 //! Shard-local simulator state: one partition of the node slab plus its own
 //! calendar queue, dispatch tables, fault-plan replica and statistics.
 //!
-//! The sharded engine (see `DESIGN.md` decision 17) partitions nodes across
-//! `S` shards by `NodeId % S` and advances all shards in lock-step
-//! *conservative time windows* of width `lookahead =
-//! Topology::min_cross_latency_us()`. Everything a node does lands either on
-//! itself (timers, CPU checks, load changes — always intra-shard) or on a
-//! peer reached through the network, whose latency is at least `lookahead`;
-//! therefore no event created inside a window `[w, w+lookahead)` can *fire*
+//! The engine (see `DESIGN.md` decision 17) partitions nodes across `S`
+//! shards by `NodeId % S` and advances all shards in lock-step
+//! *conservative time windows* of width `lookahead` — the cheapest latency
+//! any realizable cross-shard message can have (`crate::lookahead`).
+//! Everything a node does lands either on itself (timers, CPU checks, load
+//! changes — always intra-shard) or on a peer reached through the network,
+//! and a peer on another shard is at least `lookahead` away; therefore no
+//! event created inside a window `[w, w+lookahead)` can *fire*
 //! inside that same window on another shard, and shards can run a window in
 //! parallel with no communication at all. Cross-shard sends are buffered in
 //! per-destination outboxes and exchanged at the window barrier
@@ -15,10 +16,10 @@
 //!
 //! # The cause key: one total order for every shard count
 //!
-//! The serial engine used to break ties at equal timestamps with a global
-//! insertion counter — meaningless across concurrently-running shards. It is
-//! replaced by a **cause key** derived from the event's *creator*: each node
-//! (plus the driver, origin 0) owns a monotone counter, and every scheduled
+//! A global insertion counter cannot break ties at equal timestamps across
+//! concurrently-running shards. Ties are broken instead by a **cause key**
+//! derived from the event's *creator*: each node (plus the driver, origin
+//! 0) owns a monotone counter, and every scheduled
 //! event carries `cause = origin << CAUSE_SEQ_BITS | counter++`. Because a
 //! node's events execute in the same relative order on any shard layout, the
 //! key is a pure function of the simulation itself, and ordering the global
@@ -82,8 +83,8 @@ pub(crate) fn cause_key(origin: u64, seq: u64) -> u64 {
 /// well-defined owner (their deliveries count as drops there).
 #[inline]
 pub(crate) fn shard_of(node: NodeId, total: usize) -> usize {
-    // The serial engine routes every event through here; skip the hardware
-    // divide when there is nothing to partition.
+    // Every routed event passes through here; skip the hardware divide
+    // when there is nothing to partition.
     if total == 1 {
         0
     } else {
@@ -454,8 +455,8 @@ pub(crate) fn apply_plan_op(plan: &mut FaultPlan, op: &FaultOp) {
 
 /// One partition of the simulator: a slab of nodes, their calendar queue,
 /// a fault-plan replica, statistics and a trace buffer. The facade
-/// (`vce_sim::Sim`) owns `S` of these; with `S = 1` the shard *is* the
-/// serial engine and runs with zero coordination overhead.
+/// (`vce_sim::Sim`) owns `S` of these, advanced window by window by
+/// `crate::sharded`.
 pub(crate) struct Shard {
     pub(crate) index: usize,
     pub(crate) total: usize,
@@ -694,37 +695,21 @@ impl Shard {
         self.events.peek_time()
     }
 
-    pub(crate) fn set_window(&mut self, w_end: u64) {
-        self.window_end = w_end;
-    }
-
-    pub(crate) fn clear_window(&mut self) {
-        self.window_end = u64::MAX;
-    }
-
-    /// Run every queued event strictly before `w_end`.
+    /// Run every queued event strictly before `w_end`, as one window:
+    /// cross-shard sends made inside it must land at or after `w_end`.
     pub(crate) fn run_window(&mut self, w_end: u64) {
-        while let Some(at) = self.events.peek_time() {
-            if at >= w_end {
-                break;
+        self.window_end = w_end;
+        while self.events.peek_time().is_some_and(|at| at < w_end) {
+            let (at_us, cause, ev) = self.events.pop().expect("peeked an event");
+            debug_assert!(at_us >= self.now, "event queue went backwards");
+            self.now = at_us;
+            self.events_processed += 1;
+            if self.rec.is_enabled() {
+                self.record_pop(at_us, cause, &ev);
             }
-            self.step_one();
+            self.handle(cause, ev);
         }
-    }
-
-    /// Process one event. Returns `false` when the queue is empty.
-    pub(crate) fn step_one(&mut self) -> bool {
-        let Some((at_us, cause, ev)) = self.events.pop() else {
-            return false;
-        };
-        debug_assert!(at_us >= self.now, "event queue went backwards");
-        self.now = at_us;
-        self.events_processed += 1;
-        if self.rec.is_enabled() {
-            self.record_pop(at_us, cause, &ev);
-        }
-        self.handle(cause, ev);
-        true
+        self.window_end = u64::MAX;
     }
 
     /// Append this pop to the record/replay buffer. Batched deliveries are

@@ -1,13 +1,19 @@
-//! The multi-core window runner: drives `S` [`Shard`]s through lock-step
-//! conservative time windows on scoped worker threads.
+//! The window runner — the only way the simulator advances: drives `S`
+//! [`Shard`]s through lock-step conservative time windows, shard 0 on the
+//! caller's thread and every other shard on a scoped worker thread.
+//!
+//! With one shard the same loop runs on the caller's thread alone, against
+//! a barrier of one and an unbounded lookahead (no cross-shard pair
+//! exists), so a "window" is the whole fence-free span up to the run
+//! bound.
 //!
 //! This is the **only** threaded module in the simulator, and the only one
 //! allowed to be: determinism is restored not by avoiding threads but by
 //! the conservative barrier (no cross-shard event can land inside the
 //! window that produced it, so shards never observe each other mid-window)
 //! plus the shard-invariant cause key (see [`crate::shard`]). Everything
-//! the threads share is either synchronized at the two barriers per window
-//! or commutative (per-shard `NetStats` merged later).
+//! the threads share is either synchronized at the three barriers per
+//! window or commutative (per-shard `NetStats` merged later).
 //!
 //! # Protocol (three barrier waits per window)
 //!
@@ -18,8 +24,7 @@
 //!    its earliest event time. **Barrier A.**
 //! 3. The coordinator (worker 0, which also runs shard 0) reads all the
 //!    published times plus the next fence, picks the window `[w_start,
-//!    w_end)` — `w_end = w_start + lookahead`, capped by the next fence
-//!    and the run bound — or raises the stop flag. **Barrier B.**
+//!    w_end)` ([`plan_window`]) or raises the stop flag. **Barrier B.**
 //! 4. Every worker applies the fences at `w_start` to its plan replica
 //!    (the owning shard also runs crash/boot callbacks), runs its events
 //!    in `[w_start, w_end)`, buffers cross-shard sends in its outboxes
@@ -29,32 +34,15 @@
 //! queue orders purely on the `(at_us, cause)` key, so the queue state —
 //! and therefore the whole run — is unaffected.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::thread; // vce-lint: allow(D004) the one sanctioned threaded module: window barriers + cause keys keep the run deterministic (DESIGN.md decision 17)
 
 use vce_net::FaultOp;
 
 use crate::shard::{RemoteEvent, Shard};
-
-/// Whether the threaded runner is worth engaging: more than one shard and
-/// more than one core. On a 1-core box the facade falls back to the
-/// in-place window loop, which produces byte-identical output (the window
-/// schedule is the same; only the execution substrate differs).
-///
-/// `VCE_SHARDS_THREADS=1` forces real worker threads regardless of core
-/// count, so the barrier protocol itself is exercised by determinism
-/// tests even on single-core CI runners (where it would otherwise always
-/// take the fallback).
-pub(crate) fn use_threads(shards: usize) -> bool {
-    if shards <= 1 {
-        return false;
-    }
-    if std::env::var_os("VCE_SHARDS_THREADS").is_some_and(|v| v == "1") {
-        return true;
-    }
-    thread::available_parallelism().map_or(1, |n| n.get()) > 1
-}
 
 /// Schedule-permutation hook for the race gate: `VCE_SHARDS_STAGGER=<seed>`
 /// makes every worker yield its timeslice a pseudo-random number of times
@@ -83,144 +71,208 @@ fn stagger(seed: Option<u64>, shard: usize, window: u64, phase: u64) {
     }
 }
 
-/// Per-window plan published by the coordinator between barriers A and B.
-struct Plan {
+/// A fault fence as the runner sees it: `(at_us, driver cause, op)`.
+pub(crate) type Fence = (u64, u64, FaultOp);
+
+/// Everything the workers share, built once per sim so a run allocates
+/// nothing: the barrier, each shard's published next-event time and
+/// inbox, the coordinator's per-window plan, and the panic hand-off.
+pub(crate) struct Rendezvous {
+    barrier: Barrier,
+    next_times: Vec<AtomicU64>,
+    inboxes: Vec<Mutex<Vec<RemoteEvent>>>,
+    /// Per-window plan, published by the coordinator between barriers A
+    /// and B: the window end, and the fence-list index up to which
+    /// (exclusive) this window's fences run.
     w_end: AtomicU64,
-    /// Fence-list index up to which (exclusive) this window's fences run.
     fence_upto: AtomicUsize,
+    /// Raised by the coordinator when nothing remains at or before the run
+    /// bound, or by a worker that unwound. Written only between barriers A
+    /// and B and read only after B, so every worker of an iteration reads
+    /// the same value.
     stop: AtomicBool,
+    /// First payload of a worker that unwound, re-raised by [`run`] once
+    /// every worker has left the loop.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Drive all shards until no event or fence remains at or before `t`.
+impl Rendezvous {
+    pub(crate) fn new(shards: usize) -> Self {
+        Self {
+            barrier: Barrier::new(shards),
+            next_times: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            w_end: AtomicU64::new(0),
+            fence_upto: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        }
+    }
+}
+
+/// Drive all shards until no event or fence remains at or before `t`:
+/// shard 0 on the caller's thread (which also coordinates), every other
+/// shard on a scoped thread of its own.
 ///
 /// `fences` must be sorted by `(at, cause)` with every entry ≤ `t`; each
 /// worker applies them to its own replica at window starts, all at the
 /// same fence cursor (published by the coordinator), so replicas never
 /// diverge.
-pub(crate) fn run(shards: &mut [Shard], fences: &[(u64, u64, FaultOp)], lookahead: u64, t: u64) {
-    let n = shards.len();
-    let barrier = Barrier::new(n);
-    let next_times: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let inboxes: Vec<Mutex<Vec<RemoteEvent>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let plan = Plan {
-        w_end: AtomicU64::new(0),
-        fence_upto: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-    };
-    thread::scope(|scope| {
-        let (first, rest) = shards.split_at_mut(1);
-        for sh in rest.iter_mut() {
-            let barrier = &barrier;
-            let next_times = &next_times[..];
-            let inboxes = &inboxes[..];
-            let plan = &plan;
-            scope.spawn(move || {
-                worker(sh, barrier, next_times, inboxes, plan, fences, lookahead, t);
-            });
-        }
-        // The coordinator doubles as shard 0's worker.
-        worker(
-            &mut first[0],
-            &barrier,
-            &next_times,
-            &inboxes,
-            &plan,
-            fences,
-            lookahead,
-            t,
-        );
-    });
+pub(crate) fn run(shards: &mut [Shard], rv: &Rendezvous, fences: &[Fence], lookahead: u64, t: u64) {
+    rv.stop.store(false, Ordering::Release);
+    let (first, rest) = shards.split_first_mut().expect("a sim has a shard");
+    if rest.is_empty() {
+        // `thread::scope` allocates; one shard needs no scope.
+        worker(first, rv, fences, lookahead, t);
+    } else {
+        thread::scope(|scope| {
+            for sh in rest {
+                scope.spawn(move || worker(sh, rv, fences, lookahead, t));
+            }
+            worker(first, rv, fences, lookahead, t);
+        });
+    }
+    let payload = rv
+        .panic
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    if let Some(payload) = payload {
+        resume_unwind(payload);
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    sh: &mut Shard,
-    barrier: &Barrier,
-    next_times: &[AtomicU64],
-    inboxes: &[Mutex<Vec<RemoteEvent>>],
-    plan: &Plan,
-    fences: &[(u64, u64, FaultOp)],
+/// The next window, given the earliest queued event anywhere and the
+/// fences not yet applied (`fences[cursor..]`): `(upto, w_end)`, where
+/// `fences[cursor..upto]` apply at the window's start and the window runs
+/// events strictly before `w_end` — one lookahead wide, cut short by the
+/// next fence and by the run bound `t`. `None` when nothing remains at or
+/// before `t`.
+fn plan_window(
+    next_ev: u64,
+    fences: &[Fence],
+    cursor: usize,
     lookahead: u64,
     t: u64,
+) -> Option<(usize, u64)> {
+    let next_fence = fences.get(cursor).map_or(u64::MAX, |f| f.0);
+    let w_start = next_ev.min(next_fence);
+    // `w_start == MAX` means every queue is empty and no fence remains —
+    // checked explicitly because `w_start > t` can't catch it when the
+    // caller's bound is itself `u64::MAX` (`run_until_idle`).
+    if w_start > t || w_start == u64::MAX {
+        return None;
+    }
+    let at_start = fences[cursor..].iter().take_while(|f| f.0 == w_start);
+    let upto = cursor + at_start.count();
+    let fence_cap = fences.get(upto).map_or(u64::MAX, |f| f.0);
+    let w_end = w_start
+        .saturating_add(lookahead)
+        .min(fence_cap)
+        .min(t.saturating_add(1));
+    Some((upto, w_end))
+}
+
+/// Run one shard's window loop, and keep the others live if it unwinds.
+/// `Barrier` does not poison: a worker that simply died would leave the
+/// rest blocked in `wait` and the scope would never return. So a worker
+/// that unwinds still meets the barriers left in its iteration, raising
+/// the stop flag where the coordinator would — between barriers A and B —
+/// so that every worker leaves after B, and parks its payload for [`run`]
+/// to re-raise.
+fn worker(sh: &mut Shard, rv: &Rendezvous, fences: &[Fence], lookahead: u64, t: u64) {
+    let mut waits = 0;
+    let looped = catch_unwind(AssertUnwindSafe(|| {
+        window_loop(sh, rv, fences, lookahead, t, &mut waits);
+    }));
+    if let Err(payload) = looped {
+        for met in waits..3 {
+            if met == 2 {
+                rv.stop.store(true, Ordering::Release);
+            }
+            rv.barrier.wait();
+        }
+        rv.panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(payload);
+    }
+}
+
+/// The window loop itself. `waits` counts the barrier waits this worker
+/// has completed in its current iteration (0 once it is past barrier B).
+fn window_loop(
+    sh: &mut Shard,
+    rv: &Rendezvous,
+    fences: &[Fence],
+    lookahead: u64,
+    t: u64,
+    waits: &mut u8,
 ) {
     let i = sh.index;
-    let is_coord = i == 0;
     let mut fence_cursor = 0usize;
     let seed = stagger_seed();
     let mut window_no = 0u64;
     loop {
         window_no += 1;
         stagger(seed, i, window_no, 0);
-        // Phase 0: ship the previous window's outboxes, then rendezvous
+        // Phase 0: ship the previous window's outboxes (and any mail a
+        // driver-time fence produced since the last run), then rendezvous
         // before anyone drains. Without this barrier a fast receiver can
         // loop around, drain its still-empty inbox and publish its next
         // event time while a slow sender is still posting mail to it —
         // the coordinator then plans a window that silently excludes that
         // mail, and the receiver replays it a window late (time going
         // backwards, output diverging with thread timing).
-        for (d, inbox) in inboxes.iter().enumerate() {
+        for (d, inbox) in rv.inboxes.iter().enumerate() {
             if d != i && !sh.outbox_is_empty(d) {
                 let mut sink = inbox.lock().expect("sim worker panicked");
                 sh.drain_outbox_into(d, &mut sink);
             }
         }
-        barrier.wait();
+        rv.barrier.wait();
+        *waits = 1;
         stagger(seed, i, window_no, 1);
         // Phase 1: absorb cross-shard mail, publish the earliest thing
         // this shard still has to do.
         {
-            let mut mail = inboxes[i].lock().expect("sim worker panicked");
+            let mut mail = rv.inboxes[i].lock().expect("sim worker panicked");
             sh.enqueue_remote_drain(&mut mail);
         }
-        next_times[i].store(sh.peek_time().unwrap_or(u64::MAX), Ordering::Release);
-        barrier.wait();
+        rv.next_times[i].store(sh.peek_time().unwrap_or(u64::MAX), Ordering::Release);
+        rv.barrier.wait();
+        *waits = 2;
         // Phase 2 (coordinator only, between the barriers — exclusive):
         // pick the next window or stop.
-        if is_coord {
-            let next_ev = next_times
+        if i == 0 {
+            let next_ev = rv
+                .next_times
                 .iter()
                 .map(|a| a.load(Ordering::Acquire))
                 .min()
                 .unwrap_or(u64::MAX);
-            let next_fence = fences.get(fence_cursor).map_or(u64::MAX, |&(at, _, _)| at);
-            let w_start = next_ev.min(next_fence);
-            // `w_start == MAX` means every queue is empty and no fence
-            // remains — checked explicitly because `w_start > t` can't
-            // catch it when the caller's bound is itself `u64::MAX`
-            // (`run_until_idle`).
-            if w_start > t || w_start == u64::MAX {
-                plan.stop.store(true, Ordering::Release);
-            } else {
-                let mut upto = fence_cursor;
-                while upto < fences.len() && fences[upto].0 == w_start {
-                    upto += 1;
+            match plan_window(next_ev, fences, fence_cursor, lookahead, t) {
+                Some((upto, w_end)) => {
+                    rv.fence_upto.store(upto, Ordering::Release);
+                    rv.w_end.store(w_end, Ordering::Release);
                 }
-                let cap = fences.get(upto).map_or(u64::MAX, |&(at, _, _)| at);
-                let w_end = w_start
-                    .saturating_add(lookahead)
-                    .min(cap)
-                    .min(t.saturating_add(1));
-                plan.fence_upto.store(upto, Ordering::Release);
-                plan.w_end.store(w_end, Ordering::Release);
+                None => rv.stop.store(true, Ordering::Release),
             }
         }
-        barrier.wait();
-        if plan.stop.load(Ordering::Acquire) {
+        rv.barrier.wait();
+        *waits = 0;
+        if rv.stop.load(Ordering::Acquire) {
             break;
         }
         // Phase 3: fences for this window (every replica, same cursor
-        // range), then the window itself, then ship the outboxes.
-        let upto = plan.fence_upto.load(Ordering::Acquire);
-        while fence_cursor < upto {
-            let (at, cause, ref op) = fences[fence_cursor];
-            sh.apply_fence(at, cause, op);
-            fence_cursor += 1;
+        // range), then the window itself. The outboxes it fills are
+        // shipped at the top of the next iteration, behind the phase-0
+        // barrier.
+        let upto = rv.fence_upto.load(Ordering::Acquire);
+        for (at, cause, op) in &fences[fence_cursor..upto] {
+            sh.apply_fence(*at, *cause, op);
         }
-        let w_end = plan.w_end.load(Ordering::Acquire);
-        sh.set_window(w_end);
-        sh.run_window(w_end);
-        sh.clear_window();
-        // Outboxes filled by this window are shipped at the top of the
-        // next iteration, behind the phase-0 barrier.
+        fence_cursor = upto;
+        sh.run_window(rv.w_end.load(Ordering::Acquire));
     }
 }

