@@ -11,7 +11,9 @@
 //!
 //! Own test file: the stagger env var is process-global, so this sweep
 //! must not interleave with the other shard tests' env handling.
-//! One `#[test]` keeps the seed loop serial within the process.
+//! One `#[test]` keeps the seed loop serial within the process. A `Sim`
+//! reads the variable once, when it is built, so each seed is set before
+//! the storms that run under it are constructed.
 //!
 //! Permutation count: 8 by default (fast enough for plain `cargo test`),
 //! `VCE_STAGGER_PERMS` overrides — scripts/ci.sh runs 32.

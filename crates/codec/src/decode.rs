@@ -164,10 +164,27 @@ impl<'a> Decoder<'a> {
     /// allocation; otherwise the bytes are copied out.
     pub fn get_bytes(&mut self) -> Result<Bytes> {
         let s = self.get_len_bytes()?;
-        Ok(match self.backing {
+        Ok(self.owned(s))
+    }
+
+    /// `s` (a sub-slice of the buffer) as an owned [`Bytes`]: a view of the
+    /// backing buffer when there is one, a copy otherwise.
+    fn owned(&self, s: &[u8]) -> Bytes {
+        match self.backing {
             Some(b) => b.slice_ref(s),
             None => Bytes::copy_from_slice(s),
-        })
+        }
+    }
+
+    /// Everything consumed since `start` (an earlier [`Decoder::position`]),
+    /// as an owned [`Bytes`] — zero-copy under the same rule as
+    /// [`Decoder::get_bytes`]. Lets a type keep a span it has just validated
+    /// field by field in wire form instead of rebuilding it on the heap.
+    ///
+    /// # Panics
+    /// Panics if `start` lies past the current position.
+    pub fn consumed_since(&self, start: usize) -> Bytes {
+        self.owned(&self.buf[start..self.pos])
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -308,6 +325,27 @@ mod tests {
         assert_eq!(d.get_str().unwrap(), "hello");
         assert_eq!(d.position(), bytes.len());
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn consumed_since_shares_the_backing_buffer() {
+        let mut e = Encoder::new();
+        e.put_u64(7);
+        e.put_str("a string long enough to leave the inline form");
+        e.put_u8(9);
+        let wire = e.finish_bytes();
+        let mut d = Decoder::with_backing(&wire);
+        d.get_u64().unwrap();
+        let start = d.position();
+        d.get_str().unwrap();
+        let span = d.consumed_since(start);
+        assert_eq!(&span[..], &wire[8..wire.len() - 1]);
+        assert_eq!(span.as_ptr(), wire[8..].as_ptr(), "a view, not a copy");
+        assert!(d.consumed_since(d.position()).is_empty());
+        // Without a backing buffer the span is copied out.
+        let mut d = Decoder::new(&wire);
+        d.get_u64().unwrap();
+        assert_eq!(&d.consumed_since(0)[..], &wire[..8]);
     }
 
     #[test]

@@ -132,6 +132,12 @@ impl Encoder {
         self.buf.put_slice(bytes);
     }
 
+    /// Append bytes that are already in wire form, with no prefix — the
+    /// counterpart of [`crate::Decoder::consumed_since`].
+    pub fn put_raw(&mut self, wire: &[u8]) {
+        self.buf.put_slice(wire);
+    }
+
     /// Write a u32 length prefix followed by UTF-8 bytes.
     pub fn put_str(&mut self, s: &str) {
         self.put_len_bytes(s.as_bytes());
@@ -166,6 +172,14 @@ mod tests {
         let mut e = Encoder::new();
         e.put_str("ab");
         assert_eq!(e.finish(), vec![0, 0, 0, 2, b'a', b'b']);
+    }
+
+    #[test]
+    fn raw_bytes_are_appended_verbatim() {
+        let mut e = Encoder::new();
+        e.put_u8(1);
+        e.put_raw(&[0, 0, 0, 2, b'a', b'b']);
+        assert_eq!(e.finish(), vec![1, 0, 0, 0, 2, b'a', b'b']);
     }
 
     #[test]

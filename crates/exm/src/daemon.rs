@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use vce_codec::Codec;
+use vce_codec::{Codec, Decoder};
 use vce_isis::{is_isis_token, BcastId, GroupConfig, GroupMember, Upcall};
 use vce_net::{Addr, Endpoint, Envelope, Host, MachineClass, NodeId, NodeList, SlotArena};
 
@@ -29,11 +29,14 @@ use crate::backoff::backoff_delay_us;
 use crate::config::ExmConfig;
 use crate::events::MigrationRecord;
 use crate::migrate::{carried_remaining, choose_technique, state_kib, MigrationTechnique};
-use crate::msg::{ExmMsg, InstanceKey, LoadProgram, MigrationState, ReqId};
+use crate::msg::{
+    DaemonInput, ExmMsg, InstanceKey, LoadProgram, MigrationState, ReqId, ResourceRequest,
+};
 use crate::policy::{select_into, select_with, Needs};
 use crate::queue::{QueuedRequest, RequestQueue};
 use crate::status::{DaemonStatus, ResidentTask};
 use crate::wal::{DaemonWal, WalRecord};
+use crate::wire::{NameList, WireStr};
 
 // Timer tokens carry a kind tag in bits 32.. and the 32-bit pid in the low
 // bits, mirroring executor.rs, so the full pid space is collision-free.
@@ -76,6 +79,8 @@ enum RunState {
 #[derive(Debug, Clone)]
 struct Resident {
     lp: LoadProgram,
+    /// `lp.unit` in the form every bid discloses it in.
+    unit: WireStr,
     state: RunState,
     /// Remaining work when last checkpointed (== total until the first
     /// checkpoint fires).
@@ -83,6 +88,57 @@ struct Resident {
     /// Work the *current incarnation* must execute (differs from
     /// `lp.work_mops` after a migration carried partial state in).
     work_to_run: f64,
+}
+
+impl Resident {
+    /// An incarnation with `remaining` Mops to run, entering `state`.
+    fn new(lp: LoadProgram, remaining: f64, state: RunState) -> Self {
+        Resident {
+            unit: lp.unit.as_str().into(),
+            lp,
+            state,
+            checkpointed_remaining: remaining,
+            work_to_run: remaining,
+        }
+    }
+}
+
+/// Binaries present for this machine's class, and the form every bid lists
+/// them in — encoded once per change of the set, not once per bid.
+#[derive(Default)]
+struct StagedBinaries {
+    units: BTreeSet<String>,
+    /// `units` as a bid carries them; `None` after a change.
+    wire: Option<NameList>,
+}
+
+impl StagedBinaries {
+    fn contains(&self, unit: &str) -> bool {
+        self.units.contains(unit)
+    }
+
+    fn insert(&mut self, unit: String) {
+        if self.units.insert(unit) {
+            self.wire = None;
+        }
+    }
+
+    fn remove(&mut self, unit: &str) {
+        if self.units.remove(unit) {
+            self.wire = None;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    fn wire(&mut self) -> NameList {
+        let units = &self.units;
+        self.wire
+            .get_or_insert_with(|| units.iter().map(String::as_str).collect())
+            .clone()
+    }
 }
 
 enum CollectKind {
@@ -168,8 +224,7 @@ pub struct DaemonEndpoint {
     next_pid: u64,
     /// Work items that are compiles, mapping pid → unit being compiled.
     compiles: BTreeMap<u64, String>,
-    /// Binaries present for this machine's class.
-    binaries: BTreeSet<String>,
+    binaries: StagedBinaries,
     /// Input files present locally.
     files: BTreeSet<String>,
     leader: LeaderState,
@@ -187,8 +242,12 @@ pub struct DaemonEndpoint {
     upcall_scratch: Vec<Upcall>,
     /// Reusable decoded-bid buffer for [`Self::effective_bids_into`].
     bids_scratch: Vec<DaemonStatus>,
-    /// Reusable index scratch for [`select_into`].
+    /// Reusable index scratch for [`select_into`] and the migration sweep.
     select_scratch: Vec<u32>,
+    /// Reusable buffer for [`Self::reservations_into`].
+    reserved_scratch: Vec<NodeId>,
+    /// Reusable resident-task buffer for [`Self::bid`].
+    tasks_scratch: Vec<ResidentTask>,
     /// The last recovery, for chaos invariants and experiment accounting.
     pub last_recovery: Option<RecoveryReport>,
     /// Task Mops actually executed on this machine, including work later
@@ -223,7 +282,7 @@ impl DaemonEndpoint {
             pid_of: BTreeMap::new(),
             next_pid: 1,
             compiles: BTreeMap::new(),
-            binaries: BTreeSet::new(),
+            binaries: StagedBinaries::default(),
             files: BTreeSet::new(),
             leader: LeaderState::new(aging),
             wal,
@@ -232,6 +291,8 @@ impl DaemonEndpoint {
             upcall_scratch: Vec::new(),
             bids_scratch: Vec::new(),
             select_scratch: Vec::new(),
+            reserved_scratch: Vec::new(),
+            tasks_scratch: Vec::new(),
             last_recovery: None,
             mops_executed: 0.0,
             migrations: Vec::new(),
@@ -312,35 +373,32 @@ impl DaemonEndpoint {
         (host.load() - self.active_work_items() as f64).max(0.0)
     }
 
-    fn status(&self, host: &dyn Host) -> DaemonStatus {
+    /// This machine's bid (§5's "sends its load description to the group
+    /// leader"), marshalled through the host's pooled scratch buffer. The
+    /// task list is written from a reused buffer and the binary list is
+    /// the cached one, so a warm daemon bids without touching the heap.
+    fn bid(&mut self, host: &mut dyn Host) -> bytes::Bytes {
+        let mut tasks = std::mem::take(&mut self.tasks_scratch);
+        tasks.extend(self.tasks.iter().map(|(&key, r)| ResidentTask {
+            key,
+            unit: r.unit.clone(),
+            remaining_mops: match r.state {
+                RunState::Running(pid) => host.work_remaining(pid).unwrap_or(0.0),
+                _ => r.work_to_run,
+            },
+            checkpoints: r.lp.checkpoints,
+            restartable: r.lp.restartable,
+            core_dumpable: r.lp.core_dumpable,
+            redundant: r.lp.redundant,
+            mem_mb: r.lp.mem_mb,
+        }));
         let m = host.machine();
         let load = host.load();
-        let background = self.background(host);
-        let tasks = self
-            .tasks
-            .iter()
-            .map(|(&key, r)| {
-                let remaining = match r.state {
-                    RunState::Running(pid) => host.work_remaining(pid).unwrap_or(0.0),
-                    _ => r.work_to_run,
-                };
-                ResidentTask {
-                    key,
-                    unit: r.lp.unit.clone(),
-                    remaining_mops: remaining,
-                    checkpoints: r.lp.checkpoints,
-                    restartable: r.lp.restartable,
-                    core_dumpable: r.lp.core_dumpable,
-                    redundant: r.lp.redundant,
-                    mem_mb: r.lp.mem_mb,
-                }
-            })
-            .collect();
-        DaemonStatus {
+        let status = DaemonStatus {
             node: m.node,
             class: self.class,
             load,
-            background,
+            background: self.background(host),
             speed_mops: m.speed_mops,
             mem_mb: m.mem_mb,
             willing: m.allows_remote
@@ -349,9 +407,13 @@ impl DaemonEndpoint {
                         .cfg
                         .overload_threshold
                         .min(crate::policy::OVERLOAD_THRESHOLD),
-            tasks,
-            binaries: self.binaries.iter().cloned().collect(),
-        }
+            tasks: Default::default(),
+            binaries: self.binaries.wire(),
+        };
+        let bytes = host.encode_with(&mut |enc| status.encode_with_tasks(&tasks, enc));
+        tasks.clear();
+        self.tasks_scratch = tasks;
+        bytes
     }
 
     // ------------------------------------------------------------------
@@ -366,13 +428,9 @@ impl DaemonEndpoint {
         self.wal
             .journal(host.now_us(), &WalRecord::Loaded(lp.clone()));
         let work = lp.work_mops;
-        let resident = Resident {
-            checkpointed_remaining: work,
-            work_to_run: work,
-            lp,
-            state: RunState::Fetching, // placeholder, fixed below
-        };
-        self.tasks.insert(key, resident);
+        // `Fetching` is a placeholder; `advance_prep` sets the real state.
+        self.tasks
+            .insert(key, Resident::new(lp, work, RunState::Fetching));
         self.advance_prep(key, host);
     }
 
@@ -587,12 +645,7 @@ impl DaemonEndpoint {
         };
         self.wal
             .journal(host.now_us(), &WalRecord::Loaded(lp.clone()));
-        let resident = Resident {
-            checkpointed_remaining: st.remaining_mops,
-            work_to_run: st.remaining_mops,
-            lp,
-            state: RunState::Transferring,
-        };
+        let resident = Resident::new(lp, st.remaining_mops, RunState::Transferring);
         self.tasks.insert(key, resident);
         // Charge the state-transfer time, then run the prep pipeline.
         let pid = self.alloc_pid(key);
@@ -604,15 +657,14 @@ impl DaemonEndpoint {
     // Leader role
     // ------------------------------------------------------------------
 
-    fn handle_resource_request(
-        &mut self,
-        req: ReqId,
-        class: MachineClass,
-        needs: Needs,
-        priority_boost: i32,
-        reply_to: Addr,
-        host: &mut dyn Host,
-    ) {
+    fn handle_resource_request(&mut self, request: ResourceRequest, host: &mut dyn Host) {
+        let ResourceRequest {
+            req,
+            class,
+            needs,
+            priority_boost,
+            reply_to,
+        } = request;
         if class != self.class || !self.gm.is_coordinator() {
             return; // not for my group / not the leader
         }
@@ -662,17 +714,19 @@ impl DaemonEndpoint {
     /// Machines that *restricted* requests depend on: a queued or pending
     /// request (other than the one being served) whose eligible machines
     /// are no more numerous than it needs reserves all of them — the §4.3
-    /// example's "machine A".
-    fn reservations(&self, bids: &[DaemonStatus], except: ReqId) -> Vec<NodeId> {
-        let mut reserved = Vec::new();
+    /// example's "machine A". Lands in `reserved` (cleared first), a buffer
+    /// the caller reuses across rounds.
+    fn reservations_into(&self, bids: &[DaemonStatus], except: ReqId, reserved: &mut Vec<NodeId>) {
+        reserved.clear();
         let mut consider = |needs: &Needs| {
-            let eligible: Vec<NodeId> = bids
-                .iter()
-                .filter(|b| crate::policy::eligible(b, needs, self.cfg.overload_threshold))
-                .map(|b| b.node)
-                .collect();
-            if !eligible.is_empty() && eligible.len() <= needs.count_min as usize {
-                reserved.extend(eligible);
+            let eligible = || {
+                bids.iter()
+                    .filter(|b| crate::policy::eligible(b, needs, self.cfg.overload_threshold))
+                    .map(|b| b.node)
+            };
+            let n = eligible().count();
+            if n != 0 && n <= needs.count_min as usize {
+                reserved.extend(eligible());
             }
         };
         for q in self.leader.queue.iter() {
@@ -687,12 +741,11 @@ impl DaemonEndpoint {
         }
         reserved.sort();
         reserved.dedup();
-        reserved
     }
 
     /// Decode the collected bids into `out` (cleared first; the caller
     /// hands back a reusable scratch vector so steady-state rounds reuse
-    /// its capacity).
+    /// its capacity). The bids' lists are views of `replies`' buffers.
     fn effective_bids_into(
         &self,
         replies: &[(Addr, bytes::Bytes)],
@@ -703,7 +756,7 @@ impl DaemonEndpoint {
         out.extend(
             replies
                 .iter()
-                .filter_map(|(_, bytes)| vce_codec::from_bytes::<DaemonStatus>(bytes).ok())
+                .filter_map(|(_, bytes)| vce_codec::from_backing::<DaemonStatus>(bytes).ok())
                 .map(|mut b| {
                     // Soft-reserve recently allocated machines.
                     if self.cfg.soft_reservations
@@ -729,7 +782,8 @@ impl DaemonEndpoint {
         bids: &[DaemonStatus],
         host: &mut dyn Host,
     ) -> bool {
-        let reserved = self.reservations(bids, req);
+        let mut reserved = std::mem::take(&mut self.reserved_scratch);
+        self.reservations_into(bids, req, &mut reserved);
         let mut order = std::mem::take(&mut self.select_scratch);
         let mut nodes = NodeList::new();
         select_into(
@@ -743,6 +797,7 @@ impl DaemonEndpoint {
             &mut nodes,
         );
         self.select_scratch = order;
+        self.reserved_scratch = reserved;
         if nodes.is_empty() {
             if self.cfg.queue_insufficient {
                 self.leader.queue.push(QueuedRequest {
@@ -825,7 +880,7 @@ impl DaemonEndpoint {
                 }
             }
             CollectKind::Rebalance => {
-                self.serve_queue(&bids, host);
+                self.serve_queue(&mut bids, host);
                 if self.cfg.migration_enabled {
                     self.plan_migrations(&bids, host);
                 }
@@ -835,14 +890,21 @@ impl DaemonEndpoint {
         self.bids_scratch = bids;
     }
 
-    fn serve_queue(&mut self, bids: &[DaemonStatus], host: &mut dyn Host) {
+    /// Serve what the queue holds from this sweep's bids. Each allocation
+    /// counts against its machines for the requests behind it; `bids` is
+    /// handed back as it came, for the migration sweep that follows.
+    fn serve_queue(&mut self, bids: &mut [DaemonStatus], host: &mut dyn Host) {
+        if self.leader.queue.is_empty() {
+            return;
+        }
         let now = host.now_us();
-        let mut bids = bids.to_vec();
+        // (index into `bids`, load as disclosed), in the order applied.
+        let mut bumped: Vec<(usize, f64)> = Vec::new();
         for q in self.leader.queue.service_order(now) {
             let reserved: Vec<NodeId> = Vec::new(); // aged head of queue takes what it needs
             let nodes = select_with(
                 self.cfg.policy,
-                &bids,
+                bids,
                 &q.needs,
                 &reserved,
                 self.cfg.overload_threshold,
@@ -853,8 +915,9 @@ impl DaemonEndpoint {
             }
             self.leader.queue.remove(q.req);
             // Reflect the allocation in the remaining bids.
-            for b in bids.iter_mut() {
+            for (i, b) in bids.iter_mut().enumerate() {
                 if nodes.contains(&b.node) {
+                    bumped.push((i, b.load));
                     b.load += 1.0;
                 }
             }
@@ -878,20 +941,35 @@ impl DaemonEndpoint {
             }
             self.send(host, q.reply_to, &ExmMsg::Allocation { req: q.req, nodes });
         }
+        // Newest first, so a machine allocated twice ends at its own figure.
+        for (i, load) in bumped.into_iter().rev() {
+            if let Some(b) = bids.get_mut(i) {
+                b.load = load;
+            }
+        }
     }
 
     /// §4.4 sweep: move work off owner-reclaimed machines onto idle ones.
     fn plan_migrations(&mut self, bids: &[DaemonStatus], host: &mut dyn Host) {
         let me = host.machine().node;
-        let mut targets: Vec<&DaemonStatus> = bids
-            .iter()
-            .filter(|b| b.willing && b.load <= self.cfg.idle_threshold)
-            .collect();
+        let mut targets = std::mem::take(&mut self.select_scratch);
+        targets.clear();
+        targets.extend(
+            (0u32..)
+                .zip(bids)
+                .filter(|(_, b)| b.willing && b.load <= self.cfg.idle_threshold)
+                .map(|(i, _)| i),
+        );
         // total_cmp, not partial_cmp().expect(): `load` arrives in a remote
         // DiscloseState reply, and a corrupt peer sending NaN must not be
-        // able to panic the leader.
-        targets.sort_by(|a, b| a.load.total_cmp(&b.load).then(a.node.cmp(&b.node)));
-        let mut target_iter = targets.into_iter();
+        // able to panic the leader. One bid per node, so the order is total
+        // and the in-place sort deterministic.
+        let by_load = |i: &u32| bids.get(*i as usize).map(|b| (b.load, b.node));
+        targets.sort_unstable_by(|a, b| match (by_load(a), by_load(b)) {
+            (Some((la, na)), Some((lb, nb))) => la.total_cmp(&lb).then(na.cmp(&nb)),
+            _ => std::cmp::Ordering::Equal,
+        });
+        let mut target_iter = targets.iter().filter_map(|&i| bids.get(i as usize));
         let now = host.now_us();
         for src in bids {
             if src.background < self.cfg.owner_busy_threshold || src.tasks.is_empty() {
@@ -915,7 +993,7 @@ impl DaemonEndpoint {
                 {
                     return None;
                 }
-                choose_technique(t, true).map(|tech| (t.key, tech))
+                choose_technique(&t, true).map(|tech| (t.key, tech))
             });
             let Some((key, technique)) = candidate else {
                 continue;
@@ -945,13 +1023,13 @@ impl DaemonEndpoint {
                 },
             );
         }
+        drop(target_iter);
+        self.select_scratch = targets;
         // Forget confirmations we can observe: anything no longer resident
         // anywhere will re-appear in future disclosures if still running.
-        let still_resident: BTreeSet<InstanceKey> = bids
-            .iter()
-            .flat_map(|b| b.tasks.iter().map(|t| t.key))
-            .collect();
-        self.leader.migrating.retain(|k| still_resident.contains(k));
+        self.leader
+            .migrating
+            .retain(|k| bids.iter().any(|b| b.tasks.iter().any(|t| t.key == *k)));
     }
 
     // ------------------------------------------------------------------
@@ -968,11 +1046,7 @@ impl DaemonEndpoint {
                     if let Ok(ExmMsg::DiscloseState { .. }) =
                         vce_codec::from_backing::<ExmMsg>(&payload)
                     {
-                        // Bid: reply with our status (§5's "sends its load
-                        // description to the group leader"), encoded via
-                        // the host's pooled scratch buffer.
-                        let status = self.status(host);
-                        let bytes = host.encode_with(&mut |enc| status.encode(enc));
+                        let bytes = self.bid(host);
                         self.gm.reply(id, bytes, host);
                     }
                 }
@@ -1037,15 +1111,9 @@ impl Endpoint for DaemonEndpoint {
                 // into the range the load order allows.
                 let rem = rem.clamp(0.0, lp.work_mops.max(0.0));
                 let reply_to = lp.reply_to;
-                self.tasks.insert(
-                    key,
-                    Resident {
-                        checkpointed_remaining: rem,
-                        work_to_run: rem,
-                        lp,
-                        state: RunState::Fetching, // placeholder, fixed below
-                    },
-                );
+                // `Fetching` is a placeholder; `advance_prep` below fixes it.
+                self.tasks
+                    .insert(key, Resident::new(lp, rem, RunState::Fetching));
                 restored.push(key);
                 // Tell the owner this incarnation is back. The executor
                 // replies KillTask if the instance already finished or now
@@ -1100,11 +1168,19 @@ impl Endpoint for DaemonEndpoint {
     }
 
     fn on_envelope(&mut self, env: Envelope, host: &mut dyn Host) {
-        let Ok(msg) = vce_codec::from_backing::<ExmMsg>(&env.payload) else {
-            if host.log_enabled() {
-                host.log("daemon: undecodable message dropped".into());
+        let mut dec = Decoder::with_backing(&env.payload);
+        let input = DaemonInput::decode(&mut dec).ok();
+        let msg = match input.filter(|_| dec.is_empty()) {
+            Some(DaemonInput::Msg(msg)) => msg,
+            Some(DaemonInput::Request(request)) => {
+                return self.handle_resource_request(request, host);
             }
-            return;
+            None => {
+                if host.log_enabled() {
+                    host.log("daemon: undecodable message dropped".into());
+                }
+                return;
+            }
         };
         match msg {
             ExmMsg::Isis(m) => {
@@ -1112,30 +1188,6 @@ impl Endpoint for DaemonEndpoint {
                 self.gm.handle_into(env.src, m, host, &mut ups);
                 self.process_upcalls(&mut ups, host);
                 self.upcall_scratch = ups;
-            }
-            ExmMsg::ResourceRequest {
-                req,
-                class,
-                count_min,
-                count_max,
-                mem_mb,
-                unit,
-                priority_boost,
-                reply_to,
-            } => {
-                self.handle_resource_request(
-                    req,
-                    class,
-                    Needs {
-                        mem_mb,
-                        count_min,
-                        count_max,
-                        unit,
-                    },
-                    priority_boost,
-                    reply_to,
-                    host,
-                );
             }
             ExmMsg::Load(lp) => self.handle_load(lp, host),
             ExmMsg::KillTask { key } => {
@@ -1197,6 +1249,8 @@ impl Endpoint for DaemonEndpoint {
                     },
                 );
             }
+            // Decoded as `DaemonInput::Request`, above.
+            ExmMsg::ResourceRequest { .. } => {}
             // Messages only other roles receive.
             ExmMsg::Allocation { .. }
             | ExmMsg::RecoveredTask { .. }

@@ -42,6 +42,7 @@ pub mod policy;
 pub mod queue;
 pub mod status;
 pub mod wal;
+pub mod wire;
 
 pub use config::ExmConfig;
 pub use daemon::DaemonEndpoint;

@@ -6,7 +6,9 @@ use vce_isis::IsisMsg;
 use vce_net::{Addr, MachineClass, NodeId, NodeList};
 
 use crate::migrate::MigrationTechnique;
+use crate::policy::Needs;
 use crate::status::DaemonStatus;
+use crate::wire::WireStr;
 
 /// Identifies one application run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -333,6 +335,55 @@ pub enum ExmMsg {
     },
 }
 
+/// [`ExmMsg::ResourceRequest`] as the daemons read it. Every daemon of the
+/// class receives each request, only the leader acts on it, and all it does
+/// with the unit is compare it against bids — so the unit stays a view of
+/// the message rather than a `String` built a dozen times per request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResourceRequest {
+    /// Request identity (idempotent across retries).
+    pub req: ReqId,
+    /// Class whose group should serve this.
+    pub class: MachineClass,
+    /// What is asked for.
+    pub needs: Needs,
+    /// User/administrator priority boost.
+    pub priority_boost: i32,
+    /// Reply address (the executor).
+    pub reply_to: Addr,
+}
+
+impl ResourceRequest {
+    /// The fields behind the `T_RESOURCE_REQUEST` tag.
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let req = ReqId::decode(dec)?;
+        let class = MachineClass::decode(dec)?;
+        let (count_min, count_max, mem_mb) = (dec.get_u32()?, dec.get_u32()?, dec.get_u32()?);
+        Ok(ResourceRequest {
+            req,
+            class,
+            needs: Needs {
+                mem_mb,
+                count_min,
+                count_max,
+                unit: WireStr::decode(dec)?,
+            },
+            priority_boost: i32::decode(dec)?,
+            reply_to: Addr::decode(dec)?,
+        })
+    }
+}
+
+/// A message as a daemon decodes it: an [`ExmMsg`], except that a resource
+/// request is left in place (see [`ResourceRequest`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum DaemonInput {
+    /// `ExmMsg::ResourceRequest`, read in place.
+    Request(ResourceRequest),
+    /// Any other message.
+    Msg(ExmMsg),
+}
+
 // vce-lint: allow(P002) T_ISIS is encoded twice on purpose: the ExmMsg::Isis arm and encode_isis_frame's borrowed-IsisMsg twin emit byte-identical frames (hot path avoids cloning the inner message)
 const T_ISIS: u8 = 0;
 const T_RESOURCE_REQUEST: u8 = 1;
@@ -472,18 +523,30 @@ impl Codec for ExmMsg {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match dec.get_u8()? {
-            T_ISIS => ExmMsg::Isis(IsisMsg::decode(dec)?),
-            T_RESOURCE_REQUEST => ExmMsg::ResourceRequest {
-                req: ReqId::decode(dec)?,
-                class: MachineClass::decode(dec)?,
-                count_min: dec.get_u32()?,
-                count_max: dec.get_u32()?,
-                mem_mb: dec.get_u32()?,
-                unit: String::decode(dec)?,
-                priority_boost: i32::decode(dec)?,
-                reply_to: Addr::decode(dec)?,
+        Ok(match DaemonInput::decode(dec)? {
+            DaemonInput::Msg(msg) => msg,
+            DaemonInput::Request(r) => ExmMsg::ResourceRequest {
+                req: r.req,
+                class: r.class,
+                count_min: r.needs.count_min,
+                count_max: r.needs.count_max,
+                mem_mb: r.needs.mem_mb,
+                unit: r.needs.unit.as_str().to_owned(),
+                priority_boost: r.priority_boost,
+                reply_to: r.reply_to,
             },
+        })
+    }
+}
+
+impl DaemonInput {
+    /// Decode one message; the only reader of the `T_*` tags.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(DaemonInput::Msg(match dec.get_u8()? {
+            T_ISIS => ExmMsg::Isis(IsisMsg::decode(dec)?),
+            T_RESOURCE_REQUEST => {
+                return ResourceRequest::decode(dec).map(DaemonInput::Request);
+            }
             T_ALLOCATION => ExmMsg::Allocation {
                 req: ReqId::decode(dec)?,
                 nodes: NodeList::decode(dec)?,
@@ -551,7 +614,7 @@ impl Codec for ExmMsg {
                     type_name: "ExmMsg",
                 })
             }
-        })
+        }))
     }
 }
 

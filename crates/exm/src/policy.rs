@@ -9,6 +9,7 @@
 use vce_net::{NodeId, NodeList};
 
 use crate::status::DaemonStatus;
+use crate::wire::WireStr;
 
 /// Leader placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,7 +36,8 @@ pub struct Needs {
     pub count_max: u32,
     /// Program unit to run: machines whose bid advertises a staged binary
     /// for it are preferred (the payoff of §4.5 anticipatory compilation).
-    pub unit: String,
+    /// Only ever compared against bids, so it stays a view of the request.
+    pub unit: WireStr,
 }
 
 /// Default load above which a machine refuses new remote work ("not
@@ -136,11 +138,12 @@ pub fn select_into(
     // stable (worst) rank instead of panicking the group leader. The final
     // node-id tiebreak makes the comparator a total order, so the unstable
     // (in-place, allocation-free) sort is deterministic.
+    let unit = needs.unit.as_str();
     order.sort_unstable_by(|&ia, &ib| {
         // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
         let (a, b) = (&bids[ia as usize], &bids[ib as usize]);
-        let a_has = prefer_staged_binaries && a.binaries.contains(&needs.unit);
-        let b_has = prefer_staged_binaries && b.binaries.contains(&needs.unit);
+        let a_has = prefer_staged_binaries && a.binaries.contains(unit);
+        let b_has = prefer_staged_binaries && b.binaries.contains(unit);
         a.load
             .total_cmp(&b.load)
             .then(b_has.cmp(&a_has))
@@ -170,8 +173,8 @@ mod tests {
             speed_mops: speed,
             mem_mb: mem,
             willing: true,
-            tasks: vec![],
-            binaries: vec![],
+            tasks: Default::default(),
+            binaries: Default::default(),
         }
     }
 
@@ -187,7 +190,7 @@ mod tests {
     #[test]
     fn staged_binary_breaks_load_ties() {
         let mut with_bin = bid(1, 0.0, 100.0, 64);
-        with_bin.binaries = vec!["u".into()];
+        with_bin.binaries = ["u"].into_iter().collect();
         let bids = vec![bid(0, 0.0, 200.0, 64), with_bin];
         // Node 0 is faster, but node 1 holds the binary: equal loads go to
         // the binary holder.

@@ -4,11 +4,15 @@
 //! 'bid' back to the group leader ... Each bid includes the current load
 //! of the bidding machine." Ours also lists the resident VCE tasks so the
 //! leader can make §4.4 migration decisions from the same disclosures.
+//!
+//! Both lists stay in wire form ([`crate::wire`]): a leader decodes a dozen
+//! bids per round and looks inside few of them.
 
 use vce_codec::{Codec, Decoder, Encoder, Result};
 use vce_net::{MachineClass, NodeId};
 
 use crate::msg::InstanceKey;
+use crate::wire::{NameList, WireItem, WireList, WireStr};
 
 /// One resident task as disclosed in a bid.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +20,7 @@ pub struct ResidentTask {
     /// Instance identity.
     pub key: InstanceKey,
     /// Program unit.
-    pub unit: String,
+    pub unit: WireStr,
     /// Remaining work, Mops.
     pub remaining_mops: f64,
     /// Migration cooperation flags.
@@ -45,7 +49,7 @@ impl Codec for ResidentTask {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(ResidentTask {
             key: InstanceKey::decode(dec)?,
-            unit: String::decode(dec)?,
+            unit: WireStr::decode(dec)?,
             remaining_mops: dec.get_f64()?,
             checkpoints: dec.get_bool()?,
             restartable: dec.get_bool()?,
@@ -55,6 +59,8 @@ impl Codec for ResidentTask {
         })
     }
 }
+
+impl WireItem for ResidentTask {}
 
 /// A machine's disclosed state.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,14 +82,21 @@ pub struct DaemonStatus {
     /// excessively loaded — §5's bid condition).
     pub willing: bool,
     /// Resident VCE tasks.
-    pub tasks: Vec<ResidentTask>,
+    pub tasks: WireList<ResidentTask>,
     /// Program units with locally staged binaries (anticipatory
     /// compilation's placement signal, §4.5).
-    pub binaries: Vec<String>,
+    pub binaries: NameList,
 }
 
-impl Codec for DaemonStatus {
-    fn encode(&self, enc: &mut Encoder) {
+impl DaemonStatus {
+    /// Encode with `tasks` standing in for `self.tasks` — how a daemon
+    /// writes its bid straight from its task table, without first
+    /// marshalling the list into a buffer of its own.
+    pub fn encode_with_tasks(&self, tasks: &[ResidentTask], enc: &mut Encoder) {
+        self.encode_around(enc, |enc| WireList::encode_items(tasks, enc));
+    }
+
+    fn encode_around(&self, enc: &mut Encoder, tasks: impl FnOnce(&mut Encoder)) {
         self.node.encode(enc);
         self.class.encode(enc);
         enc.put_f64(self.load);
@@ -91,8 +104,14 @@ impl Codec for DaemonStatus {
         enc.put_f64(self.speed_mops);
         enc.put_u32(self.mem_mb);
         enc.put_bool(self.willing);
-        self.tasks.encode(enc);
+        tasks(enc);
         self.binaries.encode(enc);
+    }
+}
+
+impl Codec for DaemonStatus {
+    fn encode(&self, enc: &mut Encoder) {
+        self.encode_around(enc, |enc| self.tasks.encode(enc));
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(DaemonStatus {
@@ -103,8 +122,8 @@ impl Codec for DaemonStatus {
             speed_mops: dec.get_f64()?,
             mem_mb: dec.get_u32()?,
             willing: dec.get_bool()?,
-            tasks: Vec::<ResidentTask>::decode(dec)?,
-            binaries: Vec::<String>::decode(dec)?,
+            tasks: WireList::decode(dec)?,
+            binaries: NameList::decode(dec)?,
         })
     }
 }
@@ -116,6 +135,20 @@ mod tests {
 
     #[test]
     fn status_round_trips() {
+        let task = ResidentTask {
+            key: InstanceKey {
+                app: AppId(1),
+                task: 0,
+                instance: 1,
+            },
+            unit: "collector".into(),
+            remaining_mops: 42.0,
+            checkpoints: true,
+            restartable: true,
+            core_dumpable: false,
+            redundant: false,
+            mem_mb: 32,
+        };
         let s = DaemonStatus {
             node: NodeId(3),
             class: MachineClass::Mimd,
@@ -124,23 +157,20 @@ mod tests {
             speed_mops: 800.0,
             mem_mb: 256,
             willing: true,
-            tasks: vec![ResidentTask {
-                key: InstanceKey {
-                    app: AppId(1),
-                    task: 0,
-                    instance: 1,
-                },
-                unit: "collector".into(),
-                remaining_mops: 42.0,
-                checkpoints: true,
-                restartable: true,
-                core_dumpable: false,
-                redundant: false,
-                mem_mb: 32,
-            }],
-            binaries: vec!["collector".into()],
+            tasks: [task.clone()].into_iter().collect(),
+            binaries: ["collector"].into_iter().collect(),
         };
         let bytes = vce_codec::to_bytes(&s);
         assert_eq!(vce_codec::from_bytes::<DaemonStatus>(&bytes).unwrap(), s);
+        let table = [task];
+        assert_eq!(s.tasks.iter().collect::<Vec<_>>(), table);
+        // A bidder's own task table lands in the same bytes.
+        let mut enc = Encoder::new();
+        let bidder = DaemonStatus {
+            tasks: WireList::default(),
+            ..s
+        };
+        bidder.encode_with_tasks(&table, &mut enc);
+        assert_eq!(enc.finish(), bytes);
     }
 }

@@ -1,0 +1,264 @@
+//! Values kept in the bytes they arrived in.
+//!
+//! A bid lists every unit the bidding machine has a binary for, and a
+//! leader reads a dozen bids per round only to ask "does this machine hold
+//! unit X?". Rebuilding those lists as `Vec<String>` was most of the
+//! round's heap traffic, so the strings and lists on the bid path stay in
+//! wire form: [`WireStr`] and [`WireList`] check on decode everything the
+//! owned types check — every count, every length, UTF-8 — and then keep a
+//! view of the message buffer ([`Decoder::consumed_since`]) instead of
+//! copying out of it. Both encode to exactly the bytes `String` and
+//! `Vec<T>` encode to.
+
+use std::fmt;
+use std::marker::PhantomData;
+
+use bytes::Bytes;
+use vce_codec::{Codec, Decoder, Encoder, Result};
+
+/// A UTF-8 string held as a view of the message it was decoded from (or as
+/// its own buffer, when built locally). On the wire: `String`'s layout.
+///
+/// A view keeps its message's buffer alive, so this is for values that are
+/// compared or forwarded within a protocol round; state that outlives the
+/// round holds a `String`.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct WireStr(Bytes);
+
+impl WireStr {
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        // Checked when the value was built; re-checked here because the
+        // alternative is `unsafe`, and no per-message path asks for `&str`.
+        std::str::from_utf8(&self.0).expect("WireStr holds UTF-8")
+    }
+}
+
+impl From<&str> for WireStr {
+    fn from(s: &str) -> Self {
+        WireStr(Bytes::copy_from_slice(s.as_bytes()))
+    }
+}
+
+impl PartialEq<str> for WireStr {
+    fn eq(&self, other: &str) -> bool {
+        self.0 == *other.as_bytes()
+    }
+}
+
+impl fmt::Debug for WireStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl Codec for WireStr {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_len_bytes(&self.0);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let len = dec.get_str()?.len();
+        Ok(WireStr(dec.consumed_since(dec.position() - len)))
+    }
+}
+
+/// What a [`WireList`] can hold.
+pub trait WireItem: Codec {
+    /// Consume one item, rejecting whatever `decode` rejects. Override
+    /// where that needs no value built.
+    fn validate(dec: &mut Decoder<'_>) -> Result<()> {
+        Self::decode(dec).map(drop)
+    }
+}
+
+impl WireItem for WireStr {
+    fn validate(dec: &mut Decoder<'_>) -> Result<()> {
+        dec.get_str().map(drop)
+    }
+}
+
+/// A list held in wire form — `[u32 count][item]*`, `Vec<T>`'s layout.
+///
+/// Decoding walks the items once to check them and keeps the span they
+/// occupy; [`WireList::iter`] decodes them again on demand, in place.
+/// Encoding appends the span verbatim.
+#[derive(Clone)]
+pub struct WireList<T> {
+    /// Count prefix and items; every item has passed `T::validate`.
+    wire: Bytes,
+    items: PhantomData<fn() -> T>,
+}
+
+/// The staged-binary names of a bid.
+pub type NameList = WireList<WireStr>;
+
+impl<T: WireItem> WireList<T> {
+    fn checked(wire: Bytes) -> Self {
+        WireList {
+            wire,
+            items: PhantomData,
+        }
+    }
+
+    /// Append `items` as the list they would make, without making it.
+    pub fn encode_items(items: &[T], enc: &mut Encoder) {
+        debug_assert!(items.len() <= u32::MAX as usize);
+        enc.put_u32(items.len() as u32);
+        for item in items {
+            item.encode(enc);
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        Decoder::new(&self.wire).get_u32().map_or(0, |n| n as usize)
+    }
+
+    /// No items?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The items, decoded one at a time as views of this list's buffer.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        let mut dec = Decoder::with_backing(&self.wire);
+        let n = dec.get_u32().unwrap_or(0);
+        // Every item decoded once already, so `ok()` never ends this early.
+        (0..n).map_while(move |_| T::decode(&mut dec).ok())
+    }
+}
+
+impl NameList {
+    /// Is `name` in the list? Compares in place: nothing is decoded.
+    pub fn contains(&self, name: &str) -> bool {
+        let mut dec = Decoder::new(&self.wire);
+        let n = dec.get_u32().unwrap_or(0);
+        (0..n).any(|_| dec.get_len_bytes().is_ok_and(|s| s == name.as_bytes()))
+    }
+}
+
+impl<T: WireItem> Default for WireList<T> {
+    fn default() -> Self {
+        Self::checked(Bytes::from_static(&[0; 4]))
+    }
+}
+
+impl<T: WireItem> Codec for WireList<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_raw(&self.wire);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let start = dec.position();
+        // The guard `Vec<T>` applies: a forged count fails here, before
+        // anything is sized from it.
+        for _ in 0..dec.get_count(1)? {
+            T::validate(dec)?;
+        }
+        Ok(Self::checked(dec.consumed_since(start)))
+    }
+}
+
+impl<T: WireItem> FromIterator<T> for WireList<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let items: Vec<T> = iter.into_iter().collect();
+        let mut enc = Encoder::with_capacity(64);
+        Self::encode_items(&items, &mut enc);
+        Self::checked(enc.finish_bytes())
+    }
+}
+
+impl<'a> FromIterator<&'a str> for NameList {
+    fn from_iter<I: IntoIterator<Item = &'a str>>(iter: I) -> Self {
+        iter.into_iter().map(WireStr::from).collect()
+    }
+}
+
+impl<T> PartialEq for WireList<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire == other.wire
+    }
+}
+
+impl<T: WireItem + fmt::Debug> fmt::Debug for WireList<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vce_codec::{from_backing, from_bytes, to_bytes, CodecError};
+
+    fn names(v: &[&str]) -> NameList {
+        v.iter().copied().collect()
+    }
+
+    #[test]
+    fn a_name_list_is_a_vec_of_strings_on_the_wire() {
+        let owned = vec!["collector".to_string(), String::new(), "predictör".into()];
+        let list = names(&["collector", "", "predictör"]);
+        assert_eq!(to_bytes(&list), to_bytes(&owned));
+        assert_eq!(
+            to_bytes(&NameList::default()),
+            to_bytes(&Vec::<String>::new())
+        );
+        assert_eq!(from_bytes::<NameList>(&to_bytes(&owned)).unwrap(), list);
+        let back: Vec<WireStr> = list.iter().collect();
+        assert_eq!(back.len(), 3);
+        assert!(back.iter().zip(&owned).all(|(a, b)| a == b.as_str()));
+        assert_eq!(list.len(), 3);
+        assert!(!list.is_empty() && NameList::default().is_empty());
+    }
+
+    #[test]
+    fn contains_is_exact() {
+        let list = names(&["ab", "abc", ""]);
+        for hit in ["ab", "abc", ""] {
+            assert!(list.contains(hit), "{hit:?}");
+        }
+        for miss in ["a", "abcd", "b", "bc"] {
+            assert!(!list.contains(miss), "{miss:?}");
+        }
+        assert!(!NameList::default().contains(""));
+    }
+
+    #[test]
+    fn decoding_from_a_buffer_takes_views_of_it() {
+        let mut enc = Encoder::new();
+        enc.put_u64(1);
+        names(&["a name that is too long to be stored inline"]).encode(&mut enc);
+        let msg = enc.finish_bytes();
+        let (_, list): (u64, NameList) = from_backing(&msg).unwrap();
+        let unit = list.iter().next().unwrap();
+        let inside = |p: *const u8| msg.as_ptr_range().contains(&p);
+        assert!(inside(list.wire.as_ptr()) && inside(unit.0.as_ptr()));
+    }
+
+    #[test]
+    fn malformed_lists_are_rejected_like_the_vec_they_replace() {
+        fn same(bytes: &[u8]) -> CodecError {
+            let err = from_bytes::<NameList>(bytes).unwrap_err();
+            assert_eq!(from_bytes::<Vec<String>>(bytes).unwrap_err(), err);
+            err
+        }
+        // A count no buffer this size could hold.
+        assert!(matches!(
+            same(&[0xff, 0xff, 0xff, 0xff, 0, 0]),
+            CodecError::LengthOverflow { .. }
+        ));
+        // A name cut short, and a name that is not UTF-8.
+        assert!(matches!(
+            same(&[0, 0, 0, 1, 0, 0, 0, 5, b'a']),
+            CodecError::UnexpectedEof { .. }
+        ));
+        assert_eq!(
+            same(&[0, 0, 0, 1, 0, 0, 0, 1, 0xff]),
+            CodecError::InvalidUtf8
+        );
+        assert!(matches!(
+            same(&[0, 0, 0, 0, 9]),
+            CodecError::TrailingBytes { remaining: 1 }
+        ));
+    }
+}

@@ -30,8 +30,8 @@ fn arb_bids(max: usize) -> impl Strategy<Value = Vec<DaemonStatus>> {
                     speed_mops: speed,
                     mem_mb: mem,
                     willing,
-                    tasks: vec![],
-                    binaries,
+                    tasks: Default::default(),
+                    binaries: binaries.iter().map(String::as_str).collect(),
                 },
             )
             .collect()
@@ -49,7 +49,7 @@ fn arb_needs() -> impl Strategy<Value = Needs> {
             mem_mb,
             count_min,
             count_max: count_min + extra,
-            unit,
+            unit: unit.as_str().into(),
         })
 }
 

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use vce_exm::msg::{encode_msg, ExmMsg, LoadProgram};
 use vce_exm::status::{DaemonStatus, ResidentTask};
+use vce_exm::wire::NameList;
 use vce_exm::{AppId, InstanceKey, ReqId};
 use vce_net::{Addr, MachineClass, NodeId, PortId};
 
@@ -121,9 +122,70 @@ proptest! {
                     mem_mb: 32,
                 })
                 .collect(),
-            binaries,
+            binaries: binaries.iter().map(String::as_str).collect(),
         };
         let bytes = vce_codec::to_bytes(&status);
         prop_assert_eq!(vce_codec::from_bytes::<DaemonStatus>(&bytes).unwrap(), status);
+    }
+
+    /// The wire-form name list is `Vec<String>` as far as any peer can tell.
+    #[test]
+    fn name_list_is_the_vec_of_strings_it_replaced(
+        names in prop::collection::vec(".{0,12}", 0..70),
+        probe in ".{0,2}",
+        pick in any::<usize>(),
+    ) {
+        let list: NameList = names.iter().map(String::as_str).collect();
+        let bytes = vce_codec::to_bytes(&list);
+        prop_assert_eq!(&bytes, &vce_codec::to_bytes(&names));
+        // Through a refcounted buffer (views) and through a slice (copies).
+        let shared = bytes::Bytes::from(bytes.clone());
+        for back in [
+            vce_codec::from_backing::<NameList>(&shared).unwrap(),
+            vce_codec::from_bytes::<NameList>(&bytes).unwrap(),
+        ] {
+            prop_assert_eq!(&back, &list);
+            prop_assert_eq!(vce_codec::to_bytes(&back), bytes.clone());
+            let items: Vec<String> = back.iter().map(|n| n.as_str().to_owned()).collect();
+            prop_assert_eq!(&items, &names);
+            prop_assert_eq!(back.contains(&probe), names.contains(&probe));
+            if !names.is_empty() {
+                prop_assert!(back.contains(&names[pick % names.len()]));
+            }
+        }
+    }
+
+    /// Whatever arrives, the list answers exactly as `Vec<String>` did:
+    /// the same value or the same error, never a panic.
+    #[test]
+    fn name_list_rejects_what_the_vec_rejected(
+        names in prop::collection::vec("[ -~]{0,12}", 0..8),
+        cut_frac in 0.0f64..1.0,
+        flip in any::<usize>(),
+        junk in any::<u8>(),
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let same = |bytes: &[u8]| {
+            let got = vce_codec::from_bytes::<NameList>(bytes);
+            let want = vce_codec::from_bytes::<Vec<String>>(bytes);
+            match (got, want) {
+                (Ok(list), Ok(names)) => vce_codec::to_bytes(&list) == vce_codec::to_bytes(&names),
+                (Err(a), Err(b)) => a == b,
+                _ => false,
+            }
+        };
+        let bytes = vce_codec::to_bytes(&names);
+        // Truncated; one byte overwritten (a count, a length, or a name
+        // byte turned non-UTF-8); a count far past the buffer; noise.
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
+        prop_assert!(same(&bytes[..cut]));
+        let mut bent = bytes.clone();
+        bent[flip % bytes.len()] = junk;
+        prop_assert!(same(&bent));
+        let mut forged = bytes.clone();
+        forged[..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        prop_assert!(same(&forged));
+        prop_assert!(vce_codec::from_bytes::<NameList>(&forged).is_err());
+        prop_assert!(same(&noise));
     }
 }

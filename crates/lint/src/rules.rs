@@ -7,7 +7,7 @@
 //! exactly what each D-rule exists to keep out.
 
 use crate::lexer::{lex, Lexed, Tok, Token};
-use crate::registry::FileFacts;
+use crate::registry::{FileFacts, FnDef};
 use crate::waiver::{parse_comments, WaiverIssue};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,6 +45,13 @@ pub const P001_FILES: &[&str] = &[
 /// is exempt — it defines the encoder and its convenience wrappers.
 pub const P005_CRATES: &[&str] = &["isis", "exm", "channels", "sdm", "baselines"];
 
+/// Functions every bidding round runs once per bid (the bidder's `bid`,
+/// the leader's `effective_bids_into`) or once per sweep (`serve_queue`).
+/// Inside them P005 also rejects cloning a collection out of the
+/// statuses — `.cloned().collect()` over the names, `.to_vec()` of the
+/// bids — which costs an allocation per element per bid.
+pub const P005_HOT_FNS: &[&str] = &["bid", "effective_bids_into", "serve_queue"];
+
 /// Files allowed to hold cross-thread synchronization primitives (S002):
 /// the sharded engine's rendezvous module, where the window barriers make
 /// the sharing deterministic. Inside them S002 still rejects
@@ -78,7 +85,7 @@ const HINT_P001: &str = "remote input must not panic a node: drop/log or reply w
 const HINT_P002: &str = "a wire tag must be unique, encoded once, decoded once, and its variant handled somewhere; fix the registry or waive with a protocol argument";
 const HINT_P003: &str = "re-encode tokens as tag<<32|payload (docs/PROTOCOL.md token table) so id growth cannot bleed across token spaces";
 const HINT_P004: &str = "replay the record in recover() or delete it; a diagnostic-only record is waivable with a reason";
-const HINT_P005: &str = "encode through the pooled path (Host::encode_with) or pre-size a reused buffer (Encoder::with_capacity); a genuinely cold path is waivable with a reason";
+const HINT_P005: &str = "encode through the pooled path (Host::encode_with) or pre-size a reused buffer (Encoder::with_capacity); on the bid path keep lists in wire form or in a reused scratch buffer; a genuinely cold path is waivable with a reason";
 const HINT_S001: &str =
     "shard workers share no mutable statics; thread the state through Shard or the per-window plan";
 const HINT_S002: &str = "cross-shard state belongs to the sanctioned rendezvous module, synchronized Release/Acquire at the window barriers";
@@ -158,7 +165,7 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     }
 
     let mut findings: Vec<Finding> = Vec::new();
-    for ((rel, _), p) in files.iter().zip(&preps) {
+    for (((rel, _), p), (_, f)) in files.iter().zip(&preps).zip(&facts) {
         let in_scope = crate_of(rel).is_some_and(|c| DETERMINISTIC_CRATES.contains(&c));
         if in_scope {
             check_d001(rel, &p.lexed.tokens, &mut findings);
@@ -173,7 +180,7 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
             check_p001(rel, &p.lexed.tokens, &mut findings);
         }
         if crate_of(rel).is_some_and(|c| P005_CRATES.contains(&c)) {
-            check_p005(rel, &p.lexed.tokens, &mut findings);
+            check_p005(rel, &p.lexed.tokens, &f.fns, &mut findings);
         }
     }
     crate::analysis::check_cross(&facts, &mut findings);
@@ -1040,8 +1047,39 @@ fn check_s002(file: &str, toks: &[Token], findings: &mut Vec<Finding>) {
 /// `Encoder::new(` and `vce_codec::Encoder::new(` call sites; sized
 /// construction (`with_capacity`, reused across calls) is deliberate and
 /// allowed. Test modules are exempt via the shared `#[cfg(test)]` pass.
-fn check_p005(file: &str, toks: &[Token], findings: &mut Vec<Finding>) {
+///
+/// Inside the bid path's own functions ([`P005_HOT_FNS`]) the same rule
+/// covers the other way a round used to allocate per bid: a collection
+/// cloned out of the statuses.
+fn check_p005(file: &str, toks: &[Token], fns: &[FnDef], findings: &mut Vec<Finding>) {
+    let hot = |line: u32| {
+        fns.iter().any(|f| {
+            P005_HOT_FNS.contains(&f.name.as_str()) && f.line <= line && line <= f.end_line
+        })
+    };
     for i in 0..toks.len() {
+        let method = |at: usize, name: &str| {
+            is_punct(toks.get(at).unwrap_or(&NIL), '.')
+                && ident(toks.get(at + 1).unwrap_or(&NIL)) == Some(name)
+                && is_punct(toks.get(at + 2).unwrap_or(&NIL), '(')
+        };
+        // `.cloned().collect(` / `.to_vec(` — each method is `. name ( )`.
+        let cloned = if method(i, "cloned") && method(i + 4, "collect") {
+            Some(".cloned().collect()")
+        } else if method(i, "to_vec") {
+            Some(".to_vec()")
+        } else {
+            None
+        };
+        if let Some(what) = cloned.filter(|_| hot(toks[i].line)) {
+            push(
+                findings,
+                file,
+                toks[i].line,
+                "P005",
+                format!("clones a collection (`{what}`) on the bid path"),
+            );
+        }
         if ident(&toks[i]) != Some("Encoder") || !path_at(toks, i, &["Encoder", "new"]) {
             continue;
         }

@@ -361,6 +361,56 @@ fn p005_waived_is_suppressed() {
     );
 }
 
+#[test]
+fn p005_flags_collection_clones_on_the_bid_path() {
+    let daemon = "crates/exm/src/daemon.rs";
+    assert_fires(
+        daemon,
+        "fn bid(&self) -> DaemonStatus {\n\
+         \x20   DaemonStatus { binaries: self.binaries.iter().cloned().collect() }\n\
+         }\n",
+        "P005",
+    );
+    assert_fires(
+        daemon,
+        "fn serve_queue(&mut self, bids: &[DaemonStatus]) {\n\
+         \x20   let mut bids = bids.to_vec();\n\
+         }\n",
+        "P005",
+    );
+}
+
+#[test]
+fn p005_allows_the_same_clones_off_the_bid_path() {
+    let daemon = "crates/exm/src/daemon.rs";
+    // Same expressions, in a function no bidding round runs.
+    assert_clean(
+        daemon,
+        "fn resident(&self) -> Vec<InstanceKey> { self.tasks.keys().cloned().collect() }\n\
+         fn journal(&mut self, nodes: &NodeList) { self.wal.push(nodes.as_slice().to_vec()); }\n",
+    );
+    // On the bid path, scratch reuse and refcount bumps are the idiom.
+    assert_clean(
+        daemon,
+        "fn bid(&mut self) -> Bytes {\n\
+         \x20   let mut tasks = std::mem::take(&mut self.tasks_scratch);\n\
+         \x20   tasks.extend(self.tasks.iter().map(|(k, r)| r.unit.clone()));\n\
+         \x20   self.binaries.wire()\n\
+         }\n",
+    );
+}
+
+#[test]
+fn p005_bid_path_clone_waived_is_suppressed() {
+    assert_clean(
+        "crates/exm/src/daemon.rs",
+        "fn serve_queue(&mut self, bids: &[DaemonStatus]) {\n\
+         \x20   // vce-lint: allow(P005) only reached with a non-empty queue, once per sweep\n\
+         \x20   let mut bids = bids.to_vec();\n\
+         }\n",
+    );
+}
+
 // ------------------------------------------------------- waiver grammar
 
 /// ISSUE regression test: an `allow` with no reason is itself an error,

@@ -51,6 +51,8 @@ use crate::shard::{RemoteEvent, Shard};
 /// reach each barrier. A correct barrier protocol is insensitive to wake
 /// order, so output must stay byte-identical across seeds — the
 /// `shard_stagger` gate sweeps seeds and diffs digests against serial.
+/// Read once per sim, when its [`Rendezvous`] is built: set the variable
+/// before constructing the `Sim` it should apply to.
 fn stagger_seed() -> Option<u64> {
     std::env::var("VCE_SHARDS_STAGGER").ok()?.parse().ok()
 }
@@ -94,6 +96,8 @@ pub(crate) struct Rendezvous {
     /// First payload of a worker that unwound, re-raised by [`run`] once
     /// every worker has left the loop.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// `VCE_SHARDS_STAGGER`, as it stood when the sim was built.
+    stagger: Option<u64>,
 }
 
 impl Rendezvous {
@@ -106,6 +110,7 @@ impl Rendezvous {
             fence_upto: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             panic: Mutex::new(None),
+            stagger: stagger_seed(),
         }
     }
 }
@@ -211,7 +216,7 @@ fn window_loop(
 ) {
     let i = sh.index;
     let mut fence_cursor = 0usize;
-    let seed = stagger_seed();
+    let seed = rv.stagger;
     let mut window_no = 0u64;
     loop {
         window_no += 1;

@@ -3,8 +3,10 @@
 # full test suite, clippy/fmt, and quick smoke runs of the pieces a
 # perf/regression PR is most likely to break — the F3 bidding
 # experiment, the parallel-sweep determinism test, the shard and
-# record/replay determinism gates, and a build + unit-test of the
-# out-of-workspace benchmark (benchmark/run.sh is what measures speed).
+# record/replay determinism gates, the zero-alloc bidding round, and a
+# build + unit-test of the out-of-workspace benchmark plus a hard gate on
+# its one exactly repeatable counter, allocs_per_op (benchmark/run.sh is
+# what measures speed).
 # Keep this cheap enough to run on every change.
 #
 # Usage: scripts/ci.sh
@@ -38,6 +40,9 @@ cargo build --release --offline -q
 
 echo "== tests =="
 cargo test --offline -q
+# vendor/ is outside the workspace, but its buffer pool is this repo's own
+# code and sits on every send.
+cargo test --offline -q -p bytes
 
 echo "== clippy =="
 cargo clippy --all-targets --offline -q -- -D warnings
@@ -102,11 +107,32 @@ echo "record/replay: zero divergence; recording byte-identical at VCE_SHARDS=4"
 echo "== shard schedule-permutation gate (32 seeds) =="
 VCE_STAGGER_PERMS=32 cargo test --release --offline -q -p vce-bench --test shard_stagger
 
+# The bidding round must stay off the heap, on a bare fleet and on one
+# with staged binaries, a resident task and the rebalance sweep running.
+# `cargo test` above ran these in the dev profile; this is the build the
+# experiments use.
+echo "== zero-alloc bidding round (bare + staged fleets) =="
+cargo test --release --offline -q -p vce-bench --test bidding_alloc
+
 # benchmark/ is its own workspace and compiles against the crates' public
 # API only: build and unit-test it here so a PR that breaks that API fails
 # locally, not in the benchmark run.
 echo "== benchmark crate (build + unit tests) =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+# Heap allocations per application are counted, not timed: the figure
+# repeats exactly for a seed, so it is gated hard while wall-clock stays
+# ungated. The ceiling sits about 20 % above what the tree measures
+# (5,394); the `Vec<String>` bid lists it guards against cost 55,995.
+echo "== allocs_per_op gate (app_dense, seed 1) =="
+allocs_ceiling=6500
+bash benchmark/run.sh --quick --workload app_dense --seed 1 --trace 1 | tail -n 1 \
+  | python3 -c '
+import json, sys
+allocs = json.load(sys.stdin)["metrics"]["allocs_per_op"]["value"]
+print(f"allocs_per_op: {allocs:.0f} on app_dense (ceiling {sys.argv[1]})")
+sys.exit(allocs > float(sys.argv[1]))' "$allocs_ceiling" \
+  || { echo "allocs_per_op gate: over the ceiling, or the traced pass failed"; exit 1; }
 
 # Tooling latency lives next to the perf numbers: the linter is the
 # fastest gate and must stay that way as the registries grow.
