@@ -9,9 +9,11 @@
 //! so the sweep has to be serial within a single test (the same pattern as
 //! `sweep_determinism.rs`'s `VCE_SWEEP_THREADS`).
 
+use vce::prelude::*;
 use vce_bench::chaos::{run_chaos, ChaosConfig, ScheduleShape};
 use vce_bench::{bidding_round_detailed, forced_migration, freepar_run, sharded_storm};
 use vce_exm::migrate::MigrationTechnique;
+use vce_net::FaultOp;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -20,6 +22,13 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// (1e54bd9). The window loop that replaced it must reproduce it — at S=1
 /// and, through the sweep below, at every other shard count.
 const SERIAL_ENGINE_FINGERPRINT: u64 = 0x3c59_f143_7669_ee3e;
+
+/// FNV-64 of [`membership_churn_recording`], captured on f81cdaa — the
+/// last commit whose `GroupMember` kept its per-peer state in five sorted
+/// maps. The recording's snapshot frames carry every node's state hash
+/// (`GroupMember::snapshot_hash` among them), so this pins what used to be
+/// a by-hand `vce_replay --record … && cmp` against the parent.
+const MEMBERSHIP_CHURN_VCT: u64 = 0x3f22_63b3_886f_195a;
 
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.
@@ -87,6 +96,77 @@ fn experiments_are_identical_across_shard_counts() {
         }
     }
     std::env::remove_var("VCE_SHARDS");
+}
+
+/// A `.vct` recording, in memory, of twelve workstations running one
+/// application while the group loses and regains a member (reboot clears
+/// its table, the coordinator evicts and readmits it), loses its
+/// coordinator (succession) and is split four-against-eight and healed
+/// (the minority is evicted, demotes and rejoins; flap records build up).
+fn membership_churn_recording(shards: usize) -> Vec<u8> {
+    const S: u64 = 1_000_000;
+    let mut b = VceBuilder::new(15);
+    for i in 0..12 {
+        b.machine(MachineInfo::workstation(NodeId(i), 100.0));
+    }
+    b.trace_enabled(false);
+    b.shards(shards);
+    let mut vce = b.build();
+    vce.sim_mut().record_to_memory("membership-churn", S);
+    vce.settle();
+    let coordinator = vce
+        .leader_of(MachineClass::Workstation)
+        .expect("settled group has a coordinator");
+    let user = NodeId(11);
+    assert_ne!(coordinator, user, "the executor's machine stays up");
+
+    let mut g = TaskGraph::new("churn");
+    for i in 0..3 {
+        g.add_task(
+            TaskSpec::new(format!("t{i}"))
+                .with_class(ProblemClass::Asynchronous)
+                .with_language(Language::C)
+                .with_work(800.0),
+        );
+    }
+    let app = Application::from_graph(g, vce.db()).expect("hostable");
+    let handle = vce.submit(app, user);
+
+    let t0 = vce.sim().now_us();
+    let minority = (1..=4).map(NodeId).filter(|&n| n != coordinator);
+    let faults = [
+        (S, FaultOp::Kill(NodeId(5))),
+        (4 * S, FaultOp::Revive(NodeId(5))),
+        (7 * S, FaultOp::Kill(coordinator)),
+        (11 * S, FaultOp::Revive(coordinator)),
+    ]
+    .into_iter()
+    .chain(minority.map(|n| (15 * S, FaultOp::Partition(n, 1))))
+    .chain([(19 * S, FaultOp::Heal)]);
+    for (dt, op) in faults {
+        vce.sim_mut().schedule_fault(t0 + dt, op);
+    }
+    // A snapshot frame is written where a `run_until` ends: step by the
+    // second, so the state between the faults is hashed, not just the end.
+    for s in 1..=45 {
+        vce.sim_mut().run_until(t0 + s * S);
+    }
+    assert!(vce.report(&handle).completed, "the application finishes");
+    vce.sim_mut()
+        .finish_recording()
+        .expect("memory recording cannot fail")
+        .expect("memory recording returns bytes")
+}
+
+#[test]
+fn membership_churn_recording_matches_the_pinned_digest() {
+    for shards in [1, 4] {
+        let digest = vce_net::fnv64(&membership_churn_recording(shards));
+        assert_eq!(
+            digest, MEMBERSHIP_CHURN_VCT,
+            "S={shards}: .vct bytes differ from f81cdaa's (got {digest:#018x})"
+        );
+    }
 }
 
 #[test]

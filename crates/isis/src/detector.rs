@@ -59,17 +59,24 @@ impl DetectorConfig {
 }
 
 /// Integer square root (floor) of a `u128`, by Newton's method.
+///
+/// Newton from any start at or above the root descends monotonically onto
+/// its floor, so the start only decides how many divisions that takes:
+/// `2^⌈bits/2⌉` is above the root and within a factor of two of it, where
+/// `v/2` needed one halving per bit of that distance first.
 fn isqrt(v: u128) -> u64 {
     if v == 0 {
         return 0;
     }
-    let mut x = v;
-    let mut y = x.div_ceil(2);
-    while y < x {
+    let bits = 128 - v.leading_zeros();
+    let mut x = 1u128 << bits.div_ceil(2);
+    loop {
+        let y = (x + v / x) / 2;
+        if y >= x {
+            return x as u64;
+        }
         x = y;
-        y = (x + v / x) / 2;
     }
-    x as u64
 }
 
 /// Sliding window of inter-arrival gaps for one peer, with O(1) mean and
@@ -82,18 +89,31 @@ pub struct ArrivalWindow {
 }
 
 impl ArrivalWindow {
+    /// An empty window whose ring already holds `window` samples, so a
+    /// window built for `DetectorConfig::window` never allocates again.
+    pub fn with_capacity(window: usize) -> Self {
+        Self {
+            gaps: VecDeque::with_capacity(window.max(1)),
+            sum: 0,
+            sumsq: 0,
+        }
+    }
+
     /// Record one inter-arrival gap (µs), evicting the oldest sample once
     /// the window is full. Gaps are clamped to `cfg.cap_us`.
     pub fn observe(&mut self, gap_us: u64, cfg: &DetectorConfig) {
+        // Make room first: the ring never holds more than `window` samples.
+        while self.gaps.len() >= cfg.window.max(1) {
+            let Some(old) = self.gaps.pop_front() else {
+                break;
+            };
+            self.sum -= old;
+            self.sumsq -= u128::from(old) * u128::from(old);
+        }
         let g = gap_us.min(cfg.cap_us);
         self.gaps.push_back(g);
         self.sum += g;
         self.sumsq += u128::from(g) * u128::from(g);
-        while self.gaps.len() > cfg.window.max(1) {
-            let old = self.gaps.pop_front().expect("len checked");
-            self.sum -= old;
-            self.sumsq -= u128::from(old) * u128::from(old);
-        }
     }
 
     /// Samples currently held.
@@ -230,6 +250,12 @@ impl FlapState {
         }
     }
 
+    /// Has any eviction ever been recorded? (`record_eviction` always leaves
+    /// either a pending eviction or a strike behind.)
+    pub fn is_recorded(&self) -> bool {
+        self.strikes > 0 || !self.evictions.is_empty()
+    }
+
     /// Is the peer still cooling down at `now`?
     pub fn is_quarantined(&self, now: u64) -> bool {
         now < self.until_us
@@ -273,6 +299,44 @@ mod tests {
         assert_eq!(isqrt(99), 9);
         assert_eq!(isqrt(100), 10);
         assert_eq!(isqrt(u128::from(u64::MAX)), (1u64 << 32) - 1);
+    }
+
+    proptest::proptest! {
+        /// `isqrt` is the floor of the square root for every `u128`: the
+        /// start Newton descends from changes how fast it gets there,
+        /// never where it lands.
+        #[test]
+        fn isqrt_is_the_floor_root(
+            hi in proptest::prelude::any::<u64>(),
+            lo in proptest::prelude::any::<u64>(),
+            shift in 0u32..128,
+        ) {
+            // Shifted so small and mid-sized values are as likely as huge ones.
+            let v = (u128::from(hi) << 64 | u128::from(lo)) >> shift;
+            let r = u128::from(isqrt(v));
+            proptest::prop_assert!(r * r <= v, "isqrt({v}) = {r} overshoots");
+            // (r+1)² only overflows when r = 2⁶⁴−1, the root of everything above.
+            let next = (r + 1).checked_mul(r + 1);
+            proptest::prop_assert!(next.is_none_or(|n| v < n), "isqrt({v}) = {r} undershoots");
+        }
+    }
+
+    #[test]
+    fn isqrt_at_the_edges() {
+        assert_eq!(isqrt(u128::MAX), u64::MAX);
+        assert_eq!(isqrt(u128::from(u64::MAX) * u128::from(u64::MAX)), u64::MAX);
+        assert_eq!(
+            isqrt(u128::from(u64::MAX) * u128::from(u64::MAX) - 1),
+            u64::MAX - 1
+        );
+        assert_eq!(isqrt(1 << 127), 13_043_817_825_332_782_212);
+        for k in 0..64u32 {
+            assert_eq!(isqrt(1u128 << (2 * k)), 1u64 << k);
+            assert_eq!(isqrt((1u128 << (2 * k)) + 1), 1u64 << k);
+            if k > 0 {
+                assert_eq!(isqrt((1u128 << (2 * k)) - 1), (1u64 << k) - 1);
+            }
+        }
     }
 
     #[test]

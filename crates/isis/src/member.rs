@@ -1,7 +1,27 @@
 //! The group member protocol object: membership, failure detection,
 //! coordinator succession, broadcast and reply collection.
+//!
+//! # The per-peer table
+//!
+//! A group's membership universe — `GroupConfig::candidates`, sorted — is
+//! fixed when the group is configured, so everything a member knows about
+//! a peer (when it was last heard, its incarnation, its inter-arrival
+//! window, whether it is in the view, whether it asked to join, its flap
+//! record) lives in one row of one `Vec`, indexed by the peer's **rank**
+//! in that list. A received message has its `src` resolved to a rank once,
+//! at the top of [`GroupMember::handle_into`]; a heartbeat is then one row
+//! update plus one indexed write in the ordering layer, and the periodic
+//! liveness scans walk the rows in order. There is no keyed map behind the
+//! table and no second copy of any of these facts.
+//!
+//! Two consequences are protocol rules, not just layout. A message whose
+//! sender is **not a candidate** has no row: it is dropped before it
+//! touches state, and a `ViewInstall` naming a non-candidate is ignored
+//! whole. And rank order *is* `Addr` order, so `snapshot_hash` folds, and
+//! joiners are admitted, in the order the sorted maps this table replaced
+//! iterated in — recordings made before it compare equal.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use vce_codec::{Codec, Encoder};
@@ -32,6 +52,9 @@ const TOKEN_COLLECT_BASE: u64 = ISIS_TOKEN_BASE + 16;
 pub struct GroupConfig {
     /// Every endpoint that may ever join this group (the machine database
     /// gives the VCE this list; Isis had an equivalent site registry).
+    /// Isis messages from any other address are dropped unread. A
+    /// [`GroupMember`] sorts and deduplicates its copy and makes sure its
+    /// own address is on it.
     pub candidates: Vec<Addr>,
     /// Heartbeat / protocol tick period.
     pub heartbeat_us: u64,
@@ -115,6 +138,32 @@ pub enum Upcall {
 /// framing by default, or the embedding layer's envelope.
 type WrapFn = Box<dyn Fn(&IsisMsg, &mut Encoder) + Send>;
 
+/// One row of the per-peer table: everything a member knows about one
+/// candidate. The row's index is the candidate's rank in the sorted
+/// `GroupConfig::candidates`, so walking the table walks peers in `Addr`
+/// order — the order `snapshot_hash` folds and joiners are admitted in.
+#[derive(Debug)]
+struct Peer {
+    /// When anything was last received from this peer; `None` until the
+    /// first message since boot, and again for a coordinator that abdicated.
+    heard: Option<u64>,
+    /// Incarnation in its last heartbeat. The one field a reboot of *this*
+    /// member keeps: a peer that restarted meanwhile is still recognised.
+    incarnation: Option<u64>,
+    /// Is it in the installed view?
+    in_view: bool,
+    /// Coordinator side: it heartbeated from outside the view, which is an
+    /// (implicit) join request.
+    joiner: bool,
+    /// Has `arrivals` taken a sample since boot? A window emptied by the
+    /// peer's reboot stays tracked; one never fed is not hashed at all.
+    tracked: bool,
+    /// Inter-arrival window feeding the adaptive detector.
+    arrivals: ArrivalWindow,
+    /// Coordinator-side flap damping: eviction history and cool-down.
+    flap: FlapState,
+}
+
 /// One member's view of one process group. Embed in an endpoint; forward it
 /// isis messages and isis timer tokens; act on the returned upcalls.
 pub struct GroupMember {
@@ -129,14 +178,18 @@ pub struct GroupMember {
     incarnation: u64,
     started_at: u64,
     view: View,
-    // Failure detection (BTreeMaps for deterministic iteration).
-    last_heard: BTreeMap<Addr, u64>,
-    incarnations: BTreeMap<Addr, u64>,
-    joiners: BTreeMap<Addr, u64>,
-    /// Per-peer inter-arrival windows feeding the adaptive detector.
-    arrivals: BTreeMap<Addr, ArrivalWindow>,
-    /// Coordinator-side flap damping: eviction history and cool-downs.
-    flaps: BTreeMap<Addr, FlapState>,
+    /// The per-peer table: row `r` is everything known about
+    /// `cfg.candidates[r]` (failure detection, join request, flap record,
+    /// view membership). Built once in [`Self::with_wrapper`]; a message's
+    /// `src` is resolved to its rank once and every later step reads or
+    /// writes that one row.
+    peers: Vec<Peer>,
+    /// This member's own rank in the table.
+    me_rank: usize,
+    /// Rank of the installed view's coordinator (`None` with no view).
+    /// Like `Peer::in_view`, maintained only where the view changes:
+    /// `install`, `demote` and `start`.
+    coord: Option<usize>,
     // Coordinator state.
     next_join_seq: u64,
     next_total_seq: u64,
@@ -153,7 +206,7 @@ pub struct GroupMember {
     next_collect_token: u64,
     // Per-tick scratch (drained every use, capacity retained).
     deliver_scratch: Vec<Delivered>,
-    nack_scratch: Vec<(Addr, u64)>,
+    nack_scratch: Vec<(usize, u64)>,
 }
 
 impl GroupMember {
@@ -167,9 +220,30 @@ impl GroupMember {
     /// embedding layer's own message enum).
     pub fn with_wrapper(
         me: Addr,
-        cfg: GroupConfig,
+        mut cfg: GroupConfig,
         wrap: impl Fn(&IsisMsg, &mut Encoder) + Send + 'static,
     ) -> Self {
+        // Rank = position in the sorted candidate list, and a member is
+        // always a candidate of its own group (`candidates` is a public
+        // field, so do not trust it to have come from `GroupConfig::new`).
+        cfg.candidates.push(me);
+        cfg.candidates.sort();
+        cfg.candidates.dedup();
+        let me_rank = cfg.candidates.binary_search(&me).unwrap_or(0);
+        let peers = cfg
+            .candidates
+            .iter()
+            .map(|_| Peer {
+                heard: None,
+                incarnation: None,
+                in_view: false,
+                joiner: false,
+                tracked: false,
+                arrivals: ArrivalWindow::with_capacity(cfg.detector.window),
+                flap: FlapState::default(),
+            })
+            .collect();
+        let ordering = OrderingState::new(cfg.candidates.len());
         Self {
             me,
             cfg,
@@ -177,18 +251,16 @@ impl GroupMember {
             incarnation: 0,
             started_at: 0,
             view: View::default(),
-            last_heard: BTreeMap::new(),
-            incarnations: BTreeMap::new(),
-            joiners: BTreeMap::new(),
-            arrivals: BTreeMap::new(),
-            flaps: BTreeMap::new(),
+            peers,
+            me_rank,
+            coord: None,
             next_join_seq: 0,
             next_total_seq: 0,
             out_fifo_seq: 0,
             resend: VecDeque::new(),
             bcast_counter: 0,
             causal_out: 0,
-            ordering: OrderingState::new(),
+            ordering,
             collector: Collector::new(),
             collect_deadlines: HashMap::new(),
             token_of_collect: HashMap::new(),
@@ -212,20 +284,24 @@ impl GroupMember {
 
     /// True once a view containing this member is installed.
     pub fn is_member(&self) -> bool {
-        self.view.contains(self.me)
+        self.peers.get(self.me_rank).is_some_and(|p| p.in_view)
     }
 
     /// True if this member coordinates the current view.
     pub fn is_coordinator(&self) -> bool {
-        self.view.coordinator() == Some(self.me)
+        self.coord == Some(self.me_rank)
     }
 
     /// Deterministic digest of the group-membership state, folded into the
     /// embedding endpoint's `snapshot_hash` for record/replay divergence
-    /// detection. Covers the installed view, sequencer counters and the
-    /// sorted failure-detector maps; deliberately skips the `HashMap`
-    /// collect bookkeeping (iteration order is not deterministic) — its
-    /// effects surface through the counters folded here.
+    /// detection. Covers the installed view, sequencer counters and, per
+    /// peer in `Addr` (= rank) order, three sections: every peer heard from
+    /// with the time, every tracked arrival window, every flap record —
+    /// each section prefixed by its count, as when they were three sorted
+    /// maps, so recordings made before the table still compare equal.
+    /// Deliberately skips the `HashMap` collect bookkeeping (iteration
+    /// order is not deterministic) — its effects surface through the
+    /// counters folded here.
     pub fn snapshot_hash(&self) -> u64 {
         let mut h = vce_net::Fnv64::new();
         h.write_u64(u64::from(self.me.node.0))
@@ -243,20 +319,23 @@ impl GroupMember {
             .write_u64(self.bcast_counter)
             .write_u64(self.causal_out)
             .write_u64(self.resend.len() as u64)
-            .write_u64(self.next_collect_token)
-            .write_u64(self.last_heard.len() as u64);
-        for (&addr, &at) in &self.last_heard {
-            h.write_u64(u64::from(addr.node.0)).write_u64(at);
+            .write_u64(self.next_collect_token);
+        let rows = || self.cfg.candidates.iter().zip(&self.peers);
+        h.write_u64(rows().filter(|(_, p)| p.heard.is_some()).count() as u64);
+        for (addr, p) in rows() {
+            if let Some(at) = p.heard {
+                h.write_u64(u64::from(addr.node.0)).write_u64(at);
+            }
         }
-        h.write_u64(self.arrivals.len() as u64);
-        for (&addr, w) in &self.arrivals {
+        h.write_u64(rows().filter(|(_, p)| p.tracked).count() as u64);
+        for (addr, p) in rows().filter(|(_, p)| p.tracked) {
             h.write_u64(u64::from(addr.node.0));
-            w.fold(&mut h);
+            p.arrivals.fold(&mut h);
         }
-        h.write_u64(self.flaps.len() as u64);
-        for (&addr, f) in &self.flaps {
+        h.write_u64(rows().filter(|(_, p)| p.flap.is_recorded()).count() as u64);
+        for (addr, p) in rows().filter(|(_, p)| p.flap.is_recorded()) {
             h.write_u64(u64::from(addr.node.0));
-            f.fold(&mut h);
+            p.flap.fold(&mut h);
         }
         h.finish()
     }
@@ -264,28 +343,29 @@ impl GroupMember {
     /// The silence budget currently granted to `who` (fixed timeout until
     /// the adaptive window warms up). Experiment/diagnostic accessor.
     pub fn silence_budget_us(&self, who: Addr) -> u64 {
-        self.timeout_for(who)
+        self.peer(who)
+            .map_or(self.cfg.failure_timeout_us, |p| self.timeout_for(p))
     }
 
     /// Current suspicion of `who` in milli-phi (1000 = eviction point),
     /// and whether it is quarantined. Experiment/diagnostic accessor.
     pub fn suspicion_millis(&self, who: Addr, now: u64) -> u64 {
-        let Some(&t) = self.last_heard.get(&who) else {
+        let Some((p, t)) = self.peer(who).and_then(|p| Some((p, p.heard?))) else {
             return u64::MAX;
         };
         let silence = now.saturating_sub(t);
-        match self.arrivals.get(&who) {
-            Some(w) if self.cfg.adaptive_detection => {
-                w.suspicion_millis(silence, &self.cfg.detector, self.cfg.failure_timeout_us)
-            }
-            _ => silence.saturating_mul(1000) / self.cfg.failure_timeout_us.max(1),
+        if self.cfg.adaptive_detection && p.tracked {
+            p.arrivals
+                .suspicion_millis(silence, &self.cfg.detector, self.cfg.failure_timeout_us)
+        } else {
+            silence.saturating_mul(1000) / self.cfg.failure_timeout_us.max(1)
         }
     }
 
     /// Flap-damping state for `who`, if the coordinator has recorded any
     /// evictions (experiment/diagnostic accessor).
     pub fn flap_state(&self, who: Addr) -> Option<&FlapState> {
-        self.flaps.get(&who)
+        self.peer(who).map(|p| &p.flap).filter(|f| f.is_recorded())
     }
 
     // ---- lifecycle ----
@@ -296,13 +376,19 @@ impl GroupMember {
         // Restart-detection: a fresh random incarnation per boot.
         self.incarnation = host.rand_u64() | 1;
         // Rebooted members start over (endpoint state may survive a
-        // kill/revive cycle in the simulator).
+        // kill/revive cycle in the simulator). Rows are emptied in place:
+        // the arrival rings keep their storage.
         self.view = View::default();
-        self.last_heard.clear();
-        self.joiners.clear();
-        self.arrivals.clear();
-        self.flaps.clear();
-        self.ordering = OrderingState::new();
+        self.coord = None;
+        for p in &mut self.peers {
+            p.heard = None;
+            p.in_view = false;
+            p.joiner = false;
+            p.tracked = false;
+            p.arrivals.reset();
+            p.flap = FlapState::default();
+        }
+        self.ordering = OrderingState::new(self.peers.len());
         host.set_timer(self.cfg.heartbeat_us, TOKEN_TICK);
         self.send_heartbeats(host);
     }
@@ -326,7 +412,9 @@ impl GroupMember {
             self.ordering
                 .overdue_gaps_into(host.now_us(), self.cfg.nack_after_us, &mut nacks);
             for &(sender, expected) in &nacks {
-                self.out(host, sender, &IsisMsg::Nack { expected });
+                if let Some(&dst) = self.cfg.candidates.get(sender) {
+                    self.out(host, dst, &IsisMsg::Nack { expected });
+                }
             }
             nacks.clear();
             self.nack_scratch = nacks;
@@ -361,17 +449,25 @@ impl GroupMember {
         host: &mut dyn Host,
         up: &mut Vec<Upcall>,
     ) {
+        // Only configured candidates are ever listened to: anything else
+        // is dropped here, before it touches state. This is also the one
+        // place `src` is looked up — everything below works on its row.
+        let Some(rank) = self.rank_of(src) else {
+            return;
+        };
         let now = host.now_us();
+        let (member, coordinating) = (self.is_member(), self.is_coordinator());
+        let Some(peer) = self.peers.get_mut(rank) else {
+            return;
+        };
         // Feed the adaptive detector: the gap since the last *anything*
         // from this peer (heartbeats and protocol traffic both prove
         // liveness, so both shape the expected-silence distribution).
-        if let Some(prev) = self.last_heard.insert(src, now) {
+        if let Some(prev) = peer.heard.replace(now) {
             let gap = now.saturating_sub(prev);
-            if gap > 0 && src != self.me {
-                self.arrivals
-                    .entry(src)
-                    .or_default()
-                    .observe(gap, &self.cfg.detector);
+            if gap > 0 && rank != self.me_rank {
+                peer.tracked = true;
+                peer.arrivals.observe(gap, &self.cfg.detector);
             }
         }
         match msg {
@@ -385,20 +481,19 @@ impl GroupMember {
                 // Restarted peer: discard its old FIFO stream, and its
                 // inter-arrival history — a reboot gap says nothing about
                 // the link the new incarnation heartbeats over.
-                let prev = self.incarnations.insert(src, incarnation);
+                let prev = peer.incarnation.replace(incarnation);
                 if prev.is_some_and(|p| p != incarnation) {
-                    self.ordering.forget_sender(src);
-                    if let Some(w) = self.arrivals.get_mut(&src) {
-                        w.reset();
-                    }
+                    self.ordering.forget_sender(rank);
+                    peer.arrivals.reset();
                 }
                 // Pin the peer's FIFO stream position before any cast
                 // arrives, so a dropped head-of-stream cast is a NACKable
                 // gap rather than a silent first-contact adoption.
-                self.ordering.sync_stream(src, fifo_next);
-                if self.is_coordinator() && !self.view.contains(src) {
+                self.ordering.sync_stream(rank, fifo_next);
+                let in_view = peer.in_view;
+                if coordinating && !in_view {
                     // Any non-member heartbeat is an (implicit) join request.
-                    self.joiners.insert(src, now);
+                    peer.joiner = true;
                 }
                 // Our own coordinator announcing it is a *joiner* has
                 // abdicated (demoted after a merge it lost): it is alive
@@ -406,8 +501,8 @@ impl GroupMember {
                 // failed so succession can elect the oldest surviving
                 // member — otherwise its heartbeats keep the view's
                 // members waiting on a dead throne forever.
-                if joining && self.is_member() && self.view.coordinator() == Some(src) {
-                    self.last_heard.remove(&src);
+                if joining && member && self.coord == Some(rank) {
+                    peer.heard = None;
                 }
                 // A member that hears of a *dominant* foreign view was
                 // partitioned out and superseded: step down and re-join.
@@ -420,20 +515,22 @@ impl GroupMember {
                 // machines. Size alone won't do either: a stale full view
                 // would then outrank the newer view that evicted a dead
                 // member, demoting the survivors en masse.
-                let quorum = self.cfg.candidates.len() / 2 + 1;
-                let superseded = match (view_len as usize >= quorum, self.view.len() >= quorum) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    _ => view_id > self.view.id,
-                };
-                if self.is_member() && !self.view.contains(src) && superseded {
-                    self.demote(up);
-                }
-                // Anti-entropy for dropped ViewInstalls: a member of our
-                // view announcing an older view id missed an install on the
-                // lossy transport and would otherwise stay stale forever;
-                // re-push the current view to it directly.
-                if self.is_coordinator() && self.view.contains(src) && view_id < self.view.id {
+                if member && !in_view {
+                    let quorum = self.cfg.candidates.len() / 2 + 1;
+                    let superseded = match (view_len as usize >= quorum, self.view.len() >= quorum)
+                    {
+                        (true, false) => true,
+                        (false, true) => false,
+                        _ => view_id > self.view.id,
+                    };
+                    if superseded {
+                        self.demote(up);
+                    }
+                } else if coordinating && view_id < self.view.id {
+                    // Anti-entropy for dropped ViewInstalls: a member of our
+                    // view announcing an older view id missed an install on
+                    // the lossy transport and would otherwise stay stale
+                    // forever; re-push the current view to it directly.
                     let msg = IsisMsg::ViewInstall {
                         view: self.view.clone(),
                     };
@@ -451,7 +548,9 @@ impl GroupMember {
                             (Some(new), Some(cur)) => new < cur,
                             _ => false,
                         });
-                if accept {
+                // A view naming a non-candidate has no row to live in, and
+                // no honest coordinator builds one: drop it whole.
+                if accept && view.addrs().all(|a| self.rank_of(a).is_some()) {
                     if view.contains(self.me) {
                         self.install(view, up);
                     } else {
@@ -478,7 +577,7 @@ impl GroupMember {
                 let mut delivered = std::mem::take(&mut self.deliver_scratch);
                 debug_assert!(delivered.is_empty());
                 self.ordering
-                    .on_cast_into(src, fifo_seq, data, now, &mut delivered);
+                    .on_cast_into(rank, fifo_seq, data, now, &mut delivered);
                 for d in delivered.drain(..) {
                     up.push(Upcall::Deliver {
                         id: d.id,
@@ -675,39 +774,61 @@ impl GroupMember {
         }
     }
 
-    /// The silence budget for `who`: the adaptive per-peer threshold once
-    /// its window has warmed up, the flat fixed timeout otherwise (or
-    /// always, with `adaptive_detection` off).
-    fn timeout_for(&self, who: Addr) -> u64 {
-        if !self.cfg.adaptive_detection {
-            return self.cfg.failure_timeout_us;
+    /// `who`'s rank in the candidate list — its row in the table — or
+    /// `None` for an address that is not a candidate of this group.
+    fn rank_of(&self, who: Addr) -> Option<usize> {
+        self.cfg.candidates.binary_search(&who).ok()
+    }
+
+    fn peer(&self, who: Addr) -> Option<&Peer> {
+        self.rank_of(who).and_then(|r| self.peers.get(r))
+    }
+
+    /// The silence budget for a peer: the adaptive threshold once its
+    /// window has warmed up, the flat fixed timeout otherwise (or always,
+    /// with `adaptive_detection` off).
+    fn timeout_for(&self, p: &Peer) -> u64 {
+        if self.cfg.adaptive_detection && p.tracked {
+            p.arrivals
+                .threshold_us(&self.cfg.detector, self.cfg.failure_timeout_us)
+        } else {
+            self.cfg.failure_timeout_us
         }
-        self.arrivals
-            .get(&who)
-            .map_or(self.cfg.failure_timeout_us, |w| {
-                w.threshold_us(&self.cfg.detector, self.cfg.failure_timeout_us)
+    }
+
+    /// Has the peer at `rank` been heard from within its silence budget?
+    fn alive(&self, rank: usize, now: u64) -> bool {
+        rank == self.me_rank
+            || self.peers.get(rank).is_some_and(|p| {
+                p.heard
+                    .is_some_and(|t| now.saturating_sub(t) < self.timeout_for(p))
             })
     }
 
-    fn alive(&self, who: Addr, now: u64) -> bool {
-        who == self.me
-            || self
-                .last_heard
-                .get(&who)
-                .is_some_and(|&t| now.saturating_sub(t) < self.timeout_for(who))
+    fn alive_addr(&self, who: Addr, now: u64) -> bool {
+        self.rank_of(who).is_some_and(|r| self.alive(r, now))
+    }
+
+    /// Would the coordinator admit the peer at `rank` right now? It asked
+    /// to join, is alive, and is not sitting out a quarantine.
+    fn admissible(&self, rank: usize, p: &Peer, now: u64) -> bool {
+        p.joiner
+            && !p.in_view
+            && self.alive(rank, now)
+            && !(self.cfg.adaptive_detection && p.flap.is_quarantined(now))
     }
 
     fn run_failure_detector(&mut self, host: &mut dyn Host, up: &mut Vec<Upcall>) {
         let now = host.now_us();
         if self.is_member() {
-            let Some(coord) = self.view.coordinator() else {
+            let Some(coord) = self.coord else {
                 return; // member of an empty view cannot happen; never panic on it
             };
             if self.is_coordinator() {
                 self.coordinate(host, up);
             } else if !self.alive(coord, now) {
                 // Succession: the oldest *surviving* member takes over.
-                let successor = self.view.addrs().find(|&a| self.alive(a, now));
+                let successor = self.view.addrs().find(|&a| self.alive_addr(a, now));
                 if successor == Some(self.me) {
                     if host.log_enabled() {
                         host.log(format!("isis: {} assumes coordinator role", self.me));
@@ -720,13 +841,8 @@ impl GroupMember {
             // candidate forms the singleton view.
             let quiet_over = now.saturating_sub(self.started_at) >= self.cfg.bootstrap_quiet_us;
             if quiet_over && self.view.id == 0 {
-                let lowest_alive = self
-                    .cfg
-                    .candidates
-                    .iter()
-                    .copied()
-                    .find(|&c| self.alive(c, now));
-                if lowest_alive == Some(self.me) {
+                let lowest_alive = (0..self.peers.len()).find(|&r| self.alive(r, now));
+                if lowest_alive == Some(self.me_rank) {
                     let v = View::new(
                         1,
                         vec![Member {
@@ -750,45 +866,33 @@ impl GroupMember {
         // Steady state (every member alive, nobody admissible waiting to
         // join, we are in the view): the proposed view below would equal
         // the current one, so skip building it — this runs every tick and
-        // must not allocate.
-        let all_alive = self.view.members.iter().all(|m| self.alive(m.addr, now));
-        if all_alive && self.view.contains(self.me) {
-            let has_joiner = self.joiners.keys().any(|&j| {
-                self.alive(j, now)
-                    && !self.view.contains(j)
-                    && !(self.cfg.adaptive_detection
-                        && self.flaps.get(&j).is_some_and(|f| f.is_quarantined(now)))
-            });
-            if !has_joiner {
-                return;
-            }
+        // must not allocate. One pass over the table answers both.
+        if self.is_member()
+            && self.peers.iter().enumerate().all(|(r, p)| {
+                if p.in_view {
+                    self.alive(r, now)
+                } else {
+                    !self.admissible(r, p, now)
+                }
+            })
+        {
+            return;
         }
         // Survivors keep their seniority.
-        let mut members: Vec<Member> = self
+        let (mut members, evicted): (Vec<Member>, Vec<Member>) = self
             .view
             .members
             .iter()
-            .copied()
-            .filter(|m| self.alive(m.addr, now))
-            .collect();
+            .partition(|m| self.alive_addr(m.addr, now));
         // Flap damping: record each eviction; a peer evicted repeatedly
         // within the flap window earns an escalating quarantine during
         // which its (implicit) join requests are ignored.
         if self.cfg.adaptive_detection {
-            let evicted: Vec<Addr> = self
-                .view
-                .members
-                .iter()
-                .map(|m| m.addr)
-                .filter(|&a| a != self.me && !members.iter().any(|m| m.addr == a))
-                .collect();
-            for a in evicted {
-                if let Some(until) = self
-                    .flaps
-                    .entry(a)
-                    .or_default()
-                    .record_eviction(now, &self.cfg.quarantine)
-                {
+            for a in evicted.iter().map(|m| m.addr) {
+                let Some(p) = self.rank_of(a).and_then(|r| self.peers.get_mut(r)) else {
+                    continue;
+                };
+                if let Some(until) = p.flap.record_eviction(now, &self.cfg.quarantine) {
                     if host.log_enabled() {
                         host.log(format!(
                             "isis: {} quarantines flapping {a} until {until}µs",
@@ -805,14 +909,7 @@ impl GroupMember {
         if !members.iter().any(|m| m.addr == self.me) {
             members.push(Member {
                 addr: self.me,
-                joined_seq: self.view.rank_of(self.me).map_or(0, |_| {
-                    self.view
-                        .members
-                        .iter()
-                        .find(|m| m.addr == self.me)
-                        .map(|m| m.joined_seq)
-                        .unwrap_or(0)
-                }),
+                joined_seq: 0,
             });
         }
         self.next_join_seq = self
@@ -820,23 +917,14 @@ impl GroupMember {
             .max(members.iter().map(|m| m.joined_seq).max().unwrap_or(0) + 1);
         // Admit live joiners in address order (deterministic seniority);
         // quarantined flappers wait out their cool-down first.
-        let joiners: Vec<Addr> = self
-            .joiners
-            .keys()
-            .copied()
-            .filter(|&j| {
-                self.alive(j, now)
-                    && !members.iter().any(|m| m.addr == j)
-                    && !(self.cfg.adaptive_detection
-                        && self.flaps.get(&j).is_some_and(|f| f.is_quarantined(now)))
-            })
-            .collect();
-        for j in joiners {
-            members.push(Member {
-                addr: j,
-                joined_seq: self.next_join_seq,
-            });
-            self.next_join_seq += 1;
+        for (r, (&addr, p)) in self.cfg.candidates.iter().zip(&self.peers).enumerate() {
+            if self.admissible(r, p, now) {
+                members.push(Member {
+                    addr,
+                    joined_seq: self.next_join_seq,
+                });
+                self.next_join_seq += 1;
+            }
         }
         let proposed = View::new(self.view.id + 1, members);
         let unchanged = proposed.members == self.view.members;
@@ -846,16 +934,10 @@ impl GroupMember {
             }
             // Tell the members (and anyone just excluded, so they re-join
             // promptly when they come back).
-            let mut recipients: Vec<Addr> = proposed.addrs().collect();
-            for old in self.view.addrs() {
-                if !proposed.contains(old) {
-                    recipients.push(old);
-                }
-            }
             let msg = IsisMsg::ViewInstall {
                 view: proposed.clone(),
             };
-            for dst in recipients {
+            for dst in proposed.addrs().chain(evicted.iter().map(|m| m.addr)) {
                 if dst != self.me {
                     self.out(host, dst, &msg);
                 }
@@ -866,13 +948,22 @@ impl GroupMember {
 
     fn install(&mut self, view: View, up: &mut Vec<Upcall>) {
         let was_coordinator = self.is_coordinator();
-        let old_coord = self.view.coordinator();
+        let old_coord = self.coord;
+        for p in &mut self.peers {
+            p.in_view = false;
+        }
+        for m in &view.members {
+            if let Some(p) = self.rank_of(m.addr).and_then(|r| self.peers.get_mut(r)) {
+                p.in_view = true;
+                p.joiner = false;
+            }
+        }
+        self.coord = view.coordinator().and_then(|c| self.rank_of(c));
         self.view = view.clone();
-        self.joiners.retain(|a, _| !view.contains(*a));
-        if old_coord != view.coordinator() {
+        if old_coord != self.coord {
             // New sequencer ⇒ total order restarts (documented weakening).
             self.ordering.reset_total_order();
-            if view.coordinator() == Some(self.me) {
+            if self.is_coordinator() {
                 self.next_total_seq = 0;
             }
         }
@@ -887,7 +978,11 @@ impl GroupMember {
             up.push(Upcall::Evicted);
         }
         self.view = View::default();
-        self.joiners.clear();
+        self.coord = None;
+        for p in &mut self.peers {
+            p.in_view = false;
+            p.joiner = false;
+        }
         self.ordering.reset_total_order();
     }
 }

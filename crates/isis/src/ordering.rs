@@ -11,9 +11,15 @@
 //!   vector-clock condition;
 //! * `Total` casts (emitted only by the sequencer) additionally wait for
 //!   contiguous global sequence numbers.
+//!
+//! Senders are named by **rank**: their index in the group's sorted
+//! candidate list, fixed when the group is configured. The per-sender
+//! FIFO records live in a vector indexed by it, so the owning
+//! [`GroupMember`](crate::GroupMember) resolves an address once per
+//! message and everything here is an array access.
 
 use bytes::Bytes;
-use vce_net::{Addr, SeqWindow, SlotArena};
+use vce_net::SeqWindow;
 
 use crate::msg::{BcastId, CastOrder};
 use crate::vclock::VClock;
@@ -61,16 +67,19 @@ struct FifoIn {
 /// Per-group inbound ordering state.
 ///
 /// Storage follows the arena mutability classes (`vce_net::arena`): the
-/// per-sender table is a [`SlotArena`] (sparse, long-lived, slot-churned),
-/// holdback queues are [`SeqWindow`] rings (dense seq-keyed), and the
-/// release pipeline reuses an internal scratch vector — so a steady-state
-/// in-order stream delivers with zero transient allocations.
-#[derive(Debug, Default)]
+/// per-sender table is a vector indexed by sender rank (the membership
+/// universe is fixed, so nothing is ever inserted or removed — a forgotten
+/// sender's record is emptied in place), holdback queues are [`SeqWindow`]
+/// rings (dense seq-keyed), and the release pipeline reuses an internal
+/// scratch vector — so a steady-state in-order stream delivers with zero
+/// transient allocations.
+#[derive(Debug)]
 pub struct OrderingState {
-    per_sender: SlotArena<Addr, FifoIn>,
+    per_sender: Vec<FifoIn>,
     /// Causal state: delivered-count clock.
     local_vc: VClock,
-    causal_holdback: Vec<(Addr, CastData)>,
+    /// Held-back causal casts, with the rank of the transport sender.
+    causal_holdback: Vec<(usize, CastData)>,
     /// Total state: next expected global seq (`None` ⇒ adopt first seen;
     /// once set, mirrors `total_holdback.base()`).
     next_total: Option<u64>,
@@ -81,9 +90,18 @@ pub struct OrderingState {
 }
 
 impl OrderingState {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fresh state for a group of `senders` candidates (ranks
+    /// `0..senders`). Casts and advertisements from a rank outside that
+    /// range are ignored.
+    pub fn new(senders: usize) -> Self {
+        Self {
+            per_sender: (0..senders).map(|_| FifoIn::default()).collect(),
+            local_vc: VClock::default(),
+            causal_holdback: Vec::new(),
+            next_total: None,
+            total_holdback: SeqWindow::new(),
+            released_scratch: Vec::new(),
+        }
     }
 
     /// The local causal clock (exposed for stamping tests).
@@ -91,12 +109,12 @@ impl OrderingState {
         &self.local_vc
     }
 
-    /// Feed one cast received from `transport_sender` at time `now_us`.
-    /// Returns everything that becomes deliverable, in delivery order.
-    /// (Convenience wrapper over [`Self::on_cast_into`].)
+    /// Feed one cast received from the sender of rank `transport_sender`
+    /// at time `now_us`. Returns everything that becomes deliverable, in
+    /// delivery order. (Convenience wrapper over [`Self::on_cast_into`].)
     pub fn on_cast(
         &mut self,
-        transport_sender: Addr,
+        transport_sender: usize,
         fifo_seq: u64,
         data: CastData,
         now_us: u64,
@@ -110,15 +128,15 @@ impl OrderingState {
     /// vector, so the per-message hot path allocates nothing.
     pub fn on_cast_into(
         &mut self,
-        transport_sender: Addr,
+        transport_sender: usize,
         fifo_seq: u64,
         data: CastData,
         now_us: u64,
         out: &mut Vec<Delivered>,
     ) {
-        let fifo = self
-            .per_sender
-            .entry_or_insert_with(transport_sender, FifoIn::default);
+        let Some(fifo) = self.per_sender.get_mut(transport_sender) else {
+            return;
+        };
         if !fifo.synced {
             // First contact: adopt this stream position.
             fifo.synced = true;
@@ -132,10 +150,6 @@ impl OrderingState {
         // reinstalled around `admit`, which needs `&mut self`).
         let mut released = std::mem::take(&mut self.released_scratch);
         debug_assert!(released.is_empty());
-        let fifo = self
-            .per_sender
-            .get_mut(&transport_sender)
-            .expect("ensured above");
         while let Some(d) = fifo.holdback.take_next() {
             released.push(d);
         }
@@ -152,7 +166,7 @@ impl OrderingState {
     }
 
     /// Run a cast through its discipline-specific holdback.
-    fn admit(&mut self, transport_sender: Addr, d: CastData, out: &mut Vec<Delivered>) {
+    fn admit(&mut self, transport_sender: usize, d: CastData, out: &mut Vec<Delivered>) {
         match d.order {
             CastOrder::Fifo => out.push(Delivered {
                 id: d.id,
@@ -230,26 +244,29 @@ impl OrderingState {
     /// while a late joiner still adopts the current stream position.
     /// No-op once an expectation exists: casts and the gap/NACK machinery
     /// own it from then on.
-    pub fn sync_stream(&mut self, sender: Addr, fifo_next: u64) {
-        let fifo = self
-            .per_sender
-            .entry_or_insert_with(sender, FifoIn::default);
-        if !fifo.synced {
-            fifo.synced = true;
-            fifo.holdback.rebase(fifo_next);
+    pub fn sync_stream(&mut self, sender: usize, fifo_next: u64) {
+        if let Some(fifo) = self.per_sender.get_mut(sender) {
+            if !fifo.synced {
+                fifo.synced = true;
+                fifo.holdback.rebase(fifo_next);
+            }
         }
     }
 
     /// Forget a departed sender's FIFO state so a rejoin starts cleanly.
-    pub fn forget_sender(&mut self, sender: Addr) {
-        self.per_sender.remove(&sender);
+    pub fn forget_sender(&mut self, sender: usize) {
+        if let Some(fifo) = self.per_sender.get_mut(sender) {
+            fifo.synced = false;
+            fifo.holdback.clear();
+            fifo.gap_since_us = None;
+        }
         self.causal_holdback.retain(|(s, _)| *s != sender);
     }
 
     /// Senders with a delivery gap older than `nack_after_us`: returns
-    /// `(sender, first_missing_seq)` pairs and refreshes their gap clocks so
-    /// NACKs repeat at most once per interval.
-    pub fn overdue_gaps(&mut self, now_us: u64, nack_after_us: u64) -> Vec<(Addr, u64)> {
+    /// `(sender rank, first_missing_seq)` pairs in rank order and refreshes
+    /// their gap clocks so NACKs repeat at most once per interval.
+    pub fn overdue_gaps(&mut self, now_us: u64, nack_after_us: u64) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
         self.overdue_gaps_into(now_us, nack_after_us, &mut out);
         out
@@ -262,16 +279,16 @@ impl OrderingState {
         &mut self,
         now_us: u64,
         nack_after_us: u64,
-        out: &mut Vec<(Addr, u64)>,
+        out: &mut Vec<(usize, u64)>,
     ) {
-        self.per_sender.for_each_mut(|&sender, fifo| {
+        for (sender, fifo) in self.per_sender.iter_mut().enumerate() {
             if let (Some(since), true) = (fifo.gap_since_us, fifo.synced) {
                 if !fifo.holdback.is_empty() && now_us.saturating_sub(since) >= nack_after_us {
                     out.push((sender, fifo.holdback.base()));
                     fifo.gap_since_us = Some(now_us);
                 }
             }
-        });
+        }
     }
 
     /// Total casts currently held back (diagnostics).
@@ -288,7 +305,7 @@ impl OrderingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vce_net::NodeId;
+    use vce_net::{Addr, NodeId};
 
     fn a(n: u32) -> Addr {
         Addr::daemon(NodeId(n))
@@ -309,9 +326,9 @@ mod tests {
 
     #[test]
     fn in_order_fifo_delivers_immediately() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         for s in 0..3 {
-            let out = st.on_cast(a(1), s, fifo_cast(1, s), 0);
+            let out = st.on_cast(1, s, fifo_cast(1, s), 0);
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].id.seq, s);
         }
@@ -319,12 +336,12 @@ mod tests {
 
     #[test]
     fn out_of_order_fifo_held_back_then_released() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         // Adopt stream at 0.
-        assert_eq!(st.on_cast(a(1), 0, fifo_cast(1, 0), 0).len(), 1);
+        assert_eq!(st.on_cast(1, 0, fifo_cast(1, 0), 0).len(), 1);
         // Gap: 2 before 1.
-        assert!(st.on_cast(a(1), 2, fifo_cast(1, 2), 10).is_empty());
-        let out = st.on_cast(a(1), 1, fifo_cast(1, 1), 20);
+        assert!(st.on_cast(1, 2, fifo_cast(1, 2), 10).is_empty());
+        let out = st.on_cast(1, 1, fifo_cast(1, 1), 20);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.seq, 1);
         assert_eq!(out[1].id.seq, 2);
@@ -332,34 +349,34 @@ mod tests {
 
     #[test]
     fn duplicates_dropped() {
-        let mut st = OrderingState::new();
-        assert_eq!(st.on_cast(a(1), 0, fifo_cast(1, 0), 0).len(), 1);
-        assert!(st.on_cast(a(1), 0, fifo_cast(1, 0), 1).is_empty());
+        let mut st = OrderingState::new(4);
+        assert_eq!(st.on_cast(1, 0, fifo_cast(1, 0), 0).len(), 1);
+        assert!(st.on_cast(1, 0, fifo_cast(1, 0), 1).is_empty());
     }
 
     #[test]
     fn first_contact_adopts_stream_position() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         // A late joiner first hears seq 41.
-        let out = st.on_cast(a(1), 41, fifo_cast(1, 41), 0);
+        let out = st.on_cast(1, 41, fifo_cast(1, 41), 0);
         assert_eq!(out.len(), 1);
         // 40 is now "duplicate" territory.
-        assert!(st.on_cast(a(1), 40, fifo_cast(1, 40), 1).is_empty());
-        assert_eq!(st.on_cast(a(1), 42, fifo_cast(1, 42), 2).len(), 1);
+        assert!(st.on_cast(1, 40, fifo_cast(1, 40), 1).is_empty());
+        assert_eq!(st.on_cast(1, 42, fifo_cast(1, 42), 2).len(), 1);
     }
 
     #[test]
     fn synced_stream_makes_head_of_stream_loss_a_gap() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         // Heartbeat pinned the stream start before any cast arrived.
-        st.sync_stream(a(1), 0);
+        st.sync_stream(1, 0);
         // First cast seen is seq 1 (seq 0 was dropped): held back, not
         // adopted.
-        assert!(st.on_cast(a(1), 1, fifo_cast(1, 1), 100).is_empty());
+        assert!(st.on_cast(1, 1, fifo_cast(1, 1), 100).is_empty());
         // The gap is NACKable...
-        assert_eq!(st.overdue_gaps(10_000, 100), vec![(a(1), 0)]);
+        assert_eq!(st.overdue_gaps(10_000, 100), vec![(1, 0)]);
         // ...and the retransmit releases both in order.
-        let out = st.on_cast(a(1), 0, fifo_cast(1, 0), 20_000);
+        let out = st.on_cast(1, 0, fifo_cast(1, 0), 20_000);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.seq, 0);
         assert_eq!(out[1].id.seq, 1);
@@ -367,43 +384,43 @@ mod tests {
 
     #[test]
     fn sync_stream_is_inert_once_casts_flow() {
-        let mut st = OrderingState::new();
-        assert_eq!(st.on_cast(a(1), 0, fifo_cast(1, 0), 0).len(), 1);
+        let mut st = OrderingState::new(4);
+        assert_eq!(st.on_cast(1, 0, fifo_cast(1, 0), 0).len(), 1);
         // A stale (or fresher) advertisement must not rewind/skip.
-        st.sync_stream(a(1), 0);
-        st.sync_stream(a(1), 7);
-        assert_eq!(st.on_cast(a(1), 1, fifo_cast(1, 1), 10).len(), 1);
+        st.sync_stream(1, 0);
+        st.sync_stream(1, 7);
+        assert_eq!(st.on_cast(1, 1, fifo_cast(1, 1), 10).len(), 1);
     }
 
     #[test]
     fn late_joiner_adopts_advertised_position() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         // A joiner first hears a heartbeat advertising fifo_next = 41.
-        st.sync_stream(a(1), 41);
-        assert_eq!(st.on_cast(a(1), 41, fifo_cast(1, 41), 0).len(), 1);
+        st.sync_stream(1, 41);
+        assert_eq!(st.on_cast(1, 41, fifo_cast(1, 41), 0).len(), 1);
         // Older history is duplicate territory, as with adoption.
-        assert!(st.on_cast(a(1), 40, fifo_cast(1, 40), 1).is_empty());
+        assert!(st.on_cast(1, 40, fifo_cast(1, 40), 1).is_empty());
     }
 
     #[test]
     fn gap_triggers_nack_once_per_interval() {
-        let mut st = OrderingState::new();
-        st.on_cast(a(1), 0, fifo_cast(1, 0), 0);
-        st.on_cast(a(1), 5, fifo_cast(1, 5), 100);
+        let mut st = OrderingState::new(4);
+        st.on_cast(1, 0, fifo_cast(1, 0), 0);
+        st.on_cast(1, 5, fifo_cast(1, 5), 100);
         assert!(st.overdue_gaps(150, 100).is_empty()); // not overdue yet
         let n = st.overdue_gaps(250, 100);
-        assert_eq!(n, vec![(a(1), 1)]);
+        assert_eq!(n, vec![(1, 1)]);
         // Refreshed: not again immediately.
         assert!(st.overdue_gaps(260, 100).is_empty());
-        assert_eq!(st.overdue_gaps(400, 100), vec![(a(1), 1)]);
+        assert_eq!(st.overdue_gaps(400, 100), vec![(1, 1)]);
     }
 
     #[test]
     fn gap_clock_clears_when_filled() {
-        let mut st = OrderingState::new();
-        st.on_cast(a(1), 0, fifo_cast(1, 0), 0);
-        st.on_cast(a(1), 2, fifo_cast(1, 2), 10);
-        st.on_cast(a(1), 1, fifo_cast(1, 1), 20);
+        let mut st = OrderingState::new(4);
+        st.on_cast(1, 0, fifo_cast(1, 0), 0);
+        st.on_cast(1, 2, fifo_cast(1, 2), 10);
+        st.on_cast(1, 1, fifo_cast(1, 1), 20);
         assert!(st.overdue_gaps(10_000, 100).is_empty());
     }
 
@@ -427,13 +444,13 @@ mod tests {
 
     #[test]
     fn causal_waits_for_dependencies() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         // Node 2's message depends on node 1's first message.
         let dependent = causal_cast(2, 1, &[(1, 1)]);
-        assert!(st.on_cast(a(2), 0, dependent, 0).is_empty());
+        assert!(st.on_cast(2, 0, dependent, 0).is_empty());
         assert_eq!(st.causal_holdback_len(), 1);
         // Node 1's message arrives: both deliver, dependency first.
-        let out = st.on_cast(a(1), 0, causal_cast(1, 1, &[]), 10);
+        let out = st.on_cast(1, 0, causal_cast(1, 1, &[]), 10);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.origin, a(1));
         assert_eq!(out[1].id.origin, a(2));
@@ -442,9 +459,9 @@ mod tests {
 
     #[test]
     fn causal_in_order_from_one_sender() {
-        let mut st = OrderingState::new();
-        assert_eq!(st.on_cast(a(1), 0, causal_cast(1, 1, &[]), 0).len(), 1);
-        assert_eq!(st.on_cast(a(1), 1, causal_cast(1, 2, &[]), 1).len(), 1);
+        let mut st = OrderingState::new(4);
+        assert_eq!(st.on_cast(1, 0, causal_cast(1, 1, &[]), 0).len(), 1);
+        assert_eq!(st.on_cast(1, 1, causal_cast(1, 2, &[]), 1).len(), 1);
         assert_eq!(st.local_vc().get(a(1)), 2);
     }
 
@@ -460,14 +477,14 @@ mod tests {
 
     #[test]
     fn total_orders_by_global_seq() {
-        let mut st = OrderingState::new();
+        let mut st = OrderingState::new(4);
         // fifo seqs in order (same sequencer), but pretend global seq gap:
         // adopt 5 first.
-        assert_eq!(st.on_cast(a(0), 0, total_cast(5), 0).len(), 1);
+        assert_eq!(st.on_cast(0, 0, total_cast(5), 0).len(), 1);
         // 7 held until 6 arrives.
-        assert!(st.on_cast(a(0), 2, total_cast(7), 1).is_empty());
+        assert!(st.on_cast(0, 2, total_cast(7), 1).is_empty());
         // Wait: fifo gap too (seq 1 missing). Fill fifo 1 with total 6.
-        let out = st.on_cast(a(0), 1, total_cast(6), 2);
+        let out = st.on_cast(0, 1, total_cast(6), 2);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].payload, Bytes::from_static(b"t"));
         assert_eq!(st.total_holdback_len(), 0);
@@ -475,31 +492,40 @@ mod tests {
 
     #[test]
     fn total_reset_adopts_new_sequencer() {
-        let mut st = OrderingState::new();
-        assert_eq!(st.on_cast(a(0), 0, total_cast(5), 0).len(), 1);
+        let mut st = OrderingState::new(4);
+        assert_eq!(st.on_cast(0, 0, total_cast(5), 0).len(), 1);
         st.reset_total_order();
         // New sequencer starts numbering at 0.
         let mut c = total_cast(0);
         c.id.origin = a(3);
-        assert_eq!(st.on_cast(a(3), 0, c, 1).len(), 1);
+        assert_eq!(st.on_cast(3, 0, c, 1).len(), 1);
     }
 
     #[test]
     fn forget_sender_clears_state() {
-        let mut st = OrderingState::new();
-        st.on_cast(a(1), 0, fifo_cast(1, 0), 0);
-        st.on_cast(a(1), 2, fifo_cast(1, 2), 1);
-        st.forget_sender(a(1));
+        let mut st = OrderingState::new(4);
+        st.on_cast(1, 0, fifo_cast(1, 0), 0);
+        st.on_cast(1, 2, fifo_cast(1, 2), 1);
+        st.forget_sender(1);
         // Fresh contact re-adopts.
-        assert_eq!(st.on_cast(a(1), 9, fifo_cast(1, 9), 2).len(), 1);
+        assert_eq!(st.on_cast(1, 9, fifo_cast(1, 9), 2).len(), 1);
+    }
+
+    #[test]
+    fn a_rank_outside_the_group_is_ignored() {
+        let mut st = OrderingState::new(2);
+        st.sync_stream(2, 0);
+        st.forget_sender(2);
+        assert!(st.on_cast(2, 0, fifo_cast(2, 0), 0).is_empty());
+        assert!(st.overdue_gaps(10_000, 100).is_empty());
     }
 
     #[test]
     fn independent_senders_do_not_block_each_other() {
-        let mut st = OrderingState::new();
-        st.on_cast(a(1), 0, fifo_cast(1, 0), 0);
-        st.on_cast(a(1), 5, fifo_cast(1, 5), 1); // gap on sender 1
-        let out = st.on_cast(a(2), 0, fifo_cast(2, 0), 2);
+        let mut st = OrderingState::new(4);
+        st.on_cast(1, 0, fifo_cast(1, 0), 0);
+        st.on_cast(1, 5, fifo_cast(1, 5), 1); // gap on sender 1
+        let out = st.on_cast(2, 0, fifo_cast(2, 0), 2);
         assert_eq!(out.len(), 1, "sender 2 unaffected by sender 1's gap");
     }
 }

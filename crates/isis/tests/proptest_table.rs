@@ -1,0 +1,543 @@
+//! The per-peer table under churn: one `GroupMember` is driven with random
+//! interleavings of heartbeats, view installs, ticks, quarantine sweeps and
+//! reboots, next to a reference model that keeps the same facts the way
+//! `GroupMember` used to — five `BTreeMap`s keyed by address. After every
+//! step the two must agree on `snapshot_hash`, the installed view, and for
+//! every address `silence_budget_us`, `suspicion_millis` and `flap_state`.
+//!
+//! The model is a reference implementation for this test only; it sends
+//! nothing and delivers nothing, because none of that is folded into the
+//! hash or visible through the accessors compared here.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use bytes::Bytes;
+use proptest::prelude::*;
+use vce_isis::{
+    ArrivalWindow, FlapState, GroupConfig, GroupMember, IsisMsg, Member, View, ISIS_TOKEN_BASE,
+};
+use vce_net::{Addr, Fnv64, Host, MachineInfo, MsgCategory, NodeId};
+
+const TOKEN_TICK: u64 = ISIS_TOKEN_BASE;
+const TOKEN_QUARANTINE_SWEEP: u64 = ISIS_TOKEN_BASE + 1;
+
+/// Candidates are nodes `0..CANDIDATES`; node `CANDIDATES` is an outsider.
+const CANDIDATES: u32 = 5;
+
+fn addr(n: u32) -> Addr {
+    Addr::daemon(NodeId(n))
+}
+
+/// A host that keeps time and hands out a counter as randomness; sends,
+/// timers and logs go nowhere.
+struct QuietHost {
+    now: u64,
+    rand: u64,
+    info: MachineInfo,
+}
+
+impl Host for QuietHost {
+    fn now_us(&self) -> u64 {
+        self.now
+    }
+    fn send(&mut self, _: Addr, _: Addr, _: Bytes) {}
+    fn send_category(&mut self, _: Addr, _: Addr, _: Bytes, _: MsgCategory) {}
+    fn set_timer(&mut self, _: u64, _: u64) {}
+    fn cancel_timer(&mut self, _: u64) {}
+    fn start_work(&mut self, _: u64, _: f64) {}
+    fn cancel_work(&mut self, _: u64) {}
+    fn work_remaining(&self, _: u64) -> Option<f64> {
+        None
+    }
+    fn load(&self) -> f64 {
+        0.0
+    }
+    fn machine(&self) -> &MachineInfo {
+        &self.info
+    }
+    fn rand_u64(&mut self) -> u64 {
+        self.rand += 2;
+        self.rand
+    }
+    fn log(&mut self, _: String) {}
+    fn log_enabled(&self) -> bool {
+        false
+    }
+}
+
+/// The membership half of `GroupMember` as it was before the table: the
+/// five per-peer maps, the view and the admission counter.
+struct Model {
+    me: Addr,
+    cfg: GroupConfig,
+    incarnation: u64,
+    started_at: u64,
+    view: View,
+    last_heard: BTreeMap<Addr, u64>,
+    incarnations: BTreeMap<Addr, u64>,
+    joiners: BTreeSet<Addr>,
+    arrivals: BTreeMap<Addr, ArrivalWindow>,
+    flaps: BTreeMap<Addr, FlapState>,
+    next_join_seq: u64,
+}
+
+impl Model {
+    fn new(me: Addr, cfg: GroupConfig) -> Self {
+        Self {
+            me,
+            cfg,
+            incarnation: 0,
+            started_at: 0,
+            view: View::default(),
+            last_heard: BTreeMap::new(),
+            incarnations: BTreeMap::new(),
+            joiners: BTreeSet::new(),
+            arrivals: BTreeMap::new(),
+            flaps: BTreeMap::new(),
+            next_join_seq: 0,
+        }
+    }
+
+    fn is_candidate(&self, who: Addr) -> bool {
+        self.cfg.candidates.contains(&who)
+    }
+    fn is_member(&self) -> bool {
+        self.view.contains(self.me)
+    }
+    fn is_coordinator(&self) -> bool {
+        self.view.coordinator() == Some(self.me)
+    }
+
+    fn start(&mut self, now: u64, rand: u64) {
+        self.started_at = now;
+        self.incarnation = rand | 1;
+        self.view = View::default();
+        self.last_heard.clear();
+        self.joiners.clear();
+        self.arrivals.clear();
+        self.flaps.clear();
+        // `incarnations` survives, as it always has.
+    }
+
+    fn handle(&mut self, src: Addr, msg: &IsisMsg, now: u64) {
+        if !self.is_candidate(src) {
+            return;
+        }
+        if let Some(prev) = self.last_heard.insert(src, now) {
+            let gap = now.saturating_sub(prev);
+            if gap > 0 && src != self.me {
+                self.arrivals
+                    .entry(src)
+                    .or_default()
+                    .observe(gap, &self.cfg.detector);
+            }
+        }
+        match msg {
+            &IsisMsg::Heartbeat {
+                incarnation,
+                view_id,
+                view_len,
+                joining,
+                ..
+            } => {
+                let prev = self.incarnations.insert(src, incarnation);
+                if prev.is_some_and(|p| p != incarnation) {
+                    if let Some(w) = self.arrivals.get_mut(&src) {
+                        w.reset();
+                    }
+                }
+                if self.is_coordinator() && !self.view.contains(src) {
+                    self.joiners.insert(src);
+                }
+                if joining && self.is_member() && self.view.coordinator() == Some(src) {
+                    self.last_heard.remove(&src);
+                }
+                let quorum = self.cfg.candidates.len() / 2 + 1;
+                let superseded = match (view_len as usize >= quorum, self.view.len() >= quorum) {
+                    (true, false) => true,
+                    (false, true) => false,
+                    _ => view_id > self.view.id,
+                };
+                if self.is_member() && !self.view.contains(src) && superseded {
+                    self.demote();
+                }
+            }
+            IsisMsg::ViewInstall { view } => {
+                if !view.addrs().all(|a| self.is_candidate(a)) {
+                    return;
+                }
+                let accept = view.id > self.view.id
+                    || (view.id == self.view.id
+                        && match (view.coordinator(), self.view.coordinator()) {
+                            (Some(new), Some(cur)) => new < cur,
+                            _ => false,
+                        });
+                if accept {
+                    if view.contains(self.me) {
+                        self.install(view.clone());
+                    } else {
+                        self.demote();
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn timeout_for(&self, who: Addr) -> u64 {
+        if !self.cfg.adaptive_detection {
+            return self.cfg.failure_timeout_us;
+        }
+        self.arrivals
+            .get(&who)
+            .map_or(self.cfg.failure_timeout_us, |w| {
+                w.threshold_us(&self.cfg.detector, self.cfg.failure_timeout_us)
+            })
+    }
+
+    fn alive(&self, who: Addr, now: u64) -> bool {
+        who == self.me
+            || self
+                .last_heard
+                .get(&who)
+                .is_some_and(|&t| now.saturating_sub(t) < self.timeout_for(who))
+    }
+
+    fn suspicion_millis(&self, who: Addr, now: u64) -> u64 {
+        let Some(&t) = self.last_heard.get(&who) else {
+            return u64::MAX;
+        };
+        let silence = now.saturating_sub(t);
+        match self.arrivals.get(&who) {
+            Some(w) if self.cfg.adaptive_detection => {
+                w.suspicion_millis(silence, &self.cfg.detector, self.cfg.failure_timeout_us)
+            }
+            _ => silence.saturating_mul(1000) / self.cfg.failure_timeout_us.max(1),
+        }
+    }
+
+    fn tick(&mut self, now: u64) {
+        if self.is_member() {
+            let Some(coord) = self.view.coordinator() else {
+                return;
+            };
+            if self.is_coordinator() {
+                self.coordinate(now);
+            } else if !self.alive(coord, now) {
+                let successor = self.view.addrs().find(|&a| self.alive(a, now));
+                if successor == Some(self.me) {
+                    self.coordinate(now);
+                }
+            }
+        } else {
+            let quiet_over = now.saturating_sub(self.started_at) >= self.cfg.bootstrap_quiet_us;
+            if quiet_over && self.view.id == 0 {
+                let lowest = self
+                    .cfg
+                    .candidates
+                    .iter()
+                    .copied()
+                    .find(|&c| self.alive(c, now));
+                if lowest == Some(self.me) {
+                    self.next_join_seq = 1;
+                    self.install(View::new(
+                        1,
+                        vec![Member {
+                            addr: self.me,
+                            joined_seq: 0,
+                        }],
+                    ));
+                }
+            }
+        }
+    }
+
+    fn sweep(&mut self, now: u64) {
+        if self.is_coordinator() {
+            self.coordinate(now);
+        }
+    }
+
+    fn quarantined(&self, who: Addr, now: u64) -> bool {
+        self.cfg.adaptive_detection && self.flaps.get(&who).is_some_and(|f| f.is_quarantined(now))
+    }
+
+    fn coordinate(&mut self, now: u64) {
+        // The steady-state exit comes before the admission counter is
+        // raised, so it is part of the behaviour, not just a short cut.
+        let all_alive = self.view.addrs().all(|a| self.alive(a, now));
+        if all_alive && self.view.contains(self.me) {
+            let has_joiner = self.joiners.iter().any(|&j| {
+                self.alive(j, now) && !self.view.contains(j) && !self.quarantined(j, now)
+            });
+            if !has_joiner {
+                return;
+            }
+        }
+        let mut members: Vec<Member> = self
+            .view
+            .members
+            .iter()
+            .copied()
+            .filter(|m| self.alive(m.addr, now))
+            .collect();
+        if self.cfg.adaptive_detection {
+            let evicted: Vec<Addr> = self
+                .view
+                .addrs()
+                .filter(|&a| a != self.me && !members.iter().any(|m| m.addr == a))
+                .collect();
+            for a in evicted {
+                self.flaps
+                    .entry(a)
+                    .or_default()
+                    .record_eviction(now, &self.cfg.quarantine);
+            }
+        }
+        if !members.iter().any(|m| m.addr == self.me) {
+            members.push(Member {
+                addr: self.me,
+                joined_seq: 0,
+            });
+        }
+        self.next_join_seq = self
+            .next_join_seq
+            .max(members.iter().map(|m| m.joined_seq).max().unwrap_or(0) + 1);
+        let joiners: Vec<Addr> = self
+            .joiners
+            .iter()
+            .copied()
+            .filter(|&j| {
+                self.alive(j, now)
+                    && !members.iter().any(|m| m.addr == j)
+                    && !self.quarantined(j, now)
+            })
+            .collect();
+        for j in joiners {
+            members.push(Member {
+                addr: j,
+                joined_seq: self.next_join_seq,
+            });
+            self.next_join_seq += 1;
+        }
+        let proposed = View::new(self.view.id + 1, members);
+        if proposed.members != self.view.members {
+            self.install(proposed);
+        }
+    }
+
+    fn install(&mut self, view: View) {
+        self.joiners.retain(|a| !view.contains(*a));
+        self.view = view;
+    }
+
+    fn demote(&mut self) {
+        self.view = View::default();
+        self.joiners.clear();
+    }
+
+    /// `GroupMember::snapshot_hash` as it folded the maps. This test never
+    /// casts, so the sequencer and resend counters stay zero.
+    fn snapshot_hash(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(u64::from(self.me.node.0))
+            .write_u64(self.incarnation)
+            .write_u64(self.started_at)
+            .write_u64(self.view.id)
+            .write_u64(self.view.members.len() as u64);
+        for m in &self.view.members {
+            h.write_u64(u64::from(m.addr.node.0))
+                .write_u64(m.joined_seq);
+        }
+        h.write_u64(self.next_join_seq);
+        for _ in 0..6 {
+            h.write_u64(0);
+        }
+        h.write_u64(self.last_heard.len() as u64);
+        for (&a, &at) in &self.last_heard {
+            h.write_u64(u64::from(a.node.0)).write_u64(at);
+        }
+        h.write_u64(self.arrivals.len() as u64);
+        for (&a, w) in &self.arrivals {
+            h.write_u64(u64::from(a.node.0));
+            w.fold(&mut h);
+        }
+        h.write_u64(self.flaps.len() as u64);
+        for (&a, f) in &self.flaps {
+            h.write_u64(u64::from(a.node.0));
+            f.fold(&mut h);
+        }
+        h.finish()
+    }
+}
+
+fn flap_digest(f: Option<&FlapState>) -> Option<u64> {
+    f.map(|f| {
+        let mut h = Fnv64::new();
+        f.fold(&mut h);
+        h.finish()
+    })
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Advance(u64),
+    Heartbeat {
+        src: u32,
+        incarnation: u64,
+        /// Added to the current view id (clamped at zero): stale, equal or
+        /// dominant as the run unfolds.
+        view_delta: i64,
+        view_len: u32,
+        joining: bool,
+    },
+    Install {
+        src: u32,
+        view_delta: i64,
+        members: Vec<(u32, u64)>,
+    },
+    Tick,
+    Sweep,
+    Reboot,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Sources and view members reach one past the candidates, so the
+    // outsider shows up in both roles.
+    let node = || 0..=CANDIDATES;
+    let heartbeat = (node(), 1u64..4, -2i64..3, 0..=CANDIDATES + 1, any::<bool>());
+    let install = (
+        node(),
+        -1i64..3,
+        prop::collection::vec((node(), 0u64..6), 1..5),
+    );
+    // `kind` picks the op and is the weighting: reboots and sweeps are
+    // rare, so a script holds long stretches of one boot in which views
+    // form, members time out, rejoin and earn quarantines.
+    (0u32..100, 0u64..900_000, heartbeat, install).prop_map(
+        |(kind, dt, (src, incarnation, view_delta, view_len, joining), install)| match kind {
+            0..=19 => Op::Advance(dt),
+            // Mostly the heartbeat of a peer that is simply there…
+            20..=54 => Op::Heartbeat {
+                src,
+                incarnation: 1,
+                view_delta: view_delta.min(0),
+                view_len: 0,
+                joining: false,
+            },
+            // …sometimes one that rebooted, abdicated or claims a rival view.
+            55..=64 => Op::Heartbeat {
+                src,
+                incarnation,
+                view_delta,
+                view_len,
+                joining,
+            },
+            65..=69 => Op::Install {
+                src: install.0,
+                view_delta: install.1,
+                members: install.2,
+            },
+            70..=96 => Op::Tick,
+            97..=98 => Op::Sweep,
+            _ => Op::Reboot,
+        },
+    )
+}
+
+proptest! {
+    #[test]
+    fn table_matches_the_five_map_model(
+        // Node 0 bootstraps the group itself; node 1 has to see node 0 gone.
+        me in 0u32..2,
+        adaptive in any::<bool>(),
+        warmup in 0usize..6,
+        ops in prop::collection::vec(arb_op(), 1..400),
+    ) {
+        let candidates: Vec<Addr> = (0..CANDIDATES).map(addr).collect();
+        let mut cfg = GroupConfig::new(candidates);
+        // Two evictions trip a quarantine, so a few hundred steps see
+        // cool-downs served and escalated; a warm-up of zero tells a peer
+        // with an empty window from one with no window at all.
+        cfg.quarantine.flap_evictions = 2;
+        cfg.detector.warmup = warmup;
+        if !adaptive {
+            cfg = cfg.with_fixed_detection();
+        }
+        let mut host = QuietHost {
+            now: 0,
+            rand: 0,
+            info: MachineInfo::workstation(NodeId(me), 100.0),
+        };
+        let mut gm = GroupMember::new(addr(me), cfg.clone());
+        let mut model = Model::new(addr(me), cfg);
+        gm.start(&mut host);
+        model.start(host.now, host.rand);
+
+        for (step, op) in ops.iter().enumerate() {
+            let view_id = |delta: i64| model.view.id.saturating_add_signed(delta);
+            match op {
+                Op::Advance(dt) => host.now += dt,
+                Op::Heartbeat { src, incarnation, view_delta, view_len, joining } => {
+                    let msg = IsisMsg::Heartbeat {
+                        incarnation: *incarnation,
+                        view_id: view_id(*view_delta),
+                        view_len: *view_len,
+                        joining: *joining,
+                        fifo_next: 0,
+                    };
+                    model.handle(addr(*src), &msg, host.now);
+                    gm.handle(addr(*src), msg, &mut host);
+                }
+                Op::Install { src, view_delta, members } => {
+                    let members = members
+                        .iter()
+                        .map(|&(n, joined_seq)| Member { addr: addr(n), joined_seq })
+                        .collect();
+                    let msg = IsisMsg::ViewInstall {
+                        view: View::new(view_id(*view_delta), members),
+                    };
+                    model.handle(addr(*src), &msg, host.now);
+                    gm.handle(addr(*src), msg, &mut host);
+                }
+                Op::Tick => {
+                    gm.on_timer(TOKEN_TICK, &mut host);
+                    model.tick(host.now);
+                }
+                Op::Sweep => {
+                    gm.on_timer(TOKEN_QUARANTINE_SWEEP, &mut host);
+                    model.sweep(host.now);
+                }
+                Op::Reboot => {
+                    gm.start(&mut host);
+                    model.start(host.now, host.rand);
+                }
+            }
+            prop_assert_eq!(gm.view(), &model.view, "view after step {} ({:?})", step, op);
+            prop_assert_eq!(gm.is_member(), model.is_member());
+            prop_assert_eq!(gm.is_coordinator(), model.is_coordinator());
+            prop_assert_eq!(
+                gm.snapshot_hash(),
+                model.snapshot_hash(),
+                "snapshot_hash after step {} ({:?})", step, op
+            );
+            for who in (0..=CANDIDATES).map(addr) {
+                prop_assert_eq!(
+                    gm.silence_budget_us(who),
+                    model.timeout_for(who),
+                    "silence budget of {} after step {} ({:?})", who, step, op
+                );
+                prop_assert_eq!(
+                    gm.suspicion_millis(who, host.now),
+                    model.suspicion_millis(who, host.now),
+                    "suspicion of {} after step {} ({:?})", who, step, op
+                );
+                prop_assert_eq!(
+                    flap_digest(gm.flap_state(who)),
+                    flap_digest(model.flaps.get(&who)),
+                    "flap state of {} after step {} ({:?})", who, step, op
+                );
+            }
+        }
+    }
+}

@@ -97,6 +97,27 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
         self.index.binary_search_by(|(k, _)| k.cmp(key))
     }
 
+    /// Store a new entry at index position `i` (where [`Self::find`] said
+    /// `key` belongs), reusing a freed slot when one exists; returns the
+    /// slot it landed in.
+    fn insert_at(&mut self, i: usize, key: K, value: V) -> usize {
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize].entry = Some((key, value));
+                s
+            }
+            None => {
+                self.slots.push(Slot {
+                    generation: 0,
+                    entry: Some((key, value)),
+                });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(i, (key, slot));
+        slot as usize
+    }
+
     /// Insert or replace; returns the previous value if the key was
     /// present. Reuses a freed slot when one exists.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -107,20 +128,7 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
                 old.map(|(_, v)| v)
             }
             Err(i) => {
-                let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s as usize].entry = Some((key, value));
-                        s
-                    }
-                    None => {
-                        self.slots.push(Slot {
-                            generation: 0,
-                            entry: Some((key, value)),
-                        });
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.index.insert(i, (key, slot));
+                self.insert_at(i, key, value);
                 None
             }
         }
@@ -156,11 +164,18 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
     }
 
     /// Mutable access by key, inserting `default()` first if absent.
+    /// One search either way: the slot comes from the lookup that found the
+    /// key, or from the insertion at the position that lookup returned.
     pub fn entry_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        if self.find(&key).is_err() {
-            self.insert(key, default());
-        }
-        self.get_mut(&key).expect("just ensured present")
+        let slot = match self.find(&key) {
+            Ok(i) => self.index[i].1 as usize,
+            Err(i) => self.insert_at(i, key, default()),
+        };
+        let (_, v) = self.slots[slot]
+            .entry
+            .as_mut()
+            .expect("indexed slot is live");
+        v
     }
 
     /// A generational handle to `key`'s current entry (see [`SlotHandle`]).
@@ -628,6 +643,13 @@ mod tests {
         arena.entry_or_insert_with(3, Vec::new).push(1);
         arena.entry_or_insert_with(3, Vec::new).push(2);
         assert_eq!(arena.get(&3), Some(&vec![1, 2]));
+        // A vacant key takes a freed slot and its sorted index position.
+        arena.entry_or_insert_with(7, Vec::new).push(7);
+        arena.remove(&3);
+        arena.entry_or_insert_with(5, Vec::new).push(5);
+        assert_eq!(arena.slots.len(), 2, "the freed slot is reused");
+        assert_eq!(arena.keys().copied().collect::<Vec<_>>(), vec![5, 7]);
+        assert_eq!(arena.get(&5), Some(&vec![5]));
     }
 
     #[test]

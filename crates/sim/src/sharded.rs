@@ -2,10 +2,10 @@
 //! [`Shard`]s through lock-step conservative time windows, shard 0 on the
 //! caller's thread and every other shard on a scoped worker thread.
 //!
-//! With one shard the same loop runs on the caller's thread alone, against
-//! a barrier of one and an unbounded lookahead (no cross-shard pair
-//! exists), so a "window" is the whole fence-free span up to the run
-//! bound.
+//! With one shard the same loop runs on the caller's thread alone, its
+//! rendezvous points returning at once (nobody to meet) and its lookahead
+//! unbounded (no cross-shard pair exists), so a "window" is the whole
+//! fence-free span up to the run bound.
 //!
 //! This is the **only** threaded module in the simulator, and the only one
 //! allowed to be: determinism is restored not by avoiding threads but by
@@ -113,6 +113,17 @@ impl Rendezvous {
             stagger: stagger_seed(),
         }
     }
+
+    /// Meet every other worker: the loop's three rendezvous points and an
+    /// unwinding worker's catch-up all come through here. A sim of one
+    /// shard has nobody to meet, and `Barrier::wait` on a barrier of one
+    /// still takes its mutex and issues a wake, so that case returns at
+    /// once.
+    fn meet(&self) {
+        if self.next_times.len() > 1 {
+            self.barrier.wait();
+        }
+    }
 }
 
 /// Drive all shards until no event or fence remains at or before `t`:
@@ -195,7 +206,7 @@ fn worker(sh: &mut Shard, rv: &Rendezvous, fences: &[Fence], lookahead: u64, t: 
             if met == 2 {
                 rv.stop.store(true, Ordering::Release);
             }
-            rv.barrier.wait();
+            rv.meet();
         }
         rv.panic
             .lock()
@@ -235,7 +246,7 @@ fn window_loop(
                 sh.drain_outbox_into(d, &mut sink);
             }
         }
-        rv.barrier.wait();
+        rv.meet();
         *waits = 1;
         stagger(seed, i, window_no, 1);
         // Phase 1: absorb cross-shard mail, publish the earliest thing
@@ -245,7 +256,7 @@ fn window_loop(
             sh.enqueue_remote_drain(&mut mail);
         }
         rv.next_times[i].store(sh.peek_time().unwrap_or(u64::MAX), Ordering::Release);
-        rv.barrier.wait();
+        rv.meet();
         *waits = 2;
         // Phase 2 (coordinator only, between the barriers — exclusive):
         // pick the next window or stop.
@@ -264,7 +275,7 @@ fn window_loop(
                 None => rv.stop.store(true, Ordering::Release),
             }
         }
-        rv.barrier.wait();
+        rv.meet();
         *waits = 0;
         if rv.stop.load(Ordering::Acquire) {
             break;
