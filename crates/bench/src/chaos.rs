@@ -404,10 +404,10 @@ impl ChaosOutcome {
             ));
         }
         s.push_str(&format!(
-            "  replay: exp_chaos --replay {} {} {:?}\n",
+            "  replay: exp_chaos --replay {} {} {}\n",
             self.seed,
             self.shape.name(),
-            self.technique
+            technique_name(self.technique)
         ));
         if !self.journal.is_empty() {
             s.push_str("  journal:\n");
@@ -1280,6 +1280,40 @@ mod tests {
         assert_eq!(a.driver_ops, b.driver_ops);
         assert_eq!(a.end_us, b.end_us);
         assert!(!a.engine_ops.is_empty());
+    }
+
+    #[test]
+    fn the_printed_repro_command_parses_back_to_its_cell() {
+        for shape in ScheduleShape::ALL {
+            for technique in TECHNIQUES {
+                let outcome = ChaosOutcome {
+                    seed: 103,
+                    shape,
+                    technique,
+                    violations: Vec::new(),
+                    faults: 0,
+                    allocations: 0,
+                    makespan_us: None,
+                    reconverge_heartbeats: None,
+                    trace_tail: None,
+                    journal: Vec::new(),
+                };
+                let report = outcome.report();
+                let line = report
+                    .lines()
+                    .find_map(|l| l.trim().strip_prefix("replay: exp_chaos --replay "))
+                    .expect("a repro line");
+                let args: Vec<&str> = line.split_whitespace().collect();
+                let [seed, s, t] = args[..] else {
+                    panic!("repro line {line:?} is not `seed shape technique`");
+                };
+                assert_eq!(
+                    parse_cell(seed, s, t),
+                    Ok((103, shape, technique)),
+                    "{line}"
+                );
+            }
+        }
     }
 
     #[test]

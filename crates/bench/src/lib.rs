@@ -171,8 +171,8 @@ pub struct BiddingRound {
     /// Protocol messages during the round: request broadcast, bids,
     /// allocation, membership traffic.
     pub protocol_msgs: u64,
-    /// Failure-detector heartbeats during the round — the O(n²) standing
-    /// cost of group liveness, split out so F3 shows both curves.
+    /// Failure-detector heartbeats during the round — the standing cost
+    /// of group liveness (4n − 6 a tick), split out so F3 shows both curves.
     pub heartbeat_msgs: u64,
 }
 
@@ -216,6 +216,15 @@ pub fn bidding_round_detailed(seed: u64, n: u32, jitter_us: u64) -> BiddingRound
         protocol_msgs: msgs - heartbeat_msgs,
         heartbeat_msgs,
     }
+}
+
+/// F3 scale row: heartbeats an idle, settled group of `n` workstations
+/// sends in `window_us` — the liveness plane's standing cost.
+pub fn idle_heartbeats(seed: u64, n: u32, window_us: u64) -> u64 {
+    let mut vce = workstation_vce(seed, n, 100.0, ExmConfig::default());
+    let before = vce.sim().stats().heartbeats_sent();
+    vce.sim_mut().run_for(window_us);
+    vce.sim().stats().heartbeats_sent() - before
 }
 
 /// Outcome of one forced-technique migration (M1).

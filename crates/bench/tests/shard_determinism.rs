@@ -17,18 +17,25 @@ use vce_net::FaultOp;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// FNV-64 of [`experiment_fingerprint`] at S=1 as the dedicated serial
-/// event loop produced it, captured on the last commit that had one
-/// (1e54bd9). The window loop that replaced it must reproduce it — at S=1
-/// and, through the sweep below, at every other shard count.
-const SERIAL_ENGINE_FINGERPRINT: u64 = 0x3c59_f143_7669_ee3e;
+/// FNV-64 of [`experiment_fingerprint`] at S=1. Until PR 18 this was the
+/// value the dedicated serial event loop produced on the last commit that
+/// had one (1e54bd9), which the window loop reproduced. PR 18 re-pinned it
+/// on purpose: the O(n) liveness plane (juniors heartbeat their view's two
+/// seniors, not every candidate) and the daemon re-sending a lost
+/// `TaskDone` change what is sent, so every message count and link-RNG
+/// draw in the fingerprint moved. A change that does not mean to alter
+/// protocol behaviour must still reproduce it — at S=1 and, through the
+/// sweep below, at every other shard count.
+const SERIAL_ENGINE_FINGERPRINT: u64 = 0xe170_e83a_0a17_3786;
 
-/// FNV-64 of [`membership_churn_recording`], captured on f81cdaa — the
-/// last commit whose `GroupMember` kept its per-peer state in five sorted
-/// maps. The recording's snapshot frames carry every node's state hash
-/// (`GroupMember::snapshot_hash` among them), so this pins what used to be
-/// a by-hand `vce_replay --record … && cmp` against the parent.
-const MEMBERSHIP_CHURN_VCT: u64 = 0x3f22_63b3_886f_195a;
+/// FNV-64 of [`membership_churn_recording`]. The recording's snapshot
+/// frames carry every node's state hash (`GroupMember::snapshot_hash` among
+/// them), so this pins what used to be a by-hand `vce_replay --record … &&
+/// cmp` against the parent. Captured on f81cdaa for the per-peer table (PR
+/// 15 had to reproduce it); re-pinned by PR 18, whose liveness plane
+/// deliberately changes which heartbeats exist and so every event after
+/// the first tick.
+const MEMBERSHIP_CHURN_VCT: u64 = 0x41ab_78d0_4635_03d1;
 
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.
@@ -88,7 +95,7 @@ fn experiments_are_identical_across_shard_counts() {
                 assert_eq!(
                     vce_net::fnv64(fp.as_bytes()),
                     SERIAL_ENGINE_FINGERPRINT,
-                    "S=1 no longer reproduces the retired serial engine:\n{fp}"
+                    "S=1 no longer reproduces the pinned fingerprint:\n{fp}"
                 );
                 baseline = Some(fp);
             }
@@ -164,7 +171,7 @@ fn membership_churn_recording_matches_the_pinned_digest() {
         let digest = vce_net::fnv64(&membership_churn_recording(shards));
         assert_eq!(
             digest, MEMBERSHIP_CHURN_VCT,
-            "S={shards}: .vct bytes differ from f81cdaa's (got {digest:#018x})"
+            "S={shards}: .vct bytes differ from the pinned recording's (got {digest:#018x})"
         );
     }
 }

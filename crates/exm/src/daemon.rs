@@ -220,6 +220,11 @@ pub struct DaemonEndpoint {
     cfg: ExmConfig,
     gm: GroupMember,
     tasks: BTreeMap<InstanceKey, Resident>,
+    /// Instances that completed here — journaled `Done` since boot, or in
+    /// the log's committed prefix at the last recovery. A `Load` or probe
+    /// for one of these means the owner never got the `TaskDone`: it is
+    /// sent again, and the instance never runs a second time.
+    done: BTreeSet<InstanceKey>,
     pid_of: BTreeMap<u64, InstanceKey>,
     next_pid: u64,
     /// Work items that are compiles, mapping pid → unit being compiled.
@@ -279,6 +284,7 @@ impl DaemonEndpoint {
             cfg,
             gm,
             tasks: BTreeMap::new(),
+            done: BTreeSet::new(),
             pid_of: BTreeMap::new(),
             next_pid: 1,
             compiles: BTreeMap::new(),
@@ -425,6 +431,9 @@ impl DaemonEndpoint {
         if self.tasks.contains_key(&key) {
             return; // duplicate Load (executor retry)
         }
+        if self.resend_done(key, lp.reply_to, host) {
+            return; // the retry of a Load whose `TaskDone` was lost
+        }
         self.wal
             .journal(host.now_us(), &WalRecord::Loaded(lp.clone()));
         let work = lp.work_mops;
@@ -439,9 +448,9 @@ impl DaemonEndpoint {
         let Some(r) = self.tasks.get(&key) else {
             return;
         };
-        let unit = r.lp.unit.clone();
         // 1. Missing binary? Compile it (consumes CPU).
-        if !self.binaries.contains(&unit) {
+        if !self.binaries.contains(&r.lp.unit) {
+            let unit = r.lp.unit.clone();
             let pid = self.alloc_pid(key);
             self.compiles.insert(pid, unit.clone());
             if let Some(r) = self.tasks.get_mut(&key) {
@@ -475,8 +484,8 @@ impl DaemonEndpoint {
             if let Some(r) = self.tasks.get_mut(&key) {
                 r.state = RunState::Fetching;
             }
-            if host.log_enabled() {
-                host.log(format!("daemon: fetching inputs for {unit}"));
+            if let Some(r) = self.tasks.get(&key).filter(|_| host.log_enabled()) {
+                host.log(format!("daemon: fetching inputs for {}", r.lp.unit));
             }
             host.set_timer(delay.max(1), pid_token(TAG_FETCH, pid));
             return;
@@ -500,12 +509,25 @@ impl DaemonEndpoint {
         }
     }
 
+    /// If `key` already completed here, tell `to` so (again) and return
+    /// true: the first `TaskDone` was lost, and running the instance a
+    /// second time would put `Loaded` after `Done` in the journal.
+    fn resend_done(&mut self, key: InstanceKey, to: Addr, host: &mut dyn Host) -> bool {
+        let done = self.done.contains(&key);
+        if done {
+            let node = host.machine().node;
+            self.send(host, to, &ExmMsg::TaskDone { key, node });
+        }
+        done
+    }
+
     fn finish_task(&mut self, key: InstanceKey, host: &mut dyn Host) {
         if let Some(r) = self.tasks.remove(&key) {
             // Write-ahead: the completion must be journaled before the
             // owner hears about it, or a crash after the send could
             // resurrect a task the application already counted done.
             self.wal.journal(host.now_us(), &WalRecord::Done { key });
+            self.done.insert(key);
             self.completed += 1;
             self.mops_executed += r.work_to_run;
             let node = host.machine().node;
@@ -1085,6 +1107,7 @@ impl Endpoint for DaemonEndpoint {
         // destroyed, wedging the owning application forever — found by
         // the exp_chaos crash/revive campaign.
         self.tasks.clear();
+        self.done.clear();
         self.pid_of.clear();
         self.compiles.clear();
         self.leader = LeaderState::new(self.cfg.aging_quantum_us);
@@ -1132,6 +1155,7 @@ impl Endpoint for DaemonEndpoint {
                 ));
             }
             self.recovered_served = rec.served;
+            self.done = rec.committed_done;
             self.last_recovery = Some(RecoveryReport {
                 seq: self.recovery_seq,
                 at_us: host.now_us(),
@@ -1207,6 +1231,7 @@ impl Endpoint for DaemonEndpoint {
                 for key in keys {
                     self.kill_task(key, host);
                 }
+                self.done.retain(|k| k.app != app);
             }
             ExmMsg::AnticipateCompile { unit, compile_mops } => {
                 // §4.5: anticipatory work uses *idle* cycles only — a busy
@@ -1230,6 +1255,9 @@ impl Endpoint for DaemonEndpoint {
                 }
             }
             ExmMsg::ProbeTask { key, reply_to } => {
+                if self.resend_done(key, reply_to, host) {
+                    return;
+                }
                 let running = self.tasks.contains_key(&key);
                 // Report live progress so the executor's straggler hedging
                 // can estimate this copy's rate (0 when not resident).
@@ -1403,7 +1431,8 @@ impl Endpoint for DaemonEndpoint {
         }
         h.write_u64(self.leader.served.len() as u64)
             .write_u64(self.leader.pending.len() as u64)
-            .write_u64(self.recovered_served.len() as u64);
+            .write_u64(self.recovered_served.len() as u64)
+            .write_u64(self.done.len() as u64);
         h.finish()
     }
 }

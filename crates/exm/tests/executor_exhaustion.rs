@@ -176,3 +176,81 @@ fn backoff_never_livelocks_a_late_recovering_group() {
     );
     assert!(done, "app must complete once the group is back");
 }
+
+#[test]
+fn a_lost_task_done_is_resent_not_re_executed() {
+    // The daemon finishes the task while its link to the executor drops
+    // everything, so the one `TaskDone` is lost. When the link is back the
+    // executor probes (and would re-request): the daemon must answer that
+    // the instance is done — not run it a second time.
+    use vce_exm::AppEvent;
+    use vce_net::{FaultOp, LinkFault};
+    let mut sim = Sim::new(SimConfig::default());
+    let mut db = MachineDb::new();
+    sim.add_node(MachineInfo::workstation(NodeId(0), 100.0));
+    db.register(MachineInfo::workstation(NodeId(0), 100.0).with_allows_remote(false));
+    sim.add_node(MachineInfo::workstation(NodeId(1), 100.0));
+    db.register(MachineInfo::workstation(NodeId(1), 100.0));
+    let daemon = Addr::daemon(NodeId(1));
+    // A watchdog slower than the task: the silent link below costs the
+    // executor no probe misses, so it never writes the instance off.
+    let mut cfg = ExmConfig::default();
+    cfg.probe_period_us = 20_000_000;
+    sim.add_endpoint(
+        daemon,
+        Box::new(DaemonEndpoint::new(
+            NodeId(1),
+            MachineClass::Workstation,
+            vec![daemon],
+            cfg.clone(),
+        )),
+    );
+    sim.run_until(2_500_000);
+
+    let mut g = TaskGraph::new("once");
+    g.add_task(
+        TaskSpec::new("job")
+            .with_class(ProblemClass::Asynchronous)
+            .with_language(Language::C)
+            .with_work(1_000.0),
+    );
+    let exec = Addr::executor(NodeId(0));
+    sim.add_endpoint(
+        exec,
+        Box::new(ExecutorEndpoint::new(AppId(1), exec, g, db, cfg)),
+    );
+    let completed =
+        |sim: &mut Sim| sim.with_endpoint_mut::<DaemonEndpoint, _>(daemon, |d| d.completed);
+    // Cut daemon → executor once the instance is resident, until it is done.
+    while sim
+        .with_endpoint_mut::<DaemonEndpoint, _>(daemon, |d| d.resident().is_empty())
+        .unwrap()
+    {
+        sim.run_for(100_000);
+        assert!(sim.now_us() < 30_000_000, "the task never loaded");
+    }
+    let mute = LinkFault {
+        drop_prob: 1.0,
+        ..Default::default()
+    };
+    sim.schedule_fault(sim.now_us(), FaultOp::Link(NodeId(1), NodeId(0), mute));
+    while completed(&mut sim) == Some(0) {
+        sim.run_for(100_000);
+        assert!(sim.now_us() < 120_000_000, "the task never finished");
+    }
+    sim.run_for(500_000); // the `TaskDone` is well and truly dropped
+    sim.schedule_fault(sim.now_us(), FaultOp::ClearLink(NodeId(1), NodeId(0)));
+    sim.run_for(120_000_000);
+
+    let (done, failed, completions) = sim
+        .with_endpoint_mut::<ExecutorEndpoint, _>(exec, |e| {
+            let n = e
+                .timeline
+                .count(|ev| matches!(ev, AppEvent::InstanceDone { .. }));
+            (e.is_done(), e.failed.clone(), n)
+        })
+        .unwrap();
+    assert!(done && failed.is_none(), "application failed: {failed:?}");
+    assert_eq!(completions, 1, "one completion at the executor");
+    assert_eq!(completed(&mut sim), Some(1), "executed exactly once");
+}

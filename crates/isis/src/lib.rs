@@ -15,8 +15,8 @@
 //! primitives the VCE consumes:
 //!
 //! * **Process groups with membership views** ([`View`]): coordinator-
-//!   sequenced view installation, driven by an all-to-all heartbeat failure
-//!   detector. Machines can join and leave (or crash) at any time.
+//!   sequenced view installation, driven by a heartbeat failure detector
+//!   of O(n) standing cost. Machines can join, leave or crash at any time.
 //! * **Coordinator succession by seniority**: the oldest surviving member
 //!   (smallest join sequence number) of the last installed view becomes
 //!   coordinator — exactly the paper's leader-failover rule.

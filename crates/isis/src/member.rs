@@ -19,7 +19,23 @@
 //! touches state, and a `ViewInstall` naming a non-candidate is ignored
 //! whole. And rank order *is* `Addr` order, so `snapshot_hash` folds, and
 //! joiners are admitted, in the order the sorted maps this table replaced
-//! iterated in — recordings made before it compare equal.
+//! iterated in.
+//!
+//! # The liveness plane
+//!
+//! Heartbeats are role-based, 4n − 6 a tick instead of n(n − 1): a view's
+//! `SENIORS` (its coordinator and deputy, `view.members[..SENIORS]`) and
+//! every non-member heartbeat all candidates; every other member — a
+//! *junior* — heartbeats only the seniors. So the seniors hold a full table
+//! (eviction and single-coordinator succession work as they always did)
+//! and a junior's table is current for the seniors alone. A junior that
+//! has heard no senior for half a silence budget *searches*: it heartbeats
+//! everyone and `Solicit`s a heartbeat from each view-mate every tick. It
+//! takes over as oldest survivor when the seniors' budgets run out — the
+//! instant the all-to-all plane did — provided the search is half a budget
+//! old by then and every view-mate that answered is searching too: one
+//! that is not still hears a senior, and the fault is on this member's
+//! own links.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -46,6 +62,11 @@ const TOKEN_QUARANTINE_SWEEP: u64 = ISIS_TOKEN_BASE + 1;
 /// First token used for collection deadlines (unbounded upward growth —
 /// point tokens above must stay below this base).
 const TOKEN_COLLECT_BASE: u64 = ISIS_TOKEN_BASE + 16;
+
+/// How many of a view's most senior members carry its liveness plane: the
+/// coordinator, and a deputy so that one crash never leaves the group
+/// without a member that hears everyone. A protocol constant, not a knob.
+const SENIORS: usize = 2;
 
 /// Group protocol parameters.
 #[derive(Debug, Clone)]
@@ -147,6 +168,14 @@ struct Peer {
     /// When anything was last received from this peer; `None` until the
     /// first message since boot, and again for a coordinator that abdicated.
     heard: Option<u64>,
+    /// The last arrival was an *expected* one — the roles say this peer
+    /// heartbeats me every tick — and it has been expected ever since. Only
+    /// the gap between two such arrivals is a sample: a peer that starts or
+    /// stops heartbeating me because roles changed or a search began or
+    /// ended updates `heard` and nothing else.
+    regular: bool,
+    /// When it last `Solicit`ed me, i.e. was itself searching.
+    sought: Option<u64>,
     /// Incarnation in its last heartbeat. The one field a reboot of *this*
     /// member keeps: a peer that restarted meanwhile is still recognised.
     incarnation: Option<u64>,
@@ -186,10 +215,12 @@ pub struct GroupMember {
     peers: Vec<Peer>,
     /// This member's own rank in the table.
     me_rank: usize,
-    /// Rank of the installed view's coordinator (`None` with no view).
-    /// Like `Peer::in_view`, maintained only where the view changes:
-    /// `install`, `demote` and `start`.
-    coord: Option<usize>,
+    /// Ranks of the installed view's seniors, coordinator first (`None`
+    /// where the view is shorter). Like `Peer::in_view`, maintained only
+    /// where the view changes: `install`, `demote` and `start`.
+    seniors: [Option<usize>; SENIORS],
+    /// Since when this junior has been searching (module docs).
+    searching: Option<u64>,
     // Coordinator state.
     next_join_seq: u64,
     next_total_seq: u64,
@@ -235,6 +266,8 @@ impl GroupMember {
             .iter()
             .map(|_| Peer {
                 heard: None,
+                regular: false,
+                sought: None,
                 incarnation: None,
                 in_view: false,
                 joiner: false,
@@ -253,7 +286,8 @@ impl GroupMember {
             view: View::default(),
             peers,
             me_rank,
-            coord: None,
+            seniors: [None; SENIORS],
+            searching: None,
             next_join_seq: 0,
             next_total_seq: 0,
             out_fifo_seq: 0,
@@ -289,7 +323,19 @@ impl GroupMember {
 
     /// True if this member coordinates the current view.
     pub fn is_coordinator(&self) -> bool {
-        self.coord == Some(self.me_rank)
+        self.coord() == Some(self.me_rank)
+    }
+
+    fn coord(&self) -> Option<usize> {
+        self.seniors.first().copied().flatten()
+    }
+
+    fn is_senior(&self, rank: usize) -> bool {
+        self.seniors.contains(&Some(rank))
+    }
+
+    fn senior_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.seniors.iter().flatten().copied()
     }
 
     /// Deterministic digest of the group-membership state, folded into the
@@ -379,9 +425,12 @@ impl GroupMember {
         // kill/revive cycle in the simulator). Rows are emptied in place:
         // the arrival rings keep their storage.
         self.view = View::default();
-        self.coord = None;
+        self.seniors = [None; SENIORS];
+        self.searching = None;
         for p in &mut self.peers {
             p.heard = None;
+            p.regular = false;
+            p.sought = None;
             p.in_view = false;
             p.joiner = false;
             p.tracked = false;
@@ -405,6 +454,13 @@ impl GroupMember {
     pub fn on_timer_into(&mut self, token: u64, host: &mut dyn Host, up: &mut Vec<Upcall>) {
         if token == TOKEN_TICK {
             host.set_timer(self.cfg.heartbeat_us, TOKEN_TICK);
+            // A junior half a silence budget into hearing none of its
+            // seniors searches, until one is back or the view changes.
+            let now = host.now_us();
+            let lost = self.is_member()
+                && !self.is_senior(self.me_rank)
+                && self.senior_ranks().all(|r| self.silent(r, now, 2));
+            self.searching = lost.then(|| self.searching.unwrap_or(now));
             self.send_heartbeats(host);
             self.run_failure_detector(host, up);
             let mut nacks = std::mem::take(&mut self.nack_scratch);
@@ -457,19 +513,24 @@ impl GroupMember {
         };
         let now = host.now_us();
         let (member, coordinating) = (self.is_member(), self.is_coordinator());
+        let from_coord = self.coord() == Some(rank);
+        let listening = !member || self.is_senior(self.me_rank) || self.is_senior(rank);
         let Some(peer) = self.peers.get_mut(rank) else {
             return;
         };
         // Feed the adaptive detector: the gap since the last *anything*
         // from this peer (heartbeats and protocol traffic both prove
-        // liveness, so both shape the expected-silence distribution).
+        // liveness, so both shape the expected-silence distribution) —
+        // between peers of which one heartbeats the other every tick.
+        let expected = listening || !peer.in_view;
         if let Some(prev) = peer.heard.replace(now) {
             let gap = now.saturating_sub(prev);
-            if gap > 0 && rank != self.me_rank {
+            if gap > 0 && rank != self.me_rank && expected && peer.regular {
                 peer.tracked = true;
                 peer.arrivals.observe(gap, &self.cfg.detector);
             }
         }
+        peer.regular = expected;
         match msg {
             IsisMsg::Heartbeat {
                 incarnation,
@@ -501,7 +562,7 @@ impl GroupMember {
                 // failed so succession can elect the oldest surviving
                 // member — otherwise its heartbeats keep the view's
                 // members waiting on a dead throne forever.
-                if joining && member && self.coord == Some(rank) {
+                if joining && member && from_coord {
                     peer.heard = None;
                 }
                 // A member that hears of a *dominant* foreign view was
@@ -552,7 +613,7 @@ impl GroupMember {
                 // no honest coordinator builds one: drop it whole.
                 if accept && view.addrs().all(|a| self.rank_of(a).is_some()) {
                     if view.contains(self.me) {
-                        self.install(view, up);
+                        self.install(view, now, up);
                     } else {
                         self.demote(up);
                     }
@@ -624,6 +685,13 @@ impl GroupMember {
                     }
                     up.push(Upcall::CollectDone(result));
                 }
+            }
+            IsisMsg::Solicit => {
+                // A searcher asks who is still there: answer with one
+                // heartbeat (which, being a heartbeat, is never answered).
+                peer.sought = Some(now);
+                let bytes = self.encode(host, &self.heartbeat());
+                host.send_category(self.me, src, bytes, vce_net::MsgCategory::Heartbeat);
             }
         }
     }
@@ -754,24 +822,55 @@ impl GroupMember {
         }
     }
 
-    fn send_heartbeats(&mut self, host: &mut dyn Host) {
-        let hb = IsisMsg::Heartbeat {
+    fn heartbeat(&self) -> IsisMsg {
+        IsisMsg::Heartbeat {
             incarnation: self.incarnation,
             view_id: self.view.id,
             view_len: self.view.len() as u32,
             joining: !self.is_member(),
             fifo_next: self.out_fifo_seq,
-        };
-        // Tagged so transports can attribute the O(n²) standing cost of
-        // liveness traffic separately from the protocol operation under
-        // measurement (F3's message count splits on this).
-        let bytes = self.encode(host, &hb);
+        }
+    }
+
+    /// One tick of the liveness plane (module docs): seniors, non-members
+    /// and searchers heartbeat every candidate, a junior only its seniors —
+    /// O(n) standing cost for the group. Tagged so transports can attribute
+    /// liveness traffic separately from the protocol operation under
+    /// measurement (F3's message count splits on this).
+    fn send_heartbeats(&mut self, host: &mut dyn Host) {
+        use vce_net::MsgCategory::Heartbeat;
         let me = self.me;
-        for &dst in &self.cfg.candidates {
-            if dst != me {
-                host.send_category(me, dst, bytes.clone(), vce_net::MsgCategory::Heartbeat);
+        let junior = self.is_member() && !self.is_senior(self.me_rank);
+        let bytes = self.encode(host, &self.heartbeat());
+        for (r, &dst) in self.cfg.candidates.iter().enumerate() {
+            let wanted = !junior || self.searching.is_some() || self.is_senior(r);
+            if wanted && dst != me {
+                host.send_category(me, dst, bytes.clone(), Heartbeat);
             }
         }
+        if self.searching.is_some() {
+            let ask = self.encode(host, &IsisMsg::Solicit);
+            for dst in self.view.addrs().filter(|&a| a != me) {
+                host.send_category(me, dst, ask.clone(), Heartbeat);
+            }
+        }
+    }
+
+    /// May this member act on what its table says of the view? Always,
+    /// unless it is searching: then only once the search is half a senior's
+    /// silence budget old — it began at half, so the verdict falls due with
+    /// the seniors' own — and only if every view-mate that answers is
+    /// searching too: one that is not still hears a senior.
+    fn table_complete(&self, now: u64) -> bool {
+        let budget = |r: usize| self.peers.get(r).map_or(0, |p| self.timeout_for(p));
+        let grace = self.senior_ranks().map(budget).max().unwrap_or(0) / 2;
+        let fresh = |t: Option<u64>| t.is_some_and(|t| now.saturating_sub(t) < grace);
+        self.searching.is_none_or(|since| {
+            now.saturating_sub(since) >= grace
+                && self.peers.iter().enumerate().all(|(r, p)| {
+                    !p.in_view || self.silent(r, now, 1) || r == self.me_rank || fresh(p.sought)
+                })
+        })
     }
 
     /// `who`'s rank in the candidate list — its row in the table — or
@@ -798,11 +897,14 @@ impl GroupMember {
 
     /// Has the peer at `rank` been heard from within its silence budget?
     fn alive(&self, rank: usize, now: u64) -> bool {
-        rank == self.me_rank
-            || self.peers.get(rank).is_some_and(|p| {
-                p.heard
-                    .is_some_and(|t| now.saturating_sub(t) < self.timeout_for(p))
-            })
+        !self.silent(rank, now, 1)
+    }
+
+    /// Has the peer at `rank` gone unheard for `1/part` of its budget?
+    fn silent(&self, rank: usize, now: u64, part: u64) -> bool {
+        let budget = |p: &Peer| self.timeout_for(p) / part;
+        let heard = |p: &Peer| p.heard.is_some_and(|t| now.saturating_sub(t) < budget(p));
+        rank != self.me_rank && !self.peers.get(rank).is_some_and(heard)
     }
 
     fn alive_addr(&self, who: Addr, now: u64) -> bool {
@@ -821,7 +923,7 @@ impl GroupMember {
     fn run_failure_detector(&mut self, host: &mut dyn Host, up: &mut Vec<Upcall>) {
         let now = host.now_us();
         if self.is_member() {
-            let Some(coord) = self.coord else {
+            let Some(coord) = self.coord() else {
                 return; // member of an empty view cannot happen; never panic on it
             };
             if self.is_coordinator() {
@@ -829,7 +931,7 @@ impl GroupMember {
             } else if !self.alive(coord, now) {
                 // Succession: the oldest *surviving* member takes over.
                 let successor = self.view.addrs().find(|&a| self.alive_addr(a, now));
-                if successor == Some(self.me) {
+                if successor == Some(self.me) && self.table_complete(now) {
                     if host.log_enabled() {
                         host.log(format!("isis: {} assumes coordinator role", self.me));
                     }
@@ -854,7 +956,7 @@ impl GroupMember {
                     if host.log_enabled() {
                         host.log(format!("isis: {} bootstraps group", self.me));
                     }
-                    self.install(v, up);
+                    self.install(v, now, up);
                 }
             }
         }
@@ -942,13 +1044,13 @@ impl GroupMember {
                     self.out(host, dst, &msg);
                 }
             }
-            self.install(proposed, up);
+            self.install(proposed, now, up);
         }
     }
 
-    fn install(&mut self, view: View, up: &mut Vec<Upcall>) {
+    fn install(&mut self, view: View, now: u64, up: &mut Vec<Upcall>) {
         let was_coordinator = self.is_coordinator();
-        let old_coord = self.coord;
+        let (old_coord, was_senior) = (self.coord(), self.is_senior(self.me_rank));
         for p in &mut self.peers {
             p.in_view = false;
         }
@@ -958,9 +1060,24 @@ impl GroupMember {
                 p.joiner = false;
             }
         }
-        self.coord = view.coordinator().and_then(|c| self.rank_of(c));
+        self.seniors = {
+            let mut ranks = view.addrs().map(|a| self.rank_of(a));
+            std::array::from_fn(|_| ranks.next().flatten())
+        };
+        self.searching = None;
+        // Roles moved: a view-mate that no longer heartbeats me stops being
+        // regular, and one I only start listening to now — I became senior
+        // — is taken as heard at this instant, so a fresh deputy cannot
+        // evict the group it has not yet listened to.
+        let (seniors, senior) = (self.seniors, self.is_senior(self.me_rank));
+        for (r, p) in self.peers.iter_mut().enumerate() {
+            p.regular &= senior || !p.in_view || seniors.contains(&Some(r));
+            if senior && !was_senior && p.in_view && !p.regular {
+                p.heard = Some(now);
+            }
+        }
         self.view = view.clone();
-        if old_coord != self.coord {
+        if old_coord != self.coord() {
             // New sequencer ⇒ total order restarts (documented weakening).
             self.ordering.reset_total_order();
             if self.is_coordinator() {
@@ -978,7 +1095,8 @@ impl GroupMember {
             up.push(Upcall::Evicted);
         }
         self.view = View::default();
-        self.coord = None;
+        self.seniors = [None; SENIORS];
+        self.searching = None;
         for p in &mut self.peers {
             p.in_view = false;
             p.joiner = false;

@@ -115,6 +115,10 @@ pub enum IsisMsg {
         /// Reply payload.
         payload: Bytes,
     },
+    /// A searching member (both seniors silent) asks a view-mate for one
+    /// immediate unicast heartbeat. Field-less; the answer is a plain
+    /// `Heartbeat`, which is never itself answered.
+    Solicit,
 }
 
 // Discriminants for IsisMsg variants (wire-stable).
@@ -124,6 +128,7 @@ const T_CAST: u8 = 2;
 const T_TOTAL_REQ: u8 = 3;
 const T_NACK: u8 = 4;
 const T_REPLY: u8 = 5;
+const T_SOLICIT: u8 = 6;
 
 impl Codec for IsisMsg {
     fn encode(&self, enc: &mut Encoder) {
@@ -178,6 +183,7 @@ impl Codec for IsisMsg {
                 to.encode(enc);
                 enc.put_len_bytes(payload);
             }
+            IsisMsg::Solicit => enc.put_u8(T_SOLICIT),
         }
     }
 
@@ -213,6 +219,7 @@ impl Codec for IsisMsg {
                 to: BcastId::decode(dec)?,
                 payload: dec.get_bytes()?,
             },
+            T_SOLICIT => IsisMsg::Solicit,
             other => {
                 return Err(CodecError::InvalidDiscriminant {
                     value: u64::from(other),
@@ -285,6 +292,7 @@ mod tests {
                 to: id(1, 5),
                 payload: Bytes::from_static(b"bid"),
             },
+            IsisMsg::Solicit,
         ];
         for m in msgs {
             let bytes = to_bytes(&m);

@@ -126,6 +126,8 @@ fn every_variant(open: BcastId) -> Vec<IsisMsg> {
             to: open,
             payload: Bytes::from_static(b"bid"),
         },
+        // From a candidate this is answered with a heartbeat.
+        IsisMsg::Solicit,
     ]
 }
 

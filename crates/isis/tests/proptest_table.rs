@@ -1,7 +1,10 @@
 //! The per-peer table under churn: one `GroupMember` is driven with random
-//! interleavings of heartbeats, view installs, ticks, quarantine sweeps and
-//! reboots, next to a reference model that keeps the same facts the way
-//! `GroupMember` used to — five `BTreeMap`s keyed by address. After every
+//! interleavings of heartbeats, solicitations, view installs, ticks,
+//! quarantine sweeps and reboots, next to a reference model that keeps the
+//! same facts the way `GroupMember` used to — `BTreeMap`s keyed by address —
+//! and states the liveness plane's rules (who is expected to heartbeat
+//! whom, the install-time lease, the search before a junior's takeover) in
+//! terms of the view alone, with no cached ranks. After every
 //! step the two must agree on `snapshot_hash`, the installed view, and for
 //! every address `silence_budget_us`, `suspicion_millis` and `flap_state`.
 //!
@@ -65,8 +68,12 @@ impl Host for QuietHost {
     }
 }
 
+/// How many of a view's oldest members heartbeat everyone and are
+/// heartbeated by everyone.
+const SENIORS: usize = 2;
+
 /// The membership half of `GroupMember` as it was before the table: the
-/// five per-peer maps, the view and the admission counter.
+/// per-peer maps, the view and the admission counter.
 struct Model {
     me: Addr,
     cfg: GroupConfig,
@@ -78,6 +85,13 @@ struct Model {
     joiners: BTreeSet<Addr>,
     arrivals: BTreeMap<Addr, ArrivalWindow>,
     flaps: BTreeMap<Addr, FlapState>,
+    /// Peers whose last arrival was an expected one, and which have been
+    /// expected to heartbeat this member ever since.
+    regular: BTreeSet<Addr>,
+    /// When each peer last solicited this member.
+    sought: BTreeMap<Addr, u64>,
+    /// Since when this junior has heard from none of its seniors.
+    searching: Option<u64>,
     next_join_seq: u64,
 }
 
@@ -94,8 +108,22 @@ impl Model {
             joiners: BTreeSet::new(),
             arrivals: BTreeMap::new(),
             flaps: BTreeMap::new(),
+            regular: BTreeSet::new(),
+            sought: BTreeMap::new(),
+            searching: None,
             next_join_seq: 0,
         }
+    }
+
+    fn is_senior(&self, who: Addr) -> bool {
+        self.view.addrs().take(SENIORS).any(|a| a == who)
+    }
+    /// Do the roles say `who` heartbeats this member every tick?
+    fn expects(&self, who: Addr) -> bool {
+        !self.is_member()
+            || self.is_senior(self.me)
+            || self.is_senior(who)
+            || !self.view.contains(who)
     }
 
     fn is_candidate(&self, who: Addr) -> bool {
@@ -116,6 +144,9 @@ impl Model {
         self.joiners.clear();
         self.arrivals.clear();
         self.flaps.clear();
+        self.regular.clear();
+        self.sought.clear();
+        self.searching = None;
         // `incarnations` survives, as it always has.
     }
 
@@ -123,14 +154,20 @@ impl Model {
         if !self.is_candidate(src) {
             return;
         }
+        let expected = self.expects(src);
         if let Some(prev) = self.last_heard.insert(src, now) {
             let gap = now.saturating_sub(prev);
-            if gap > 0 && src != self.me {
+            if gap > 0 && src != self.me && expected && self.regular.contains(&src) {
                 self.arrivals
                     .entry(src)
                     .or_default()
                     .observe(gap, &self.cfg.detector);
             }
+        }
+        if expected {
+            self.regular.insert(src);
+        } else {
+            self.regular.remove(&src);
         }
         match msg {
             &IsisMsg::Heartbeat {
@@ -174,11 +211,14 @@ impl Model {
                         });
                 if accept {
                     if view.contains(self.me) {
-                        self.install(view.clone());
+                        self.install(view.clone(), now);
                     } else {
                         self.demote();
                     }
                 }
+            }
+            IsisMsg::Solicit => {
+                self.sought.insert(src, now);
             }
             _ => {}
         }
@@ -196,11 +236,14 @@ impl Model {
     }
 
     fn alive(&self, who: Addr, now: u64) -> bool {
-        who == self.me
-            || self
-                .last_heard
-                .get(&who)
-                .is_some_and(|&t| now.saturating_sub(t) < self.timeout_for(who))
+        !self.silent(who, now, 1)
+    }
+
+    /// Unheard for `1/part` of its silence budget?
+    fn silent(&self, who: Addr, now: u64, part: u64) -> bool {
+        let budget = self.timeout_for(who) / part;
+        let heard = self.last_heard.get(&who);
+        who != self.me && heard.is_none_or(|&t| now.saturating_sub(t) >= budget)
     }
 
     fn suspicion_millis(&self, who: Addr, now: u64) -> u64 {
@@ -216,7 +259,35 @@ impl Model {
         }
     }
 
+    /// A searching junior acts on its table only once the search is half a
+    /// senior's silence budget old, and only if every view-mate it hears
+    /// is searching too.
+    fn table_complete(&self, now: u64) -> bool {
+        let seniors = self.view.addrs().take(SENIORS);
+        let grace = seniors.map(|a| self.timeout_for(a)).max().unwrap_or(0) / 2;
+        let Some(since) = self.searching else {
+            return true;
+        };
+        now.saturating_sub(since) >= grace
+            && self.view.addrs().all(|a| {
+                a == self.me
+                    || !self.alive(a, now)
+                    || self
+                        .sought
+                        .get(&a)
+                        .is_some_and(|&t| now.saturating_sub(t) < grace)
+            })
+    }
+
     fn tick(&mut self, now: u64) {
+        let lost = self.is_member()
+            && !self.is_senior(self.me)
+            && self
+                .view
+                .addrs()
+                .take(SENIORS)
+                .all(|a| self.silent(a, now, 2));
+        self.searching = lost.then(|| self.searching.unwrap_or(now));
         if self.is_member() {
             let Some(coord) = self.view.coordinator() else {
                 return;
@@ -225,7 +296,7 @@ impl Model {
                 self.coordinate(now);
             } else if !self.alive(coord, now) {
                 let successor = self.view.addrs().find(|&a| self.alive(a, now));
-                if successor == Some(self.me) {
+                if successor == Some(self.me) && self.table_complete(now) {
                     self.coordinate(now);
                 }
             }
@@ -240,13 +311,16 @@ impl Model {
                     .find(|&c| self.alive(c, now));
                 if lowest == Some(self.me) {
                     self.next_join_seq = 1;
-                    self.install(View::new(
-                        1,
-                        vec![Member {
-                            addr: self.me,
-                            joined_seq: 0,
-                        }],
-                    ));
+                    self.install(
+                        View::new(
+                            1,
+                            vec![Member {
+                                addr: self.me,
+                                joined_seq: 0,
+                            }],
+                        ),
+                        now,
+                    );
                 }
             }
         }
@@ -322,18 +396,38 @@ impl Model {
         }
         let proposed = View::new(self.view.id + 1, members);
         if proposed.members != self.view.members {
-            self.install(proposed);
+            self.install(proposed, now);
         }
     }
 
-    fn install(&mut self, view: View) {
+    fn install(&mut self, view: View, now: u64) {
+        let was_senior = self.is_senior(self.me);
         self.joiners.retain(|a| !view.contains(*a));
         self.view = view;
+        self.searching = None;
+        // A peer the new roles stop from heartbeating this member is no
+        // longer regular; a member that just became senior takes every
+        // view-mate it was not listening to as heard now.
+        let regular: BTreeSet<Addr> = self
+            .regular
+            .iter()
+            .copied()
+            .filter(|&a| self.expects(a))
+            .collect();
+        self.regular = regular;
+        if self.is_senior(self.me) && !was_senior {
+            for a in self.view.addrs() {
+                if !self.regular.contains(&a) {
+                    self.last_heard.insert(a, now);
+                }
+            }
+        }
     }
 
     fn demote(&mut self) {
         self.view = View::default();
         self.joiners.clear();
+        self.searching = None;
     }
 
     /// `GroupMember::snapshot_hash` as it folded the maps. This test never
@@ -396,6 +490,9 @@ enum Op {
         view_delta: i64,
         members: Vec<(u32, u64)>,
     },
+    Solicit {
+        src: u32,
+    },
     Tick,
     Sweep,
     Reboot,
@@ -438,7 +535,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 view_delta: install.1,
                 members: install.2,
             },
-            70..=96 => Op::Tick,
+            70..=74 => Op::Solicit { src },
+            75..=96 => Op::Tick,
             97..=98 => Op::Sweep,
             _ => Op::Reboot,
         },
@@ -448,8 +546,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #[test]
     fn table_matches_the_five_map_model(
-        // Node 0 bootstraps the group itself; node 1 has to see node 0 gone.
-        me in 0u32..2,
+        // Node 0 bootstraps the group itself; the others have to see the
+        // lower-ranked gone, and are more often juniors of the views they get.
+        me in 0u32..4,
         adaptive in any::<bool>(),
         warmup in 0usize..6,
         ops in prop::collection::vec(arb_op(), 1..400),
@@ -499,6 +598,10 @@ proptest! {
                     };
                     model.handle(addr(*src), &msg, host.now);
                     gm.handle(addr(*src), msg, &mut host);
+                }
+                Op::Solicit { src } => {
+                    model.handle(addr(*src), &IsisMsg::Solicit, host.now);
+                    gm.handle(addr(*src), IsisMsg::Solicit, &mut host);
                 }
                 Op::Tick => {
                     gm.on_timer(TOKEN_TICK, &mut host);

@@ -4,8 +4,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Coarse traffic attribution, so experiments can tell a protocol's
-/// *standing* cost (failure-detector heartbeats, which grow O(n²) with
-/// group size) from the cost of the operation under measurement.
+/// *standing* cost (failure-detector heartbeats, sent whether or not
+/// anything is happening) from the cost of the operation under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MsgCategory {
     /// Protocol traffic proper (requests, bids, casts, NACKs, …).

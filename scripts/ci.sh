@@ -6,8 +6,8 @@
 # record/replay determinism gates (the latter with a pinned `.vct`
 # digest), the zero-alloc bidding round, and a
 # build + unit-test of the out-of-workspace benchmark plus a hard gate on
-# its one exactly repeatable counter, allocs_per_op (benchmark/run.sh is
-# what measures speed).
+# its two exactly repeatable counters, allocs_per_op and
+# isis.heartbeats_per_op (benchmark/run.sh is what measures speed).
 # Keep this cheap enough to run on every change.
 #
 # Usage: scripts/ci.sh
@@ -95,10 +95,10 @@ echo "shard-determinism: exp_bidding identical at VCE_SHARDS=4"
 echo "== record/replay divergence gate =="
 # The bytes themselves are pinned too: an FNV-64 of a twelve-machine
 # recording through a member kill/revive, a coordinator kill and a
-# partition, captured on the last commit before `GroupMember`'s per-peer
-# table — every node's state hash is in there, so a change to what the
-# isis layer remembers (or to the order it is folded in) fails here, at
-# one shard and at four.
+# partition, last re-pinned for the O(n) liveness plane (PR 18) — every
+# node's state hash is in there, so a change to what the isis layer sends
+# or remembers (or to the order it is folded in) fails here, at one shard
+# and at four.
 cargo test --release --offline -q -p vce-bench --test shard_determinism membership_churn
 vct_a=$(mktemp --suffix .vct); vct_b=$(mktemp --suffix .vct)
 ./target/release/vce_replay --record "$vct_a" 100 crashes checkpoint
@@ -130,19 +130,26 @@ cargo test --release --offline -q -p vce-bench --test bidding_alloc
 echo "== benchmark crate (build + unit tests) =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-# Heap allocations per application are counted, not timed: the figure
-# repeats exactly for a seed, so it is gated hard while wall-clock stays
-# ungated. The ceiling sits about 20 % above what the tree measures
-# (4,937); the `Vec<String>` bid lists it guards against cost 55,995.
-echo "== allocs_per_op gate (app_dense, seed 1) =="
+# Heap allocations and heartbeats per application are counted, not timed:
+# both figures repeat exactly for a seed, so they are gated hard while
+# wall-clock stays ungated. The allocation ceiling sits about 20 % above
+# what the tree measures (4,908); the `Vec<String>` bid lists it guards
+# against cost 55,995. The heartbeat ceiling sits about 20 % above the
+# O(n) liveness plane's 3,550; all-candidates heartbeats cost 9,686.
+echo "== allocs_per_op and heartbeats_per_op gates (app_dense, seed 1) =="
 allocs_ceiling=5900
+heartbeats_ceiling=4300
 bash benchmark/run.sh --quick --workload app_dense --seed 1 --trace 1 | tail -n 1 \
   | python3 -c '
 import json, sys
-allocs = json.load(sys.stdin)["metrics"]["allocs_per_op"]["value"]
-print(f"allocs_per_op: {allocs:.0f} on app_dense (ceiling {sys.argv[1]})")
-sys.exit(allocs > float(sys.argv[1]))' "$allocs_ceiling" \
-  || { echo "allocs_per_op gate: over the ceiling, or the traced pass failed"; exit 1; }
+metrics = json.load(sys.stdin)["metrics"]
+over = False
+for name, ceiling in zip(["allocs_per_op", "isis.heartbeats_per_op"], sys.argv[1:]):
+    value = metrics[name]["value"]
+    print(f"{name}: {value:.0f} on app_dense (ceiling {ceiling})")
+    over |= value > float(ceiling)
+sys.exit(over)' "$allocs_ceiling" "$heartbeats_ceiling" \
+  || { echo "counter gate: over a ceiling, or the traced pass failed"; exit 1; }
 
 # Tooling latency lives next to the perf numbers: the linter is the
 # fastest gate and must stay that way as the registries grow.
