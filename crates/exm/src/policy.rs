@@ -110,12 +110,24 @@ pub fn select_into(
 ) {
     out.clear();
     order.clear();
+    // Whether a bid holds the unit's binary is a walk of its name list, so
+    // it is decided once per eligible bid here — not twice per comparison
+    // in the sort — and rides in the index's top bit: `order` stays the
+    // only scratch.
+    const STAGED: u32 = 1 << 31;
+    debug_assert!(bids.len() < STAGED as usize);
+    let unit = needs.unit.as_str();
     order.extend(
         bids.iter()
             .enumerate()
             .filter(|(_, b)| eligible(b, needs, overload))
-            .map(|(i, _)| i as u32),
+            .map(|(i, b)| {
+                let staged = prefer_staged_binaries && b.binaries.contains(unit);
+                i as u32 | if staged { STAGED } else { 0 }
+            }),
     );
+    // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
+    let bid = |i: u32| &bids[(i & !STAGED) as usize];
     if policy == PlacementPolicy::UtilizationFirst {
         // Avoid machines that restricted requests depend on, whenever
         // enough unreserved machines remain — the §4.3 example: the
@@ -123,12 +135,10 @@ pub fn select_into(
         // there, and waits if nothing else is free.
         let unreserved = order
             .iter()
-            // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
-            .filter(|&&i| !reserved.contains(&bids[i as usize].node))
+            .filter(|&&i| !reserved.contains(&bid(i).node))
             .count();
         if unreserved >= needs.count_min as usize {
-            // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
-            order.retain(|&i| !reserved.contains(&bids[i as usize].node));
+            order.retain(|&i| !reserved.contains(&bid(i).node));
         }
     }
     // The paper's sortBidsByLoad with tiebreaks: least loaded first; among
@@ -138,15 +148,11 @@ pub fn select_into(
     // stable (worst) rank instead of panicking the group leader. The final
     // node-id tiebreak makes the comparator a total order, so the unstable
     // (in-place, allocation-free) sort is deterministic.
-    let unit = needs.unit.as_str();
     order.sort_unstable_by(|&ia, &ib| {
-        // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
-        let (a, b) = (&bids[ia as usize], &bids[ib as usize]);
-        let a_has = prefer_staged_binaries && a.binaries.contains(unit);
-        let b_has = prefer_staged_binaries && b.binaries.contains(unit);
+        let (a, b) = (bid(ia), bid(ib));
         a.load
             .total_cmp(&b.load)
-            .then(b_has.cmp(&a_has))
+            .then((ib & STAGED).cmp(&(ia & STAGED)))
             .then(b.speed_mops.total_cmp(&a.speed_mops))
             .then(a.node.cmp(&b.node))
     });
@@ -154,8 +160,7 @@ pub fn select_into(
         return;
     }
     for &i in order.iter().take(needs.count_max as usize) {
-        // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
-        out.push(bids[i as usize].node);
+        out.push(bid(i).node);
     }
 }
 

@@ -14,7 +14,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use bytes::Bytes;
-use vce_codec::{Codec, Decoder, Encoder, Result};
+use vce_codec::{Codec, CodecError, Decoder, Encoder, Result};
 
 /// A UTF-8 string held as a view of the message it was decoded from (or as
 /// its own buffer, when built locally). On the wire: `String`'s layout.
@@ -72,8 +72,18 @@ pub trait WireItem: Codec {
 }
 
 impl WireItem for WireStr {
+    /// [`Decoder::get_str`]'s verdict on every input. Names are almost
+    /// always ASCII, which is UTF-8 by construction, and `is_ascii` is an
+    /// inlined word-at-a-time scan where `from_utf8` is a call per name.
+    #[inline]
     fn validate(dec: &mut Decoder<'_>) -> Result<()> {
-        dec.get_str().map(drop)
+        let bytes = dec.get_len_bytes()?;
+        if bytes.is_ascii() {
+            return Ok(());
+        }
+        std::str::from_utf8(bytes)
+            .map(drop)
+            .map_err(|_| CodecError::InvalidUtf8)
     }
 }
 
@@ -188,7 +198,7 @@ impl<T: WireItem + fmt::Debug> fmt::Debug for WireList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vce_codec::{from_backing, from_bytes, to_bytes, CodecError};
+    use vce_codec::{from_backing, from_bytes, to_bytes};
 
     fn names(v: &[&str]) -> NameList {
         v.iter().copied().collect()

@@ -1,13 +1,13 @@
 //! Property tests on the placement policy and the aging queue.
 
 use proptest::prelude::*;
-use vce_exm::policy::{eligible, select, Needs, PlacementPolicy};
+use vce_exm::policy::{eligible, select, select_with, Needs, PlacementPolicy};
 use vce_exm::queue::{priority, QueuedRequest, RequestQueue};
 use vce_exm::status::DaemonStatus;
 use vce_exm::{AppId, ReqId};
 use vce_net::{Addr, MachineClass, NodeId};
 
-fn arb_bid_fields() -> impl Strategy<Value = (f64, f64, u32, bool, Vec<String>)> {
+fn arb_bid_fields() -> impl Strategy<Value = BidFields> {
     (
         0.0f64..4.0,
         10.0f64..1000.0,
@@ -17,25 +17,30 @@ fn arb_bid_fields() -> impl Strategy<Value = (f64, f64, u32, bool, Vec<String>)>
     )
 }
 
+type BidFields = (f64, f64, u32, bool, Vec<String>);
+
+fn to_bids(by_node: std::collections::BTreeMap<u32, BidFields>) -> Vec<DaemonStatus> {
+    by_node
+        .into_iter()
+        .map(
+            |(node, (load, speed, mem, willing, binaries))| DaemonStatus {
+                node: NodeId(node),
+                class: MachineClass::Workstation,
+                load,
+                background: 0.0,
+                speed_mops: speed,
+                mem_mb: mem,
+                willing,
+                tasks: Default::default(),
+                binaries: binaries.iter().map(String::as_str).collect(),
+            },
+        )
+        .collect()
+}
+
 /// One bid per node id, as the reply collector guarantees.
 fn arb_bids(max: usize) -> impl Strategy<Value = Vec<DaemonStatus>> {
-    prop::collection::btree_map(0u32..32, arb_bid_fields(), 0..max).prop_map(|m| {
-        m.into_iter()
-            .map(
-                |(node, (load, speed, mem, willing, binaries))| DaemonStatus {
-                    node: NodeId(node),
-                    class: MachineClass::Workstation,
-                    load,
-                    background: 0.0,
-                    speed_mops: speed,
-                    mem_mb: mem,
-                    willing,
-                    tasks: Default::default(),
-                    binaries: binaries.iter().map(String::as_str).collect(),
-                },
-            )
-            .collect()
-    })
+    prop::collection::btree_map(0u32..32, arb_bid_fields(), 0..max).prop_map(to_bids)
 }
 
 fn arb_needs() -> impl Strategy<Value = Needs> {
@@ -53,7 +58,86 @@ fn arb_needs() -> impl Strategy<Value = Needs> {
         })
 }
 
+/// `select_with` as it was before the staged-binary answer was decided
+/// once per bid: the comparator asks both name lists on every comparison.
+/// Kept as the reference the production sort is held to.
+fn select_reference(
+    policy: PlacementPolicy,
+    bids: &[DaemonStatus],
+    needs: &Needs,
+    reserved: &[NodeId],
+    overload: f64,
+    prefer_staged_binaries: bool,
+) -> Vec<NodeId> {
+    let mut order: Vec<&DaemonStatus> = bids
+        .iter()
+        .filter(|b| eligible(b, needs, overload))
+        .collect();
+    if policy == PlacementPolicy::UtilizationFirst {
+        let free = |b: &&DaemonStatus| !reserved.contains(&b.node);
+        if order.iter().filter(|b| free(b)).count() >= needs.count_min as usize {
+            order.retain(free);
+        }
+    }
+    let unit = needs.unit.as_str();
+    order.sort_by(|a, b| {
+        let a_has = prefer_staged_binaries && a.binaries.contains(unit);
+        let b_has = prefer_staged_binaries && b.binaries.contains(unit);
+        a.load
+            .total_cmp(&b.load)
+            .then(b_has.cmp(&a_has))
+            .then(b.speed_mops.total_cmp(&a.speed_mops))
+            .then(a.node.cmp(&b.node))
+    });
+    if order.len() < needs.count_min as usize {
+        return Vec::new();
+    }
+    let take = needs.count_max as usize;
+    order.iter().take(take).map(|b| b.node).collect()
+}
+
+/// Bids built to collide on every sort key but the node id: loads and
+/// speeds from tiny sets (NaN among the loads), 0–64 staged names that may
+/// or may not include the unit asked about.
+fn arb_tied_bids() -> impl Strategy<Value = Vec<DaemonStatus>> {
+    let fields = (
+        prop_oneof![
+            Just(0.0f64),
+            Just(0.5),
+            Just(0.5),
+            Just(2.0),
+            Just(f64::NAN)
+        ],
+        prop_oneof![Just(50.0f64), Just(100.0), Just(100.0)],
+        prop_oneof![Just(64u32), Just(1024)],
+        any::<bool>(),
+        prop::collection::vec(prop_oneof!["[a-c]", "unit-[0-9]{1,2}"], 0..65),
+    );
+    prop::collection::btree_map(0u32..32, fields, 0..16).prop_map(to_bids)
+}
+
 proptest! {
+    #[test]
+    fn select_matches_the_two_lookups_per_comparison_reference(
+        bids in arb_tied_bids(),
+        needs in arb_needs(),
+        reserved in prop::collection::vec((0u32..32).prop_map(NodeId), 0..4),
+        utilization_first in any::<bool>(),
+        prefer_staged_binaries in any::<bool>(),
+    ) {
+        let policy = if utilization_first {
+            PlacementPolicy::UtilizationFirst
+        } else {
+            PlacementPolicy::BestPlatform
+        };
+        for reserved in [&reserved[..], &[]] {
+            prop_assert_eq!(
+                select_with(policy, &bids, &needs, reserved, 3.0, prefer_staged_binaries),
+                select_reference(policy, &bids, &needs, reserved, 3.0, prefer_staged_binaries)
+            );
+        }
+    }
+
     #[test]
     fn select_returns_only_eligible_machines(
         bids in arb_bids(16),

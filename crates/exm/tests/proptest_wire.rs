@@ -49,6 +49,36 @@ fn arb_load() -> impl Strategy<Value = LoadProgram> {
         )
 }
 
+/// Does a [`NameList`] answer `bytes` as `Vec<String>` does — the same
+/// value or the same error?
+fn same(bytes: &[u8]) -> bool {
+    let got = vce_codec::from_bytes::<NameList>(bytes);
+    let want = vce_codec::from_bytes::<Vec<String>>(bytes);
+    match (got, want) {
+        (Ok(list), Ok(names)) => vce_codec::to_bytes(&list) == vce_codec::to_bytes(&names),
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// One name as it may arrive: ASCII (short, and long enough for a
+/// word-at-a-time scan to have a body and a tail), text with multi-byte
+/// characters, arbitrary bytes, and a long ASCII run bent at one place.
+fn arb_raw_name() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        "[ -~]{0,12}".prop_map(String::into_bytes),
+        "[ -~]{12,40}".prop_map(String::into_bytes),
+        ".{0,24}".prop_map(String::into_bytes),
+        prop::collection::vec(any::<u8>(), 1..24),
+        ("[ -~]{1,40}", any::<usize>(), 0x80u8..=0xff).prop_map(|(s, at, bad)| {
+            let mut bytes = s.into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = bad;
+            bytes
+        }),
+    ]
+}
+
 proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
@@ -165,15 +195,6 @@ proptest! {
         junk in any::<u8>(),
         noise in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        let same = |bytes: &[u8]| {
-            let got = vce_codec::from_bytes::<NameList>(bytes);
-            let want = vce_codec::from_bytes::<Vec<String>>(bytes);
-            match (got, want) {
-                (Ok(list), Ok(names)) => vce_codec::to_bytes(&list) == vce_codec::to_bytes(&names),
-                (Err(a), Err(b)) => a == b,
-                _ => false,
-            }
-        };
         let bytes = vce_codec::to_bytes(&names);
         // Truncated; one byte overwritten (a count, a length, or a name
         // byte turned non-UTF-8); a count far past the buffer; noise.
@@ -187,5 +208,29 @@ proptest! {
         prop_assert!(same(&forged));
         prop_assert!(vce_codec::from_bytes::<NameList>(&forged).is_err());
         prop_assert!(same(&noise));
+    }
+
+    /// The same property over names that are not all ASCII: the ASCII fast
+    /// path in `WireStr::validate` may not change one verdict.
+    #[test]
+    fn name_list_judges_every_byte_string_as_the_vec_did(
+        names in prop::collection::vec(arb_raw_name(), 0..12),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let mut enc = vce_codec::Encoder::new();
+        enc.put_u32(names.len() as u32);
+        for name in &names {
+            enc.put_len_bytes(name);
+        }
+        let bytes = enc.finish();
+        let got = vce_codec::from_bytes::<NameList>(&bytes);
+        match names.iter().find(|n| std::str::from_utf8(n).is_err()) {
+            None => prop_assert_eq!(got.map(|l| l.len()), Ok(names.len())),
+            Some(_) => prop_assert_eq!(got, Err(vce_codec::CodecError::InvalidUtf8)),
+        }
+        prop_assert!(same(&bytes));
+        // Truncated, often in the middle of a name.
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
+        prop_assert!(same(&bytes[..cut]));
     }
 }

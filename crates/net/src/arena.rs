@@ -97,27 +97,6 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
         self.index.binary_search_by(|(k, _)| k.cmp(key))
     }
 
-    /// Store a new entry at index position `i` (where [`Self::find`] said
-    /// `key` belongs), reusing a freed slot when one exists; returns the
-    /// slot it landed in.
-    fn insert_at(&mut self, i: usize, key: K, value: V) -> usize {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].entry = Some((key, value));
-                s
-            }
-            None => {
-                self.slots.push(Slot {
-                    generation: 0,
-                    entry: Some((key, value)),
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.insert(i, (key, slot));
-        slot as usize
-    }
-
     /// Insert or replace; returns the previous value if the key was
     /// present. Reuses a freed slot when one exists.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -128,7 +107,20 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
                 old.map(|(_, v)| v)
             }
             Err(i) => {
-                self.insert_at(i, key, value);
+                let slot = match self.free.pop() {
+                    Some(s) => {
+                        self.slots[s as usize].entry = Some((key, value));
+                        s
+                    }
+                    None => {
+                        self.slots.push(Slot {
+                            generation: 0,
+                            entry: Some((key, value)),
+                        });
+                        (self.slots.len() - 1) as u32
+                    }
+                };
+                self.index.insert(i, (key, slot));
                 None
             }
         }
@@ -161,21 +153,6 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
     /// True if `key` has a live entry.
     pub fn contains_key(&self, key: &K) -> bool {
         self.find(key).is_ok()
-    }
-
-    /// Mutable access by key, inserting `default()` first if absent.
-    /// One search either way: the slot comes from the lookup that found the
-    /// key, or from the insertion at the position that lookup returned.
-    pub fn entry_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let slot = match self.find(&key) {
-            Ok(i) => self.index[i].1 as usize,
-            Err(i) => self.insert_at(i, key, default()),
-        };
-        let (_, v) = self.slots[slot]
-            .entry
-            .as_mut()
-            .expect("indexed slot is live");
-        v
     }
 
     /// A generational handle to `key`'s current entry (see [`SlotHandle`]).
@@ -635,21 +612,6 @@ mod tests {
             arena.insert(i, i);
         }
         assert_eq!(arena.slots.len(), slots);
-    }
-
-    #[test]
-    fn arena_entry_or_insert_with() {
-        let mut arena: SlotArena<u32, Vec<u32>> = SlotArena::new();
-        arena.entry_or_insert_with(3, Vec::new).push(1);
-        arena.entry_or_insert_with(3, Vec::new).push(2);
-        assert_eq!(arena.get(&3), Some(&vec![1, 2]));
-        // A vacant key takes a freed slot and its sorted index position.
-        arena.entry_or_insert_with(7, Vec::new).push(7);
-        arena.remove(&3);
-        arena.entry_or_insert_with(5, Vec::new).push(5);
-        assert_eq!(arena.slots.len(), 2, "the freed slot is reused");
-        assert_eq!(arena.keys().copied().collect::<Vec<_>>(), vec![5, 7]);
-        assert_eq!(arena.get(&5), Some(&vec![5]));
     }
 
     #[test]

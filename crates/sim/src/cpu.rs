@@ -187,12 +187,16 @@ impl Cpu {
 
     /// Keys of jobs whose remaining work is numerically zero (≤ 1e-9 Mops —
     /// one nanop of slack absorbs floating-point residue from sharing).
-    pub fn done_jobs(&self) -> Vec<JobKey> {
-        self.jobs
-            .iter()
-            .filter(|(_, j)| j.remaining_mops <= 1e-9)
-            .map(|(&k, _)| k)
-            .collect()
+    /// Replaces the contents of `out`, so a caller on the event path can
+    /// reuse one buffer.
+    pub fn done_jobs(&self, out: &mut Vec<JobKey>) {
+        out.clear();
+        out.extend(
+            self.jobs
+                .iter()
+                .filter(|(_, j)| j.remaining_mops <= 1e-9)
+                .map(|(&k, _)| k),
+        );
     }
 
     /// Drop every job (machine crash). Metrics are preserved.

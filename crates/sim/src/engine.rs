@@ -34,6 +34,7 @@ use vce_net::{Addr, Endpoint, Envelope, FaultPlan, MachineInfo, NetStats, NodeId
 use crate::load::LoadTrace;
 use crate::lookahead::LookaheadPlan;
 use crate::metrics::NodeMetrics;
+use crate::queue::QueueStats;
 use crate::record::{EventRecord, SnapshotRecord, TraceWriter};
 use crate::shard::{apply_plan_op, cause_key, shard_of, Shard};
 use crate::sharded::{self, Fence, Rendezvous};
@@ -317,6 +318,20 @@ impl Sim {
     /// the shard count (batched deliveries count per envelope).
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.events_processed).sum()
+    }
+
+    /// What the event queues' sorted-insert path has cost so far, summed
+    /// across shards (see [`QueueStats`]). Diagnostic: in no snapshot hash
+    /// and no recording, and — unlike [`Sim::events_processed`] — free to
+    /// differ between shard counts.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.shards
+            .iter()
+            .map(|s| s.queue_stats())
+            .fold(QueueStats::default(), |a, b| QueueStats {
+                sorted_inserts: a.sorted_inserts + b.sorted_inserts,
+                entries_shifted: a.entries_shifted + b.entries_shifted,
+            })
     }
 
     /// Network statistics (aggregated across shards as of the last sync

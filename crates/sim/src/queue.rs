@@ -39,10 +39,35 @@
 //! count. Callers must keep `(at_us, cause)` pairs unique; equal keys pop
 //! in an unspecified (but deterministic for a fixed push order) order.
 //!
-//! A push whose timestamp lands in the bucket currently being drained (or
-//! earlier — possible only for a push at the current sim time) is inserted
-//! into the sorted in-flight run by binary search, preserving the global
-//! order even for pop/push interleavings at one instant.
+//! # The cursor never stays ahead of the earliest queued event
+//!
+//! `peek_time` moves the drain cursor to the next *occupied* bucket and
+//! loads it, which can be far ahead of the caller's clock: a driver that
+//! peeks, sees nothing due and then submits work at "now"; a shard whose
+//! window ended before its next event and then receives a burst of mail
+//! for the window after. Any later push may therefore land in or behind
+//! `cur_slot`, and a burst of them must not turn the sorted in-flight run
+//! (`current`) into the whole queue. `current` is always the earliest part
+//! of the queue, and the cursor's own bucket may hold more of `cur_slot`'s
+//! events, every one later than all of `current`; three rules keep it so:
+//!
+//! * **Later than the run** (`slot == cur_slot`, key above everything in
+//!   `current`): append to `cur_slot`'s bucket, which is loaded when the
+//!   run drains. A burst at one instant costs O(1) a push.
+//! * **Hand-back** — when `current` holds only `cur_slot`'s events it can
+//!   be returned to its bucket unsorted, and is (a) to *rewind*: a push at
+//!   `slot < cur_slot` still inside the ring (`slot + NUM_BUCKETS >=
+//!   horizon_slot`, so ring positions stay unique) moves `cur_slot` back
+//!   to its slot, and the burst that follows lands in wheel buckets ahead
+//!   of the cursor; and (b) when a push inside the run would bring the
+//!   entries shifted since the run was loaded above the run's length: a
+//!   run re-sorts once rather than `memmove` more than it holds.
+//! * **Sorted insert** — everything else is binary-searched into the run:
+//!   a cheap push inside it (the pop/push interleavings at one instant),
+//!   and the two fallbacks the hand-back cannot serve — a push behind the
+//!   ring, and a push behind a run that already spans slots (only an
+//!   earlier fallback can make it so). Correct at any depth, `O(run)` a
+//!   push; [`QueueStats`] counts what it costs and CI gates it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -104,6 +129,18 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// What the binary-search-and-`Vec::insert` path has cost so far: the only
+/// place a push does work proportional to queue depth. Machine-independent,
+/// so CI gates `entries_shifted` per event where wall-clock can only warn.
+/// Diagnostic only — never part of a snapshot hash or a recording.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Pushes that were inserted into the sorted in-flight run.
+    pub sorted_inserts: u64,
+    /// Entries those inserts moved one place up (`memmove` length).
+    pub entries_shifted: u64,
+}
+
 /// Two-level calendar queue with exact `(at_us, cause)` total order.
 ///
 /// `cause` is supplied by the caller on every [`CalendarQueue::push`]; two
@@ -119,8 +156,8 @@ pub struct CalendarQueue<T> {
     /// First slot *not* admitted to the wheel; events at `slot >=
     /// horizon_slot` go to the overflow level. Fixed between promotions.
     horizon_slot: u64,
-    /// The in-flight bucket: sorted **descending** by `(at_us, cause)` so
-    /// pops are `Vec::pop` from the tail.
+    /// The in-flight run: sorted **descending** by `(at_us, cause)` so pops
+    /// are `Vec::pop` from the tail. Earlier than everything else queued.
     current: Vec<Entry<T>>,
     /// Level 1: far-future events, min-heap on `(at_us, cause)`.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
@@ -131,6 +168,9 @@ pub struct CalendarQueue<T> {
     /// nothing.
     spare: Vec<Vec<Entry<T>>>,
     len: usize,
+    /// Entries sorted inserts have shifted since `current` was loaded.
+    run_shifted: usize,
+    stats: QueueStats,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -151,6 +191,8 @@ impl<T> CalendarQueue<T> {
             overflow: BinaryHeap::new(),
             spare: Vec::new(),
             len: 0,
+            run_shifted: 0,
+            stats: QueueStats::default(),
         }
     }
 
@@ -164,6 +206,11 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
+    /// Cost counters of the sorted-insert path since construction.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
+    }
+
     /// Insert `item` at absolute time `at_us` with tie-break key `cause`;
     /// events at the same microsecond pop in ascending `cause` order.
     pub fn push(&mut self, at_us: u64, cause: u64, item: T) {
@@ -173,27 +220,68 @@ impl<T> CalendarQueue<T> {
             item,
         };
         let slot = at_us >> BUCKET_BITS;
-        if slot <= self.cur_slot {
-            // Lands in (or before) the bucket being drained: binary-search
-            // into the sorted in-flight run. The tail past the insertion
-            // point only holds events earlier than this one — at one
-            // instant that is a handful at most.
-            let key = entry.key();
-            let idx = self.current.partition_point(|e| e.key() > key);
-            self.current.insert(idx, entry);
-        } else if slot < self.horizon_slot {
-            let ring = (slot as usize) & RING_MASK;
-            if self.buckets[ring].capacity() == 0 {
-                if let Some(warm) = self.spare.pop() {
-                    self.buckets[ring] = warm;
-                }
-            }
-            self.buckets[ring].push(entry);
-            self.occupied[ring / 64] |= 1u64 << (ring % 64);
-        } else {
+        if self.cur_slot < slot && slot < self.horizon_slot {
+            self.push_bucket(entry);
+        } else if slot >= self.horizon_slot {
             self.overflow.push(Reverse(entry));
+        } else {
+            self.push_at_or_behind_cursor(slot, entry);
         }
         self.len += 1;
+    }
+
+    /// Append to the entry's wheel bucket, through the warm pool: a cold
+    /// bucket's first push would otherwise re-allocate capacity the drain
+    /// cursor just pooled.
+    #[inline]
+    fn push_bucket(&mut self, entry: Entry<T>) {
+        let ring = ((entry.at_us >> BUCKET_BITS) as usize) & RING_MASK;
+        if self.buckets[ring].capacity() == 0 {
+            if let Some(warm) = self.spare.pop() {
+                self.buckets[ring] = warm;
+            }
+        }
+        self.buckets[ring].push(entry);
+        self.occupied[ring / 64] |= 1u64 << (ring % 64);
+    }
+
+    /// `slot <= cur_slot`: the three rules of the module docs, in order.
+    fn push_at_or_behind_cursor(&mut self, slot: u64, entry: Entry<T>) {
+        let key = entry.key();
+        let idx = self.current.partition_point(|e| e.key() > key);
+        let shift = self.current.len() - idx;
+        // `current` is descending and never holds a slot past `cur_slot`:
+        // its tail (the minimum) being in `cur_slot` means all of it is.
+        let run_is_one_bucket = self
+            .current
+            .last()
+            .is_none_or(|e| e.at_us >> BUCKET_BITS == self.cur_slot);
+        let hand_back = run_is_one_bucket
+            && if slot < self.cur_slot {
+                slot + NUM_BUCKETS as u64 >= self.horizon_slot
+            } else {
+                shift > 0 && self.run_shifted + shift > self.current.len()
+            };
+        if hand_back {
+            let ring = (self.cur_slot as usize) & RING_MASK;
+            if self.buckets[ring].is_empty() {
+                std::mem::swap(&mut self.current, &mut self.buckets[ring]);
+            } else {
+                self.buckets[ring].append(&mut self.current);
+            }
+            if !self.buckets[ring].is_empty() {
+                self.occupied[ring / 64] |= 1u64 << (ring % 64);
+            }
+            self.cur_slot = slot;
+        }
+        if slot == self.cur_slot && (hand_back || idx == 0) {
+            self.push_bucket(entry);
+            return;
+        }
+        self.stats.sorted_inserts += 1;
+        self.stats.entries_shifted += shift as u64;
+        self.run_shifted += shift;
+        self.current.insert(idx, entry);
     }
 
     /// Timestamp of the earliest event, or `None` if empty. `&mut` because
@@ -246,18 +334,7 @@ impl<T> CalendarQueue<T> {
                             break;
                         }
                         let Reverse(e) = self.overflow.pop().expect("peeked");
-                        let ring = ((e.at_us >> BUCKET_BITS) as usize) & RING_MASK;
-                        // Scatter through the warm pool too: a window jump
-                        // refills dozens of cold buckets at once, and cold
-                        // pushes here would re-allocate capacity the drain
-                        // cursor just pooled.
-                        if self.buckets[ring].capacity() == 0 {
-                            if let Some(warm) = self.spare.pop() {
-                                self.buckets[ring] = warm;
-                            }
-                        }
-                        self.buckets[ring].push(e);
-                        self.occupied[ring / 64] |= 1u64 << (ring % 64);
+                        self.push_bucket(e);
                     }
                     // cur_slot's bucket is now occupied; next loop loads it.
                 }
@@ -315,6 +392,7 @@ impl<T> CalendarQueue<T> {
             bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         }
         debug_assert!(self.current.is_empty());
+        self.run_shifted = 0;
         std::mem::swap(&mut self.current, bucket);
         self.occupied[ring / 64] &= !(1u64 << (ring % 64));
         let warm = std::mem::take(bucket);
@@ -405,6 +483,81 @@ mod tests {
         q.push(2 * BUCKET_US, 3, "mid");
         assert_eq!(q.pop(), Some((2 * BUCKET_US, 3, "mid")));
         assert_eq!(q.pop(), Some((5 * BUCKET_US, 1, "far")));
+    }
+
+    #[test]
+    fn burst_behind_a_far_peek_goes_to_the_wheel() {
+        // The shape `settle()` → `submit` produces: the next heartbeats sit
+        // 100 ms out, a peek parks the cursor on them, then an application
+        // starts at the clock and fans out — every pop spawns two pushes a
+        // network latency (never under a bucket width) later until 10,000
+        // are in, all inside [0, 6 ms).
+        let mut q = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
+        let mut cause = 0u64;
+        let mut push = |q: &mut CalendarQueue<()>, heap: &mut BinaryHeap<_>, at: u64| {
+            cause += 1;
+            q.push(at, cause, ());
+            heap.push(Reverse((at, cause)));
+        };
+        for _ in 0..14 {
+            push(&mut q, &mut heap, 100_000);
+        }
+        assert_eq!(q.peek_time(), Some(100_000));
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let mut latency = || {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            150 + (lcg >> 33) % 450
+        };
+        for _ in 0..64 {
+            push(&mut q, &mut heap, 0);
+        }
+        let mut pushed = 64;
+        while pushed < 10_000 {
+            let Reverse(want) = heap.pop().expect("the fan-out never runs dry");
+            let (at, c, ()) = q.pop().expect("same length as the heap");
+            assert_eq!((at, c), want);
+            for _ in 0..2 {
+                let child = at + latency();
+                assert!(child < 6_000);
+                push(&mut q, &mut heap, child);
+                pushed += 1;
+            }
+        }
+        while let Some(Reverse(want)) = heap.pop() {
+            assert_eq!(q.pop().map(|(at, c, ())| (at, c)), Some(want));
+        }
+        assert!(q.is_empty());
+        let st = q.stats();
+        assert!(
+            st.entries_shifted < 2 * pushed,
+            "{st:?} over {pushed} pushes: the in-flight run became the queue"
+        );
+    }
+
+    #[test]
+    fn burst_into_a_loaded_run_re_sorts_once() {
+        // The shape a shard sees at S > 1: a window's last peek loads the
+        // bucket of the next local events, then the next window's mail
+        // arrives for the same instant with causes that interleave.
+        let mut q = CalendarQueue::new();
+        for c in 0..60 {
+            q.push(1_000, 2 * c + 1, ());
+        }
+        assert_eq!(q.peek_time(), Some(1_000));
+        for c in 0..72 {
+            q.push(1_000, 2 * c, ());
+        }
+        assert!(q.stats().entries_shifted <= 60, "{:?}", q.stats());
+        let mut want: Vec<u64> = (0..60)
+            .map(|c| 2 * c + 1)
+            .chain((0..72).map(|c| 2 * c))
+            .collect();
+        want.sort_unstable();
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, c, ())| c).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

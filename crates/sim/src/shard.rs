@@ -40,10 +40,10 @@ use vce_net::{
     NetStats, NodeId, PortId,
 };
 
-use crate::cpu::Cpu;
+use crate::cpu::{Cpu, JobKey};
 use crate::load::LoadTrace;
 use crate::metrics::NodeMetrics;
-use crate::queue::CalendarQueue;
+use crate::queue::{CalendarQueue, QueueStats};
 use crate::record::{
     EventRecord, EV_CPU, EV_DELIVER, EV_FENCE, EV_LOAD, EV_START, EV_TIMER, FENCE_CLEAR_LINK,
     FENCE_HEAL, FENCE_KILL, FENCE_LINK, FENCE_LINK_DIR, FENCE_PARTITION, FENCE_REVIVE, FENCE_SLOW,
@@ -488,6 +488,8 @@ pub(crate) struct Shard {
     /// here and `route_send` reuses them, so steady-state burst delivery
     /// allocates no fresh `Vec`s.
     batch_pool: Vec<Vec<Envelope>>,
+    /// Scratch for the jobs one `CpuCheck` completes (capacity persists).
+    done_jobs: Vec<JobKey>,
     /// Cross-shard events produced this window, per destination shard
     /// (`outboxes[self.index]` stays empty). Exchanged at window barriers.
     outboxes: Vec<Vec<RemoteEvent>>,
@@ -527,6 +529,7 @@ impl Shard {
             events_processed: 0,
             scratch_fx: Some(Box::default()),
             batch_pool: Vec::new(),
+            done_jobs: Vec::new(),
             outboxes: (0..total).map(|_| Vec::new()).collect(),
             window_end: u64::MAX,
             seed,
@@ -693,6 +696,10 @@ impl Shard {
 
     pub(crate) fn peek_time(&mut self) -> Option<u64> {
         self.events.peek_time()
+    }
+
+    pub(crate) fn queue_stats(&self) -> QueueStats {
+        self.events.stats()
     }
 
     /// Run every queued event strictly before `w_end`, as one window:
@@ -1105,25 +1112,24 @@ impl Shard {
                     return;
                 };
                 let now = self.now;
-                let completions: Vec<(PortId, u64)> = {
-                    let n = &mut self.nodes[slot];
-                    if n.cpu.generation != generation {
-                        return; // stale prediction
-                    }
-                    n.cpu.advance(now);
-                    // Everything numerically finished completes together.
-                    let done = n.cpu.done_jobs();
-                    for &key in &done {
-                        n.cpu.remove_job(key);
-                        n.cpu.note_completed();
-                    }
-                    done
-                };
-                for (port, pid) in completions {
+                let n = &mut self.nodes[slot];
+                if n.cpu.generation != generation {
+                    return; // stale prediction
+                }
+                n.cpu.advance(now);
+                // Everything numerically finished completes together.
+                let mut done = std::mem::take(&mut self.done_jobs);
+                n.cpu.done_jobs(&mut done);
+                for &key in &done {
+                    n.cpu.remove_job(key);
+                    n.cpu.note_completed();
+                }
+                for &(port, pid) in &done {
                     self.dispatch(slot, ev.node, port, PHASE_EVENT, cause, move |ep, host| {
                         ep.on_work_done(pid, host)
                     });
                 }
+                self.done_jobs = done;
                 self.schedule_cpu_check(ev.node);
             }
             EventKind::LoadChange { background } => {

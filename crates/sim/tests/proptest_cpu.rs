@@ -64,7 +64,8 @@ proptest! {
         }
         let (key, at) = cpu.next_completion(0).expect("jobs present");
         cpu.advance(at);
-        let done = cpu.done_jobs();
+        let mut done = Vec::new();
+        cpu.done_jobs(&mut done);
         prop_assert!(done.contains(&key), "predicted {key:?} not in {done:?}");
     }
 

@@ -16,15 +16,22 @@ use vce_sim::queue::{CalendarQueue, SPAN_US};
 enum Op {
     /// Push at this absolute time.
     Push(u64),
+    /// Push this far behind the last peeked timestamp (clamped at 0).
+    PushBehind(u64),
+    /// Peek without popping: parks the wheel's cursor on the earliest
+    /// event, however far ahead of the pushes that follow.
+    Peek,
     /// Pop one observable (non-cancelled) event.
     Pop,
     /// Lazily cancel the most recently pushed still-live event.
     Cancel,
 }
 
-/// Times are drawn from three bands: a quantized near band (forcing many
-/// same-timestamp ties), a mid band inside the wheel horizon, and a far
-/// band beyond it (exercising the overflow level and promotion).
+/// Times are drawn from three absolute bands: a quantized near band
+/// (forcing many same-timestamp ties), a mid band inside the wheel horizon,
+/// and a far band beyond it (exercising the overflow level and promotion);
+/// and two bands relative to the last peek: just behind the cursor (the
+/// rewind) and more than a ring behind it (the sorted-insert fallback).
 fn op_strategy() -> impl Strategy<Value = Op> {
     // (The vendored `prop_oneof!` is unweighted; arms are repeated to bias
     // toward tie-heavy near-band pushes and pops.)
@@ -34,6 +41,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..32).prop_map(|t| Op::Push(t * 64)),
         (0u64..SPAN_US).prop_map(Op::Push),
         (0u64..4000).prop_map(|r| Op::Push(SPAN_US + r * 731)),
+        (0u64..2048).prop_map(Op::PushBehind),
+        (0u64..2048).prop_map(|d| Op::PushBehind(SPAN_US + d)),
+        Just(Op::Peek),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -53,6 +63,7 @@ proptest! {
         let mut next_id = 0u32;
         let mut live: Vec<u32> = Vec::new();
         let mut cancelled: HashSet<u32> = HashSet::new();
+        let mut last_peek = 0u64;
 
         let pop_both = |wheel: &mut CalendarQueue<u32>,
                             heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
@@ -77,7 +88,11 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Push(at) => {
+                Op::Push(t) | Op::PushBehind(t) => {
+                    let at = match op {
+                        Op::PushBehind(_) => last_peek.saturating_sub(t),
+                        _ => t,
+                    };
                     let id = next_id;
                     next_id += 1;
                     seq += 1;
@@ -90,15 +105,18 @@ proptest! {
                         cancelled.insert(id);
                     }
                 }
-                Op::Pop => {
+                Op::Peek | Op::Pop => {
                     // Before popping, the earliest timestamps must agree
                     // (peek may see a cancelled entry — on both sides).
                     let heap_peek = heap.peek().map(|Reverse((at, _, _))| *at);
                     prop_assert_eq!(wheel.peek_time(), heap_peek);
-                    let (w, h) = pop_both(&mut wheel, &mut heap, &cancelled);
-                    prop_assert_eq!(w, h, "divergent pop");
-                    if let Some((_, id)) = w {
-                        live.retain(|&x| x != id);
+                    last_peek = heap_peek.unwrap_or(last_peek);
+                    if matches!(op, Op::Pop) {
+                        let (w, h) = pop_both(&mut wheel, &mut heap, &cancelled);
+                        prop_assert_eq!(w, h, "divergent pop");
+                        if let Some((_, id)) = w {
+                            live.retain(|&x| x != id);
+                        }
                     }
                 }
             }

@@ -4,7 +4,7 @@
 # perf/regression PR is most likely to break — the F3 bidding
 # experiment, the parallel-sweep determinism test, the shard and
 # record/replay determinism gates (the latter with a pinned `.vct`
-# digest), the zero-alloc bidding round, and a
+# digest), the zero-alloc bidding round, the queue sorted-insert gate, and a
 # build + unit-test of the out-of-workspace benchmark plus a hard gate on
 # its two exactly repeatable counters, allocs_per_op and
 # isis.heartbeats_per_op (benchmark/run.sh is what measures speed).
@@ -123,6 +123,13 @@ VCE_STAGGER_PERMS=32 cargo test --release --offline -q -p vce-bench --test shard
 # experiments use.
 echo "== zero-alloc bidding round (bare + staged fleets) =="
 cargo test --release --offline -q -p vce-bench --test bidding_alloc
+
+# The event queue's sorted-insert path must stay off an application's
+# bill: entries shifted per event is a count, so it gates hard where the
+# wall-clock it predicts cannot (≤ 2; the queue it guards against, whose
+# cursor ran ahead of the clock, measured ≈ 34).
+echo "== queue sorted-insert gate (bag_of_tasks(64), S=1 and S=2) =="
+cargo test --release --offline -q -p vce-bench --test queue_shift
 
 # benchmark/ is its own workspace and compiles against the crates' public
 # API only: build and unit-test it here so a PR that breaks that API fails
