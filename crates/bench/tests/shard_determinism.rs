@@ -17,16 +17,17 @@ use vce_net::FaultOp;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// FNV-64 of [`experiment_fingerprint`] at S=1. Until PR 18 this was the
-/// value the dedicated serial event loop produced on the last commit that
-/// had one (1e54bd9), which the window loop reproduced. PR 18 re-pinned it
-/// on purpose: the O(n) liveness plane (juniors heartbeat their view's two
-/// seniors, not every candidate) and the daemon re-sending a lost
-/// `TaskDone` change what is sent, so every message count and link-RNG
-/// draw in the fingerprint moved. A change that does not mean to alter
-/// protocol behaviour must still reproduce it — at S=1 and, through the
-/// sweep below, at every other shard count.
-const SERIAL_ENGINE_FINGERPRINT: u64 = 0xe170_e83a_0a17_3786;
+/// FNV-64 of [`experiment_fingerprint`] at S=1. A change that does not
+/// mean to alter protocol behaviour must reproduce it — at S=1 and, through
+/// the sweep below, at every other shard count. Re-pinned on purpose twice:
+/// by PR 18 (the O(n) liveness plane and the re-sent `TaskDone` change what
+/// is sent, so every message count and link-RNG draw moved), and by PR 21,
+/// whose bids answer the disclosure's question with a bit per asked unit
+/// where they listed every staged binary: the messages are the same in
+/// number and shorter, so every delivery after the first disclosure lands
+/// earlier (by ≈ 10 µs a round on a fleet with nothing staged, ≈ 290 µs on
+/// `app_dense`'s) and the chaos cell's RNG draws fall on different events.
+const SERIAL_ENGINE_FINGERPRINT: u64 = 0x415a_e57c_ec77_6a45;
 
 /// FNV-64 of [`membership_churn_recording`]. The recording's snapshot
 /// frames carry every node's state hash (`GroupMember::snapshot_hash` among
@@ -34,8 +35,10 @@ const SERIAL_ENGINE_FINGERPRINT: u64 = 0xe170_e83a_0a17_3786;
 /// cmp` against the parent. Captured on f81cdaa for the per-peer table (PR
 /// 15 had to reproduce it); re-pinned by PR 18, whose liveness plane
 /// deliberately changes which heartbeats exist and so every event after
-/// the first tick.
-const MEMBERSHIP_CHURN_VCT: u64 = 0x41ab_78d0_4635_03d1;
+/// the first tick, and by PR 21: the application's allocation rounds carry
+/// shorter disclosures and bids (see above), which moves the arrival times
+/// the members' `heard` stamps and arrival windows hash.
+const MEMBERSHIP_CHURN_VCT: u64 = 0x55f1_0b18_17ef_9cdd;
 
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.

@@ -30,11 +30,12 @@ use crate::config::ExmConfig;
 use crate::events::MigrationRecord;
 use crate::migrate::{carried_remaining, choose_technique, state_kib, MigrationTechnique};
 use crate::msg::{
-    DaemonInput, ExmMsg, InstanceKey, LoadProgram, MigrationState, ReqId, ResourceRequest,
+    encode_disclose, DaemonInput, ExmMsg, InstanceKey, LoadProgram, MigrationState, ReqId,
+    ResourceRequest, MAX_ASKED_UNITS,
 };
-use crate::policy::{select_into, select_with, Needs};
+use crate::policy::{select_into, Candidate, Needs};
 use crate::queue::{QueuedRequest, RequestQueue};
-use crate::status::{DaemonStatus, ResidentTask};
+use crate::status::{staged_answer, staged_bit, DaemonStatus, ResidentTask};
 use crate::wal::{DaemonWal, WalRecord};
 use crate::wire::{NameList, WireStr};
 
@@ -103,47 +104,13 @@ impl Resident {
     }
 }
 
-/// Binaries present for this machine's class, and the form every bid lists
-/// them in — encoded once per change of the set, not once per bid.
-#[derive(Default)]
-struct StagedBinaries {
-    units: BTreeSet<String>,
-    /// `units` as a bid carries them; `None` after a change.
-    wire: Option<NameList>,
-}
-
-impl StagedBinaries {
-    fn contains(&self, unit: &str) -> bool {
-        self.units.contains(unit)
-    }
-
-    fn insert(&mut self, unit: String) {
-        if self.units.insert(unit) {
-            self.wire = None;
-        }
-    }
-
-    fn remove(&mut self, unit: &str) {
-        if self.units.remove(unit) {
-            self.wire = None;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    fn wire(&mut self) -> NameList {
-        let units = &self.units;
-        self.wire
-            .get_or_insert_with(|| units.iter().map(String::as_str).collect())
-            .clone()
-    }
-}
-
+/// Why bids are being collected. A bid's `staged` bit *i* answers for the
+/// *i*-th unit the disclosure asked about.
 enum CollectKind {
+    /// One request's round, which asked about its unit (`asked_for`).
     Allocate(ReqId),
-    Rebalance,
+    /// A rebalance sweep, which asked about these units of the queue.
+    Rebalance(Vec<WireStr>),
 }
 
 /// Leader-role state (meaningful only while this daemon coordinates).
@@ -229,7 +196,8 @@ pub struct DaemonEndpoint {
     next_pid: u64,
     /// Work items that are compiles, mapping pid → unit being compiled.
     compiles: BTreeMap<u64, String>,
-    binaries: StagedBinaries,
+    /// Units with a binary for this machine's class on disk.
+    binaries: BTreeSet<String>,
     /// Input files present locally.
     files: BTreeSet<String>,
     leader: LeaderState,
@@ -247,8 +215,10 @@ pub struct DaemonEndpoint {
     upcall_scratch: Vec<Upcall>,
     /// Reusable decoded-bid buffer for [`Self::effective_bids_into`].
     bids_scratch: Vec<DaemonStatus>,
-    /// Reusable index scratch for [`select_into`] and the migration sweep.
-    select_scratch: Vec<u32>,
+    /// Reusable ranking scratch for [`select_into`].
+    select_scratch: Vec<Candidate>,
+    /// Reusable index scratch for the migration sweep.
+    targets_scratch: Vec<u32>,
     /// Reusable buffer for [`Self::reservations_into`].
     reserved_scratch: Vec<NodeId>,
     /// Reusable resident-task buffer for [`Self::bid`].
@@ -288,7 +258,7 @@ impl DaemonEndpoint {
             pid_of: BTreeMap::new(),
             next_pid: 1,
             compiles: BTreeMap::new(),
-            binaries: StagedBinaries::default(),
+            binaries: BTreeSet::new(),
             files: BTreeSet::new(),
             leader: LeaderState::new(aging),
             wal,
@@ -297,6 +267,7 @@ impl DaemonEndpoint {
             upcall_scratch: Vec::new(),
             bids_scratch: Vec::new(),
             select_scratch: Vec::new(),
+            targets_scratch: Vec::new(),
             reserved_scratch: Vec::new(),
             tasks_scratch: Vec::new(),
             last_recovery: None,
@@ -380,10 +351,10 @@ impl DaemonEndpoint {
     }
 
     /// This machine's bid (§5's "sends its load description to the group
-    /// leader"), marshalled through the host's pooled scratch buffer. The
-    /// task list is written from a reused buffer and the binary list is
-    /// the cached one, so a warm daemon bids without touching the heap.
-    fn bid(&mut self, host: &mut dyn Host) -> bytes::Bytes {
+    /// leader") on a disclosure that `asked`, marshalled through the host's
+    /// pooled scratch buffer. The task list is written from a reused buffer
+    /// and the answer is a word, so a warm daemon bids off the heap.
+    fn bid(&mut self, asked: &NameList, host: &mut dyn Host) -> bytes::Bytes {
         let mut tasks = std::mem::take(&mut self.tasks_scratch);
         tasks.extend(self.tasks.iter().map(|(&key, r)| ResidentTask {
             key,
@@ -414,7 +385,7 @@ impl DaemonEndpoint {
                         .overload_threshold
                         .min(crate::policy::OVERLOAD_THRESHOLD),
             tasks: Default::default(),
-            binaries: self.binaries.wire(),
+            staged: staged_answer(asked, |unit| self.binaries.contains(unit)),
         };
         let bytes = host.encode_with(&mut |enc| status.encode_with_tasks(&tasks, enc));
         tasks.clear();
@@ -710,15 +681,45 @@ impl DaemonEndpoint {
         self.start_collect(CollectKind::Allocate(req), host);
     }
 
+    /// What a request's own round asks the bidders about: its unit, unless
+    /// it names none or staged binaries are not to be preferred.
+    fn asked_for<'a>(&self, needs: &'a Needs) -> &'a [WireStr] {
+        if self.cfg.prefer_staged_binaries && needs.unit != WireStr::default() {
+            std::slice::from_ref(&needs.unit)
+        } else {
+            &[]
+        }
+    }
+
+    /// The units `kind`'s disclosure asks (or asked) about.
+    fn asked<'a>(&'a self, kind: &'a CollectKind) -> &'a [WireStr] {
+        match kind {
+            CollectKind::Allocate(req) => {
+                let pending = self.leader.pending.get(req);
+                pending.map_or(&[], |p| self.asked_for(&p.0))
+            }
+            CollectKind::Rebalance(asked) => asked,
+        }
+    }
+
+    /// What a rebalance sweep asks about: the queue's distinct units in
+    /// service order, as many as a bid has bits for. A request past those
+    /// is served all the same, without the staged-binary tie-break.
+    fn sweep_asks(&self, now: u64) -> Vec<WireStr> {
+        let mut asked = Vec::new();
+        for q in self.leader.queue.service_order(now) {
+            for unit in self.asked_for(&q.needs) {
+                if asked.len() < MAX_ASKED_UNITS as usize && !asked.contains(unit) {
+                    asked.push(unit.clone());
+                }
+            }
+        }
+        asked
+    }
+
     fn start_collect(&mut self, kind: CollectKind, host: &mut dyn Host) {
-        let req = match kind {
-            CollectKind::Allocate(r) => r,
-            CollectKind::Rebalance => ReqId {
-                app: crate::msg::AppId(u64::MAX),
-                seq: 0,
-            },
-        };
-        let payload = host.encode_with(&mut |enc| ExmMsg::DiscloseState { req }.encode(enc));
+        let asked = self.asked(&kind);
+        let payload = host.encode_with(&mut |enc| encode_disclose(asked, enc));
         // Collects that keep expiring short (members crashed or partitioned
         // away) stretch the deadline exponentially up to the cap, so a
         // leader bridging an outage doesn't spin full-rate collects.
@@ -767,11 +768,13 @@ impl DaemonEndpoint {
 
     /// Decode the collected bids into `out` (cleared first; the caller
     /// hands back a reusable scratch vector so steady-state rounds reuse
-    /// its capacity). The bids' lists are views of `replies`' buffers.
+    /// its capacity), dropping any that does not decode and any `staged`
+    /// bit past the `asked` units. Task lists are views of `replies`.
     fn effective_bids_into(
         &self,
         replies: &[(Addr, bytes::Bytes)],
         now: u64,
+        asked: usize,
         out: &mut Vec<DaemonStatus>,
     ) {
         out.clear();
@@ -780,6 +783,7 @@ impl DaemonEndpoint {
                 .iter()
                 .filter_map(|(_, bytes)| vce_codec::from_backing::<DaemonStatus>(bytes).ok())
                 .map(|mut b| {
+                    b.clear_unasked(asked);
                     // Soft-reserve recently allocated machines.
                     if self.cfg.soft_reservations
                         && self
@@ -814,7 +818,7 @@ impl DaemonEndpoint {
             &needs,
             &reserved,
             self.cfg.overload_threshold,
-            self.cfg.prefer_staged_binaries,
+            staged_bit(self.asked_for(&needs), &needs.unit),
             &mut order,
             &mut nodes,
         );
@@ -825,7 +829,11 @@ impl DaemonEndpoint {
                 self.leader.queue.push(QueuedRequest {
                     req,
                     class: self.class,
-                    needs,
+                    // The queue outlives the message `unit` is a view of.
+                    needs: Needs {
+                        unit: needs.unit.as_str().into(),
+                        ..needs
+                    },
                     priority_boost,
                     enqueued_at_us: host.now_us(),
                     reply_to,
@@ -847,27 +855,28 @@ impl DaemonEndpoint {
             }
             return false;
         }
-        let until = host.now_us() + 1_000_000;
+        self.grant(req, nodes, reply_to, "allocated", host);
+        true
+    }
+
+    /// Make an allocation stick: soft-reserve its machines, journal it,
+    /// keep it for retries and tell the executor; `how` is for the trace.
+    fn grant(&mut self, req: ReqId, nodes: NodeList, to: Addr, how: &str, host: &mut dyn Host) {
+        let now = host.now_us();
         for &n in nodes.iter() {
-            self.leader.recent_alloc.insert(n, until);
+            self.leader.recent_alloc.insert(n, now + 1_000_000);
         }
         // Only build the (heap-backed) journal record when the WAL is on:
         // with it off the clone would be pure waste on the hot path.
         if self.wal.is_enabled() {
-            self.wal.journal(
-                host.now_us(),
-                &WalRecord::Allocated {
-                    req,
-                    nodes: nodes.as_slice().to_vec(),
-                },
-            );
+            let nodes = nodes.as_slice().to_vec();
+            self.wal.journal(now, &WalRecord::Allocated { req, nodes });
         }
         self.leader.served.insert(req, nodes.clone());
         if host.log_enabled() {
-            host.log(format!("leader: allocated {req:?} -> {nodes:?}"));
+            host.log(format!("leader: {how} {req:?} -> {nodes:?}"));
         }
-        self.send(host, reply_to, &ExmMsg::Allocation { req, nodes });
-        true
+        self.send(host, to, &ExmMsg::Allocation { req, nodes });
     }
 
     fn handle_collect_done(
@@ -891,7 +900,7 @@ impl DaemonEndpoint {
         }
         let now = host.now_us();
         let mut bids = std::mem::take(&mut self.bids_scratch);
-        self.effective_bids_into(&replies, now, &mut bids);
+        self.effective_bids_into(&replies, now, self.asked(&kind).len(), &mut bids);
         // Bids are decoded; the raw reply payloads can go back to the
         // collector's spare pool (dropping their pooled-buffer views).
         self.gm.recycle_replies(replies);
@@ -901,8 +910,8 @@ impl DaemonEndpoint {
                     self.try_allocate(req, needs, reply_to, boost, &bids, host);
                 }
             }
-            CollectKind::Rebalance => {
-                self.serve_queue(&mut bids, host);
+            CollectKind::Rebalance(asked) => {
+                self.serve_queue(&asked, &mut bids, host);
                 if self.cfg.migration_enabled {
                     self.plan_migrations(&bids, host);
                 }
@@ -912,25 +921,28 @@ impl DaemonEndpoint {
         self.bids_scratch = bids;
     }
 
-    /// Serve what the queue holds from this sweep's bids. Each allocation
-    /// counts against its machines for the requests behind it; `bids` is
-    /// handed back as it came, for the migration sweep that follows.
-    fn serve_queue(&mut self, bids: &mut [DaemonStatus], host: &mut dyn Host) {
+    /// Serve what the queue holds from this sweep's bids (which `asked`).
+    /// Each allocation counts against its machines for the requests behind
+    /// it; `bids` is handed back as it came, for the migration sweep.
+    fn serve_queue(&mut self, asked: &[WireStr], bids: &mut [DaemonStatus], host: &mut dyn Host) {
         if self.leader.queue.is_empty() {
             return;
         }
         let now = host.now_us();
         // (index into `bids`, load as disclosed), in the order applied.
         let mut bumped: Vec<(usize, f64)> = Vec::new();
+        let mut order = std::mem::take(&mut self.select_scratch);
+        let mut nodes = NodeList::new();
         for q in self.leader.queue.service_order(now) {
-            let reserved: Vec<NodeId> = Vec::new(); // aged head of queue takes what it needs
-            let nodes = select_with(
+            select_into(
                 self.cfg.policy,
                 bids,
                 &q.needs,
-                &reserved,
+                &[], // aged head of queue takes what it needs
                 self.cfg.overload_threshold,
-                self.cfg.prefer_staged_binaries,
+                staged_bit(asked, &q.needs.unit),
+                &mut order,
+                &mut nodes,
             );
             if nodes.is_empty() {
                 continue;
@@ -938,31 +950,14 @@ impl DaemonEndpoint {
             self.leader.queue.remove(q.req);
             // Reflect the allocation in the remaining bids.
             for (i, b) in bids.iter_mut().enumerate() {
-                if nodes.contains(&b.node) {
+                if nodes.contains(b.node) {
                     bumped.push((i, b.load));
                     b.load += 1.0;
                 }
             }
-            let until = now + 1_000_000;
-            for &n in &nodes {
-                self.leader.recent_alloc.insert(n, until);
-            }
-            if self.wal.is_enabled() {
-                self.wal.journal(
-                    now,
-                    &WalRecord::Allocated {
-                        req: q.req,
-                        nodes: nodes.clone(),
-                    },
-                );
-            }
-            let nodes = NodeList::from(nodes);
-            self.leader.served.insert(q.req, nodes.clone());
-            if host.log_enabled() {
-                host.log(format!("leader: dequeued {:?} -> {nodes:?}", q.req));
-            }
-            self.send(host, q.reply_to, &ExmMsg::Allocation { req: q.req, nodes });
+            self.grant(q.req, nodes.clone(), q.reply_to, "dequeued", host);
         }
+        self.select_scratch = order;
         // Newest first, so a machine allocated twice ends at its own figure.
         for (i, load) in bumped.into_iter().rev() {
             if let Some(b) = bids.get_mut(i) {
@@ -973,8 +968,7 @@ impl DaemonEndpoint {
 
     /// §4.4 sweep: move work off owner-reclaimed machines onto idle ones.
     fn plan_migrations(&mut self, bids: &[DaemonStatus], host: &mut dyn Host) {
-        let me = host.machine().node;
-        let mut targets = std::mem::take(&mut self.select_scratch);
+        let mut targets = std::mem::take(&mut self.targets_scratch);
         targets.clear();
         targets.extend(
             (0u32..)
@@ -1034,7 +1028,6 @@ impl DaemonEndpoint {
                     src.node, target.node
                 ));
             }
-            let _ = me;
             self.send(
                 host,
                 Addr::daemon(src.node),
@@ -1046,7 +1039,7 @@ impl DaemonEndpoint {
             );
         }
         drop(target_iter);
-        self.select_scratch = targets;
+        self.targets_scratch = targets;
         // Forget confirmations we can observe: anything no longer resident
         // anywhere will re-appear in future disclosures if still running.
         self.leader
@@ -1065,10 +1058,10 @@ impl DaemonEndpoint {
         for up in ups.drain(..) {
             match up {
                 Upcall::Deliver { id, payload, .. } => {
-                    if let Ok(ExmMsg::DiscloseState { .. }) =
+                    if let Ok(ExmMsg::DiscloseState { units }) =
                         vce_codec::from_backing::<ExmMsg>(&payload)
                     {
-                        let bytes = self.bid(host);
+                        let bytes = self.bid(&units, host);
                         self.gm.reply(id, bytes, host);
                     }
                 }
@@ -1312,7 +1305,7 @@ impl Endpoint for DaemonEndpoint {
                         || (self.cfg.migration_enabled && self.gm.view().len() > 1);
                     if due && needed {
                         self.leader.last_rebalance_us = now;
-                        self.start_collect(CollectKind::Rebalance, host);
+                        self.start_collect(CollectKind::Rebalance(self.sweep_asks(now)), host);
                     }
                     // Expire soft reservations.
                     self.leader.recent_alloc.retain(|_, &mut until| until > now);
@@ -1434,6 +1427,91 @@ impl Endpoint for DaemonEndpoint {
             .write_u64(self.recovered_served.len() as u64)
             .write_u64(self.done.len() as u64);
         h.finish()
+    }
+}
+
+#[cfg(test)]
+mod queue_tests {
+    use super::*;
+    use vce_net::MachineInfo;
+
+    /// A host on which nothing happens: sends go nowhere.
+    struct NullHost(MachineInfo);
+
+    impl Host for NullHost {
+        fn now_us(&self) -> u64 {
+            0
+        }
+        fn send(&mut self, _src: Addr, _dst: Addr, _payload: bytes::Bytes) {}
+        fn set_timer(&mut self, _delay_us: u64, _token: u64) {}
+        fn cancel_timer(&mut self, _token: u64) {}
+        fn start_work(&mut self, _pid: u64, _mops: f64) {}
+        fn cancel_work(&mut self, _pid: u64) {}
+        fn work_remaining(&self, _pid: u64) -> Option<f64> {
+            None
+        }
+        fn load(&self) -> f64 {
+            0.0
+        }
+        fn machine(&self) -> &MachineInfo {
+            &self.0
+        }
+        fn rand_u64(&mut self) -> u64 {
+            0
+        }
+        fn log(&mut self, _line: String) {}
+    }
+
+    /// The queue outlives the round: a request waiting in it must not keep
+    /// the pooled receive buffer of the message that brought it.
+    #[test]
+    fn a_queued_request_holds_its_own_unit_bytes() {
+        let me = NodeId(0);
+        let mut daemon = DaemonEndpoint::new(
+            me,
+            MachineClass::Workstation,
+            vec![Addr::daemon(me)],
+            ExmConfig::default(),
+        );
+        let unit = "a unit name that is too long to be stored inline";
+        let msg = crate::msg::encode_msg(&ExmMsg::ResourceRequest {
+            req: ReqId {
+                app: crate::msg::AppId(1),
+                seq: 1,
+            },
+            class: MachineClass::Workstation,
+            count_min: 1,
+            count_max: 1,
+            mem_mb: 16,
+            unit: unit.into(),
+            priority_boost: 0,
+            reply_to: Addr::executor(NodeId(9)),
+        });
+        let Ok(DaemonInput::Request(request)) =
+            DaemonInput::decode(&mut Decoder::with_backing(&msg))
+        else {
+            panic!("a resource request");
+        };
+        let inside = |s: &WireStr| msg.as_ptr_range().contains(&s.as_str().as_ptr());
+        assert!(inside(&request.needs.unit), "decoded as a view");
+        // No bids: the request cannot be placed and waits.
+        let mut host = NullHost(MachineInfo::workstation(me, 100.0));
+        let placed = daemon.try_allocate(
+            request.req,
+            request.needs,
+            request.reply_to,
+            request.priority_boost,
+            &[],
+            &mut host,
+        );
+        assert!(!placed);
+        let queued: Vec<&QueuedRequest> = daemon.leader.queue.iter().collect();
+        assert_eq!(queued.len(), 1);
+        assert_eq!(queued[0].needs.unit.as_str(), unit);
+        assert!(
+            !inside(&queued[0].needs.unit),
+            "still a view of the message"
+        );
     }
 }
 

@@ -7,8 +7,7 @@ use vce_net::{Addr, MachineClass, NodeId, NodeList};
 
 use crate::migrate::MigrationTechnique;
 use crate::policy::Needs;
-use crate::status::DaemonStatus;
-use crate::wire::WireStr;
+use crate::wire::{NameList, WireStr};
 
 /// Identifies one application run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -229,10 +228,11 @@ pub enum ExmMsg {
         reason: String,
     },
     /// The state-disclosure request the leader broadcasts inside the group
-    /// (payload of the isis collect; kept for completeness of the enum).
+    /// (payload of the isis collect, whose `BcastId` correlates the bids).
     DiscloseState {
-        /// Correlation id.
-        req: ReqId,
+        /// At most [`MAX_ASKED_UNITS`] units: a bid's `staged` bit *i*
+        /// says whether the bidder holds a binary for `units[i]`.
+        units: NameList,
     },
     /// Executor → daemon: load and start a program.
     Load(LoadProgram),
@@ -337,8 +337,8 @@ pub enum ExmMsg {
 
 /// [`ExmMsg::ResourceRequest`] as the daemons read it. Every daemon of the
 /// class receives each request, only the leader acts on it, and all it does
-/// with the unit is compare it against bids — so the unit stays a view of
-/// the message rather than a `String` built a dozen times per request.
+/// with the unit is pass it on in its disclosure — so the unit stays a view
+/// of the message rather than a `String` built a dozen times per request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceRequest {
     /// Request identity (idempotent across retries).
@@ -442,9 +442,9 @@ impl Codec for ExmMsg {
                 req.encode(enc);
                 reason.encode(enc);
             }
-            ExmMsg::DiscloseState { req } => {
-                enc.put_u8(T_DISCLOSE);
-                req.encode(enc);
+            // Only a receiver owns `units`; the leader sends borrowed ones.
+            ExmMsg::DiscloseState { units } => {
+                encode_disclose(&units.iter().collect::<Vec<_>>(), enc);
             }
             ExmMsg::Load(lp) => {
                 enc.put_u8(T_LOAD);
@@ -556,7 +556,7 @@ impl DaemonInput {
                 reason: String::decode(dec)?,
             },
             T_DISCLOSE => ExmMsg::DiscloseState {
-                req: ReqId::decode(dec)?,
+                units: NameList::decode_short(dec, MAX_ASKED_UNITS)?,
             },
             T_LOAD => ExmMsg::Load(LoadProgram::decode(dec)?),
             T_TASK_DONE => ExmMsg::TaskDone {
@@ -634,9 +634,15 @@ pub fn encode_isis_frame(msg: &IsisMsg, enc: &mut Encoder) {
     msg.encode(enc);
 }
 
-/// Status payloads ride in bids; re-exported decode helper.
-pub fn decode_status(bytes: &[u8]) -> Result<DaemonStatus> {
-    vce_codec::from_bytes(bytes)
+/// Most units one disclosure may ask about: a bid has a bit for each.
+pub const MAX_ASKED_UNITS: u32 = u64::BITS;
+
+/// [`ExmMsg::DiscloseState`]'s wire form — tag, one-byte count, units —
+/// from borrowed units: the leader asks every round and builds no list.
+pub fn encode_disclose(units: &[WireStr], enc: &mut Encoder) {
+    debug_assert!(units.len() <= MAX_ASKED_UNITS as usize);
+    enc.put_u8(T_DISCLOSE);
+    NameList::encode_items_short(units, enc);
 }
 
 #[cfg(test)]
@@ -682,10 +688,13 @@ mod tests {
                 reason: "insufficient resources".into(),
             },
             ExmMsg::DiscloseState {
-                req: ReqId {
-                    app: AppId(1),
-                    seq: 2,
-                },
+                units: Default::default(),
+            },
+            ExmMsg::DiscloseState {
+                units: ["predictor", "/apps/snow/collector.vce"]
+                    .map(WireStr::from)
+                    .into_iter()
+                    .collect(),
             },
             ExmMsg::Load(LoadProgram {
                 key: key(),

@@ -34,9 +34,10 @@ pub struct Needs {
     pub count_min: u32,
     /// Maximum useful machines.
     pub count_max: u32,
-    /// Program unit to run: machines whose bid advertises a staged binary
-    /// for it are preferred (the payoff of §4.5 anticipatory compilation).
-    /// Only ever compared against bids, so it stays a view of the request.
+    /// Program unit to run: the leader asks the bidders whether they hold
+    /// a staged binary for it and prefers those that do (the payoff of §4.5
+    /// anticipatory compilation). A view of the request for the length of
+    /// a round; the queue, which outlives it, detaches its copy.
     pub unit: WireStr,
 }
 
@@ -51,52 +52,27 @@ pub fn eligible(bid: &DaemonStatus, needs: &Needs, overload: f64) -> bool {
     bid.willing && bid.mem_mb >= needs.mem_mb && bid.load < overload
 }
 
+/// One eligible bid's sort keys, copied out so that ranking never reaches
+/// back into the bids. Opaque: a caller only owns the scratch vector.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidate {
+    load: f64,
+    staged: bool,
+    speed_mops: f64,
+    node: NodeId,
+}
+
 /// Select machines for a request from the collected bids.
 ///
 /// `reserved` are machines a queued, less-flexible request needs —
-/// utilization-first avoids them when alternatives exist. Returns at most
-/// `count_max` nodes, best first, or an empty vector when fewer than
-/// `count_min` eligible machines exist.
-pub fn select(
-    policy: PlacementPolicy,
-    bids: &[DaemonStatus],
-    needs: &Needs,
-    reserved: &[NodeId],
-    overload: f64,
-) -> Vec<NodeId> {
-    select_with(policy, bids, needs, reserved, overload, true)
-}
-
-/// [`select`] with the staged-binary preference made explicit (ablation
-/// knob; production callers pass `true`).
-pub fn select_with(
-    policy: PlacementPolicy,
-    bids: &[DaemonStatus],
-    needs: &Needs,
-    reserved: &[NodeId],
-    overload: f64,
-    prefer_staged_binaries: bool,
-) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    let mut out = NodeList::new();
-    select_into(
-        policy,
-        bids,
-        needs,
-        reserved,
-        overload,
-        prefer_staged_binaries,
-        &mut order,
-        &mut out,
-    );
-    out.as_slice().to_vec()
-}
-
-/// Allocation-free core of [`select_with`]: `order` is a reusable index
-/// scratch (indices into `bids`) and the chosen nodes land in `out`
-/// (cleared first). With a warm scratch and ≤ [`vce_net::NODE_LIST_INLINE`]
-/// winners this performs no heap allocation — the leader calls it once per
-/// bidding round.
+/// utilization-first avoids them when alternatives exist. `staged_bit` is
+/// the bit of [`DaemonStatus::staged`] that answers for this request's
+/// unit: zero when the disclosure did not ask, and then no bid is preferred
+/// for its binaries. At most `count_max` nodes land in `out` (cleared
+/// first), best first; none when fewer than `count_min` are eligible.
+/// `order` is reusable scratch: with it warm and ≤
+/// [`vce_net::NODE_LIST_INLINE`] winners this performs no heap allocation —
+/// the leader calls it once per bidding round.
 #[allow(clippy::too_many_arguments)]
 pub fn select_into(
     policy: PlacementPolicy,
@@ -104,41 +80,30 @@ pub fn select_into(
     needs: &Needs,
     reserved: &[NodeId],
     overload: f64,
-    prefer_staged_binaries: bool,
-    order: &mut Vec<u32>,
+    staged_bit: u64,
+    order: &mut Vec<Candidate>,
     out: &mut NodeList,
 ) {
     out.clear();
     order.clear();
-    // Whether a bid holds the unit's binary is a walk of its name list, so
-    // it is decided once per eligible bid here — not twice per comparison
-    // in the sort — and rides in the index's top bit: `order` stays the
-    // only scratch.
-    const STAGED: u32 = 1 << 31;
-    debug_assert!(bids.len() < STAGED as usize);
-    let unit = needs.unit.as_str();
     order.extend(
         bids.iter()
-            .enumerate()
-            .filter(|(_, b)| eligible(b, needs, overload))
-            .map(|(i, b)| {
-                let staged = prefer_staged_binaries && b.binaries.contains(unit);
-                i as u32 | if staged { STAGED } else { 0 }
+            .filter(|b| eligible(b, needs, overload))
+            .map(|b| Candidate {
+                load: b.load,
+                staged: b.staged & staged_bit != 0,
+                speed_mops: b.speed_mops,
+                node: b.node,
             }),
     );
-    // vce-lint: allow(P001) every index in `order` came from enumerate() over `bids` above
-    let bid = |i: u32| &bids[(i & !STAGED) as usize];
     if policy == PlacementPolicy::UtilizationFirst {
         // Avoid machines that restricted requests depend on, whenever
         // enough unreserved machines remain — the §4.3 example: the
         // flexible task yields machine A to the task that can only run
         // there, and waits if nothing else is free.
-        let unreserved = order
-            .iter()
-            .filter(|&&i| !reserved.contains(&bid(i).node))
-            .count();
-        if unreserved >= needs.count_min as usize {
-            order.retain(|&i| !reserved.contains(&bid(i).node));
+        let free = |c: &Candidate| !reserved.contains(&c.node);
+        if order.iter().filter(|c| free(c)).count() >= needs.count_min as usize {
+            order.retain(free);
         }
     }
     // The paper's sortBidsByLoad with tiebreaks: least loaded first; among
@@ -148,19 +113,18 @@ pub fn select_into(
     // stable (worst) rank instead of panicking the group leader. The final
     // node-id tiebreak makes the comparator a total order, so the unstable
     // (in-place, allocation-free) sort is deterministic.
-    order.sort_unstable_by(|&ia, &ib| {
-        let (a, b) = (bid(ia), bid(ib));
+    order.sort_unstable_by(|a, b| {
         a.load
             .total_cmp(&b.load)
-            .then((ib & STAGED).cmp(&(ia & STAGED)))
+            .then(b.staged.cmp(&a.staged))
             .then(b.speed_mops.total_cmp(&a.speed_mops))
             .then(a.node.cmp(&b.node))
     });
     if order.len() < needs.count_min as usize {
         return;
     }
-    for &i in order.iter().take(needs.count_max as usize) {
-        out.push(bid(i).node);
+    for c in order.iter().take(needs.count_max as usize) {
+        out.push(c.node);
     }
 }
 
@@ -179,8 +143,35 @@ mod tests {
             mem_mb: mem,
             willing: true,
             tasks: Default::default(),
-            binaries: Default::default(),
+            staged: 0,
         }
+    }
+
+    /// [`select_into`] on fresh scratch.
+    fn select_bit(
+        policy: PlacementPolicy,
+        bids: &[DaemonStatus],
+        needs: &Needs,
+        reserved: &[NodeId],
+        overload: f64,
+        staged_bit: u64,
+    ) -> Vec<NodeId> {
+        let (mut order, mut out) = (Vec::new(), NodeList::new());
+        select_into(
+            policy, bids, needs, reserved, overload, staged_bit, &mut order, &mut out,
+        );
+        out.as_slice().to_vec()
+    }
+
+    /// [`select_bit`] for a request whose unit nobody was asked about.
+    fn select(
+        policy: PlacementPolicy,
+        bids: &[DaemonStatus],
+        needs: &Needs,
+        reserved: &[NodeId],
+        overload: f64,
+    ) -> Vec<NodeId> {
+        select_bit(policy, bids, needs, reserved, overload, 0)
     }
 
     fn needs(mem: u32, min: u32, max: u32) -> Needs {
@@ -194,31 +185,28 @@ mod tests {
 
     #[test]
     fn staged_binary_breaks_load_ties() {
-        let mut with_bin = bid(1, 0.0, 100.0, 64);
-        with_bin.binaries = ["u"].into_iter().collect();
-        let bids = vec![bid(0, 0.0, 200.0, 64), with_bin];
+        // The disclosure asked about two units; this request's is the
+        // second. Node 0 holds only the first, node 1 only the second.
+        let (mut other_bin, mut with_bin) = (bid(0, 0.0, 200.0, 64), bid(1, 0.0, 100.0, 64));
+        (other_bin.staged, with_bin.staged) = (0b01, 0b10);
+        let bids = vec![other_bin, with_bin];
         // Node 0 is faster, but node 1 holds the binary: equal loads go to
-        // the binary holder.
-        let got = select(
-            PlacementPolicy::BestPlatform,
-            &bids,
-            &needs(16, 1, 1),
-            &[],
-            OVERLOAD_THRESHOLD,
-        );
-        assert_eq!(got, vec![NodeId(1)]);
+        // the binary holder — by the unit's own bit, not by any bit set.
+        let select = |bids: &[DaemonStatus], staged_bit| {
+            let (policy, needs) = (PlacementPolicy::BestPlatform, needs(16, 1, 1));
+            select_bit(policy, bids, &needs, &[], OVERLOAD_THRESHOLD, staged_bit)
+        };
+        assert_eq!(select(&bids, 0b10), vec![NodeId(1)]);
+        assert_eq!(select(&bids, 0b01), vec![NodeId(0)]);
+        // Not asked about: speed decides.
+        assert_eq!(select(&bids, 0), vec![NodeId(0)]);
         // A loaded binary-holder loses to an idle machine without one.
         let mut loaded = bids[1].clone();
         loaded.load = 1.0;
-        let bids = vec![bid(0, 0.0, 200.0, 64), loaded];
-        let got = select(
-            PlacementPolicy::BestPlatform,
-            &bids,
-            &needs(16, 1, 1),
-            &[],
-            OVERLOAD_THRESHOLD,
+        assert_eq!(
+            select(&[bid(0, 0.0, 50.0, 64), loaded], 0b10),
+            vec![NodeId(0)]
         );
-        assert_eq!(got, vec![NodeId(0)]);
     }
 
     #[test]

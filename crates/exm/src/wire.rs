@@ -1,14 +1,13 @@
 //! Values kept in the bytes they arrived in.
 //!
-//! A bid lists every unit the bidding machine has a binary for, and a
-//! leader reads a dozen bids per round only to ask "does this machine hold
-//! unit X?". Rebuilding those lists as `Vec<String>` was most of the
-//! round's heap traffic, so the strings and lists on the bid path stay in
-//! wire form: [`WireStr`] and [`WireList`] check on decode everything the
-//! owned types check — every count, every length, UTF-8 — and then keep a
-//! view of the message buffer ([`Decoder::consumed_since`]) instead of
-//! copying out of it. Both encode to exactly the bytes `String` and
-//! `Vec<T>` encode to.
+//! A round moves a request's unit, the units a disclosure asks about and
+//! the tasks a bid lists. A leader decodes a dozen bids per round and looks
+//! inside few; a bidder reads an asked unit once. So none of it is rebuilt
+//! as `String`s and `Vec`s: [`WireStr`] and [`WireList`] check on decode
+//! everything the owned types check — every count, every length, UTF-8 —
+//! and then keep a view of the message buffer ([`Decoder::consumed_since`])
+//! instead of copying out of it. Both encode to exactly the bytes `String`
+//! and `Vec<T>` encode to; a disclosure's list has a shorter count.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -21,7 +20,7 @@ use vce_codec::{Codec, CodecError, Decoder, Encoder, Result};
 ///
 /// A view keeps its message's buffer alive, so this is for values that are
 /// compared or forwarded within a protocol round; state that outlives the
-/// round holds a `String`.
+/// round holds its own bytes (`as_str().into()`).
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct WireStr(Bytes);
 
@@ -87,105 +86,111 @@ impl WireItem for WireStr {
     }
 }
 
-/// A list held in wire form — `[u32 count][item]*`, `Vec<T>`'s layout.
+/// A list held in wire form. On the wire: `[u32 count][item]*`, `Vec<T>`'s
+/// layout — or, where a message says so, `[uvarint count][item]*`.
 ///
 /// Decoding walks the items once to check them and keeps the span they
 /// occupy; [`WireList::iter`] decodes them again on demand, in place.
 /// Encoding appends the span verbatim.
 #[derive(Clone)]
 pub struct WireList<T> {
-    /// Count prefix and items; every item has passed `T::validate`.
-    wire: Bytes,
-    items: PhantomData<fn() -> T>,
+    len: u32,
+    /// The items back to back; every one has passed `T::validate`.
+    items: Bytes,
+    item: PhantomData<fn() -> T>,
 }
 
-/// The staged-binary names of a bid.
+/// Unit names: what a disclosure asks the bidders about.
 pub type NameList = WireList<WireStr>;
 
 impl<T: WireItem> WireList<T> {
-    fn checked(wire: Bytes) -> Self {
-        WireList {
-            wire,
-            items: PhantomData,
+    fn checked(len: u32, items: Bytes) -> Self {
+        let item = PhantomData;
+        WireList { len, items, item }
+    }
+
+    /// Check the `len` items at the cursor and keep their span.
+    fn decode_items(dec: &mut Decoder<'_>, len: u32) -> Result<Self> {
+        let start = dec.position();
+        for _ in 0..len {
+            T::validate(dec)?;
         }
+        Ok(Self::checked(len, dec.consumed_since(start)))
     }
 
     /// Append `items` as the list they would make, without making it.
     pub fn encode_items(items: &[T], enc: &mut Encoder) {
         debug_assert!(items.len() <= u32::MAX as usize);
         enc.put_u32(items.len() as u32);
-        for item in items {
-            item.encode(enc);
+        items.iter().for_each(|item| item.encode(enc));
+    }
+
+    /// [`WireList::encode_items`] with a `uvarint` count: one byte, for a
+    /// short list that rides on every round and is mostly empty.
+    pub fn encode_items_short(items: &[T], enc: &mut Encoder) {
+        enc.put_uvarint(items.len() as u64);
+        items.iter().for_each(|item| item.encode(enc));
+    }
+
+    /// Decode [`WireList::encode_items_short`]'s layout, refusing more than
+    /// `max` items — or than the buffer could hold — on the count alone.
+    pub fn decode_short(dec: &mut Decoder<'_>, max: u32) -> Result<Self> {
+        let declared = dec.get_uvarint()?;
+        let limit = u64::from(max).min(dec.remaining() as u64);
+        if declared > limit {
+            return Err(CodecError::LengthOverflow { declared, limit });
         }
+        Self::decode_items(dec, declared as u32)
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        Decoder::new(&self.wire).get_u32().map_or(0, |n| n as usize)
+        self.len as usize
     }
 
     /// No items?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// The items, decoded one at a time as views of this list's buffer.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        let mut dec = Decoder::with_backing(&self.wire);
-        let n = dec.get_u32().unwrap_or(0);
+        let mut dec = Decoder::with_backing(&self.items);
         // Every item decoded once already, so `ok()` never ends this early.
-        (0..n).map_while(move |_| T::decode(&mut dec).ok())
-    }
-}
-
-impl NameList {
-    /// Is `name` in the list? Compares in place: nothing is decoded.
-    pub fn contains(&self, name: &str) -> bool {
-        let mut dec = Decoder::new(&self.wire);
-        let n = dec.get_u32().unwrap_or(0);
-        (0..n).any(|_| dec.get_len_bytes().is_ok_and(|s| s == name.as_bytes()))
+        (0..self.len).map_while(move |_| T::decode(&mut dec).ok())
     }
 }
 
 impl<T: WireItem> Default for WireList<T> {
     fn default() -> Self {
-        Self::checked(Bytes::from_static(&[0; 4]))
+        Self::checked(0, Bytes::new())
     }
 }
 
 impl<T: WireItem> Codec for WireList<T> {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_raw(&self.wire);
+        enc.put_u32(self.len);
+        enc.put_raw(&self.items);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let start = dec.position();
         // The guard `Vec<T>` applies: a forged count fails here, before
         // anything is sized from it.
-        for _ in 0..dec.get_count(1)? {
-            T::validate(dec)?;
-        }
-        Ok(Self::checked(dec.consumed_since(start)))
+        let len = dec.get_count(1)?;
+        Self::decode_items(dec, len as u32)
     }
 }
 
 impl<T: WireItem> FromIterator<T> for WireList<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let items: Vec<T> = iter.into_iter().collect();
         let mut enc = Encoder::with_capacity(64);
-        Self::encode_items(&items, &mut enc);
-        Self::checked(enc.finish_bytes())
-    }
-}
-
-impl<'a> FromIterator<&'a str> for NameList {
-    fn from_iter<I: IntoIterator<Item = &'a str>>(iter: I) -> Self {
-        iter.into_iter().map(WireStr::from).collect()
+        let len = iter.into_iter().map(|item| item.encode(&mut enc)).count();
+        Self::checked(len as u32, enc.finish_bytes())
     }
 }
 
 impl<T> PartialEq for WireList<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.wire == other.wire
+        self.len == other.len && self.items == other.items
     }
 }
 
@@ -201,7 +206,7 @@ mod tests {
     use vce_codec::{from_backing, from_bytes, to_bytes};
 
     fn names(v: &[&str]) -> NameList {
-        v.iter().copied().collect()
+        v.iter().copied().map(WireStr::from).collect()
     }
 
     #[test]
@@ -222,15 +227,34 @@ mod tests {
     }
 
     #[test]
-    fn contains_is_exact() {
-        let list = names(&["ab", "abc", ""]);
-        for hit in ["ab", "abc", ""] {
-            assert!(list.contains(hit), "{hit:?}");
-        }
-        for miss in ["a", "abcd", "b", "bc"] {
-            assert!(!list.contains(miss), "{miss:?}");
-        }
-        assert!(!NameList::default().contains(""));
+    fn the_short_form_differs_in_the_count_only() {
+        let items: Vec<WireStr> = ["collector", ""].map(WireStr::from).to_vec();
+        let list: NameList = items.iter().cloned().collect();
+        let (mut long, mut short) = (Encoder::new(), Encoder::new());
+        list.encode(&mut long);
+        NameList::encode_items_short(&items, &mut short);
+        let (long, short) = (long.finish(), short.finish());
+        assert_eq!(short[0], 2);
+        assert_eq!(short[1..], long[4..]);
+        let mut dec = Decoder::new(&short);
+        assert_eq!(NameList::decode_short(&mut dec, 2).unwrap(), list);
+        assert!(dec.is_empty());
+        // One more item than the reader allows, and a count the buffer
+        // cannot hold, fail on the count alone.
+        assert_eq!(
+            NameList::decode_short(&mut Decoder::new(&short), 1).unwrap_err(),
+            CodecError::LengthOverflow {
+                declared: 2,
+                limit: 1
+            }
+        );
+        assert_eq!(
+            NameList::decode_short(&mut Decoder::new(&[9, 0, 0]), 64).unwrap_err(),
+            CodecError::LengthOverflow {
+                declared: 9,
+                limit: 2
+            }
+        );
     }
 
     #[test]
@@ -242,7 +266,9 @@ mod tests {
         let (_, list): (u64, NameList) = from_backing(&msg).unwrap();
         let unit = list.iter().next().unwrap();
         let inside = |p: *const u8| msg.as_ptr_range().contains(&p);
-        assert!(inside(list.wire.as_ptr()) && inside(unit.0.as_ptr()));
+        assert!(inside(list.items.as_ptr()) && inside(unit.0.as_ptr()));
+        // ... and a copy made through `&str` is not.
+        assert!(!inside(WireStr::from(unit.as_str()).0.as_ptr()));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property tests on the placement policy and the aging queue.
 
 use proptest::prelude::*;
-use vce_exm::policy::{eligible, select, select_with, Needs, PlacementPolicy};
+use vce_exm::msg::encode_disclose;
+use vce_exm::policy::{eligible, select_into, Needs, PlacementPolicy};
 use vce_exm::queue::{priority, QueuedRequest, RequestQueue};
-use vce_exm::status::DaemonStatus;
-use vce_exm::{AppId, ReqId};
-use vce_net::{Addr, MachineClass, NodeId};
+use vce_exm::status::{staged_answer, staged_bit, DaemonStatus};
+use vce_exm::wire::WireStr;
+use vce_exm::{AppId, ExmMsg, ReqId};
+use vce_net::{Addr, MachineClass, NodeId, NodeList};
 
 fn arb_bid_fields() -> impl Strategy<Value = BidFields> {
     (
@@ -19,11 +21,15 @@ fn arb_bid_fields() -> impl Strategy<Value = BidFields> {
 
 type BidFields = (f64, f64, u32, bool, Vec<String>);
 
-fn to_bids(by_node: std::collections::BTreeMap<u32, BidFields>) -> Vec<DaemonStatus> {
+/// A bidder: what its bid says about the machine (`staged` still blank),
+/// and the units it holds binaries for.
+type Bidder = (DaemonStatus, Vec<String>);
+
+fn to_bidders(by_node: std::collections::BTreeMap<u32, BidFields>) -> Vec<Bidder> {
     by_node
         .into_iter()
-        .map(
-            |(node, (load, speed, mem, willing, binaries))| DaemonStatus {
+        .map(|(node, (load, speed, mem, willing, binaries))| {
+            let status = DaemonStatus {
                 node: NodeId(node),
                 class: MachineClass::Workstation,
                 load,
@@ -32,15 +38,77 @@ fn to_bids(by_node: std::collections::BTreeMap<u32, BidFields>) -> Vec<DaemonSta
                 mem_mb: mem,
                 willing,
                 tasks: Default::default(),
-                binaries: binaries.iter().map(String::as_str).collect(),
-            },
-        )
+                staged: 0,
+            };
+            (status, binaries)
+        })
         .collect()
 }
 
-/// One bid per node id, as the reply collector guarantees.
+/// One bid per node id, as the reply collector guarantees — each answering
+/// a disclosure that asked about "a", "b" and "c".
 fn arb_bids(max: usize) -> impl Strategy<Value = Vec<DaemonStatus>> {
-    prop::collection::btree_map(0u32..32, arb_bid_fields(), 0..max).prop_map(to_bids)
+    prop::collection::btree_map(0u32..32, arb_bid_fields(), 0..max)
+        .prop_map(|by_node| round(&to_bidders(by_node), &abc(), 0).0)
+}
+
+fn abc() -> Vec<String> {
+    ["a", "b", "c"].map(String::from).to_vec()
+}
+
+/// One disclosure round as the daemons run it. The leader's question goes
+/// over the wire; every bidder answers it from the binaries it holds (and
+/// sets `stray` bits above its answer, as a hostile one might); the leader
+/// clears what it did not ask for. Returns the bids and the leader's list.
+fn round(bidders: &[Bidder], asked: &[String], stray: u64) -> (Vec<DaemonStatus>, Vec<WireStr>) {
+    let asked: Vec<WireStr> = asked.iter().map(|u| u.as_str().into()).collect();
+    let stray = stray.checked_shl(asked.len() as u32).unwrap_or(0);
+    let mut enc = vce_codec::Encoder::new();
+    encode_disclose(&asked, &mut enc);
+    let Ok(ExmMsg::DiscloseState { units }) = vce_codec::from_bytes(&enc.finish()) else {
+        panic!("the leader's own disclosure must decode");
+    };
+    let bids = bidders
+        .iter()
+        .map(|(status, held)| {
+            let mut bid = status.clone();
+            bid.staged = stray | staged_answer(&units, |unit| held.iter().any(|h| h == unit));
+            let back = vce_codec::to_bytes(&bid);
+            let mut bid: DaemonStatus = vce_codec::from_bytes(&back).expect("a bid decodes");
+            bid.clear_unasked(asked.len());
+            bid
+        })
+        .collect();
+    (bids, asked)
+}
+
+/// [`select_into`] on fresh scratch, for `needs` out of a round that `asked`.
+fn select_asked(
+    policy: PlacementPolicy,
+    bids: &[DaemonStatus],
+    needs: &Needs,
+    reserved: &[NodeId],
+    overload: f64,
+    asked: &[WireStr],
+) -> Vec<NodeId> {
+    let bit = staged_bit(asked, &needs.unit);
+    let (mut order, mut out) = (Vec::new(), NodeList::new());
+    select_into(
+        policy, bids, needs, reserved, overload, bit, &mut order, &mut out,
+    );
+    out.as_slice().to_vec()
+}
+
+/// [`select_asked`] out of a round that asked about "a", "b" and "c".
+fn select(
+    policy: PlacementPolicy,
+    bids: &[DaemonStatus],
+    needs: &Needs,
+    reserved: &[NodeId],
+    overload: f64,
+) -> Vec<NodeId> {
+    let asked: Vec<WireStr> = abc().iter().map(|u| u.as_str().into()).collect();
+    select_asked(policy, bids, needs, reserved, overload, &asked)
 }
 
 fn arb_needs() -> impl Strategy<Value = Needs> {
@@ -58,31 +126,33 @@ fn arb_needs() -> impl Strategy<Value = Needs> {
         })
 }
 
-/// `select_with` as it was before the staged-binary answer was decided
-/// once per bid: the comparator asks both name lists on every comparison.
-/// Kept as the reference the production sort is held to.
+/// The placement rule stated on names, as it ran when every bid listed its
+/// machine's whole inventory: the comparator asks both bidders' name lists
+/// on every comparison. A unit the disclosure did not ask about earns no
+/// preference. Kept as the reference the bit-per-asked-unit path is held to.
 fn select_reference(
     policy: PlacementPolicy,
-    bids: &[DaemonStatus],
+    bidders: &[Bidder],
     needs: &Needs,
     reserved: &[NodeId],
     overload: f64,
-    prefer_staged_binaries: bool,
+    asked: &[String],
 ) -> Vec<NodeId> {
-    let mut order: Vec<&DaemonStatus> = bids
+    let mut order: Vec<&Bidder> = bidders
         .iter()
-        .filter(|b| eligible(b, needs, overload))
+        .filter(|(b, _)| eligible(b, needs, overload))
         .collect();
     if policy == PlacementPolicy::UtilizationFirst {
-        let free = |b: &&DaemonStatus| !reserved.contains(&b.node);
+        let free = |b: &&Bidder| !reserved.contains(&b.0.node);
         if order.iter().filter(|b| free(b)).count() >= needs.count_min as usize {
             order.retain(free);
         }
     }
     let unit = needs.unit.as_str();
-    order.sort_by(|a, b| {
-        let a_has = prefer_staged_binaries && a.binaries.contains(unit);
-        let b_has = prefer_staged_binaries && b.binaries.contains(unit);
+    let was_asked = asked.iter().any(|u| u == unit);
+    order.sort_by(|(a, a_holds), (b, b_holds)| {
+        let a_has = was_asked && a_holds.iter().any(|h| h == unit);
+        let b_has = was_asked && b_holds.iter().any(|h| h == unit);
         a.load
             .total_cmp(&b.load)
             .then(b_has.cmp(&a_has))
@@ -93,13 +163,17 @@ fn select_reference(
         return Vec::new();
     }
     let take = needs.count_max as usize;
-    order.iter().take(take).map(|b| b.node).collect()
+    order.iter().take(take).map(|(b, _)| b.node).collect()
 }
 
-/// Bids built to collide on every sort key but the node id: loads and
+fn arb_unit() -> impl Strategy<Value = String> {
+    prop_oneof!["[a-c]", "unit-[0-9]{1,2}"]
+}
+
+/// Bidders built to collide on every sort key but the node id: loads and
 /// speeds from tiny sets (NaN among the loads), 0–64 staged names that may
 /// or may not include the unit asked about.
-fn arb_tied_bids() -> impl Strategy<Value = Vec<DaemonStatus>> {
+fn arb_tied_bidders() -> impl Strategy<Value = Vec<Bidder>> {
     let fields = (
         prop_oneof![
             Just(0.0f64),
@@ -111,29 +185,48 @@ fn arb_tied_bids() -> impl Strategy<Value = Vec<DaemonStatus>> {
         prop_oneof![Just(50.0f64), Just(100.0), Just(100.0)],
         prop_oneof![Just(64u32), Just(1024)],
         any::<bool>(),
-        prop::collection::vec(prop_oneof!["[a-c]", "unit-[0-9]{1,2}"], 0..65),
+        prop::collection::vec(arb_unit(), 0..65),
     );
-    prop::collection::btree_map(0u32..32, fields, 0..16).prop_map(to_bids)
+    prop::collection::btree_map(0u32..32, fields, 0..16).prop_map(to_bidders)
 }
 
 proptest! {
+    /// The mask path picks exactly the nodes the name-list rule picks: for
+    /// the request's unit asked first, last, among 63 others or not at all
+    /// (the preference switched off is the empty list), under both
+    /// policies, with and without reservations, and whatever bits a bidder
+    /// sets beyond the ones it was asked for.
     #[test]
     fn select_matches_the_two_lookups_per_comparison_reference(
-        bids in arb_tied_bids(),
+        bidders in arb_tied_bidders(),
         needs in arb_needs(),
         reserved in prop::collection::vec((0u32..32).prop_map(NodeId), 0..4),
         utilization_first in any::<bool>(),
-        prefer_staged_binaries in any::<bool>(),
+        others in prop::collection::vec(arb_unit(), 0..64),
+        place in prop::option::of(any::<usize>()),
+        stray in any::<u64>(),
     ) {
         let policy = if utilization_first {
             PlacementPolicy::UtilizationFirst
         } else {
             PlacementPolicy::BestPlatform
         };
+        let unit = needs.unit.as_str().to_owned();
+        // Distinct, as the leader builds its list, and without the unit.
+        let mut names: Vec<String> = Vec::new();
+        for other in others {
+            if other != unit && !names.contains(&other) {
+                names.push(other);
+            }
+        }
+        if let Some(place) = place {
+            names.insert(place % (names.len() + 1), unit);
+        }
+        let (bids, asked) = round(&bidders, &names, stray);
         for reserved in [&reserved[..], &[]] {
             prop_assert_eq!(
-                select_with(policy, &bids, &needs, reserved, 3.0, prefer_staged_binaries),
-                select_reference(policy, &bids, &needs, reserved, 3.0, prefer_staged_binaries)
+                select_asked(policy, &bids, &needs, reserved, 3.0, &asked),
+                select_reference(policy, &bidders, &needs, reserved, 3.0, &names)
             );
         }
     }

@@ -484,6 +484,7 @@ impl GroupMember {
         } else if let Some(id) = self.collect_deadlines.remove(&token) {
             self.token_of_collect.remove(&id);
             if let Some(result) = self.collector.on_deadline(id) {
+                self.forget_question(id);
                 up.push(Upcall::CollectDone(result));
             }
         }
@@ -683,6 +684,7 @@ impl GroupMember {
                         self.collect_deadlines.remove(&token);
                         host.cancel_timer(token);
                     }
+                    self.forget_question(to);
                     up.push(Upcall::CollectDone(result));
                 }
             }
@@ -775,6 +777,25 @@ impl GroupMember {
         self.token_of_collect.insert(id, token);
         host.set_timer(timeout_us, token);
         Some(id)
+    }
+
+    /// A closed collect's question is not worth asking again — replies to
+    /// it are dropped — so its payload leaves the resend ring now, not a
+    /// thousand casts later: a payload is a view of a pooled send buffer,
+    /// and one held past the pool's rotation costs the pool a fresh chunk.
+    /// The entry stays, so a NACK still finds every sequence number and
+    /// gets this one re-sent empty.
+    fn forget_question(&mut self, id: BcastId) {
+        // Collects rarely overlap: the cast is at or near the back.
+        let question = self.resend.iter_mut().rev().find_map(|(_, m)| match m {
+            IsisMsg::Cast {
+                id: of, payload, ..
+            } if *of == id => Some(payload),
+            _ => None,
+        });
+        if let Some(payload) = question {
+            *payload = Bytes::new();
+        }
     }
 
     /// Reply to a delivered broadcast (unicast to its origin).

@@ -20,6 +20,9 @@ struct CountingHost {
     sends: usize,
     timers: usize,
     cancels: usize,
+    /// The last message sent, and the last timer armed.
+    last: Option<Bytes>,
+    last_timer: u64,
     info: MachineInfo,
 }
 
@@ -27,11 +30,13 @@ impl Host for CountingHost {
     fn now_us(&self) -> u64 {
         self.now
     }
-    fn send(&mut self, _: Addr, _: Addr, _: Bytes) {
+    fn send(&mut self, _: Addr, _: Addr, payload: Bytes) {
         self.sends += 1;
+        self.last = Some(payload);
     }
-    fn set_timer(&mut self, _: u64, _: u64) {
+    fn set_timer(&mut self, _: u64, token: u64) {
         self.timers += 1;
+        self.last_timer = token;
     }
     fn cancel_timer(&mut self, _: u64) {
         self.cancels += 1;
@@ -67,6 +72,8 @@ fn coordinator() -> (GroupMember, CountingHost, BcastId) {
         sends: 0,
         timers: 0,
         cancels: 0,
+        last: None,
+        last_timer: 0,
         info: MachineInfo::workstation(NodeId(0), 100.0),
     };
     let mut gm = GroupMember::new(addr(0), GroupConfig::new((0..3).map(addr).collect()));
@@ -196,4 +203,48 @@ fn a_view_naming_a_non_candidate_is_ignored_whole() {
     assert!(ups.is_empty(), "{ups:?}");
     assert_eq!(gm.view(), &before);
     assert!(gm.is_coordinator());
+}
+
+/// The resend ring keeps a collect's question only while an answer can
+/// still count: once the collect closes, a NACK finds the same sequence
+/// number with nothing in it.
+#[test]
+fn a_closed_collect_is_re_sent_without_its_question() {
+    let (mut gm, mut host, open) = coordinator();
+    let resent = |gm: &mut GroupMember, host: &mut CountingHost, expected| {
+        gm.handle(addr(1), IsisMsg::Nack { expected }, host);
+        match vce_codec::from_bytes(host.last.as_ref().expect("a re-send")) {
+            Ok(IsisMsg::Cast {
+                id,
+                fifo_seq,
+                payload,
+                ..
+            }) => (id, fifo_seq, payload),
+            other => panic!("re-sent {other:?}"),
+        }
+    };
+    let asked = resent(&mut gm, &mut host, 0);
+    assert_eq!(asked, (open, 0, Bytes::from_static(b"bids?")));
+    let reply = |payload| IsisMsg::Reply { to: open, payload };
+    assert!(gm
+        .handle(addr(1), reply(Bytes::from_static(b"a")), &mut host)
+        .is_empty());
+    let ups = gm.handle(addr(2), reply(Bytes::from_static(b"b")), &mut host);
+    assert!(matches!(ups.as_slice(), [Upcall::CollectDone(done)] if done.replies.len() == 2));
+    assert_eq!(resent(&mut gm, &mut host, 0), (open, 0, Bytes::new()));
+    // The same when the deadline closes it, short of replies.
+    let late = gm
+        .bcast_collect(
+            Bytes::from_static(b"more bids?"),
+            Some(2),
+            500_000,
+            &mut host,
+        )
+        .expect("still a member");
+    let deadline = host.last_timer;
+    let asked = resent(&mut gm, &mut host, 1);
+    assert_eq!(asked, (late, 1, Bytes::from_static(b"more bids?")));
+    let ups = gm.on_timer(deadline, &mut host);
+    assert!(matches!(ups.as_slice(), [Upcall::CollectDone(done)] if done.timed_out));
+    assert_eq!(resent(&mut gm, &mut host, 1), (late, 1, Bytes::new()));
 }

@@ -6,8 +6,9 @@
 # record/replay determinism gates (the latter with a pinned `.vct`
 # digest), the zero-alloc bidding round, the queue sorted-insert gate, and a
 # build + unit-test of the out-of-workspace benchmark plus a hard gate on
-# its two exactly repeatable counters, allocs_per_op and
-# isis.heartbeats_per_op (benchmark/run.sh is what measures speed).
+# three of its exactly repeatable counters — allocs_per_op,
+# isis.heartbeats_per_op and codec.bytes_per_msg (benchmark/run.sh is what
+# measures speed).
 # Keep this cheap enough to run on every change.
 #
 # Usage: scripts/ci.sh
@@ -95,10 +96,10 @@ echo "shard-determinism: exp_bidding identical at VCE_SHARDS=4"
 echo "== record/replay divergence gate =="
 # The bytes themselves are pinned too: an FNV-64 of a twelve-machine
 # recording through a member kill/revive, a coordinator kill and a
-# partition, last re-pinned for the O(n) liveness plane (PR 18) — every
-# node's state hash is in there, so a change to what the isis layer sends
-# or remembers (or to the order it is folded in) fails here, at one shard
-# and at four.
+# partition, last re-pinned when bids shrank to a bit per asked unit
+# (PR 21) — every node's state hash is in there, so a change to what the
+# isis layer sends or remembers, or to when it hears it (or to the order
+# it is folded in), fails here, at one shard and at four.
 cargo test --release --offline -q -p vce-bench --test shard_determinism membership_churn
 vct_a=$(mktemp --suffix .vct); vct_b=$(mktemp --suffix .vct)
 ./target/release/vce_replay --record "$vct_a" 100 crashes checkpoint
@@ -137,25 +138,29 @@ cargo test --release --offline -q -p vce-bench --test queue_shift
 echo "== benchmark crate (build + unit tests) =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-# Heap allocations and heartbeats per application are counted, not timed:
-# both figures repeat exactly for a seed, so they are gated hard while
-# wall-clock stays ungated. The allocation ceiling sits about 20 % above
-# what the tree measures (4,908); the `Vec<String>` bid lists it guards
-# against cost 55,995. The heartbeat ceiling sits about 20 % above the
-# O(n) liveness plane's 3,550; all-candidates heartbeats cost 9,686.
-echo "== allocs_per_op and heartbeats_per_op gates (app_dense, seed 1) =="
-allocs_ceiling=5900
-heartbeats_ceiling=4300
+# Heap allocations, heartbeats and encoded bytes per message are counted,
+# not timed: all three repeat exactly for a seed, so they are gated hard
+# while wall-clock stays ungated. Each ceiling sits about 10 % above what
+# the tree measures: 4,776 allocations an application (the `Vec<String>`
+# bid lists this guards against cost 55,995), 3,550 heartbeats (the O(n)
+# liveness plane; all-candidates heartbeats cost 9,686), and 68.0 bytes a
+# message (a bid that lists its machine's staged binaries, where it now
+# answers with a bit per unit asked, read 101.97).
+echo "== allocs_per_op, heartbeats_per_op and bytes_per_msg gates (app_dense, seed 1) =="
+allocs_ceiling=5250
+heartbeats_ceiling=3900
+bytes_per_msg_ceiling=75
 bash benchmark/run.sh --quick --workload app_dense --seed 1 --trace 1 | tail -n 1 \
   | python3 -c '
 import json, sys
 metrics = json.load(sys.stdin)["metrics"]
 over = False
-for name, ceiling in zip(["allocs_per_op", "isis.heartbeats_per_op"], sys.argv[1:]):
+names = ["allocs_per_op", "isis.heartbeats_per_op", "codec.bytes_per_msg"]
+for name, ceiling in zip(names, sys.argv[1:]):
     value = metrics[name]["value"]
-    print(f"{name}: {value:.0f} on app_dense (ceiling {ceiling})")
+    print(f"{name}: {value:.1f} on app_dense (ceiling {ceiling})")
     over |= value > float(ceiling)
-sys.exit(over)' "$allocs_ceiling" "$heartbeats_ceiling" \
+sys.exit(over)' "$allocs_ceiling" "$heartbeats_ceiling" "$bytes_per_msg_ceiling" \
   || { echo "counter gate: over a ceiling, or the traced pass failed"; exit 1; }
 
 # Tooling latency lives next to the perf numbers: the linter is the
