@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
-//! Shared experiment scenarios, so the `exp_*` binaries and the Criterion
-//! benches drive identical code.
+//! Shared experiment scenarios, so the `exp_*` binaries and the
+//! determinism and allocation gates under `tests/` drive identical code.
 
 pub mod chaos;
 pub mod graydetect;
@@ -157,12 +157,6 @@ pub fn single_task_app(db: &MachineDb, spec: TaskSpec) -> Application {
     Application::from_graph(g, db).expect("hostable")
 }
 
-/// F3 scenario: one allocation round on `n` workstations; returns the
-/// request→allocation latency in µs.
-pub fn bidding_round(seed: u64, n: u32) -> u64 {
-    bidding_round_detailed(seed, n, 0).latency_us
-}
-
 /// Measured outcome of one F3 allocation round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BiddingRound {
@@ -176,9 +170,10 @@ pub struct BiddingRound {
     pub heartbeat_msgs: u64,
 }
 
-/// F3 scenario with LAN jitter: one allocation round, with messages
-/// counted from request send to allocation receipt and attributed to
-/// protocol vs heartbeat via the transport's category counters.
+/// F3 scenario: one allocation round on `n` workstations under `jitter_us`
+/// of LAN jitter, with messages counted from request send to allocation
+/// receipt and attributed to protocol vs heartbeat via the transport's
+/// category counters.
 pub fn bidding_round_detailed(seed: u64, n: u32, jitter_us: u64) -> BiddingRound {
     let mut cfg = ExmConfig::default();
     cfg.migration_enabled = false;
@@ -344,7 +339,7 @@ mod tests {
 
     #[test]
     fn bidding_round_reports_latency() {
-        let lat = bidding_round(1, 4);
+        let lat = bidding_round_detailed(1, 4, 0).latency_us;
         // One collect round: ≥ bid timeout is not required (all bids
         // arrive), but at least a couple of network hops.
         assert!(lat > 2_000, "latency {lat}");

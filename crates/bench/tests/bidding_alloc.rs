@@ -25,6 +25,7 @@ use std::cell::Cell;
 
 use vce_bench::workstation_vce;
 use vce_codec::{Codec, Decoder};
+use vce_exm::config::REBALANCE_PERIOD_US;
 use vce_exm::msg::LoadProgram;
 use vce_exm::{AppId, ExmConfig, ExmMsg, InstanceKey, ReqId};
 use vce_net::{Addr, Endpoint, Envelope, Host, MachineInfo, NodeId};
@@ -129,12 +130,12 @@ impl Endpoint for Client {
 fn measured_rounds(staged: bool, warmup: u32, rounds: u32) -> (u64, u64) {
     let cfg = ExmConfig {
         wal_enabled: false,
-        // On, the leader sweeps every `rebalance_period_us` (2 s): the
+        // On, the leader sweeps every `REBALANCE_PERIOD_US` (2 s): the
         // staged fleet's window of 100 rounds × 50 ms holds two sweeps.
         migration_enabled: staged,
         ..ExmConfig::default()
     };
-    assert!(2 * cfg.rebalance_period_us <= u64::from(rounds) * PERIOD_US);
+    assert!(2 * REBALANCE_PERIOD_US <= u64::from(rounds) * PERIOD_US);
     let mut vce = workstation_vce(11, DAEMONS, 100.0, cfg);
     if staged {
         for node in (0..DAEMONS).map(NodeId) {

@@ -1,18 +1,43 @@
-//! Runtime configuration knobs shared by daemons and executors.
+//! Runtime configuration shared by daemons and executors: the knobs some
+//! experiment, benchmark workload or test sets ([`ExmConfig`]), and beside
+//! them the protocol constants nothing ever set to a second value.
 
 use crate::policy::PlacementPolicy;
+
+/// Bid-collection deadline, µs (the leader allocates with whatever
+/// arrived when it expires).
+pub const BID_TIMEOUT_US: u64 = 800_000;
+/// Upper bound the bid-collection deadline backs off to when collects
+/// keep coming back short (members crashed or partitioned away).
+pub const BID_TIMEOUT_CAP_US: u64 = 2_400_000;
+/// Leader's rebalance period, µs (load-balancing sweep, §4.4).
+pub const REBALANCE_PERIOD_US: u64 = 2_000_000;
+/// Background load at/above which a machine counts as reclaimed by its
+/// owner (eviction/migration trigger).
+pub const OWNER_BUSY_THRESHOLD: f64 = 1.0;
+/// Minimum time between migrations of the same instance, µs —
+/// hysteresis against thrashing when owners churn everywhere.
+pub const MIGRATION_COOLDOWN_US: u64 = 30_000_000;
+/// State-transfer modelling: µs charged per KiB of migrated state or
+/// fetched input (1994 LAN: ~1.25 MB/s effective).
+pub const TRANSFER_US_PER_KIB: u64 = 800;
+/// Straggler hedging: progress-rate fraction (per-mille, integer for
+/// determinism) below which a divisible task's instance counts as stalled
+/// and the executor speculatively re-requests a redundant copy elsewhere.
+/// 300 = hedging kicks in under 30% of the nominal per-job rate on its host.
+pub const HEDGE_STALL_PERMILLE: u32 = 300;
+/// Probe-reply samples required before an instance can be judged
+/// stalled (one sample gives no rate; more damp transients).
+pub const HEDGE_MIN_SAMPLES: u32 = 2;
+/// Remaining work, Mops, below which hedging is pointless (the
+/// original will finish before a hedge could spin up).
+pub const HEDGE_MIN_REMAINING_MOPS: f64 = 50.0;
 
 /// Execution-module configuration.
 #[derive(Debug, Clone)]
 pub struct ExmConfig {
     /// Leader placement policy (§4.3).
     pub policy: PlacementPolicy,
-    /// Bid-collection deadline, µs (the leader allocates with whatever
-    /// arrived when it expires).
-    pub bid_timeout_us: u64,
-    /// Upper bound the bid-collection deadline backs off to when collects
-    /// keep coming back short (members crashed or partitioned away).
-    pub bid_timeout_cap_us: u64,
     /// Executor's resource-request retry timeout, µs (covers leader
     /// failover windows). This is the *initial* interval; retries back off
     /// exponentially (with seeded jitter) up to `request_retry_cap_us`.
@@ -24,11 +49,6 @@ pub struct ExmConfig {
     pub queue_insufficient: bool,
     /// Priority-aging quantum, µs (§4.3 starvation prevention).
     pub aging_quantum_us: u64,
-    /// Leader's rebalance period, µs (load-balancing sweep, §4.4).
-    pub rebalance_period_us: u64,
-    /// Background load at/above which a machine counts as reclaimed by its
-    /// owner (eviction/migration trigger).
-    pub owner_busy_threshold: f64,
     /// Load at/below which a machine is a migration target.
     pub idle_threshold: f64,
     /// Load at/above which a daemon declines to bid ("not already
@@ -37,14 +57,9 @@ pub struct ExmConfig {
     pub overload_threshold: f64,
     /// Enable leader-driven migration (§4.4).
     pub migration_enabled: bool,
-    /// Minimum time between migrations of the same instance, µs —
-    /// hysteresis against thrashing when owners churn everywhere.
-    pub migration_cooldown_us: u64,
     /// Redundant incarnations dispatched per instance (1 = none extra;
     /// §4.4 migration-through-redundant-execution).
     pub redundancy: u32,
-    /// State-transfer modelling: µs charged per KiB of migrated state.
-    pub transfer_us_per_kib: u64,
     /// Compile cost charged when a daemon must compile a missing binary at
     /// dispatch time, as compiler-work Mops (§4.5 anticipatory
     /// compilation removes this from the critical path).
@@ -73,40 +88,20 @@ pub struct ExmConfig {
     /// quarantine in the daemons' Isis groups. `false` reproduces the flat
     /// fixed-timeout detector — the baseline arm of `exp_graydetect` (F6).
     pub adaptive_detection: bool,
-    /// Straggler hedging: when a divisible task's instance stalls below
-    /// `hedge_stall_fraction` of its expected progress rate, the executor
-    /// speculatively re-requests a redundant copy elsewhere.
-    pub hedge_enabled: bool,
-    /// Progress-rate fraction (per-mille, integer for determinism) below
-    /// which an instance counts as stalled. 300 = hedging kicks in under
-    /// 30% of the nominal per-job rate on its host.
-    pub hedge_stall_permille: u32,
-    /// Probe-reply samples required before an instance can be judged
-    /// stalled (one sample gives no rate; more damp transients).
-    pub hedge_min_samples: u32,
-    /// Remaining work, Mops, below which hedging is pointless (the
-    /// original will finish before a hedge could spin up).
-    pub hedge_min_remaining_mops: f64,
 }
 
 impl Default for ExmConfig {
     fn default() -> Self {
         Self {
             policy: PlacementPolicy::UtilizationFirst,
-            bid_timeout_us: 800_000,
-            bid_timeout_cap_us: 2_400_000,
             request_retry_us: 3_000_000,
             request_retry_cap_us: 12_000_000,
             queue_insufficient: true,
             aging_quantum_us: 2_000_000,
-            rebalance_period_us: 2_000_000,
-            owner_busy_threshold: 1.0,
             idle_threshold: 0.5,
             overload_threshold: 3.0,
             migration_enabled: true,
-            migration_cooldown_us: 30_000_000,
             redundancy: 1,
-            transfer_us_per_kib: 800, // 1994 LAN: ~1.25 MB/s effective
             dispatch_compile_mops: 200.0,
             input_file_kib: 1024,
             prefer_staged_binaries: true,
@@ -115,10 +110,6 @@ impl Default for ExmConfig {
             storage: vce_storage::StorageConfig::default(),
             wal_enabled: true,
             adaptive_detection: true,
-            hedge_enabled: true,
-            hedge_stall_permille: 300,
-            hedge_min_samples: 2,
-            hedge_min_remaining_mops: 50.0,
         }
     }
 }
@@ -130,21 +121,20 @@ mod tests {
     #[test]
     fn defaults_are_coherent() {
         let c = ExmConfig::default();
-        assert!(c.bid_timeout_us < c.request_retry_us);
-        assert!(c.bid_timeout_us <= c.bid_timeout_cap_us);
+        assert!(BID_TIMEOUT_US < c.request_retry_us);
+        const _: () = assert!(BID_TIMEOUT_US <= BID_TIMEOUT_CAP_US);
         assert!(c.request_retry_us <= c.request_retry_cap_us);
         // Even a fully backed-off collect stays shorter than one retry
         // interval, so a leader answers before the executor gives up on it.
-        assert!(c.bid_timeout_cap_us < c.request_retry_us);
-        assert!(c.idle_threshold < c.owner_busy_threshold);
+        assert!(BID_TIMEOUT_CAP_US < c.request_retry_us);
+        assert!(c.idle_threshold < OWNER_BUSY_THRESHOLD);
         assert!(c.redundancy >= 1);
         assert_eq!(c.policy, PlacementPolicy::UtilizationFirst);
         assert!(c.adaptive_detection);
-        assert!(c.hedge_enabled);
         // A stalled instance must be detectably below full speed.
-        assert!(c.hedge_stall_permille < 1000);
+        const _: () = assert!(HEDGE_STALL_PERMILLE < 1000);
         // Rate estimation needs at least two probe samples.
-        assert!(c.hedge_min_samples >= 2);
-        assert!(c.hedge_min_remaining_mops > 0.0);
+        const _: () = assert!(HEDGE_MIN_SAMPLES >= 2);
+        const _: () = assert!(HEDGE_MIN_REMAINING_MOPS > 0.0);
     }
 }

@@ -26,7 +26,10 @@ use vce_isis::{is_isis_token, BcastId, GroupConfig, GroupMember, Upcall};
 use vce_net::{Addr, Endpoint, Envelope, Host, MachineClass, NodeId, NodeList, SlotArena};
 
 use crate::backoff::backoff_delay_us;
-use crate::config::ExmConfig;
+use crate::config::{
+    ExmConfig, BID_TIMEOUT_CAP_US, BID_TIMEOUT_US, MIGRATION_COOLDOWN_US, OWNER_BUSY_THRESHOLD,
+    REBALANCE_PERIOD_US, TRANSFER_US_PER_KIB,
+};
 use crate::events::MigrationRecord;
 use crate::migrate::{carried_remaining, choose_technique, state_kib, MigrationTechnique};
 use crate::msg::{
@@ -446,8 +449,7 @@ impl DaemonEndpoint {
             .cloned()
             .collect();
         if !missing.is_empty() {
-            let delay =
-                missing.len() as u64 * self.cfg.input_file_kib * self.cfg.transfer_us_per_kib;
+            let delay = missing.len() as u64 * self.cfg.input_file_kib * TRANSFER_US_PER_KIB;
             for f in missing {
                 self.files.insert(f);
             }
@@ -526,7 +528,7 @@ impl DaemonEndpoint {
     /// Owner returned: evict redundant incarnations (§4.4's cheapest
     /// migration — a live copy elsewhere keeps going).
     fn evict_redundant(&mut self, host: &mut dyn Host) {
-        if self.background(host) < self.cfg.owner_busy_threshold {
+        if self.background(host) < OWNER_BUSY_THRESHOLD {
             return;
         }
         let victims: Vec<InstanceKey> = self
@@ -642,7 +644,7 @@ impl DaemonEndpoint {
         self.tasks.insert(key, resident);
         // Charge the state-transfer time, then run the prep pipeline.
         let pid = self.alloc_pid(key);
-        let delay = (st.state_kib * self.cfg.transfer_us_per_kib).max(1);
+        let delay = (st.state_kib * TRANSFER_US_PER_KIB).max(1);
         host.set_timer(delay, pid_token(TAG_TRANSFER, pid));
     }
 
@@ -724,8 +726,8 @@ impl DaemonEndpoint {
         // away) stretch the deadline exponentially up to the cap, so a
         // leader bridging an outage doesn't spin full-rate collects.
         let timeout = backoff_delay_us(
-            self.cfg.bid_timeout_us,
-            self.cfg.bid_timeout_cap_us,
+            BID_TIMEOUT_US,
+            BID_TIMEOUT_CAP_US,
             self.leader.short_rounds,
             host.rand_u64(),
         );
@@ -988,7 +990,7 @@ impl DaemonEndpoint {
         let mut target_iter = targets.iter().filter_map(|&i| bids.get(i as usize));
         let now = host.now_us();
         for src in bids {
-            if src.background < self.cfg.owner_busy_threshold || src.tasks.is_empty() {
+            if src.background < OWNER_BUSY_THRESHOLD || src.tasks.is_empty() {
                 continue;
             }
             // One migration per loaded machine per sweep.
@@ -1005,7 +1007,7 @@ impl DaemonEndpoint {
                     .leader
                     .last_migrated_us
                     .get(&t.key)
-                    .is_some_and(|&at| now.saturating_sub(at) < self.cfg.migration_cooldown_us)
+                    .is_some_and(|&at| now.saturating_sub(at) < MIGRATION_COOLDOWN_US)
                 {
                     return None;
                 }
@@ -1299,8 +1301,8 @@ impl Endpoint for DaemonEndpoint {
                 self.evict_redundant(host);
                 if self.gm.is_coordinator() {
                     let now = host.now_us();
-                    let due = now.saturating_sub(self.leader.last_rebalance_us)
-                        >= self.cfg.rebalance_period_us;
+                    let due =
+                        now.saturating_sub(self.leader.last_rebalance_us) >= REBALANCE_PERIOD_US;
                     let needed = !self.leader.queue.is_empty()
                         || (self.cfg.migration_enabled && self.gm.view().len() > 1);
                     if due && needed {
@@ -1433,34 +1435,7 @@ impl Endpoint for DaemonEndpoint {
 #[cfg(test)]
 mod queue_tests {
     use super::*;
-    use vce_net::MachineInfo;
-
-    /// A host on which nothing happens: sends go nowhere.
-    struct NullHost(MachineInfo);
-
-    impl Host for NullHost {
-        fn now_us(&self) -> u64 {
-            0
-        }
-        fn send(&mut self, _src: Addr, _dst: Addr, _payload: bytes::Bytes) {}
-        fn set_timer(&mut self, _delay_us: u64, _token: u64) {}
-        fn cancel_timer(&mut self, _token: u64) {}
-        fn start_work(&mut self, _pid: u64, _mops: f64) {}
-        fn cancel_work(&mut self, _pid: u64) {}
-        fn work_remaining(&self, _pid: u64) -> Option<f64> {
-            None
-        }
-        fn load(&self) -> f64 {
-            0.0
-        }
-        fn machine(&self) -> &MachineInfo {
-            &self.0
-        }
-        fn rand_u64(&mut self) -> u64 {
-            0
-        }
-        fn log(&mut self, _line: String) {}
-    }
+    use vce_net::testing::MockHost;
 
     /// The queue outlives the round: a request waiting in it must not keep
     /// the pooled receive buffer of the message that brought it.
@@ -1495,7 +1470,7 @@ mod queue_tests {
         let inside = |s: &WireStr| msg.as_ptr_range().contains(&s.as_str().as_ptr());
         assert!(inside(&request.needs.unit), "decoded as a view");
         // No bids: the request cannot be placed and waits.
-        let mut host = NullHost(MachineInfo::workstation(me, 100.0));
+        let mut host = MockHost::new(me);
         let placed = daemon.try_allocate(
             request.req,
             request.needs,

@@ -24,7 +24,10 @@ use vce_sdm::MachineDb;
 use vce_taskgraph::{algo, TaskGraph, TaskId};
 
 use crate::backoff::backoff_delay_us;
-use crate::config::ExmConfig;
+use crate::config::{
+    ExmConfig, HEDGE_MIN_REMAINING_MOPS, HEDGE_MIN_SAMPLES, HEDGE_STALL_PERMILLE,
+    TRANSFER_US_PER_KIB,
+};
 use crate::events::{AppEvent, Timeline};
 use crate::msg::{AppId, ExmMsg, InstanceKey, LoadProgram, ReqId};
 
@@ -292,7 +295,7 @@ impl ExecutorEndpoint {
                 .arcs()
                 .iter()
                 .filter(|a| a.kind == vce_taskgraph::ArcKind::DataFlow && a.to == task)
-                .map(|a| a.data_kib * self.cfg.transfer_us_per_kib)
+                .map(|a| a.data_kib * TRANSFER_US_PER_KIB)
                 .max()
                 .unwrap_or(0);
             self.dispatched.insert(task);
@@ -705,7 +708,7 @@ impl ExecutorEndpoint {
         remaining: f64,
         host: &mut dyn Host,
     ) {
-        if !self.cfg.hedge_enabled || !self.instance_outstanding(&key) {
+        if !self.instance_outstanding(&key) {
             return;
         }
         // Only the primary copy's progress drives hedging.
@@ -737,9 +740,9 @@ impl ExecutorEndpoint {
                 return;
             }
         };
-        if samples < self.cfg.hedge_min_samples
+        if samples < HEDGE_MIN_SAMPLES
             || self.hedged.contains(&key)
-            || remaining <= self.cfg.hedge_min_remaining_mops
+            || remaining <= HEDGE_MIN_REMAINING_MOPS
         {
             return;
         }
@@ -753,7 +756,7 @@ impl ExecutorEndpoint {
         let Some(nominal) = self.db.get(node).map(|m| m.speed_mops / 1e6) else {
             return;
         };
-        if rate * 1000.0 >= nominal * f64::from(self.cfg.hedge_stall_permille) {
+        if rate * 1000.0 >= nominal * f64::from(HEDGE_STALL_PERMILLE) {
             return;
         }
         let task = TaskId(key.task);
@@ -1108,67 +1111,17 @@ impl Endpoint for ExecutorEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use vce_net::testing::MockHost;
     use vce_net::MachineInfo;
     use vce_taskgraph::{Language, ProblemClass, TaskSpec};
 
-    /// Records timer/send effects so token routing is observable.
-    struct RecordingHost {
-        info: MachineInfo,
-        now: u64,
-        timers: Vec<(u64, u64)>,
-        sent: Vec<(Addr, Addr, Bytes)>,
-    }
-
-    impl RecordingHost {
-        fn new() -> Self {
-            Self {
-                info: MachineInfo::workstation(NodeId(0), 100.0),
-                now: 0,
-                timers: Vec::new(),
-                sent: Vec::new(),
-            }
-        }
-
-        /// Messages sent to `dst`, decoded.
-        fn msgs_to(&self, dst: Addr) -> Vec<ExmMsg> {
-            self.sent
-                .iter()
-                .filter(|(_, d, _)| *d == dst)
-                .filter_map(|(_, _, p)| vce_codec::from_bytes(p).ok())
-                .collect()
-        }
-    }
-
-    impl vce_net::Host for RecordingHost {
-        fn now_us(&self) -> u64 {
-            self.now
-        }
-        fn send(&mut self, src: Addr, dst: Addr, payload: Bytes) {
-            self.sent.push((src, dst, payload));
-        }
-        fn set_timer(&mut self, delay_us: u64, token: u64) {
-            self.timers.push((delay_us, token));
-        }
-        fn cancel_timer(&mut self, _token: u64) {}
-        fn start_work(&mut self, _pid: u64, _mops: f64) {}
-        fn cancel_work(&mut self, _pid: u64) {}
-        fn work_remaining(&self, _pid: u64) -> Option<f64> {
-            None
-        }
-        fn load(&self) -> f64 {
-            0.0
-        }
-        fn machine(&self) -> &MachineInfo {
-            &self.info
-        }
-        fn rand_u64(&mut self) -> u64 {
-            0
-        }
-        fn log(&mut self, _line: String) {}
-        fn log_enabled(&self) -> bool {
-            false
-        }
+    /// Messages `host` saw sent to `dst`, decoded.
+    fn msgs_to(host: &MockHost, dst: Addr) -> Vec<ExmMsg> {
+        host.sent
+            .iter()
+            .filter(|(_, d, _)| *d == dst)
+            .filter_map(|(_, _, p)| vce_codec::from_bytes(p).ok())
+            .collect()
     }
 
     fn tiny_executor() -> ExecutorEndpoint {
@@ -1207,7 +1160,7 @@ mod tests {
     /// One divisible task, executor on node 0, workers on 1 and 2. Returns
     /// the executor already started and allocated to node 1 only, with the
     /// start-up traffic drained from the host.
-    fn hedge_fixture(host: &mut RecordingHost) -> (ExecutorEndpoint, InstanceKey) {
+    fn hedge_fixture(host: &mut MockHost) -> (ExecutorEndpoint, InstanceKey) {
         let mut g = TaskGraph::new("t");
         let t = g.add_task(
             TaskSpec::new("solver")
@@ -1246,7 +1199,7 @@ mod tests {
         (exec, key)
     }
 
-    fn deliver(exec: &mut ExecutorEndpoint, host: &mut RecordingHost, msg: &ExmMsg) {
+    fn deliver(exec: &mut ExecutorEndpoint, host: &mut MockHost, msg: &ExmMsg) {
         let env = Envelope {
             src: Addr::daemon(NodeId(1)),
             dst: Addr::executor(NodeId(0)),
@@ -1271,7 +1224,7 @@ mod tests {
     /// only non-redundant incarnation), and the primary placement is kept.
     #[test]
     fn stalled_primary_hedges_once_with_a_redundant_copy() {
-        let mut host = RecordingHost::new();
+        let mut host = MockHost::new(NodeId(0));
         let (mut exec, key) = hedge_fixture(&mut host);
         // Node 1 nominal: 100 Mops/s. Two samples 2 s apart showing only
         // 20 Mops done = 10 Mops/s = 10% — well under the 30% stall line.
@@ -1306,8 +1259,7 @@ mod tests {
                 nodes: vec![NodeId(2)].into(),
             },
         );
-        let loads: Vec<LoadProgram> = host
-            .msgs_to(Addr::daemon(NodeId(2)))
+        let loads: Vec<LoadProgram> = msgs_to(&host, Addr::daemon(NodeId(2)))
             .into_iter()
             .filter_map(|m| match m {
                 ExmMsg::Load(lp) => Some(lp),
@@ -1328,8 +1280,7 @@ mod tests {
                 node: NodeId(2),
             },
         );
-        let kills = host
-            .msgs_to(Addr::daemon(NodeId(1)))
+        let kills = msgs_to(&host, Addr::daemon(NodeId(1)))
             .into_iter()
             .filter(|m| matches!(m, ExmMsg::KillTask { .. }))
             .count();
@@ -1341,7 +1292,7 @@ mod tests {
     /// neither must a stall whose remaining work is under the floor.
     #[test]
     fn healthy_or_nearly_done_instances_are_not_hedged() {
-        let mut host = RecordingHost::new();
+        let mut host = MockHost::new(NodeId(0));
         let (mut exec, key) = hedge_fixture(&mut host);
         // Full-rate progress: 100 Mops/s on a 100 Mops/s host.
         host.now = 2_000_000;
@@ -1355,7 +1306,7 @@ mod tests {
                 .count(|e| matches!(e, AppEvent::InstanceHedged { .. })),
             0
         );
-        // Stalled but nearly done (< hedge_min_remaining_mops): pointless.
+        // Stalled but nearly done (< HEDGE_MIN_REMAINING_MOPS): pointless.
         host.now = 8_000_000;
         deliver(&mut exec, &mut host, &status(key, NodeId(1), 40.0));
         host.now = 10_000_000;
@@ -1368,21 +1319,6 @@ mod tests {
         assert_eq!(exec.requests.len(), 1, "no hedge requests were sent");
     }
 
-    /// Disabling the knob turns the whole path off even under a blatant
-    /// stall — the F-family baseline arm.
-    #[test]
-    fn hedging_respects_the_config_knob() {
-        let mut host = RecordingHost::new();
-        let (mut exec, key) = hedge_fixture(&mut host);
-        exec.cfg.hedge_enabled = false;
-        host.now = 2_000_000;
-        deliver(&mut exec, &mut host, &status(key, NodeId(1), 9_000.0));
-        host.now = 4_000_000;
-        deliver(&mut exec, &mut host, &status(key, NodeId(1), 8_999.0));
-        assert!(exec.progress.is_empty());
-        assert_eq!(exec.requests.len(), 1);
-    }
-
     /// Boundary regression: a dispatch timer for task id 2^20 must route to
     /// dispatch handling (a no-op for an unknown task), not masquerade as
     /// the probe timer. On the pre-fix encoding this token *was*
@@ -1391,7 +1327,7 @@ mod tests {
     #[test]
     fn boundary_dispatch_token_is_not_misrouted_to_the_watchdog() {
         let mut exec = tiny_executor();
-        let mut host = RecordingHost::new();
+        let mut host = MockHost::new(NodeId(0));
         exec.on_timer(dispatch_token(TaskId(1 << 20)), &mut host);
         assert!(
             host.timers.is_empty() && host.sent.is_empty(),

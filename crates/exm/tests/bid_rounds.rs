@@ -3,12 +3,13 @@
 //! leader believes exactly the bits it asked for.
 
 use bytes::Bytes;
-use vce_codec::{from_bytes, to_bytes, Encoder};
+use vce_codec::{from_bytes, to_bytes};
 use vce_exm::msg::{encode_msg, ExmMsg};
 use vce_exm::status::DaemonStatus;
 use vce_exm::{AppId, DaemonEndpoint, ExmConfig, ReqId};
 use vce_isis::IsisMsg;
-use vce_net::{Addr, Endpoint, Envelope, Host, MachineClass, MachineInfo, MsgCategory, NodeId};
+use vce_net::testing::ForwardHost;
+use vce_net::{Addr, Endpoint, Envelope, Host, MachineClass, MachineInfo, NodeId};
 use vce_sim::{Sim, SimConfig};
 
 /// Too long for `Bytes`' inline form, like the paths applications use.
@@ -44,72 +45,20 @@ struct Tampered {
     tamper: Tamper,
 }
 
-/// The host a [`Tampered`] daemon runs on: every `Reply` it sends carries
-/// `tamper(bid)` in place of the bid.
-struct TamperHost<'a> {
-    inner: &'a mut dyn Host,
-    tamper: Tamper,
-}
-
-impl Host for TamperHost<'_> {
-    fn now_us(&self) -> u64 {
-        self.inner.now_us()
-    }
-    fn send(&mut self, src: Addr, dst: Addr, payload: Bytes) {
-        let payload = match from_bytes::<ExmMsg>(&payload) {
+impl Tampered {
+    /// The host the daemon runs on: every `Reply` it sends carries
+    /// `tamper(bid)` in place of the bid.
+    fn host<'a>(&self, inner: &'a mut dyn Host) -> impl Host + 'a {
+        let tamper = self.tamper;
+        let on_send = move |_, _, payload: Bytes, _| match from_bytes::<ExmMsg>(&payload) {
             Ok(ExmMsg::Isis(IsisMsg::Reply { to, payload })) => {
                 let bid = from_bytes::<DaemonStatus>(&payload).expect("an honest bid");
-                let payload = Bytes::from((self.tamper)(bid));
+                let payload = Bytes::from(tamper(bid));
                 encode_msg(&ExmMsg::Isis(IsisMsg::Reply { to, payload }))
             }
             _ => payload,
         };
-        self.inner.send(src, dst, payload);
-    }
-    fn send_category(&mut self, src: Addr, dst: Addr, payload: Bytes, category: MsgCategory) {
-        self.inner.send_category(src, dst, payload, category);
-    }
-    fn set_timer(&mut self, delay_us: u64, token: u64) {
-        self.inner.set_timer(delay_us, token);
-    }
-    fn cancel_timer(&mut self, token: u64) {
-        self.inner.cancel_timer(token);
-    }
-    fn start_work(&mut self, pid: u64, mops: f64) {
-        self.inner.start_work(pid, mops);
-    }
-    fn cancel_work(&mut self, pid: u64) {
-        self.inner.cancel_work(pid);
-    }
-    fn work_remaining(&self, pid: u64) -> Option<f64> {
-        self.inner.work_remaining(pid)
-    }
-    fn load(&self) -> f64 {
-        self.inner.load()
-    }
-    fn machine(&self) -> &MachineInfo {
-        self.inner.machine()
-    }
-    fn rand_u64(&mut self) -> u64 {
-        self.inner.rand_u64()
-    }
-    fn log(&mut self, line: String) {
-        self.inner.log(line);
-    }
-    fn log_enabled(&self) -> bool {
-        self.inner.log_enabled()
-    }
-    fn encode_with(&mut self, f: &mut dyn FnMut(&mut Encoder)) -> Bytes {
-        self.inner.encode_with(f)
-    }
-}
-
-impl Tampered {
-    fn host<'a>(&self, inner: &'a mut dyn Host) -> TamperHost<'a> {
-        TamperHost {
-            inner,
-            tamper: self.tamper,
-        }
+        ForwardHost { inner, on_send }
     }
 }
 

@@ -68,6 +68,13 @@ const TOKEN_COLLECT_BASE: u64 = ISIS_TOKEN_BASE + 16;
 /// without a member that hears everyone. A protocol constant, not a knob.
 const SENIORS: usize = 2;
 
+/// How long a starting node listens before bootstrapping the group, µs.
+pub const BOOTSTRAP_QUIET_US: u64 = 600_000;
+/// Age of a FIFO gap before a NACK is sent, µs.
+pub const NACK_AFTER_US: u64 = 400_000;
+/// Outbound resend-buffer capacity (casts kept for retransmission).
+pub const RESEND_BUFFER: usize = 1024;
+
 /// Group protocol parameters.
 #[derive(Debug, Clone)]
 pub struct GroupConfig {
@@ -81,12 +88,6 @@ pub struct GroupConfig {
     pub heartbeat_us: u64,
     /// Silence after which a peer is suspected dead.
     pub failure_timeout_us: u64,
-    /// How long a starting node listens before bootstrapping the group.
-    pub bootstrap_quiet_us: u64,
-    /// Age of a FIFO gap before a NACK is sent.
-    pub nack_after_us: u64,
-    /// Outbound resend-buffer capacity (casts kept for retransmission).
-    pub resend_buffer: usize,
     /// Use the phi-accrual-style adaptive detector (per-peer inter-arrival
     /// window) plus flap-damping quarantine instead of the flat
     /// `failure_timeout_us` silence rule. The fixed timeout remains the
@@ -112,9 +113,6 @@ impl GroupConfig {
             candidates,
             heartbeat_us,
             failure_timeout_us,
-            bootstrap_quiet_us: 600_000,
-            nack_after_us: 400_000,
-            resend_buffer: 1024,
             adaptive_detection: true,
             detector: DetectorConfig::for_group(heartbeat_us, failure_timeout_us),
             quarantine: QuarantineConfig::for_group(failure_timeout_us),
@@ -465,8 +463,7 @@ impl GroupMember {
             self.run_failure_detector(host, up);
             let mut nacks = std::mem::take(&mut self.nack_scratch);
             debug_assert!(nacks.is_empty());
-            self.ordering
-                .overdue_gaps_into(host.now_us(), self.cfg.nack_after_us, &mut nacks);
+            self.ordering.overdue_gaps_into(host.now_us(), &mut nacks);
             for &(sender, expected) in &nacks {
                 if let Some(&dst) = self.cfg.candidates.get(sender) {
                     self.out(host, dst, &IsisMsg::Nack { expected });
@@ -838,7 +835,7 @@ impl GroupMember {
             host.send(self.me, dst, bytes.clone());
         }
         self.resend.push_back((seq, msg));
-        while self.resend.len() > self.cfg.resend_buffer {
+        while self.resend.len() > RESEND_BUFFER {
             self.resend.pop_front();
         }
     }
@@ -962,7 +959,7 @@ impl GroupMember {
         } else {
             // Bootstrap: after a quiet period, the lowest-addressed live
             // candidate forms the singleton view.
-            let quiet_over = now.saturating_sub(self.started_at) >= self.cfg.bootstrap_quiet_us;
+            let quiet_over = now.saturating_sub(self.started_at) >= BOOTSTRAP_QUIET_US;
             if quiet_over && self.view.id == 0 {
                 let lowest_alive = (0..self.peers.len()).find(|&r| self.alive(r, now));
                 if lowest_alive == Some(self.me_rank) {

@@ -21,6 +21,7 @@
 use bytes::Bytes;
 use vce_net::SeqWindow;
 
+use crate::member::NACK_AFTER_US;
 use crate::msg::{BcastId, CastOrder};
 use crate::vclock::VClock;
 
@@ -263,27 +264,22 @@ impl OrderingState {
         self.causal_holdback.retain(|(s, _)| *s != sender);
     }
 
-    /// Senders with a delivery gap older than `nack_after_us`: returns
+    /// Senders with a delivery gap older than [`NACK_AFTER_US`]: returns
     /// `(sender rank, first_missing_seq)` pairs in rank order and refreshes
     /// their gap clocks so NACKs repeat at most once per interval.
-    pub fn overdue_gaps(&mut self, now_us: u64, nack_after_us: u64) -> Vec<(usize, u64)> {
+    pub fn overdue_gaps(&mut self, now_us: u64) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
-        self.overdue_gaps_into(now_us, nack_after_us, &mut out);
+        self.overdue_gaps_into(now_us, &mut out);
         out
     }
 
     /// [`Self::overdue_gaps`] appending into a caller-owned vector (the
     /// periodic tick reuses one, so a gap-free steady state is
     /// allocation-free).
-    pub fn overdue_gaps_into(
-        &mut self,
-        now_us: u64,
-        nack_after_us: u64,
-        out: &mut Vec<(usize, u64)>,
-    ) {
+    pub fn overdue_gaps_into(&mut self, now_us: u64, out: &mut Vec<(usize, u64)>) {
         for (sender, fifo) in self.per_sender.iter_mut().enumerate() {
             if let (Some(since), true) = (fifo.gap_since_us, fifo.synced) {
-                if !fifo.holdback.is_empty() && now_us.saturating_sub(since) >= nack_after_us {
+                if !fifo.holdback.is_empty() && now_us.saturating_sub(since) >= NACK_AFTER_US {
                     out.push((sender, fifo.holdback.base()));
                     fifo.gap_since_us = Some(now_us);
                 }
@@ -374,9 +370,9 @@ mod tests {
         // adopted.
         assert!(st.on_cast(1, 1, fifo_cast(1, 1), 100).is_empty());
         // The gap is NACKable...
-        assert_eq!(st.overdue_gaps(10_000, 100), vec![(1, 0)]);
+        assert_eq!(st.overdue_gaps(100 * NACK_AFTER_US), vec![(1, 0)]);
         // ...and the retransmit releases both in order.
-        let out = st.on_cast(1, 0, fifo_cast(1, 0), 20_000);
+        let out = st.on_cast(1, 0, fifo_cast(1, 0), 200 * NACK_AFTER_US);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.seq, 0);
         assert_eq!(out[1].id.seq, 1);
@@ -406,13 +402,14 @@ mod tests {
     fn gap_triggers_nack_once_per_interval() {
         let mut st = OrderingState::new(4);
         st.on_cast(1, 0, fifo_cast(1, 0), 0);
-        st.on_cast(1, 5, fifo_cast(1, 5), 100);
-        assert!(st.overdue_gaps(150, 100).is_empty()); // not overdue yet
-        let n = st.overdue_gaps(250, 100);
+        let t = NACK_AFTER_US;
+        st.on_cast(1, 5, fifo_cast(1, 5), t);
+        assert!(st.overdue_gaps(t + t / 2).is_empty()); // not overdue yet
+        let n = st.overdue_gaps(2 * t + t / 2);
         assert_eq!(n, vec![(1, 1)]);
         // Refreshed: not again immediately.
-        assert!(st.overdue_gaps(260, 100).is_empty());
-        assert_eq!(st.overdue_gaps(400, 100), vec![(1, 1)]);
+        assert!(st.overdue_gaps(2 * t + t / 2 + t / 10).is_empty());
+        assert_eq!(st.overdue_gaps(4 * t), vec![(1, 1)]);
     }
 
     #[test]
@@ -421,7 +418,7 @@ mod tests {
         st.on_cast(1, 0, fifo_cast(1, 0), 0);
         st.on_cast(1, 2, fifo_cast(1, 2), 10);
         st.on_cast(1, 1, fifo_cast(1, 1), 20);
-        assert!(st.overdue_gaps(10_000, 100).is_empty());
+        assert!(st.overdue_gaps(100 * NACK_AFTER_US).is_empty());
     }
 
     fn causal_cast(origin: u32, my_count: u64, seen: &[(u32, u64)]) -> CastData {
@@ -517,7 +514,7 @@ mod tests {
         st.sync_stream(2, 0);
         st.forget_sender(2);
         assert!(st.on_cast(2, 0, fifo_cast(2, 0), 0).is_empty());
-        assert!(st.overdue_gaps(10_000, 100).is_empty());
+        assert!(st.overdue_gaps(100 * NACK_AFTER_US).is_empty());
     }
 
     #[test]

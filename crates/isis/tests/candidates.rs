@@ -8,74 +8,27 @@ use bytes::Bytes;
 use vce_isis::{
     BcastId, CastOrder, GroupConfig, GroupMember, IsisMsg, Member, Upcall, View, ISIS_TOKEN_BASE,
 };
-use vce_net::{Addr, Host, MachineInfo, NodeId};
+use vce_net::testing::MockHost;
+use vce_net::{Addr, NodeId};
 
 fn addr(n: u32) -> Addr {
     Addr::daemon(NodeId(n))
 }
 
-/// Counts every effect a handler can have on its host.
-struct CountingHost {
-    now: u64,
-    sends: usize,
-    timers: usize,
-    cancels: usize,
-    /// The last message sent, and the last timer armed.
-    last: Option<Bytes>,
-    last_timer: u64,
-    info: MachineInfo,
-}
-
-impl Host for CountingHost {
-    fn now_us(&self) -> u64 {
-        self.now
-    }
-    fn send(&mut self, _: Addr, _: Addr, payload: Bytes) {
-        self.sends += 1;
-        self.last = Some(payload);
-    }
-    fn set_timer(&mut self, _: u64, token: u64) {
-        self.timers += 1;
-        self.last_timer = token;
-    }
-    fn cancel_timer(&mut self, _: u64) {
-        self.cancels += 1;
-    }
-    fn start_work(&mut self, _: u64, _: f64) {}
-    fn cancel_work(&mut self, _: u64) {}
-    fn work_remaining(&self, _: u64) -> Option<f64> {
-        None
-    }
-    fn load(&self) -> f64 {
-        0.0
-    }
-    fn machine(&self) -> &MachineInfo {
-        &self.info
-    }
-    fn rand_u64(&mut self) -> u64 {
-        7
-    }
-    fn log(&mut self, _: String) {}
-}
-
-impl CountingHost {
-    fn effects(&self) -> (usize, usize, usize) {
-        (self.sends, self.timers, self.cancels)
-    }
+/// Sends, timers armed and timers cancelled so far: every effect a handler
+/// can have on its host.
+fn effects(host: &MockHost) -> (usize, usize, usize) {
+    (
+        host.sent.len(),
+        host.timers.len(),
+        host.cancelled_timers.len(),
+    )
 }
 
 /// Node 0 as the coordinator of `view#1{0}` with one collected broadcast
 /// outstanding, at t = 1 s.
-fn coordinator() -> (GroupMember, CountingHost, BcastId) {
-    let mut host = CountingHost {
-        now: 0,
-        sends: 0,
-        timers: 0,
-        cancels: 0,
-        last: None,
-        last_timer: 0,
-        info: MachineInfo::workstation(NodeId(0), 100.0),
-    };
+fn coordinator() -> (GroupMember, MockHost, BcastId) {
+    let mut host = MockHost::new(NodeId(0));
     let mut gm = GroupMember::new(addr(0), GroupConfig::new((0..3).map(addr).collect()));
     gm.start(&mut host);
     host.now = 1_000_000;
@@ -142,10 +95,10 @@ fn every_variant(open: BcastId) -> Vec<IsisMsg> {
 fn a_non_candidate_cannot_touch_the_group() {
     let (mut gm, mut host, open) = coordinator();
     for msg in every_variant(open) {
-        let (hash, effects) = (gm.snapshot_hash(), host.effects());
+        let (hash, before) = (gm.snapshot_hash(), effects(&host));
         let ups = gm.handle(addr(9), msg.clone(), &mut host);
         assert!(ups.is_empty(), "{msg:?} from an outsider produced {ups:?}");
-        assert_eq!(host.effects(), effects, "{msg:?} reached the host");
+        assert_eq!(effects(&host), before, "{msg:?} reached the host");
         assert_eq!(gm.snapshot_hash(), hash, "{msg:?} changed state");
     }
     // It never became a joiner either: ticks go by and the view stays.
@@ -176,10 +129,10 @@ fn the_same_messages_from_a_candidate_do_something() {
             },
             other => other,
         };
-        let (hash, effects) = (gm.snapshot_hash(), host.effects());
+        let (hash, before) = (gm.snapshot_hash(), effects(&host));
         let ups = gm.handle(addr(1), msg, &mut host);
         assert!(
-            !ups.is_empty() || host.effects() != effects || gm.snapshot_hash() != hash,
+            !ups.is_empty() || effects(&host) != before || gm.snapshot_hash() != hash,
             "variant {i} from a candidate left no trace"
         );
     }
@@ -211,9 +164,9 @@ fn a_view_naming_a_non_candidate_is_ignored_whole() {
 #[test]
 fn a_closed_collect_is_re_sent_without_its_question() {
     let (mut gm, mut host, open) = coordinator();
-    let resent = |gm: &mut GroupMember, host: &mut CountingHost, expected| {
+    let resent = |gm: &mut GroupMember, host: &mut MockHost, expected| {
         gm.handle(addr(1), IsisMsg::Nack { expected }, host);
-        match vce_codec::from_bytes(host.last.as_ref().expect("a re-send")) {
+        match vce_codec::from_bytes(&host.sent.last().expect("a re-send").2) {
             Ok(IsisMsg::Cast {
                 id,
                 fifo_seq,
@@ -241,7 +194,7 @@ fn a_closed_collect_is_re_sent_without_its_question() {
             &mut host,
         )
         .expect("still a member");
-    let deadline = host.last_timer;
+    let deadline = host.timers.last().expect("the collect's deadline").1;
     let asked = resent(&mut gm, &mut host, 1);
     assert_eq!(asked, (late, 1, Bytes::from_static(b"more bids?")));
     let ups = gm.on_timer(deadline, &mut host);

@@ -7,8 +7,9 @@
 //! multiple of 200 ms; faults are injected between ticks.
 
 use bytes::Bytes;
-use vce_codec::{from_bytes, Encoder};
+use vce_codec::from_bytes;
 use vce_isis::{is_isis_token, GroupConfig, GroupMember, IsisMsg, Upcall, View};
+use vce_net::testing::ForwardHost;
 use vce_net::{
     Addr, Endpoint, Envelope, FaultOp, Host, LinkFault, MachineInfo, MsgCategory, NodeId,
 };
@@ -34,63 +35,25 @@ struct Seen {
     answered: Vec<&'static str>,
 }
 
-/// A host that watches the liveness traffic an endpoint emits.
-struct Tap<'a> {
-    inner: &'a mut dyn Host,
-    seen: &'a mut Seen,
-    /// The message being handled (`None` inside a timer).
-    handling: Option<&'static str>,
-}
-
-impl Host for Tap<'_> {
-    fn now_us(&self) -> u64 {
-        self.inner.now_us()
-    }
-    fn send(&mut self, src: Addr, dst: Addr, payload: Bytes) {
-        self.inner.send(src, dst, payload);
-    }
-    fn send_category(&mut self, src: Addr, dst: Addr, payload: Bytes, category: MsgCategory) {
-        match from_bytes::<IsisMsg>(&payload).expect("isis msg") {
-            IsisMsg::Solicit => self.seen.solicits_sent += 1,
-            IsisMsg::Heartbeat { .. } => {
-                self.seen.answered.extend(self.handling);
+impl Seen {
+    /// A host that watches the liveness traffic an endpoint emits while it
+    /// handles `handling` (`None` inside a timer).
+    fn tap<'a>(
+        &'a mut self,
+        inner: &'a mut dyn Host,
+        handling: Option<&'static str>,
+    ) -> impl Host + 'a {
+        let on_send = move |_, _, payload: Bytes, category| {
+            if category == MsgCategory::Heartbeat {
+                match from_bytes::<IsisMsg>(&payload).expect("isis msg") {
+                    IsisMsg::Solicit => self.solicits_sent += 1,
+                    IsisMsg::Heartbeat { .. } => self.answered.extend(handling),
+                    other => panic!("{other:?} sent as liveness traffic"),
+                }
             }
-            other => panic!("{other:?} sent as liveness traffic"),
-        }
-        self.inner.send_category(src, dst, payload, category);
-    }
-    fn set_timer(&mut self, delay_us: u64, token: u64) {
-        self.inner.set_timer(delay_us, token);
-    }
-    fn cancel_timer(&mut self, token: u64) {
-        self.inner.cancel_timer(token);
-    }
-    fn start_work(&mut self, pid: u64, mops: f64) {
-        self.inner.start_work(pid, mops);
-    }
-    fn cancel_work(&mut self, pid: u64) {
-        self.inner.cancel_work(pid);
-    }
-    fn work_remaining(&self, pid: u64) -> Option<f64> {
-        self.inner.work_remaining(pid)
-    }
-    fn load(&self) -> f64 {
-        self.inner.load()
-    }
-    fn machine(&self) -> &MachineInfo {
-        self.inner.machine()
-    }
-    fn rand_u64(&mut self) -> u64 {
-        self.inner.rand_u64()
-    }
-    fn log(&mut self, line: String) {
-        self.inner.log(line);
-    }
-    fn log_enabled(&self) -> bool {
-        self.inner.log_enabled()
-    }
-    fn encode_with(&mut self, f: &mut dyn FnMut(&mut Encoder)) -> Bytes {
-        self.inner.encode_with(f)
+            payload
+        };
+        ForwardHost { inner, on_send }
     }
 }
 
@@ -123,23 +86,15 @@ impl Endpoint for Member {
             _ => "other",
         };
         let now = host.now_us();
-        let mut tap = Tap {
-            inner: host,
-            seen: &mut self.seen,
-            handling: Some(what),
-        };
-        let ups = self.gm.handle(env.src, msg, &mut tap);
+        let ups = self
+            .gm
+            .handle(env.src, msg, &mut self.seen.tap(host, Some(what)));
         self.record(now, ups);
     }
     fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
         assert!(is_isis_token(token));
         let now = host.now_us();
-        let mut tap = Tap {
-            inner: host,
-            seen: &mut self.seen,
-            handling: None,
-        };
-        let ups = self.gm.on_timer(token, &mut tap);
+        let ups = self.gm.on_timer(token, &mut self.seen.tap(host, None));
         self.record(now, ups);
     }
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {

@@ -14,12 +14,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
 use proptest::prelude::*;
+use vce_isis::member::BOOTSTRAP_QUIET_US;
 use vce_isis::{
     ArrivalWindow, FlapState, GroupConfig, GroupMember, IsisMsg, Member, View, ISIS_TOKEN_BASE,
 };
-use vce_net::{Addr, Fnv64, Host, MachineInfo, MsgCategory, NodeId};
+use vce_net::testing::MockHost;
+use vce_net::{Addr, Fnv64, NodeId};
 
 const TOKEN_TICK: u64 = ISIS_TOKEN_BASE;
 const TOKEN_QUARANTINE_SWEEP: u64 = ISIS_TOKEN_BASE + 1;
@@ -29,43 +30,6 @@ const CANDIDATES: u32 = 5;
 
 fn addr(n: u32) -> Addr {
     Addr::daemon(NodeId(n))
-}
-
-/// A host that keeps time and hands out a counter as randomness; sends,
-/// timers and logs go nowhere.
-struct QuietHost {
-    now: u64,
-    rand: u64,
-    info: MachineInfo,
-}
-
-impl Host for QuietHost {
-    fn now_us(&self) -> u64 {
-        self.now
-    }
-    fn send(&mut self, _: Addr, _: Addr, _: Bytes) {}
-    fn send_category(&mut self, _: Addr, _: Addr, _: Bytes, _: MsgCategory) {}
-    fn set_timer(&mut self, _: u64, _: u64) {}
-    fn cancel_timer(&mut self, _: u64) {}
-    fn start_work(&mut self, _: u64, _: f64) {}
-    fn cancel_work(&mut self, _: u64) {}
-    fn work_remaining(&self, _: u64) -> Option<f64> {
-        None
-    }
-    fn load(&self) -> f64 {
-        0.0
-    }
-    fn machine(&self) -> &MachineInfo {
-        &self.info
-    }
-    fn rand_u64(&mut self) -> u64 {
-        self.rand += 2;
-        self.rand
-    }
-    fn log(&mut self, _: String) {}
-    fn log_enabled(&self) -> bool {
-        false
-    }
 }
 
 /// How many of a view's oldest members heartbeat everyone and are
@@ -301,7 +265,7 @@ impl Model {
                 }
             }
         } else {
-            let quiet_over = now.saturating_sub(self.started_at) >= self.cfg.bootstrap_quiet_us;
+            let quiet_over = now.saturating_sub(self.started_at) >= BOOTSTRAP_QUIET_US;
             if quiet_over && self.view.id == 0 {
                 let lowest = self
                     .cfg
@@ -563,15 +527,18 @@ proptest! {
         if !adaptive {
             cfg = cfg.with_fixed_detection();
         }
-        let mut host = QuietHost {
-            now: 0,
-            rand: 0,
-            info: MachineInfo::workstation(NodeId(me), 100.0),
+        let mut host = MockHost::new(NodeId(me));
+        // A fresh draw for every boot, so each gets its own incarnation.
+        let mut draw = 0;
+        let mut boot = |gm: &mut GroupMember, model: &mut Model, host: &mut MockHost| {
+            draw += 2;
+            host.rand.push_back(draw);
+            gm.start(host);
+            model.start(host.now, draw);
         };
         let mut gm = GroupMember::new(addr(me), cfg.clone());
         let mut model = Model::new(addr(me), cfg);
-        gm.start(&mut host);
-        model.start(host.now, host.rand);
+        boot(&mut gm, &mut model, &mut host);
 
         for (step, op) in ops.iter().enumerate() {
             let view_id = |delta: i64| model.view.id.saturating_add_signed(delta);
@@ -611,10 +578,7 @@ proptest! {
                     gm.on_timer(TOKEN_QUARANTINE_SWEEP, &mut host);
                     model.sweep(host.now);
                 }
-                Op::Reboot => {
-                    gm.start(&mut host);
-                    model.start(host.now, host.rand);
-                }
+                Op::Reboot => boot(&mut gm, &mut model, &mut host),
             }
             prop_assert_eq!(gm.view(), &model.view, "view after step {} ({:?})", step, op);
             prop_assert_eq!(gm.is_member(), model.is_member());

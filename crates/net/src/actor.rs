@@ -147,87 +147,10 @@ pub fn send_msg<T: vce_codec::Codec>(host: &mut dyn Host, src: Addr, dst: Addr, 
 }
 
 #[cfg(test)]
-pub(crate) mod test_host {
-    //! A scripted host for unit-testing endpoints in isolation.
-
-    use std::collections::VecDeque;
-
-    use super::*;
-    use crate::addr::NodeId;
-
-    /// Records effects; time is advanced manually.
-    pub struct MockHost {
-        pub now: u64,
-        pub sent: Vec<(Addr, Addr, Bytes)>,
-        pub timers: Vec<(u64, u64)>,
-        pub cancelled_timers: Vec<u64>,
-        pub work: Vec<(u64, f64)>,
-        pub cancelled_work: Vec<u64>,
-        pub logs: Vec<String>,
-        pub load_value: f64,
-        pub info: MachineInfo,
-        pub rand: VecDeque<u64>,
-    }
-
-    impl MockHost {
-        pub fn new(node: NodeId) -> Self {
-            Self {
-                now: 0,
-                sent: Vec::new(),
-                timers: Vec::new(),
-                cancelled_timers: Vec::new(),
-                work: Vec::new(),
-                cancelled_work: Vec::new(),
-                logs: Vec::new(),
-                load_value: 0.0,
-                info: MachineInfo::workstation(node, 100.0),
-                rand: VecDeque::new(),
-            }
-        }
-    }
-
-    impl Host for MockHost {
-        fn now_us(&self) -> u64 {
-            self.now
-        }
-        fn send(&mut self, src: Addr, dst: Addr, payload: Bytes) {
-            self.sent.push((src, dst, payload));
-        }
-        fn set_timer(&mut self, delay_us: u64, token: u64) {
-            self.timers.push((delay_us, token));
-        }
-        fn cancel_timer(&mut self, token: u64) {
-            self.cancelled_timers.push(token);
-        }
-        fn start_work(&mut self, pid: u64, mops: f64) {
-            self.work.push((pid, mops));
-        }
-        fn cancel_work(&mut self, pid: u64) {
-            self.cancelled_work.push(pid);
-        }
-        fn work_remaining(&self, pid: u64) -> Option<f64> {
-            self.work.iter().find(|(p, _)| *p == pid).map(|(_, m)| *m)
-        }
-        fn load(&self) -> f64 {
-            self.load_value
-        }
-        fn machine(&self) -> &MachineInfo {
-            &self.info
-        }
-        fn rand_u64(&mut self) -> u64 {
-            self.rand.pop_front().unwrap_or(0)
-        }
-        fn log(&mut self, line: String) {
-            self.logs.push(line);
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::test_host::MockHost;
     use super::*;
     use crate::addr::NodeId;
+    use crate::testing::MockHost;
     use crate::Envelope;
 
     /// An endpoint that echoes payloads back to the sender.

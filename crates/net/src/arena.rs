@@ -7,10 +7,11 @@
 //! per-event cost once encode and decode are pooled. This module provides
 //! the replacements, all preserving *deterministic iteration order*:
 //!
-//! * [`SlotArena`] — a slab of generational slots plus a sorted key index:
+//! * [`SlotArena`] — a slab of slots plus a sorted key index:
 //!   `BTreeMap`-compatible ordered iteration, but inserts reuse freed slots
 //!   and removals free into a free-list, so a steady-state workload that
-//!   inserts and removes at the same rate allocates nothing.
+//!   inserts and removes at the same rate allocates nothing. Its surface
+//!   is what the EXM leader's three request tables call and no more.
 //! * [`SeqWindow`] — a ring buffer keyed by a dense monotone sequence
 //!   number (FIFO/total-order holdback): insert ahead of the base, take
 //!   contiguously from the base, no per-entry nodes at all.
@@ -27,30 +28,15 @@ use vce_codec::{Codec, Decoder, Encoder, Result};
 
 use crate::addr::NodeId;
 
-/// Stable reference to a [`SlotArena`] entry: slot index plus the slot's
-/// generation at hand-out time. A handle held across the entry's removal
-/// (and the slot's reuse) goes stale rather than aliasing the new tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotHandle {
-    slot: u32,
-    generation: u32,
-}
-
-#[derive(Debug)]
-struct Slot<K, V> {
-    generation: u32,
-    entry: Option<(K, V)>,
-}
-
 /// An ordered map over a dense slab: sorted `(key, slot)` index for
-/// deterministic iteration and `O(log n)` lookup, generational slots for
+/// deterministic iteration and `O(log n)` lookup, a slot vector for
 /// storage, and a free-list so steady-state insert/remove churn reuses
 /// slots instead of allocating.
 #[derive(Debug)]
 pub struct SlotArena<K, V> {
     /// Sorted by key; values are slot indices.
     index: Vec<(K, u32)>,
-    slots: Vec<Slot<K, V>>,
+    slots: Vec<Option<(K, V)>>,
     free: Vec<u32>,
 }
 
@@ -67,20 +53,7 @@ impl<K, V> Default for SlotArena<K, V> {
 impl<K: Ord + Copy, V> SlotArena<K, V> {
     /// Empty arena; slots are allocated on demand.
     pub fn new() -> Self {
-        SlotArena {
-            index: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Empty arena with room for `cap` entries before any reallocation.
-    pub fn with_capacity(cap: usize) -> Self {
-        SlotArena {
-            index: Vec::with_capacity(cap),
-            slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
-        }
+        Self::default()
     }
 
     /// Number of live entries.
@@ -103,20 +76,17 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
         match self.find(&key) {
             Ok(i) => {
                 let slot = self.index[i].1 as usize;
-                let old = self.slots[slot].entry.replace((key, value));
+                let old = self.slots[slot].replace((key, value));
                 old.map(|(_, v)| v)
             }
             Err(i) => {
                 let slot = match self.free.pop() {
                     Some(s) => {
-                        self.slots[s as usize].entry = Some((key, value));
+                        self.slots[s as usize] = Some((key, value));
                         s
                     }
                     None => {
-                        self.slots.push(Slot {
-                            generation: 0,
-                            entry: Some((key, value)),
-                        });
+                        self.slots.push(Some((key, value)));
                         (self.slots.len() - 1) as u32
                     }
                 };
@@ -130,24 +100,22 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let i = self.find(key).ok()?;
         let slot = self.index.remove(i).1;
-        let s = &mut self.slots[slot as usize];
-        s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
-        s.entry.take().map(|(_, v)| v)
+        self.slots[slot as usize].take().map(|(_, v)| v)
     }
 
     /// Shared access by key.
     pub fn get(&self, key: &K) -> Option<&V> {
         let i = self.find(key).ok()?;
         let slot = self.index[i].1 as usize;
-        self.slots[slot].entry.as_ref().map(|(_, v)| v)
+        self.slots[slot].as_ref().map(|(_, v)| v)
     }
 
     /// Mutable access by key.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let i = self.find(key).ok()?;
         let slot = self.index[i].1 as usize;
-        self.slots[slot].entry.as_mut().map(|(_, v)| v)
+        self.slots[slot].as_mut().map(|(_, v)| v)
     }
 
     /// True if `key` has a live entry.
@@ -155,57 +123,14 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
         self.find(key).is_ok()
     }
 
-    /// A generational handle to `key`'s current entry (see [`SlotHandle`]).
-    pub fn handle_of(&self, key: &K) -> Option<SlotHandle> {
-        let i = self.find(key).ok()?;
-        let slot = self.index[i].1;
-        Some(SlotHandle {
-            slot,
-            generation: self.slots[slot as usize].generation,
-        })
-    }
-
-    /// Resolve a handle; `None` once the entry it named was removed (even
-    /// if the slot has since been reused for another key).
-    pub fn get_handle(&self, h: SlotHandle) -> Option<&V> {
-        let s = self.slots.get(h.slot as usize)?;
-        if s.generation != h.generation {
-            return None;
-        }
-        s.entry.as_ref().map(|(_, v)| v)
-    }
-
     /// Iterate entries in ascending key order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.index.iter().map(|(_, slot)| {
             let (k, v) = self.slots[*slot as usize]
-                .entry
                 .as_ref()
                 .expect("indexed slot is live");
             (k, v)
         })
-    }
-
-    /// Iterate keys in ascending order (deterministic).
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterate values in ascending key order (deterministic).
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
-    }
-
-    /// Visit every entry mutably, in ascending key order (deterministic).
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(&K, &mut V)) {
-        let slots = &mut self.slots;
-        for &(_, slot) in &self.index {
-            let (k, v) = slots[slot as usize]
-                .entry
-                .as_mut()
-                .expect("indexed slot is live");
-            f(k, v);
-        }
     }
 
     /// Keep only entries for which `pred` returns true, in key order.
@@ -215,31 +140,19 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
         let free = &mut self.free;
         self.index.retain(|&(_, slot)| {
             let s = &mut slots[slot as usize];
-            let (k, v) = s.entry.as_mut().expect("indexed slot is live");
+            let (k, v) = s.as_mut().expect("indexed slot is live");
             let keep = pred(k, v);
             if !keep {
-                s.generation = s.generation.wrapping_add(1);
-                s.entry = None;
+                *s = None;
                 free.push(slot);
             }
             keep
         });
     }
 
-    /// Drop all entries (slots and capacity are retained for reuse).
-    pub fn clear(&mut self) {
-        for &(_, slot) in &self.index {
-            let s = &mut self.slots[slot as usize];
-            s.generation = s.generation.wrapping_add(1);
-            s.entry = None;
-            self.free.push(slot);
-        }
-        self.index.clear();
-    }
-
-    /// First (minimum) key, if any.
-    pub fn first_key(&self) -> Option<&K> {
-        self.index.first().map(|(k, _)| k)
+    /// Slots ever allocated, live or free — what churn must not grow.
+    pub fn slab_len(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -584,27 +497,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_handles_go_stale_on_removal() {
-        let mut arena = SlotArena::new();
-        arena.insert(1u32, "one");
-        let h = arena.handle_of(&1).unwrap();
-        assert_eq!(arena.get_handle(h), Some(&"one"));
-        arena.remove(&1);
-        assert_eq!(arena.get_handle(h), None);
-        // Slot reuse must not resurrect the old handle.
-        arena.insert(2u32, "two");
-        assert_eq!(arena.get_handle(h), None);
-        assert_eq!(arena.get(&2), Some(&"two"));
-    }
-
-    #[test]
     fn arena_retain_frees_slots_in_order() {
         let mut arena = SlotArena::new();
         for i in 0u32..10 {
             arena.insert(i, i);
         }
         arena.retain(|k, _| k % 2 == 0);
-        let kept: Vec<u32> = arena.keys().copied().collect();
+        let kept: Vec<u32> = arena.iter().map(|(k, _)| *k).collect();
         assert_eq!(kept, vec![0, 2, 4, 6, 8]);
         // Freed slots are reused before the slab grows.
         let slots = arena.slots.len();
@@ -612,19 +511,6 @@ mod tests {
             arena.insert(i, i);
         }
         assert_eq!(arena.slots.len(), slots);
-    }
-
-    #[test]
-    fn arena_clear_retains_capacity() {
-        let mut arena = SlotArena::new();
-        for i in 0u32..4 {
-            arena.insert(i, i);
-        }
-        arena.clear();
-        assert!(arena.is_empty());
-        assert_eq!(arena.slots.len(), 4);
-        arena.insert(9, 9);
-        assert_eq!(arena.slots.len(), 4, "cleared slots are reused");
     }
 
     #[test]

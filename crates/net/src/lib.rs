@@ -30,10 +30,11 @@ pub mod machine;
 pub mod memory;
 pub mod message;
 pub mod stats;
+pub mod testing;
 
 pub use actor::{send_msg, Endpoint, Host};
 pub use addr::{Addr, NodeId, PortId};
-pub use arena::{NodeList, SeqWindow, SlotArena, SlotHandle, NODE_LIST_INLINE};
+pub use arena::{NodeList, SeqWindow, SlotArena, NODE_LIST_INLINE};
 pub use driver::{LiveDriver, LiveNodeConfig};
 pub use fault::{FaultOp, FaultPlan, LinkFault};
 pub use hash::{fnv64, DetHashState, DetHasher, Fnv64};

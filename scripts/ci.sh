@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate: lint first (cheapest, fails fastest), then build, the
-# full test suite, clippy/fmt, and quick smoke runs of the pieces a
-# perf/regression PR is most likely to break — the F3 bidding
-# experiment, the parallel-sweep determinism test, the shard and
+# full test suite, clippy/fmt, the experiment identity check (every
+# deterministic exp_* table byte-equal to experiment-results/ at one shard
+# and at four), and quick smoke runs of the pieces a perf/regression PR is
+# most likely to break — the parallel-sweep determinism test, the shard and
 # record/replay determinism gates (the latter with a pinned `.vct`
 # digest), the zero-alloc bidding round, the queue sorted-insert gate, and a
 # build + unit-test of the out-of-workspace benchmark plus a hard gate on
@@ -52,8 +53,12 @@ cargo clippy --all-targets --offline -q -- -D warnings
 echo "== fmt =="
 cargo fmt --check
 
-echo "== exp_bidding smoke =="
-cargo run --release --offline -q -p vce-bench --bin exp_bidding
+# Every deterministic experiment, at VCE_SHARDS=1 and 4, against the
+# checked-in tables: run-to-run determinism, shard invisibility (stdout
+# with three worker threads beside the caller's must equal the one-shard
+# run) and "no table moved" in one pass; prints which tables moved.
+echo "== experiment identity (VCE_SHARDS 1 and 4 vs experiment-results/) =="
+scripts/run_experiments.sh --check
 
 # One seed per cell still covers every schedule shape, including the
 # storage-fault ones (torn-tail / device-loss WAL recovery) and the four
@@ -73,21 +78,14 @@ done
 echo "== sweep determinism =="
 cargo test --release --offline -q -p vce-bench --test sweep_determinism
 
-# The sharded engine must be invisible: stdout of a full experiment run
-# with VCE_SHARDS=4 (three worker threads beside the caller's) must be
-# byte-identical to the one-shard run. Backed by the in-process suite,
-# which additionally sweeps S in {1,2,4,8} and compares chaos traces.
-echo "== shard determinism (VCE_SHARDS=4 vs serial) =="
+# The sharded engine must be invisible. The identity stage above compared
+# experiment stdout at one shard and four; the in-process suite
+# additionally sweeps S in {1,2,4,8} and compares chaos traces.
+echo "== shard determinism (S in {1,2,4,8}) =="
 cargo test --release --offline -q -p vce-sim --test proptest_shard
 # (The pinned `.vct` digest in the same file runs in the record/replay
 # stage below, where a failure reads as what it is.)
 cargo test --release --offline -q -p vce-bench --test shard_determinism -- --skip membership_churn
-shard_a=$(mktemp); shard_b=$(mktemp)
-VCE_SHARDS=1 cargo run --release --offline -q -p vce-bench --bin exp_bidding > "$shard_a"
-VCE_SHARDS=4 cargo run --release --offline -q -p vce-bench --bin exp_bidding > "$shard_b"
-diff -u "$shard_a" "$shard_b" || { echo "shard-determinism: exp_bidding diverged at VCE_SHARDS=4"; exit 1; }
-rm -f "$shard_a" "$shard_b"
-echo "shard-determinism: exp_bidding identical at VCE_SHARDS=4"
 
 # Record → replay must close: a `.vct` recording of a chaos cell, replayed
 # on the same binary, reports zero divergence (exit 0); and the recording
@@ -168,7 +166,9 @@ sys.exit(over)' "$allocs_ceiling" "$heartbeats_ceiling" "$bytes_per_msg_ceiling"
 echo "stage-time: vce-lint ${lint_ms}ms (analysis only, binary prebuilt)"
 # The two rows a deletion PR is judged by (ROADMAP aim 2).
 rust_lines=$(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)
-waivers=$(grep -rn --include='*.rs' 'vce-lint: allow' crates | wc -l)
+# (Not under crates/lint/: the linter's own sources and golden fixtures
+# spell the marker out dozens of times and waive nothing.)
+waivers=$(grep -rn --include='*.rs' 'vce-lint: allow' crates | grep -v '^crates/lint/' | wc -l)
 echo "stage-size: ${rust_lines} Rust lines under crates/, ${waivers} vce-lint waivers"
 
 echo "CI OK"

@@ -1,12 +1,16 @@
 #!/usr/bin/env sh
-# Regenerate every experiment table in EXPERIMENTS.md.
+# Regenerate every experiment table in EXPERIMENTS.md, or check that none
+# of them moved.
 #
-# Usage: scripts/run_experiments.sh [--check] [output-dir]
+# Usage: scripts/run_experiments.sh [--check] [dir]   (dir: experiment-results)
 #
-#   --check   run every experiment TWICE and diff the two stdouts; any
-#             difference means the simulation is nondeterministic across
-#             runs (e.g. HashMap iteration order leaking into results)
-#             and the script exits nonzero naming the experiment.
+#   (no flag) run every experiment and write its stdout to dir/<exp>.txt.
+#   --check   write nothing: run every deterministic experiment once at
+#             VCE_SHARDS=1 and once at VCE_SHARDS=4, compare each stdout
+#             byte for byte with the checked-in dir/<exp>.txt, and print
+#             which tables moved; exits nonzero if any did. One pass covers
+#             run-to-run determinism, shard invariance and "this change
+#             altered no behaviour" (≈ 1 min per shard count).
 #             exp_proxy is exempt: it is a live wall-clock microbenchmark
 #             (marshal/round-trip ns), so its numbers vary by nature.
 set -eu
@@ -16,24 +20,42 @@ if [ "${1:-}" = "--check" ]; then
     check=1
     shift
 fi
-out="${1:-experiment-results}"
-mkdir -p "$out"
-for e in exp_pipeline exp_proxy exp_bidding exp_weather exp_placement \
-         exp_starvation exp_migration exp_ripple exp_freepar \
-         exp_anticipatory exp_baselines exp_failover exp_heterogeneity \
-         exp_loadbal exp_ablation exp_chaos exp_recovery exp_graydetect; do
-    echo "== $e =="
-    cargo run --release -q -p vce-bench --bin "$e" | tee "$out/$e.txt"
-    if [ "$check" = 1 ] && [ "$e" != exp_proxy ]; then
-        cargo run --release -q -p vce-bench --bin "$e" > "$out/$e.rerun.txt"
-        if ! cmp -s "$out/$e.txt" "$out/$e.rerun.txt"; then
-            echo "DETERMINISM FAILURE: $e produced different output on rerun" >&2
-            diff "$out/$e.txt" "$out/$e.rerun.txt" >&2 || true
-            exit 1
-        fi
-        rm -f "$out/$e.rerun.txt"
-        echo "($e deterministic across two runs)"
+dir="${1:-experiment-results}"
+experiments="exp_pipeline exp_proxy exp_bidding exp_weather exp_placement
+    exp_starvation exp_migration exp_ripple exp_freepar exp_anticipatory
+    exp_baselines exp_failover exp_heterogeneity exp_loadbal exp_ablation
+    exp_chaos exp_recovery exp_graydetect"
+run() { cargo run --release --offline -q -p vce-bench --bin "$1"; }
+
+if [ "$check" = 1 ]; then
+    got=$(mktemp)
+    trap 'rm -f "$got"' EXIT
+    moved=""
+    tables=0
+    for shards in 1 4; do
+        export VCE_SHARDS=$shards
+        for e in $experiments; do
+            [ "$e" = exp_proxy ] && continue
+            tables=$((tables + 1))
+            if run "$e" > "$got" && cmp -s "$dir/$e.txt" "$got"; then
+                continue
+            fi
+            moved="$moved $e@VCE_SHARDS=$shards"
+            diff -u "$dir/$e.txt" "$got" >&2 || true
+        done
+    done
+    if [ -n "$moved" ]; then
+        echo "identity: MOVED against $dir/:$moved" >&2
+        exit 1
     fi
+    echo "identity: 0 moved ($tables runs: every deterministic exp_* at VCE_SHARDS 1 and 4 equals $dir/)"
+    exit 0
+fi
+
+mkdir -p "$dir"
+for e in $experiments; do
+    echo "== $e =="
+    run "$e" | tee "$dir/$e.txt"
     echo
 done
-echo "All experiment outputs written to $out/"
+echo "All experiment outputs written to $dir/"
