@@ -19,15 +19,21 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// FNV-64 of [`experiment_fingerprint`] at S=1. A change that does not
 /// mean to alter protocol behaviour must reproduce it — at S=1 and, through
-/// the sweep below, at every other shard count. Re-pinned on purpose twice:
-/// by PR 18 (the O(n) liveness plane and the re-sent `TaskDone` change what
-/// is sent, so every message count and link-RNG draw moved), and by PR 21,
+/// the sweep below, at every other shard count. Re-pinned on purpose three
+/// times: by PR 18 (the O(n) liveness plane and the re-sent `TaskDone`
+/// change what is sent, so every message count and link-RNG draw moved), by
+/// PR 21,
 /// whose bids answer the disclosure's question with a bit per asked unit
 /// where they listed every staged binary: the messages are the same in
 /// number and shorter, so every delivery after the first disclosure lands
 /// earlier (by ≈ 10 µs a round on a fleet with nothing staged, ≈ 290 µs on
 /// `app_dense`'s) and the chaos cell's RNG draws fall on different events.
-const SERIAL_ENGINE_FINGERPRINT: u64 = 0x415a_e57c_ec77_6a45;
+/// PR 23 moves it the same way for the same reason: uvarint framing (the
+/// envelope header, addresses, heartbeat and isis sequence numbers) sends
+/// the same messages in under half the bytes, so each crosses the modelled
+/// LAN a few µs sooner (`f3` still counts 35 protocol messages and 156
+/// heartbeats; its latency reads 3,528 µs).
+const SERIAL_ENGINE_FINGERPRINT: u64 = 0xcd8c_5ce5_cac3_563d;
 
 /// FNV-64 of [`membership_churn_recording`]. The recording's snapshot
 /// frames carry every node's state hash (`GroupMember::snapshot_hash` among
@@ -37,8 +43,10 @@ const SERIAL_ENGINE_FINGERPRINT: u64 = 0x415a_e57c_ec77_6a45;
 /// deliberately changes which heartbeats exist and so every event after
 /// the first tick, and by PR 21: the application's allocation rounds carry
 /// shorter disclosures and bids (see above), which moves the arrival times
-/// the members' `heard` stamps and arrival windows hash.
-const MEMBERSHIP_CHURN_VCT: u64 = 0x55f1_0b18_17ef_9cdd;
+/// the members' `heard` stamps and arrival windows hash. PR 23: every
+/// frame is shorter (uvarint framing, see above), so every delivery the
+/// recording times, and every arrival the members hash, is earlier.
+const MEMBERSHIP_CHURN_VCT: u64 = 0x72a0_6146_4b08_6d9d;
 
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.

@@ -110,14 +110,16 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read an LEB128 varint u64 (see [`crate::Encoder::put_uvarint`]).
-    /// Rejects encodings longer than 10 bytes and 10-byte encodings whose
-    /// final group overflows 64 bits.
+    /// Rejects encodings longer than 10 bytes, 10-byte encodings whose
+    /// final group overflows 64 bits, and padded ones (a multi-byte
+    /// encoding ending in a zero group, e.g. `80 00` for 0): every value
+    /// has exactly one encoding, the one the encoder writes.
     pub fn get_uvarint(&mut self) -> Result<u64> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.get_u8()?;
-            if shift == 63 && b > 1 {
-                break; // 10th byte may only contribute the final bit
+            if (shift == 63 && b > 1) || (shift > 0 && b == 0) {
+                break; // 10th byte may only carry the final bit; no padding
             }
             v |= u64::from(b & 0x7f) << shift;
             if b < 0x80 {
@@ -126,8 +128,15 @@ impl<'a> Decoder<'a> {
         }
         Err(CodecError::InvalidDiscriminant {
             value: v,
-            type_name: "uvarint (overlong or >64-bit encoding)",
+            type_name: "uvarint (overlong, padded or >64-bit encoding)",
         })
+    }
+
+    /// Read a uvarint that must fit a `u32` (node and port numbers, view
+    /// sizes); a larger value is refused as an invalid `type_name`.
+    pub fn get_uvarint32(&mut self, type_name: &'static str) -> Result<u32> {
+        let value = self.get_uvarint()?;
+        u32::try_from(value).map_err(|_| CodecError::InvalidDiscriminant { value, type_name })
     }
 
     /// Read a big-endian IEEE-754 binary64.
@@ -149,6 +158,12 @@ impl<'a> Decoder<'a> {
     /// remaining buffer) followed by that many raw bytes.
     pub fn get_len_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as u64;
+        self.take_declared(len)
+    }
+
+    /// Take `len` declared bytes: checked against [`MAX_LEN`] and then,
+    /// in `take`, against what is left — before anything is taken.
+    fn take_declared(&mut self, len: u64) -> Result<&'a [u8]> {
         if len > MAX_LEN {
             return Err(CodecError::LengthOverflow {
                 declared: len,
@@ -164,6 +179,15 @@ impl<'a> Decoder<'a> {
     /// allocation; otherwise the bytes are copied out.
     pub fn get_bytes(&mut self) -> Result<Bytes> {
         let s = self.get_len_bytes()?;
+        Ok(self.owned(s))
+    }
+
+    /// [`Decoder::get_bytes`] for a uvarint length prefix
+    /// ([`crate::Encoder::put_uvarint_bytes`]): same checks, same
+    /// zero-copy rule.
+    pub fn get_uvarint_bytes(&mut self) -> Result<Bytes> {
+        let len = self.get_uvarint()?;
+        let s = self.take_declared(len)?;
         Ok(self.owned(s))
     }
 
@@ -300,6 +324,76 @@ mod tests {
         assert!(Decoder::new(&overflow).get_uvarint().is_err());
         // Continuation bit set but the buffer ends.
         assert!(Decoder::new(&[0x80]).get_uvarint().is_err());
+    }
+
+    #[test]
+    fn uvarint_has_one_encoding_per_value() {
+        // Padded forms name a value the encoder writes shorter: refused.
+        for padded in [
+            &[0x80u8, 0x00][..],
+            &[0xff, 0x80, 0x00],
+            &[0x81, 0x80, 0x00],
+        ] {
+            assert!(
+                matches!(
+                    Decoder::new(padded).get_uvarint(),
+                    Err(CodecError::InvalidDiscriminant { .. })
+                ),
+                "{padded:x?}"
+            );
+        }
+        // Everything `put_uvarint` writes is still accepted, whole.
+        for v in [0u64, 127, 128, 1 << 63, u64::MAX] {
+            let mut e = Encoder::new();
+            e.put_uvarint(v);
+            let mut d = Decoder::new(e.as_slice());
+            assert_eq!(d.get_uvarint(), Ok(v));
+            assert!(d.is_empty());
+        }
+        // A zero byte on its own is 0, and a zero *middle* group is fine.
+        assert_eq!(Decoder::new(&[0x00]).get_uvarint(), Ok(0));
+        assert_eq!(Decoder::new(&[0x80, 0x80, 0x01]).get_uvarint(), Ok(1 << 14));
+    }
+
+    #[test]
+    fn uvarint32_refuses_what_a_u32_cannot_hold() {
+        let mut e = Encoder::new();
+        e.put_uvarint(u64::from(u32::MAX));
+        e.put_uvarint(u64::from(u32::MAX) + 1);
+        let mut d = Decoder::new(e.as_slice());
+        assert_eq!(d.get_uvarint32("t"), Ok(u32::MAX));
+        assert_eq!(
+            d.get_uvarint32("t"),
+            Err(CodecError::InvalidDiscriminant {
+                value: 1 << 32,
+                type_name: "t"
+            })
+        );
+    }
+
+    #[test]
+    fn uvarint_bytes_checks_the_length_before_taking() {
+        let mut e = Encoder::new();
+        e.put_uvarint_bytes(b"a payload long enough to leave the inline form");
+        let wire = e.finish_bytes();
+        let mut d = Decoder::with_backing(&wire);
+        let got = d.get_uvarint_bytes().unwrap();
+        assert_eq!(got.as_ptr(), wire[1..].as_ptr(), "a view, not a copy");
+        assert!(d.is_empty());
+        // Declared past MAX_LEN, and past the bytes left.
+        let mut e = Encoder::new();
+        e.put_uvarint(MAX_LEN + 1);
+        assert!(matches!(
+            Decoder::new(e.as_slice()).get_uvarint_bytes(),
+            Err(CodecError::LengthOverflow { .. })
+        ));
+        assert!(matches!(
+            Decoder::new(&[5, 1, 2]).get_uvarint_bytes(),
+            Err(CodecError::UnexpectedEof {
+                needed: 5,
+                remaining: 2
+            })
+        ));
     }
 
     #[test]

@@ -4,6 +4,13 @@ use bytes::{BufMut, BytesMut};
 
 use crate::wire::WireType;
 
+/// Bytes [`Encoder::put_uvarint`] writes for `v`: one per started 7-bit
+/// group, 1 for values < 128, 10 for `u64::MAX`. Lets a size be computed
+/// (`Envelope::wire_size`) without encoding anything.
+pub const fn uvarint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
 /// Append-only encoder producing network-order bytes.
 ///
 /// All multi-byte integers are written **big-endian** regardless of host
@@ -132,6 +139,14 @@ impl Encoder {
         self.buf.put_slice(bytes);
     }
 
+    /// Write a uvarint length prefix followed by the raw bytes — the
+    /// compact counterpart of [`Encoder::put_len_bytes`], read back by
+    /// [`crate::Decoder::get_uvarint_bytes`].
+    pub fn put_uvarint_bytes(&mut self, bytes: &[u8]) {
+        self.put_uvarint(bytes.len() as u64);
+        self.buf.put_slice(bytes);
+    }
+
     /// Append bytes that are already in wire form, with no prefix — the
     /// counterpart of [`crate::Decoder::consumed_since`].
     pub fn put_raw(&mut self, wire: &[u8]) {
@@ -180,6 +195,31 @@ mod tests {
         e.put_u8(1);
         e.put_raw(&[0, 0, 0, 2, b'a', b'b']);
         assert_eq!(e.finish(), vec![1, 0, 0, 0, 2, b'a', b'b']);
+    }
+
+    #[test]
+    fn uvarint_len_is_what_put_uvarint_writes() {
+        let mut cases = vec![0u64, 1, u64::MAX];
+        for shift in (7..64).step_by(7) {
+            cases.extend([(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1]);
+        }
+        cases.extend([1 << 63, u64::from(u32::MAX), u64::from(u32::MAX) + 1]);
+        for v in cases {
+            let mut e = Encoder::new();
+            e.put_uvarint(v);
+            assert_eq!(uvarint_len(v), e.len(), "{v:#x}");
+        }
+    }
+
+    #[test]
+    fn uvarint_bytes_prefix_is_one_byte_for_short_buffers() {
+        let mut e = Encoder::new();
+        e.put_uvarint_bytes(b"ab");
+        e.put_uvarint_bytes(&[7u8; 128]);
+        let out = e.finish();
+        assert_eq!(&out[..3], &[2, b'a', b'b']);
+        assert_eq!(&out[3..5], &[0x80, 0x01]);
+        assert_eq!(out.len(), 3 + 2 + 128);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use codec::Codec;
 pub use decode::Decoder;
-pub use encode::Encoder;
+pub use encode::{uvarint_len, Encoder};
 pub use error::{CodecError, Result};
 pub use value::Value;
 pub use wire::WireType;

@@ -1,4 +1,9 @@
 //! The isis wire protocol.
+//!
+//! Sequence numbers and counters that start near zero (`BcastId.seq`,
+//! `fifo_seq`, `Nack.expected`, a heartbeat's `view_id`/`view_len`/
+//! `fifo_next`) are uvarints on the wire; byte layouts are in
+//! docs/PROTOCOL.md § Framing.
 
 use bytes::Bytes;
 use vce_codec::{impl_codec_for_enum, Codec, CodecError, Decoder, Encoder, Result};
@@ -37,12 +42,12 @@ pub struct BcastId {
 impl Codec for BcastId {
     fn encode(&self, enc: &mut Encoder) {
         self.origin.encode(enc);
-        enc.put_u64(self.seq);
+        enc.put_uvarint(self.seq);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(BcastId {
             origin: Addr::decode(dec)?,
-            seq: dec.get_u64()?,
+            seq: dec.get_uvarint()?,
         })
     }
 }
@@ -50,7 +55,9 @@ impl Codec for BcastId {
 /// Every message the isis layer exchanges.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IsisMsg {
-    /// Periodic liveness + membership beacon.
+    /// Periodic liveness + membership beacon. On the wire `view_len` and
+    /// `joining` share one uvarint (`view_len << 1 | joining`) and only
+    /// `incarnation`, a random 64-bit value, keeps its eight fixed bytes.
     Heartbeat {
         /// Sender's incarnation (restart counter / boot time).
         incarnation: u64,
@@ -142,10 +149,9 @@ impl Codec for IsisMsg {
             } => {
                 enc.put_u8(T_HEARTBEAT);
                 enc.put_u64(*incarnation);
-                enc.put_u64(*view_id);
-                enc.put_u32(*view_len);
-                enc.put_bool(*joining);
-                enc.put_u64(*fifo_next);
+                enc.put_uvarint(*view_id);
+                enc.put_uvarint(u64::from(*view_len) << 1 | u64::from(*joining));
+                enc.put_uvarint(*fifo_next);
             }
             IsisMsg::ViewInstall { view } => {
                 enc.put_u8(T_VIEW_INSTALL);
@@ -163,7 +169,7 @@ impl Codec for IsisMsg {
                 enc.put_u8(T_CAST);
                 id.encode(enc);
                 order.encode(enc);
-                enc.put_u64(*fifo_seq);
+                enc.put_uvarint(*fifo_seq);
                 vclock.encode(enc);
                 total_seq.encode(enc);
                 requester.encode(enc);
@@ -176,7 +182,7 @@ impl Codec for IsisMsg {
             }
             IsisMsg::Nack { expected } => {
                 enc.put_u8(T_NACK);
-                enc.put_u64(*expected);
+                enc.put_uvarint(*expected);
             }
             IsisMsg::Reply { to, payload } => {
                 enc.put_u8(T_REPLY);
@@ -189,20 +195,29 @@ impl Codec for IsisMsg {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(match dec.get_u8()? {
-            T_HEARTBEAT => IsisMsg::Heartbeat {
-                incarnation: dec.get_u64()?,
-                view_id: dec.get_u64()?,
-                view_len: dec.get_u32()?,
-                joining: dec.get_bool()?,
-                fifo_next: dec.get_u64()?,
-            },
+            T_HEARTBEAT => {
+                let (incarnation, view_id) = (dec.get_u64()?, dec.get_uvarint()?);
+                let packed = dec.get_uvarint()?;
+                IsisMsg::Heartbeat {
+                    incarnation,
+                    view_id,
+                    view_len: u32::try_from(packed >> 1).map_err(|_| {
+                        CodecError::InvalidDiscriminant {
+                            value: packed,
+                            type_name: "Heartbeat view_len",
+                        }
+                    })?,
+                    joining: packed & 1 == 1,
+                    fifo_next: dec.get_uvarint()?,
+                }
+            }
             T_VIEW_INSTALL => IsisMsg::ViewInstall {
                 view: View::decode(dec)?,
             },
             T_CAST => IsisMsg::Cast {
                 id: BcastId::decode(dec)?,
                 order: CastOrder::decode(dec)?,
-                fifo_seq: dec.get_u64()?,
+                fifo_seq: dec.get_uvarint()?,
                 vclock: Option::<VClock>::decode(dec)?,
                 total_seq: Option::<u64>::decode(dec)?,
                 requester: Option::<Addr>::decode(dec)?,
@@ -213,7 +228,7 @@ impl Codec for IsisMsg {
                 payload: dec.get_bytes()?,
             },
             T_NACK => IsisMsg::Nack {
-                expected: dec.get_u64()?,
+                expected: dec.get_uvarint()?,
             },
             T_REPLY => IsisMsg::Reply {
                 to: BcastId::decode(dec)?,
@@ -255,6 +270,20 @@ mod tests {
                 view_len: 5,
                 joining: true,
                 fifo_next: 4,
+            },
+            IsisMsg::Heartbeat {
+                incarnation: u64::MAX,
+                view_id: u64::MAX,
+                view_len: u32::MAX,
+                joining: true,
+                fifo_next: u64::MAX,
+            },
+            IsisMsg::Heartbeat {
+                incarnation: 0,
+                view_id: 128,
+                view_len: u32::MAX,
+                joining: false,
+                fifo_next: 1 << 63,
             },
             IsisMsg::ViewInstall {
                 view: View::new(
@@ -298,6 +327,92 @@ mod tests {
             let bytes = to_bytes(&m);
             assert_eq!(from_bytes::<IsisMsg>(&bytes).unwrap(), m, "{m:?}");
         }
+    }
+
+    /// The win, pinned where it is made: a steady-state heartbeat of a
+    /// 14-member view is 12 bytes (30 with fixed-width fields) and the
+    /// daemon → daemon envelope around it has a header of at most 7 (28),
+    /// so the 59-byte frame `app_dense` sends 3,550 of per application is
+    /// at most 21 with the exm layer's tag byte.
+    #[test]
+    fn steady_state_heartbeat_frame_is_small() {
+        let hb = to_bytes(&IsisMsg::Heartbeat {
+            incarnation: 0x9e37_79b9_7f4a_7c15,
+            view_id: 127,
+            view_len: 14,
+            joining: false,
+            fifo_next: 127,
+        });
+        assert_eq!(hb.len(), 12);
+        assert_eq!(hb[0], T_HEARTBEAT);
+        assert_eq!(&hb[9..], &[127, 14 << 1, 127]);
+        let tagged = [&[0u8][..], &hb].concat();
+        let (src, dst) = (Addr::daemon(NodeId(13)), Addr::daemon(NodeId(12)));
+        let env = vce_net::Envelope::new(src, dst, 16_383, tagged);
+        assert!(env.wire_size() - env.payload.len() <= 7);
+        assert!(env.wire_size() <= 21);
+        assert_eq!(to_bytes(&env).len(), env.wire_size());
+    }
+
+    #[test]
+    fn hostile_heartbeats_are_refused_whole() {
+        let frame = |packed: u64| {
+            let mut enc = Encoder::new();
+            enc.put_u8(T_HEARTBEAT);
+            enc.put_u64(7);
+            enc.put_uvarint(2);
+            enc.put_uvarint(packed);
+            enc.put_uvarint(4);
+            enc.finish()
+        };
+        // The largest packed value there is a heartbeat for…
+        let top = u64::from(u32::MAX) << 1 | 1;
+        assert!(matches!(
+            from_bytes::<IsisMsg>(&frame(top)),
+            Ok(IsisMsg::Heartbeat {
+                view_len: u32::MAX,
+                joining: true,
+                ..
+            })
+        ));
+        // …and nothing from 2^33 up, however the low bit reads.
+        for packed in [top + 1, top + 2, 1 << 40, u64::MAX] {
+            assert!(
+                from_bytes::<IsisMsg>(&frame(packed)).is_err(),
+                "{packed:#x}"
+            );
+        }
+        // Every truncation is an error, never a panic — and so is a tail.
+        let valid = frame(14 << 1);
+        for cut in 0..valid.len() {
+            assert!(
+                from_bytes::<IsisMsg>(&valid[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        assert!(from_bytes::<IsisMsg>(&[&valid[..], &[0]].concat()).is_err());
+        // A padded uvarint is not a second spelling of the same heartbeat.
+        let mut padded = valid.clone();
+        padded.splice(9..10, [0x82, 0x00]);
+        assert!(from_bytes::<IsisMsg>(&padded).is_err());
+    }
+
+    #[test]
+    fn an_address_past_u32_is_refused_wherever_it_rides() {
+        // A reply to a `BcastId` whose origin node is u32::MAX + 1.
+        let mut enc = Encoder::new();
+        enc.put_u8(T_REPLY);
+        enc.put_uvarint(u64::from(u32::MAX) + 1);
+        enc.put_uvarint(0);
+        enc.put_uvarint(5);
+        enc.put_len_bytes(b"bid");
+        assert!(matches!(
+            from_bytes::<IsisMsg>(&enc.finish()),
+            Err(CodecError::InvalidDiscriminant {
+                type_name: "NodeId",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl Codec for VClock {
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let n = dec.get_count(16)?;
+        // Smallest entry: a 2-byte address and the 8-byte count.
+        let n = dec.get_count(10)?;
         let mut entries = BTreeMap::new();
         for _ in 0..n {
             let who = Addr::decode(dec)?;

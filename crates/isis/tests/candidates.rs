@@ -138,6 +138,39 @@ fn the_same_messages_from_a_candidate_do_something() {
     }
 }
 
+/// A frame is decoded whole before the member sees any of it, so a
+/// heartbeat the codec refuses — truncated, a padded uvarint, a `view_len`
+/// past `u32::MAX` — cannot half-apply: from a candidate, at every cut of
+/// a frame that does change state when it arrives intact.
+#[test]
+fn a_refused_heartbeat_changes_nothing() {
+    let valid = vce_codec::to_bytes(&IsisMsg::Heartbeat {
+        incarnation: 3,
+        view_id: 9,
+        view_len: u32::MAX,
+        joining: true,
+        fifo_next: 300,
+    });
+    // What a daemon does with an isis frame: decode, then handle.
+    let deliver = |gm: &mut GroupMember, host: &mut MockHost, wire: &[u8]| {
+        vce_codec::from_bytes::<IsisMsg>(wire).map(|msg| gm.handle(addr(1), msg, host))
+    };
+    let (mut gm, mut host, _) = coordinator();
+    let (hash, before) = (gm.snapshot_hash(), effects(&host));
+    let mut hostile: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    // view_id 9 spelt in two bytes; view_len << 1 | joining = 2^33.
+    hostile.push([&valid[..9], &[0x89, 0x00], &valid[10..]].concat());
+    hostile.push([&valid[..10], &[0x80, 0x80, 0x80, 0x80, 0x20, 0x00]].concat());
+    for wire in hostile {
+        assert!(deliver(&mut gm, &mut host, &wire).is_err(), "{wire:x?}");
+        assert_eq!(gm.snapshot_hash(), hash, "{wire:x?} changed state");
+        assert_eq!(effects(&host), before, "{wire:x?} reached the host");
+    }
+    // The control: intact, the same frame is heard.
+    deliver(&mut gm, &mut host, &valid).expect("the intact frame decodes");
+    assert_ne!(gm.snapshot_hash(), hash);
+}
+
 #[test]
 fn a_view_naming_a_non_candidate_is_ignored_whole() {
     let (mut gm, mut host, _) = coordinator();

@@ -4,10 +4,14 @@
 //! Isis addresses of the least loaded processors"). We reproduce that with a
 //! `(node, port)` pair: a [`NodeId`] names a machine, a [`PortId`] names a
 //! software endpoint on it (daemon, executor, a task's channel port, ...).
+//!
+//! On the wire both numbers are uvarints: an `Addr` is 2 bytes for a
+//! well-known port on one of the first 128 machines, 3 for a dynamic port,
+//! 10 at worst (docs/PROTOCOL.md § Framing).
 
 use std::fmt;
 
-use vce_codec::{Codec, Decoder, Encoder, Result};
+use vce_codec::{uvarint_len, Codec, Decoder, Encoder, Result};
 
 /// Identifies one machine participating in the VCE network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,6 +67,11 @@ impl Addr {
     pub fn executor(node: NodeId) -> Self {
         Self::new(node, PortId::EXECUTOR)
     }
+
+    /// Bytes this address's `Codec` writes.
+    pub(crate) fn wire_len(self) -> usize {
+        uvarint_len(u64::from(self.node.0)) + uvarint_len(u64::from(self.port.0))
+    }
 }
 
 impl fmt::Display for NodeId {
@@ -84,19 +93,19 @@ impl fmt::Display for Addr {
 
 impl Codec for NodeId {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
+        enc.put_uvarint(u64::from(self.0));
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(NodeId(dec.get_u32()?))
+        Ok(NodeId(dec.get_uvarint32("NodeId")?))
     }
 }
 
 impl Codec for PortId {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
+        enc.put_uvarint(u64::from(self.0));
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(PortId(dec.get_u32()?))
+        Ok(PortId(dec.get_uvarint32("PortId")?))
     }
 }
 
@@ -145,6 +154,24 @@ mod tests {
     fn codec_round_trip() {
         let a = Addr::new(NodeId(42), PortId(1001));
         assert_eq!(from_bytes::<Addr>(&to_bytes(&a)).unwrap(), a);
+    }
+
+    #[test]
+    fn wire_form_is_two_uvarints_and_refuses_past_u32() {
+        assert_eq!(to_bytes(&Addr::leader(NodeId(13))), [13, 1]);
+        for a in [
+            Addr::new(NodeId(128), PortId::DYNAMIC_BASE),
+            Addr::new(NodeId(u32::MAX), PortId(u32::MAX)),
+        ] {
+            let wire = to_bytes(&a);
+            assert_eq!(wire.len(), a.wire_len());
+            assert_eq!(from_bytes::<Addr>(&wire).unwrap(), a);
+        }
+        // u32::MAX + 1 as a uvarint, in either position.
+        let past = [0x80, 0x80, 0x80, 0x80, 0x10];
+        assert!(from_bytes::<NodeId>(&past).is_err());
+        assert!(from_bytes::<PortId>(&past).is_err());
+        assert!(from_bytes::<Addr>(&[&[0][..], &past].concat()).is_err());
     }
 
     #[test]

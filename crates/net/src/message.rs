@@ -1,7 +1,7 @@
 //! The message envelope carried by every transport.
 
 use bytes::Bytes;
-use vce_codec::{Codec, Decoder, Encoder, Result};
+use vce_codec::{uvarint_len, Codec, Decoder, Encoder, Result};
 
 use crate::addr::Addr;
 
@@ -12,6 +12,11 @@ use crate::addr::Addr;
 /// `vce-codec` by the protocol layer); transports never inspect it. The
 /// sequence number is assigned per *sender endpoint* and is what FIFO
 /// ordering in `vce-isis` is built from.
+///
+/// On the wire the header is four uvarint-built fields — `src`, `dst`
+/// (two uvarints each), `seq`, payload length — then the payload: 6–7
+/// bytes of header between daemons of a small fleet, 34 at worst
+/// (docs/PROTOCOL.md § Framing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Sending endpoint.
@@ -61,9 +66,14 @@ impl Envelope {
 
     /// Total size of the envelope on the (notional) wire: header + payload.
     /// Used by the simulator's bandwidth model and by [`crate::NetStats`].
+    /// Exactly what the `Codec` writes, computed without encoding.
     pub fn wire_size(&self) -> usize {
-        // src(8) + dst(8) + seq(8) + len(4)
-        28 + self.payload.len()
+        let len = self.payload.len();
+        self.src.wire_len()
+            + self.dst.wire_len()
+            + uvarint_len(self.seq)
+            + uvarint_len(len as u64)
+            + len
     }
 }
 
@@ -71,17 +81,17 @@ impl Codec for Envelope {
     fn encode(&self, enc: &mut Encoder) {
         self.src.encode(enc);
         self.dst.encode(enc);
-        enc.put_u64(self.seq);
-        enc.put_len_bytes(&self.payload);
+        enc.put_uvarint(self.seq);
+        enc.put_uvarint_bytes(&self.payload);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(Envelope {
             src: Addr::decode(dec)?,
             dst: Addr::decode(dec)?,
-            seq: dec.get_u64()?,
+            seq: dec.get_uvarint()?,
             // Zero-copy when the decoder has a backing buffer (see
             // `Envelope::decode_from`); copies otherwise.
-            payload: dec.get_bytes()?,
+            payload: dec.get_uvarint_bytes()?,
         })
     }
 }
@@ -124,7 +134,9 @@ mod tests {
             0,
             vec![0u8; 10],
         );
-        assert_eq!(env.wire_size(), 38);
+        // src(1+1) + dst(1+1) + seq(1) + len(1) + 10
+        assert_eq!(env.wire_size(), 16);
+        assert_eq!(to_bytes(&env).len(), 16);
     }
 
     #[test]
@@ -169,6 +181,8 @@ mod tests {
             Bytes::new(),
         );
         assert!(env.src.port.is_dynamic());
-        assert_eq!(env.wire_size(), 28);
+        // src(1+2) + dst(1+2) + seq(1) + len(1)
+        assert_eq!(env.wire_size(), 8);
+        assert_eq!(to_bytes(&env), [1, 0xe9, 0x07, 2, 0xea, 0x07, 1, 0]);
     }
 }

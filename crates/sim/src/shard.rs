@@ -1421,11 +1421,10 @@ impl Shard {
     ) {
         let env = Envelope::new(src, dst, seq, payload);
         self.hot_stats.sent += 1;
-        self.hot_stats.bytes_sent += env.wire_size() as u64;
+        let wire_size = env.wire_size();
+        self.hot_stats.bytes_sent += wire_size as u64;
         self.hot_stats.heartbeats_sent += u64::from(category == MsgCategory::Heartbeat);
-        let base = self
-            .topology
-            .latency_us(src.node, dst.node, env.wire_size());
+        let base = self.topology.latency_us(src.node, dst.node, wire_size);
         match verdict {
             Delivery::Drop => self.hot_stats.dropped += 1,
             Delivery::Deliver { extra_delay_us } => {

@@ -94,8 +94,8 @@ cargo test --release --offline -q -p vce-bench --test shard_determinism -- --ski
 echo "== record/replay divergence gate =="
 # The bytes themselves are pinned too: an FNV-64 of a twelve-machine
 # recording through a member kill/revive, a coordinator kill and a
-# partition, last re-pinned when bids shrank to a bit per asked unit
-# (PR 21) — every node's state hash is in there, so a change to what the
+# partition, last re-pinned when the frames went to uvarints (PR 23) —
+# every node's state hash is in there, so a change to what the
 # isis layer sends or remembers, or to when it hears it (or to the order
 # it is folded in), fails here, at one shard and at four.
 cargo test --release --offline -q -p vce-bench --test shard_determinism membership_churn
@@ -139,15 +139,16 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # Heap allocations, heartbeats and encoded bytes per message are counted,
 # not timed: all three repeat exactly for a seed, so they are gated hard
 # while wall-clock stays ungated. Each ceiling sits about 10 % above what
-# the tree measures: 4,776 allocations an application (the `Vec<String>`
+# the tree measures: 4,748 allocations an application (the `Vec<String>`
 # bid lists this guards against cost 55,995), 3,550 heartbeats (the O(n)
-# liveness plane; all-candidates heartbeats cost 9,686), and 68.0 bytes a
-# message (a bid that lists its machine's staged binaries, where it now
-# answers with a bit per unit asked, read 101.97).
+# liveness plane; all-candidates heartbeats cost 9,686), and 30.4 bytes a
+# message (uvarint framing: a heartbeat frame is 19–20 bytes; with fixed-width
+# header, address and sequence fields it was 59 and the mean 68.0, and
+# with bids that listed their machine's staged binaries 101.97).
 echo "== allocs_per_op, heartbeats_per_op and bytes_per_msg gates (app_dense, seed 1) =="
-allocs_ceiling=5250
+allocs_ceiling=5220
 heartbeats_ceiling=3900
-bytes_per_msg_ceiling=75
+bytes_per_msg_ceiling=34
 bash benchmark/run.sh --quick --workload app_dense --seed 1 --trace 1 | tail -n 1 \
   | python3 -c '
 import json, sys
