@@ -37,6 +37,17 @@ pub struct StormRun {
 /// under `VCE_SHARDS_STAGGER` wake-order permutations (the
 /// `shard_stagger` race gate drives this harness through seeded sweeps).
 pub fn sharded_storm(nodes: u32, ticks: u32, shards: usize) -> StormRun {
+    sharded_storm_with_queue(nodes, ticks, shards).0
+}
+
+/// [`sharded_storm`], and what its event queues cost and hold at the end —
+/// beside the [`StormRun`], not in it: capacity differs between shard
+/// counts, the run must not.
+pub fn sharded_storm_with_queue(
+    nodes: u32,
+    ticks: u32,
+    shards: usize,
+) -> (StormRun, vce_sim::queue::QueueStats) {
     const TICK: u64 = 1;
     const WATCHDOG: u64 = 2;
 
@@ -122,11 +133,12 @@ pub fn sharded_storm(nodes: u32, ticks: u32, shards: usize) -> StormRun {
     }
     mix(sim.events_processed());
     mix(sim.now_us());
-    StormRun {
+    let run = StormRun {
         events: sim.events_processed(),
         digest,
         final_time_us: sim.now_us(),
-    }
+    };
+    (run, sim.queue_stats())
 }
 
 /// Build a settled all-workstation VCE.

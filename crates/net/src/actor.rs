@@ -42,8 +42,12 @@ pub trait Host {
     /// Arm a one-shot timer that fires `delay_us` from now with `token`.
     fn set_timer(&mut self, delay_us: u64, token: u64);
 
-    /// Cancel a previously armed timer by token. Cancelling an unknown or
-    /// already-fired token is a no-op.
+    /// Swallow the next firing of a timer armed with `token` on this
+    /// endpoint. Hosts count cancels per token instead of erasing a timer,
+    /// so each cancel eats exactly one firing: the earliest pending timer
+    /// with that token or — when none is pending, because it already fired
+    /// or was never armed — the next one armed with it. Cancel only a
+    /// timer known to be pending.
     fn cancel_timer(&mut self, token: u64);
 
     /// Begin executing `ops` million operations of compute on this machine's

@@ -320,18 +320,15 @@ impl Sim {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
 
-    /// What the event queues' sorted-insert path has cost so far, summed
-    /// across shards (see [`QueueStats`]). Diagnostic: in no snapshot hash
-    /// and no recording, and — unlike [`Sim::events_processed`] — free to
-    /// differ between shard counts.
+    /// What the event queues' sorted-insert path has cost so far and the
+    /// capacity they hold, summed across shards (see [`QueueStats`]).
+    /// Diagnostic: in no snapshot hash and no recording, and — unlike
+    /// [`Sim::events_processed`] — free to differ between shard counts.
     pub fn queue_stats(&self) -> QueueStats {
         self.shards
             .iter()
             .map(|s| s.queue_stats())
-            .fold(QueueStats::default(), |a, b| QueueStats {
-                sorted_inserts: a.sorted_inserts + b.sorted_inserts,
-                entries_shifted: a.entries_shifted + b.entries_shifted,
-            })
+            .fold(QueueStats::default(), |a, b| a + b)
     }
 
     /// Network statistics (aggregated across shards as of the last sync
@@ -969,6 +966,37 @@ mod tests {
             .with_endpoint_mut::<TimerEp, _>(Addr::daemon(NodeId(0)), |t| t.fired.clone())
             .unwrap();
         assert_eq!(fired, vec![(50, 2), (100, 1)]);
+    }
+
+    #[test]
+    fn a_cancel_with_nothing_pending_swallows_the_next_timer_armed() {
+        // `Host::cancel_timer`'s contract: a count, not an erasure.
+        struct CancelFirst {
+            fired: Vec<(u64, u64)>,
+        }
+        impl Endpoint for CancelFirst {
+            fn on_start(&mut self, host: &mut dyn Host) {
+                host.cancel_timer(7);
+                host.set_timer(100, 7);
+                host.set_timer(200, 8);
+            }
+            fn on_envelope(&mut self, _env: Envelope, _host: &mut dyn Host) {}
+            fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
+                self.fired.push((host.now_us(), token));
+            }
+            fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+                Some(self)
+            }
+        }
+        let mut sim = Sim::new(SimConfig::default());
+        sim.add_node(MachineInfo::workstation(NodeId(0), 100.0));
+        let me = Addr::daemon(NodeId(0));
+        sim.add_endpoint(me, Box::new(CancelFirst { fired: vec![] }));
+        sim.run_until_idle();
+        let fired = sim
+            .with_endpoint_mut::<CancelFirst, _>(me, |t| t.fired.clone())
+            .unwrap();
+        assert_eq!(fired, vec![(200, 8)]);
     }
 
     #[test]

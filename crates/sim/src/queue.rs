@@ -21,10 +21,31 @@
 //!   sorted overflow level (a min-heap on the same key). **Promotion rule:**
 //!   only when the wheel runs completely dry does the window jump forward —
 //!   `cur_slot` moves to the earliest overflow slot, `horizon_slot` to
-//!   `cur_slot + NUM_BUCKETS`, and every overflow event now inside the
-//!   window is scattered into its bucket. The admission horizon never moves
-//!   between promotions, so a bucketed event is always earlier than every
-//!   overflow event and the two levels never have to be compared.
+//!   `NUM_BUCKETS` past the slot the drain stopped in (past the earliest
+//!   overflow slot when that is a whole ring or more ahead), and every
+//!   overflow event now inside the window is scattered into its bucket.
+//!   The admission horizon never moves between promotions, so a bucketed
+//!   event is always earlier than every overflow event and the two levels
+//!   never have to be compared.
+//!
+//! # Memory: buckets are chunk chains
+//!
+//! A bucket is a chain of chunks of [`CHUNK`] entries, newest first, and
+//! every chunk comes from one free list per queue, so the capacity the
+//! queue keeps follows what it holds. (Bucket `Vec`s that circulated
+//! through a pool of warm buffers each ended up as large as the fullest
+//! bucket ever was: on `storm_fleet` fourteen buffers of 65–74 k entries
+//! held 194,560 queued events.) Loading a bucket depends only on its own
+//! length:
+//!
+//! * **one chunk** — the chunk's buffer is swapped with the run's, then
+//!   checked and reversed or sorted in place: no entry is copied;
+//! * **several chunks** — each entry is moved once into one large run
+//!   buffer, newest chunk first and each chunk back to front, so a bucket
+//!   filled in key order arrives descending. That buffer is `parked` while
+//!   one-chunk runs are served.
+//!
+//! [`QueueStats::retained`] counts the capacity all of it holds.
 //!
 //! # Ordering contract
 //!
@@ -61,7 +82,10 @@
 //!   to its slot, and the burst that follows lands in wheel buckets ahead
 //!   of the cursor; and (b) when a push inside the run would bring the
 //!   entries shifted since the run was loaded above the run's length: a
-//!   run re-sorts once rather than `memmove` more than it holds.
+//!   run re-sorts once rather than `memmove` more than it holds. A
+//!   promotion keeps the slot the drain stopped in inside the ring for
+//!   this reason: a peek that promotes must not strand the caller's clock
+//!   behind it.
 //! * **Sorted insert** — everything else is binary-searched into the run:
 //!   a cheap push inside it (the pop/push interleavings at one instant),
 //!   and the two fallbacks the hand-back cannot serve — a push behind the
@@ -74,8 +98,8 @@ use std::collections::BinaryHeap;
 
 /// log2 of the bucket width in microseconds (128 µs per bucket): fine
 /// enough that a bucket rarely holds more than a handful of events, coarse
-/// enough that periodic-timer slots are revisited (and their `Vec`
-/// capacity reused) instead of sprayed across cold memory.
+/// enough that a millisecond's periodic timers share a few chunks instead
+/// of holding one mostly empty chunk each.
 const BUCKET_BITS: u32 = 7;
 /// Bucket width in microseconds.
 const BUCKET_US: u64 = 1 << BUCKET_BITS;
@@ -86,20 +110,15 @@ const NUM_BUCKETS: usize = 8192;
 /// to level 0 (~1.05 simulated seconds). Heartbeats, CPU checks and
 /// backoff probes all live well inside this band.
 pub const SPAN_US: u64 = NUM_BUCKETS as u64 * BUCKET_US;
+/// Entries per bucket chunk. Every `storm_dense` and `app_*` bucket fits
+/// in one, so those are served in place; a bucket of several is copied
+/// once into the large run buffer.
+pub const CHUNK: usize = 256;
 
 const RING_MASK: usize = NUM_BUCKETS - 1;
 const WORDS: usize = NUM_BUCKETS / 64;
-/// Warm-buffer pool cap. Must exceed the number of simultaneously occupied
-/// buckets a workload sustains, or drained capacity gets dropped and then
-/// re-learned — one realloc chain per window jump, forever. 128 buffers of
-/// steady-state size is a few hundred KiB at worst.
-const SPARE_CAP: usize = 128;
-/// Bucket buffers at or past this many entries (5 MiB of engine events)
-/// grow by an eighth instead of doubling. Warm buffers circulate, so each
-/// ends up with the capacity the fullest bucket ever needed; when that is
-/// just past a power of two, doubling strands as much again in every one
-/// of them (`storm_fleet`: fifteen buffers, 67,698 entries in the fullest).
-const BIG_BUCKET: usize = 1 << 16;
+/// No chunk: the end of a chain, an empty bucket, an empty free list.
+const NIL: u32 = u32::MAX;
 
 /// One queued item with its ordering key.
 #[derive(Debug)]
@@ -135,16 +154,46 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// What the binary-search-and-`Vec::insert` path has cost so far: the only
-/// place a push does work proportional to queue depth. Machine-independent,
-/// so CI gates `entries_shifted` per event where wall-clock can only warn.
-/// Diagnostic only — never part of a snapshot hash or a recording.
+/// Up to [`CHUNK`] entries of one bucket, in push order.
+struct Chunk<T> {
+    entries: Vec<Entry<T>>,
+    /// The bucket's next older chunk, or — on the free list — the next
+    /// free chunk.
+    next: u32,
+}
+
+/// What the queue costs beyond `O(1)` a push and a pop. Two costs: the
+/// binary-search-and-`Vec::insert` path, the only place a push does work
+/// proportional to queue depth; and the memory the queue keeps. Both are
+/// machine-independent, so CI gates them where wall-clock and RSS can only
+/// warn. Diagnostic only — never part of a snapshot hash or a recording.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Pushes that were inserted into the sorted in-flight run.
     pub sorted_inserts: u64,
     /// Entries those inserts moved one place up (`memmove` length).
     pub entries_shifted: u64,
+    /// Entries of capacity held now: every chunk, the run and the parked
+    /// run buffer.
+    pub retained: u64,
+    /// Most entries queued at once.
+    pub peak_len: u64,
+    /// Most entries one bucket load put in the run.
+    pub largest_run: u64,
+}
+
+impl std::ops::Add for QueueStats {
+    type Output = Self;
+
+    fn add(self, b: Self) -> Self {
+        Self {
+            sorted_inserts: self.sorted_inserts + b.sorted_inserts,
+            entries_shifted: self.entries_shifted + b.entries_shifted,
+            retained: self.retained + b.retained,
+            peak_len: self.peak_len + b.peak_len,
+            largest_run: self.largest_run + b.largest_run,
+        }
+    }
 }
 
 /// Two-level calendar queue with exact `(at_us, cause)` total order.
@@ -152,11 +201,16 @@ pub struct QueueStats {
 /// `cause` is supplied by the caller on every [`CalendarQueue::push`]; two
 /// events at the same microsecond pop in ascending `cause` order.
 pub struct CalendarQueue<T> {
-    /// Level 0 ring; bucket `s & RING_MASK` holds slot `s`'s events,
-    /// unsorted until the drain cursor reaches it.
-    buckets: Vec<Vec<Entry<T>>>,
+    /// Level 0 ring: bucket `s & RING_MASK` holds slot `s`'s events,
+    /// unsorted until the drain cursor reaches it, as a chain from its
+    /// newest chunk (an index into `chunks`, `NIL` when empty).
+    heads: Box<[u32; NUM_BUCKETS]>,
     /// Occupancy bitmap over ring positions (bit set ⇔ bucket non-empty).
     occupied: [u64; WORDS],
+    /// Every chunk the queue has allocated, in a bucket's chain or free.
+    chunks: Vec<Chunk<T>>,
+    /// Head of the free list, threaded through `Chunk::next`.
+    free: u32,
     /// Absolute slot (`at_us >> BUCKET_BITS`) currently being drained.
     cur_slot: u64,
     /// First slot *not* admitted to the wheel; events at `slot >=
@@ -165,14 +219,13 @@ pub struct CalendarQueue<T> {
     /// The in-flight run: sorted **descending** by `(at_us, cause)` so pops
     /// are `Vec::pop` from the tail. Earlier than everything else queued.
     current: Vec<Entry<T>>,
+    /// The run buffer `current` is not using: the large one while a
+    /// one-chunk run is served, a chunk's while a large run is.
+    parked: Vec<Entry<T>>,
+    /// Whether `current` is the large run buffer.
+    large_run: bool,
     /// Level 1: far-future events, min-heap on `(at_us, cause)`.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
-    /// Warm drained-bucket buffers. A sim revisits nearby ring slots but
-    /// (over a long horizon) rarely the *same* slot, so capacity is pooled
-    /// here instead of stranded in slots that won't be hit again; a fresh
-    /// bucket's first push grabs a warm buffer and steady state allocates
-    /// nothing.
-    spare: Vec<Vec<Entry<T>>>,
     len: usize,
     /// Entries sorted inserts have shifted since `current` was loaded.
     run_shifted: usize,
@@ -189,13 +242,17 @@ impl<T> CalendarQueue<T> {
     /// An empty queue starting at time 0.
     pub fn new() -> Self {
         Self {
-            buckets: std::iter::repeat_with(Vec::new).take(NUM_BUCKETS).collect(),
+            heads: Box::new([NIL; NUM_BUCKETS]),
             occupied: [0u64; WORDS],
+            chunks: Vec::new(),
+            free: NIL,
             cur_slot: 0,
             horizon_slot: NUM_BUCKETS as u64,
-            current: Vec::new(),
+            // Chunk-sized: a one-chunk load hands this buffer to the chunk.
+            current: Vec::with_capacity(CHUNK),
+            parked: Vec::new(),
+            large_run: false,
             overflow: BinaryHeap::new(),
-            spare: Vec::new(),
             len: 0,
             run_shifted: 0,
             stats: QueueStats::default(),
@@ -212,9 +269,13 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Cost counters of the sorted-insert path since construction.
+    /// Cost counters since construction, and the capacity held now.
     pub fn stats(&self) -> QueueStats {
-        self.stats
+        let chunks: usize = self.chunks.iter().map(|c| c.entries.capacity()).sum();
+        QueueStats {
+            retained: (chunks + self.current.capacity() + self.parked.capacity()) as u64,
+            ..self.stats
+        }
     }
 
     /// Insert `item` at absolute time `at_us` with tie-break key `cause`;
@@ -234,25 +295,48 @@ impl<T> CalendarQueue<T> {
             self.push_at_or_behind_cursor(slot, entry);
         }
         self.len += 1;
+        self.stats.peak_len = self.stats.peak_len.max(self.len as u64);
     }
 
-    /// Append to the entry's wheel bucket, through the warm pool: a cold
-    /// bucket's first push would otherwise re-allocate capacity the drain
-    /// cursor just pooled.
+    /// Append to the newest chunk of the entry's wheel bucket, chaining a
+    /// free one in front when it is full or the bucket empty.
     #[inline]
     fn push_bucket(&mut self, entry: Entry<T>) {
         let ring = ((entry.at_us >> BUCKET_BITS) as usize) & RING_MASK;
-        if self.buckets[ring].capacity() == 0 {
-            if let Some(warm) = self.spare.pop() {
-                self.buckets[ring] = warm;
-            }
+        let mut head = self.heads[ring];
+        if head == NIL || self.chunks[head as usize].entries.len() == CHUNK {
+            head = self.take_chunk(head);
+            self.heads[ring] = head;
+            self.occupied[ring / 64] |= 1u64 << (ring % 64);
         }
-        let bucket = &mut self.buckets[ring];
-        if bucket.len() >= BIG_BUCKET && bucket.len() == bucket.capacity() {
-            bucket.reserve_exact(bucket.len() / 8);
-        }
-        bucket.push(entry);
-        self.occupied[ring / 64] |= 1u64 << (ring % 64);
+        self.chunks[head as usize].entries.push(entry);
+    }
+
+    /// A free chunk — or a new one — whose chain continues at `older`.
+    fn take_chunk(&mut self, older: u32) -> u32 {
+        let c = if self.free == NIL {
+            self.chunks.push(Chunk {
+                entries: Vec::with_capacity(CHUNK),
+                next: NIL,
+            });
+            u32::try_from(self.chunks.len() - 1).expect("fewer than 2^32 chunks")
+        } else {
+            let c = self.free;
+            self.free = self.chunks[c as usize].next;
+            c
+        };
+        self.chunks[c as usize].next = older;
+        c
+    }
+
+    /// Put the emptied chunk `c` on the free list; returns where its chain
+    /// continued.
+    fn free_chunk(&mut self, c: u32) -> u32 {
+        let chunk = &mut self.chunks[c as usize];
+        debug_assert!(chunk.entries.is_empty());
+        let next = std::mem::replace(&mut chunk.next, self.free);
+        self.free = c;
+        next
     }
 
     /// `slot <= cur_slot`: the three rules of the module docs, in order.
@@ -273,14 +357,9 @@ impl<T> CalendarQueue<T> {
                 shift > 0 && self.run_shifted + shift > self.current.len()
             };
         if hand_back {
-            let ring = (self.cur_slot as usize) & RING_MASK;
-            if self.buckets[ring].is_empty() {
-                std::mem::swap(&mut self.current, &mut self.buckets[ring]);
-            } else {
-                self.buckets[ring].append(&mut self.current);
-            }
-            if !self.buckets[ring].is_empty() {
-                self.occupied[ring / 64] |= 1u64 << (ring % 64);
+            // Popped ascending, so an untouched run reloads without a sort.
+            while let Some(e) = self.current.pop() {
+                self.push_bucket(e);
             }
             self.cur_slot = slot;
         }
@@ -331,13 +410,22 @@ impl<T> CalendarQueue<T> {
                 }
                 None => {
                     // Wheel dry: jump the window to the overflow's earliest
-                    // slot and scatter everything now inside it.
+                    // slot and scatter everything now inside it. The ring
+                    // starts where the drain stopped if the head is less
+                    // than a ring past it, so a push at the clock the
+                    // caller still stands at can rewind.
                     let Some(Reverse(head)) = self.overflow.peek() else {
                         debug_assert_eq!(self.len, 0);
                         return false;
                     };
-                    self.cur_slot = head.at_us >> BUCKET_BITS;
-                    self.horizon_slot = self.cur_slot + NUM_BUCKETS as u64;
+                    let head_slot = head.at_us >> BUCKET_BITS;
+                    let base = if head_slot - self.cur_slot < NUM_BUCKETS as u64 {
+                        self.cur_slot
+                    } else {
+                        head_slot
+                    };
+                    self.cur_slot = head_slot;
+                    self.horizon_slot = base + NUM_BUCKETS as u64;
                     let bound = self.horizon_slot << BUCKET_BITS;
                     while let Some(Reverse(e)) = self.overflow.peek() {
                         if e.at_us >= bound {
@@ -386,29 +474,60 @@ impl<T> CalendarQueue<T> {
         None
     }
 
-    /// Move the drain cursor to `slot`: sort its bucket descending (pops
-    /// are `Vec::pop` from the tail) and swap it in as the in-flight run.
-    /// The drained buffer's capacity goes to the spare pool for reuse.
+    /// Move the drain cursor to `slot` and make its bucket the in-flight
+    /// run, sorted descending (pops are `Vec::pop` from the tail); its
+    /// chunks go back to the free list.
     fn load_bucket(&mut self, slot: u64) {
         self.cur_slot = slot;
         let ring = (slot as usize) & RING_MASK;
-        let bucket = &mut self.buckets[ring];
-        // Pushes mostly arrive in ascending key order, so buckets are
-        // usually already ascending (frequently one timestamp run): detect
-        // that with one pass and reverse, instead of a full sort.
-        if bucket.windows(2).all(|w| w[0].key() < w[1].key()) {
-            bucket.reverse();
-        } else {
-            bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        }
-        debug_assert!(self.current.is_empty());
-        self.run_shifted = 0;
-        std::mem::swap(&mut self.current, bucket);
+        let head = std::mem::replace(&mut self.heads[ring], NIL);
         self.occupied[ring / 64] &= !(1u64 << (ring % 64));
-        let warm = std::mem::take(bucket);
-        if warm.capacity() > 0 && self.spare.len() < SPARE_CAP {
-            self.spare.push(warm);
+        debug_assert!(head != NIL && self.current.is_empty());
+        self.run_shifted = 0;
+        if self.chunks[head as usize].next == NIL {
+            if self.large_run {
+                std::mem::swap(&mut self.current, &mut self.parked);
+                self.large_run = false;
+            }
+            std::mem::swap(&mut self.current, &mut self.chunks[head as usize].entries);
+            self.free_chunk(head);
+            // Pushes mostly arrive in ascending key order, so buckets are
+            // usually already ascending (frequently one timestamp run):
+            // detect that with one pass and reverse, instead of a full
+            // sort.
+            if self.current.windows(2).all(|w| w[0].key() < w[1].key()) {
+                self.current.reverse();
+            } else {
+                self.current
+                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+            }
+        } else {
+            if !self.large_run {
+                std::mem::swap(&mut self.current, &mut self.parked);
+                self.large_run = true;
+            }
+            let mut n = 0;
+            let mut c = head;
+            while c != NIL {
+                n += self.chunks[c as usize].entries.len();
+                c = self.chunks[c as usize].next;
+            }
+            if self.current.capacity() < n {
+                // Empty, so nothing to copy: trade it for an exact fit.
+                self.current = Vec::with_capacity(n);
+            }
+            let mut c = head;
+            while c != NIL {
+                let chunk = &mut self.chunks[c as usize].entries;
+                self.current.extend(chunk.drain(..).rev());
+                c = self.free_chunk(c);
+            }
+            if !self.current.windows(2).all(|w| w[0].key() > w[1].key()) {
+                self.current
+                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+            }
         }
+        self.stats.largest_run = self.stats.largest_run.max(self.current.len() as u64);
     }
 }
 
@@ -448,24 +567,45 @@ mod tests {
     }
 
     #[test]
-    fn a_big_bucket_grows_by_an_eighth_not_by_doubling() {
+    fn retained_capacity_follows_what_is_queued() {
+        // `storm_fleet`'s shape, smaller: every 1,024 µs wave arms 10,000
+        // watchdogs that wait ten waves — ten buckets of them are always
+        // queued — delivers 60,000 messages into the bucket of the oldest
+        // ten before the cursor reaches it, and ticks 100 times in another.
+        // Bucket buffers that circulated through a warm pool each grew to
+        // the 70 k bucket: 884,736 entries retained, 2.95× the peak queued
+        // plus the largest run. Chunks keep what is queued, plus the one
+        // large run buffer, which one-chunk loads leave parked: 232,816,
+        // 0.78×.
         let mut q = CalendarQueue::new();
-        // One bucket (slot 1), just past the power of two.
-        let n = BIG_BUCKET as u64 + 100;
-        for cause in 0..n {
-            q.push(BUCKET_US + cause % BUCKET_US, cause, cause);
-        }
-        let cap = q.buckets[1].capacity();
-        assert!(cap >= n as usize && cap <= BIG_BUCKET + BIG_BUCKET / 8 + 1);
-        // Same contents, same order as any other bucket.
+        let mut cause = 0u64;
         let mut last = (0, 0);
-        for _ in 0..n {
-            let (at, cause, item) = q.pop().expect("n entries");
-            assert!((at, cause) > last);
-            assert_eq!((at, cause), (BUCKET_US + item % BUCKET_US, item));
-            last = (at, cause);
+        for wave in 0..24u64 {
+            let now = wave * 1_024;
+            for _ in 0..10_000 {
+                cause += 1;
+                q.push(now + 10 * 1_024 + 3 * BUCKET_US, cause, cause);
+            }
+            for i in 0..60_000 {
+                cause += 1;
+                q.push(now + 1_024 + 3 * BUCKET_US + i / 500, cause, cause);
+            }
+            for _ in 0..100 {
+                cause += 1;
+                q.push(now + 5 * BUCKET_US, cause, cause);
+            }
+            while q.peek_time().is_some_and(|at| at < now + 1_024) {
+                let (at, c, item) = q.pop().expect("peeked");
+                assert!((at, c) > last && c == item);
+                last = (at, c);
+            }
         }
-        assert!(q.is_empty());
+        let st = q.stats();
+        assert_eq!(st.largest_run, 70_000);
+        assert!(
+            st.retained * 10 <= (st.peak_len + st.largest_run) * 11,
+            "{st:?}"
+        );
     }
 
     #[test]
@@ -603,5 +743,39 @@ mod tests {
         q.push(40 * SPAN_US + BUCKET_US, 3, ());
         assert_eq!(q.pop(), Some((40 * SPAN_US, 2, ())));
         assert_eq!(q.pop(), Some((40 * SPAN_US + BUCKET_US, 3, ())));
+    }
+
+    #[test]
+    fn a_peek_that_promotes_keeps_the_drain_clock_inside_the_ring() {
+        // The shape `queue_shift`'s fixture met once (ROADMAP 6f): the
+        // next heartbeats wait in the overflow level, the drain stops at
+        // 100 ms, a peek promotes the heartbeats, and the application
+        // then starts at the clock the drain left. Its pushes must rewind
+        // onto that clock, not sort into the heartbeats' run. With the
+        // ring anchored at the promoted head instead, 64 pushes shift
+        // 2,016 entries.
+        let mut q = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
+        let mut cause = 0u64;
+        let mut push = |q: &mut CalendarQueue<()>, heap: &mut BinaryHeap<_>, at: u64| {
+            cause += 1;
+            q.push(at, cause, ());
+            heap.push(Reverse((at, cause)));
+        };
+        for _ in 0..14 {
+            push(&mut q, &mut heap, SPAN_US + 5_000);
+        }
+        push(&mut q, &mut heap, 100_000);
+        let Reverse(first) = heap.pop().expect("pushed");
+        assert_eq!(q.pop().map(|(at, c, ())| (at, c)), Some(first));
+        assert_eq!(q.peek_time(), Some(SPAN_US + 5_000));
+        for k in 0..64 {
+            push(&mut q, &mut heap, 100_000 + 50 * k);
+        }
+        while let Some(Reverse(want)) = heap.pop() {
+            assert_eq!(q.pop().map(|(at, c, ())| (at, c)), Some(want));
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.stats().entries_shifted, 0, "{:?}", q.stats());
     }
 }

@@ -5,12 +5,16 @@
 //! sequences, including same-timestamp cause-order tie-breaks and
 //! interaction with lazy cancellation (cancelled entries stay queued and
 //! are silently consumed at pop, exactly like the engine's cancelled-timer
-//! filter).
+//! filter) and bursts of up to three chunks into one bucket, so loads walk
+//! chunk chains and multi-chunk runs are handed back and rewound.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use vce_sim::queue::{CalendarQueue, SPAN_US};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
+use vce_sim::queue::{CalendarQueue, CHUNK, SPAN_US};
+
+/// The queue's bucket width (`queue::BUCKET_US`): a burst stays in one slot.
+const SLOT_US: u64 = 128;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -25,6 +29,12 @@ enum Op {
     Pop,
     /// Lazily cancel the most recently pushed still-live event.
     Cancel,
+    /// Push `n` events into the slot of the last peek, at times ascending
+    /// (0), descending (1) or scattered (2) in push order.
+    Burst(usize, u8),
+    /// A burst, a peek (which loads it when it is the earliest bucket) and
+    /// a push this far behind the peek: the rewind of a multi-chunk run.
+    BurstRewind(usize, u64),
 }
 
 /// Times are drawn from three absolute bands: a quantized near band
@@ -32,6 +42,7 @@ enum Op {
 /// and a far band beyond it (exercising the overflow level and promotion);
 /// and two bands relative to the last peek: just behind the cursor (the
 /// rewind) and more than a ring behind it (the sorted-insert fallback).
+/// Bursts land in the last peek's slot, in or behind the cursor.
 fn op_strategy() -> impl Strategy<Value = Op> {
     // (The vendored `prop_oneof!` is unweighted; arms are repeated to bias
     // toward tie-heavy near-band pushes and pops.)
@@ -48,6 +59,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Cancel),
+        (0..3 * CHUNK + 1, 0u8..3).prop_map(|(n, order)| Op::Burst(n, order)),
+        (CHUNK + 1..3 * CHUNK + 1, 1u64..4 * SLOT_US).prop_map(|(n, d)| Op::BurstRewind(n, d)),
     ]
 }
 
@@ -86,7 +99,9 @@ proptest! {
             (w, h)
         };
 
-        for op in ops {
+        // Compound ops expand in place into the primitive ones.
+        let mut ops: VecDeque<Op> = ops.into();
+        while let Some(op) = ops.pop_front() {
             match op {
                 Op::Push(t) | Op::PushBehind(t) => {
                     let at = match op {
@@ -99,6 +114,24 @@ proptest! {
                     wheel.push(at, seq, id);
                     heap.push(Reverse((at, seq, id)));
                     live.push(id);
+                }
+                Op::Burst(n, order) => {
+                    let slot_start = last_peek / SLOT_US * SLOT_US;
+                    for i in (0..n).rev() {
+                        let k = match order {
+                            0 => i,
+                            1 => n - 1 - i,
+                            _ => i * 37 % n,
+                        };
+                        ops.push_front(Op::Push(slot_start + k as u64 * SLOT_US / n as u64));
+                    }
+                    continue;
+                }
+                Op::BurstRewind(n, d) => {
+                    ops.push_front(Op::PushBehind(d));
+                    ops.push_front(Op::Peek);
+                    ops.push_front(Op::Burst(n, 2));
+                    continue;
                 }
                 Op::Cancel => {
                     if let Some(id) = live.pop() {

@@ -5,7 +5,8 @@
 # and at four), and quick smoke runs of the pieces a perf/regression PR is
 # most likely to break — the parallel-sweep determinism test, the shard and
 # record/replay determinism gates (the latter with a pinned `.vct`
-# digest), the zero-alloc bidding round, the queue sorted-insert gate, and a
+# digest), the zero-alloc bidding round, the queue sorted-insert and
+# footprint gates with a longer heap-oracle soak, and a
 # build + unit-test of the out-of-workspace benchmark plus a hard gate on
 # three of its exactly repeatable counters — allocs_per_op,
 # isis.heartbeats_per_op and codec.bytes_per_msg (benchmark/run.sh is what
@@ -129,6 +130,14 @@ cargo test --release --offline -q -p vce-bench --test bidding_alloc
 # cursor ran ahead of the clock, measured ≈ 34).
 echo "== queue sorted-insert gate (bag_of_tasks(64), S=1 and S=2) =="
 cargo test --release --offline -q -p vce-bench --test queue_shift
+# Its memory is a count too: the capacity the queue retains, against the
+# most it held at once plus its largest run (≤ 1.1; the warm-buffer pool
+# it replaced read 5.0 at S=1 and 6.1 at S=2). And the heap oracle gets a
+# longer soak than tier-1's 64 cases, bursts of up to three chunks into one
+# bucket included.
+echo "== queue footprint gate (sharded_storm(2048), S=1 and S=2) + heap oracle (4096 cases) =="
+cargo test --release --offline -q -p vce-bench --test queue_footprint
+PROPTEST_CASES=4096 cargo test --release --offline -q -p vce-sim --test proptest_queue
 
 # benchmark/ is its own workspace and compiles against the crates' public
 # API only: build and unit-test it here so a PR that breaks that API fails
