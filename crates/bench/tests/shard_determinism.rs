@@ -46,7 +46,12 @@ const SERIAL_ENGINE_FINGERPRINT: u64 = 0xcd8c_5ce5_cac3_563d;
 /// the members' `heard` stamps and arrival windows hash. PR 23: every
 /// frame is shorter (uvarint framing, see above), so every delivery the
 /// recording times, and every arrival the members hash, is earlier.
-const MEMBERSHIP_CHURN_VCT: u64 = 0x72a0_6146_4b08_6d9d;
+/// Exact timer cancels move it once more: cancelled timers are no longer
+/// events — a cancel erases its timer
+/// instead of leaving an entry that pops, is recorded and is dropped — so
+/// the recording loses the pops of every collect timer an allocation round
+/// cancelled, and the event indices its snapshots carry shift with them.
+const MEMBERSHIP_CHURN_VCT: u64 = 0xb9b4_9413_046b_b1fe;
 
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.

@@ -42,12 +42,8 @@ pub trait Host {
     /// Arm a one-shot timer that fires `delay_us` from now with `token`.
     fn set_timer(&mut self, delay_us: u64, token: u64);
 
-    /// Swallow the next firing of a timer armed with `token` on this
-    /// endpoint. Hosts count cancels per token instead of erasing a timer,
-    /// so each cancel eats exactly one firing: the earliest pending timer
-    /// with that token or — when none is pending, because it already fired
-    /// or was never armed — the next one armed with it. Cancel only a
-    /// timer known to be pending.
+    /// Disarm every pending timer this endpoint armed with `token`.
+    /// Cancelling an unknown or fired token is a no-op.
     fn cancel_timer(&mut self, token: u64);
 
     /// Begin executing `ops` million operations of compute on this machine's

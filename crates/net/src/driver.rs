@@ -12,7 +12,7 @@
 //! The `time_scale` factor compresses simulated seconds into real
 //! microseconds so examples finish instantly.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 // vce-lint: allow(S002) live driver IS threaded: one OS thread per node, stop flag is its shutdown signal
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,10 +63,11 @@ struct NodeState {
     info: MachineInfo,
     start: Instant,
     time_scale: f64,
+    /// Pending timers and work. A cancel erases its entries, so every one
+    /// that pops is live.
     deadlines: BinaryHeap<Deadline>,
     seq: u64,
-    cancelled_timers: HashMap<(PortId, u64), u32>,
-    cancelled_work: HashMap<(PortId, u64), u32>,
+    /// `Work` entries in `deadlines`.
     active_work: usize,
     background_load: f64,
     rng: SmallRng,
@@ -118,10 +119,9 @@ impl Host for NodeState {
     }
 
     fn cancel_timer(&mut self, token: u64) {
-        *self
-            .cancelled_timers
-            .entry((self.current_port, token))
-            .or_insert(0) += 1;
+        let port = self.current_port;
+        self.deadlines
+            .retain(|d| d.what != Pending::Timer { port, token });
     }
 
     fn start_work(&mut self, pid: u64, mops: f64) {
@@ -142,24 +142,25 @@ impl Host for NodeState {
     }
 
     fn cancel_work(&mut self, pid: u64) {
-        *self
-            .cancelled_work
-            .entry((self.current_port, pid))
-            .or_insert(0) += 1;
+        let work = Pending::Work {
+            port: self.current_port,
+            pid,
+        };
+        let before = self.deadlines.len();
+        self.deadlines.retain(|d| d.what != work);
+        self.active_work -= before - self.deadlines.len();
     }
 
     fn work_remaining(&self, pid: u64) -> Option<f64> {
         let now = self.now_us();
-        let key = (self.current_port, pid);
-        if self.cancelled_work.contains_key(&key) {
-            return None;
-        }
-        self.deadlines.iter().find_map(|d| match d.what {
-            Pending::Work { port, pid: p } if (port, p) == key => {
-                Some(d.at_us.saturating_sub(now) as f64 / 1e6 * self.info.speed_mops)
-            }
-            _ => None,
-        })
+        let work = Pending::Work {
+            port: self.current_port,
+            pid,
+        };
+        self.deadlines
+            .iter()
+            .find(|d| d.what == work)
+            .map(|d| d.at_us.saturating_sub(now) as f64 / 1e6 * self.info.speed_mops)
     }
 
     fn load(&self) -> f64 {
@@ -272,8 +273,6 @@ fn run_node(
         time_scale,
         deadlines: BinaryHeap::new(),
         seq: 0,
-        cancelled_timers: HashMap::new(),
-        cancelled_work: HashMap::new(),
         active_work: 0,
         background_load: cfg.background_load,
         rng: SmallRng::seed_from_u64(seed),
@@ -298,13 +297,6 @@ fn run_node(
             let d = state.deadlines.pop().expect("peeked");
             match d.what {
                 Pending::Timer { port, token } => {
-                    if let Some(n) = state.cancelled_timers.get_mut(&(port, token)) {
-                        *n -= 1;
-                        if *n == 0 {
-                            state.cancelled_timers.remove(&(port, token));
-                        }
-                        continue;
-                    }
                     if let Some(mut ep) = endpoints.remove(&port) {
                         state.current_port = port;
                         ep.on_timer(token, &mut state);
@@ -312,14 +304,7 @@ fn run_node(
                     }
                 }
                 Pending::Work { port, pid } => {
-                    state.active_work = state.active_work.saturating_sub(1);
-                    if let Some(n) = state.cancelled_work.get_mut(&(port, pid)) {
-                        *n -= 1;
-                        if *n == 0 {
-                            state.cancelled_work.remove(&(port, pid));
-                        }
-                        continue;
-                    }
+                    state.active_work -= 1;
                     if let Some(mut ep) = endpoints.remove(&port) {
                         state.current_port = port;
                         ep.on_work_done(pid, &mut state);
@@ -500,5 +485,53 @@ mod tests {
         let fired = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         driver.stop();
         assert_eq!(fired, vec![1, 3]);
+    }
+
+    /// Cancels with nothing pending, then arms and starts what it cancelled;
+    /// reports what fired and completed once a late timer fires.
+    struct CancelFirst {
+        seen: Vec<(&'static str, u64)>,
+        done_tx: crossbeam::channel::Sender<Vec<(&'static str, u64)>>,
+    }
+
+    impl Endpoint for CancelFirst {
+        fn on_start(&mut self, host: &mut dyn Host) {
+            host.cancel_timer(7);
+            host.set_timer(1_000, 7);
+            host.cancel_work(1);
+            host.start_work(1, 1.0); // 10,000 sim-µs on a 100-Mops machine
+            host.start_work(2, 1.0);
+            host.cancel_work(2);
+            assert_eq!(host.load(), 1.0);
+            assert_eq!(host.work_remaining(2), None);
+            host.set_timer(30_000, 8);
+        }
+        fn on_envelope(&mut self, _env: Envelope, _host: &mut dyn Host) {}
+        fn on_timer(&mut self, token: u64, _host: &mut dyn Host) {
+            self.seen.push(("timer", token));
+            if token == 8 {
+                let _ = self.done_tx.send(self.seen.clone());
+            }
+        }
+        fn on_work_done(&mut self, pid: u64, _host: &mut dyn Host) {
+            self.seen.push(("work", pid));
+        }
+    }
+
+    #[test]
+    fn a_cancel_with_nothing_pending_is_a_no_op() {
+        let net = MemoryNetwork::new(7);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let cfg = LiveNodeConfig::new(MachineInfo::workstation(NodeId(0), 100.0)).with_endpoint(
+            PortId::DAEMON,
+            Box::new(CancelFirst {
+                seen: Vec::new(),
+                done_tx: tx,
+            }),
+        );
+        let driver = LiveDriver::spawn(&net, vec![cfg], 1, 1_000.0);
+        let seen = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        driver.stop();
+        assert_eq!(seen, vec![("timer", 7), ("work", 1), ("timer", 8)]);
     }
 }

@@ -969,8 +969,8 @@ mod tests {
     }
 
     #[test]
-    fn a_cancel_with_nothing_pending_swallows_the_next_timer_armed() {
-        // `Host::cancel_timer`'s contract: a count, not an erasure.
+    fn a_cancel_with_nothing_pending_is_a_no_op() {
+        // `Host::cancel_timer`'s contract: an erasure, not a count.
         struct CancelFirst {
             fired: Vec<(u64, u64)>,
         }
@@ -996,7 +996,7 @@ mod tests {
         let fired = sim
             .with_endpoint_mut::<CancelFirst, _>(me, |t| t.fired.clone())
             .unwrap();
-        assert_eq!(fired, vec![(200, 8)]);
+        assert_eq!(fired, vec![(100, 7), (200, 8)]);
     }
 
     #[test]

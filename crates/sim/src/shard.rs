@@ -36,8 +36,8 @@ use rand::{RngCore, SeedableRng};
 
 use vce_net::fault::Delivery;
 use vce_net::{
-    Addr, DetHashState, Endpoint, Envelope, FaultOp, FaultPlan, Host, MachineInfo, MsgCategory,
-    NetStats, NodeId, PortId,
+    Addr, Endpoint, Envelope, FaultOp, FaultPlan, Host, MachineInfo, MsgCategory, NetStats, NodeId,
+    PortId,
 };
 
 use crate::cpu::{Cpu, JobKey};
@@ -55,7 +55,7 @@ use crate::trace::TraceEvent;
 /// is ~12 days of one node scheduling an event every simulated microsecond.
 pub(crate) const CAUSE_SEQ_BITS: u32 = 40;
 /// High bits: the origin. Origin 0 is the driver (injections, fences);
-/// node `n` is origin `n + 1`; [`MAX_ORIGIN`] is the orphan fallback.
+/// node `n` is origin `n + 1`, up to [`MAX_ORIGIN`].
 pub(crate) const MAX_ORIGIN: u64 = (1 << (64 - CAUSE_SEQ_BITS)) - 1;
 
 /// Trace-merge phase for fence applications (fault ops, driver kills):
@@ -105,6 +105,9 @@ pub(crate) enum EventKind {
     /// same-origin causes, so no foreign event can order between them and
     /// processing order is identical to the uncoalesced form.
     DeliverBatch(Vec<Envelope>),
+    /// A node's earliest pending timer, queued under the key it was armed
+    /// with. Stale — and skipped unseen — once that timer is cancelled
+    /// (see [`PendingTimer`]).
     Timer {
         port: PortId,
         token: u64,
@@ -156,15 +159,27 @@ struct SimNode {
     /// `origin_of(node) << CAUSE_SEQ_BITS`, precomputed.
     cause_base: u64,
     cause_seq: u64,
-    /// Lazy-cancel counts, keyed by `(port, token)`. `DetHashState`: this
-    /// map is hit on every cancel and every cancelled pop, with keys the
-    /// engine itself produces — SipHash's DoS hardening is waste here.
-    cancelled_timers: HashMap<(PortId, u64), u32, DetHashState>,
-    /// Sum of the counts in `cancelled_timers`. While zero, timer pops fire
-    /// directly without a hash lookup — the common case on nodes that never
-    /// cancel (or whose cancellations have all been consumed).
-    pending_cancels: u32,
+    /// Pending timers, sorted **descending** by `(at_us, cause)` so the
+    /// earliest is `last()`.
+    timers: Vec<PendingTimer>,
     dead: bool,
+}
+
+/// A timer armed and neither fired nor cancelled. Its ordering key is
+/// drawn when it is armed, so keys and counters are those of a queue entry
+/// per `set_timer`; but only the node's earliest pending timer is sure to
+/// have a queue entry. Every other one waits here, and a cancel erases it.
+/// An entry whose timer was cancelled stays queued until its instant and
+/// is skipped there: a popped timer entry is live iff its key is its
+/// node's earliest pending timer's. Everything earlier has popped by then,
+/// so a pending timer is always its node's earliest when its entry pops.
+struct PendingTimer {
+    at_us: u64,
+    cause: u64,
+    port: PortId,
+    token: u64,
+    /// Whether the calendar queue holds an entry for it.
+    queued: bool,
 }
 
 impl SimNode {
@@ -192,6 +207,33 @@ impl SimNode {
         let c = self.cause_base | self.cause_seq;
         self.cause_seq += 1;
         c
+    }
+
+    /// Record a timer `port` armed with `token`, due at `at_us`.
+    fn arm_timer(&mut self, at_us: u64, port: PortId, token: u64) {
+        let cause = self.next_cause();
+        let i = self
+            .timers
+            .partition_point(|t| (t.at_us, t.cause) > (at_us, cause));
+        self.timers.insert(
+            i,
+            PendingTimer {
+                at_us,
+                cause,
+                port,
+                token,
+                queued: false,
+            },
+        );
+    }
+
+    /// Whether a timer entry popped at `(at_us, cause)` is this node's
+    /// earliest pending timer — and so not a cancelled one.
+    #[inline]
+    fn timer_is_due(&self, at_us: u64, cause: u64) -> bool {
+        self.timers
+            .last()
+            .is_some_and(|t| t.at_us == at_us && t.cause == cause)
     }
 }
 
@@ -260,6 +302,14 @@ enum WorkOp {
     Cancel(u64),
 }
 
+/// A timer mutation, kept in issue order for the same reason as [`WorkOp`]:
+/// `set(d, t)` then `cancel(t)` in one callback leaves nothing armed, while
+/// `cancel(t)` then `set(d, t)` leaves one timer.
+enum TimerOp {
+    Set(u64, u64),
+    Cancel(u64),
+}
+
 /// Deferred side effects collected while an endpoint runs.
 ///
 /// One instance lives on the [`Shard`] and is lent to each dispatch in
@@ -268,8 +318,7 @@ enum WorkOp {
 #[derive(Default)]
 struct Effects {
     sends: Vec<(Addr, Addr, Bytes, MsgCategory)>,
-    timers: Vec<(u64, u64)>,
-    timer_cancels: Vec<u64>,
+    timer_ops: Vec<TimerOp>,
     work_ops: Vec<WorkOp>,
     logs: Vec<String>,
     /// Pooled encode scratch served to endpoints through
@@ -307,10 +356,10 @@ impl Host for HostCtx<'_> {
         self.fx.sends.push((src, dst, payload, category));
     }
     fn set_timer(&mut self, delay_us: u64, token: u64) {
-        self.fx.timers.push((delay_us, token));
+        self.fx.timer_ops.push(TimerOp::Set(delay_us, token));
     }
     fn cancel_timer(&mut self, token: u64) {
-        self.fx.timer_cancels.push(token);
+        self.fx.timer_ops.push(TimerOp::Cancel(token));
     }
     fn start_work(&mut self, pid: u64, mops: f64) {
         self.load += 1.0; // reflect immediately in subsequent load() calls
@@ -498,11 +547,6 @@ pub(crate) struct Shard {
     /// event must never land inside the window that produced it.
     window_end: u64,
     seed: u64,
-    /// Fallback counters for effects attributed to no registered node
-    /// (unreachable in practice; kept defined rather than panicking).
-    orphan_seq: u64,
-    orphan_cause_seq: u64,
-    orphan_rng: SmallRng,
 }
 
 impl Shard {
@@ -533,9 +577,6 @@ impl Shard {
             outboxes: (0..total).map(|_| Vec::new()).collect(),
             window_end: u64::MAX,
             seed,
-            orphan_seq: 0,
-            orphan_cause_seq: 0,
-            orphan_rng: SmallRng::seed_from_u64(seed ^ u64::MAX),
         }
     }
 
@@ -545,7 +586,7 @@ impl Shard {
         let node = info.node;
         debug_assert_eq!(shard_of(node, self.total), self.index);
         assert!(
-            origin_of(node) < MAX_ORIGIN,
+            origin_of(node) <= MAX_ORIGIN,
             "node id {node} too large for a cause-key origin"
         );
         let node_seed = self.seed ^ (u64::from(node.0) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -563,8 +604,7 @@ impl Shard {
             send_seq: 0,
             cause_base: origin_of(node) << CAUSE_SEQ_BITS,
             cause_seq: 0,
-            cancelled_timers: HashMap::default(),
-            pending_cancels: 0,
+            timers: Vec::new(),
             dead: false,
         });
         for &(at_us, background) in load.steps() {
@@ -708,6 +748,11 @@ impl Shard {
         self.window_end = w_end;
         while self.events.peek_time().is_some_and(|at| at < w_end) {
             let (at_us, cause, ev) = self.events.pop().expect("peeked an event");
+            if matches!(ev.kind, EventKind::Timer { .. })
+                && !self.timer_is_due(ev.node, at_us, cause)
+            {
+                continue; // a cancelled timer's entry: no event at all
+            }
             debug_assert!(at_us >= self.now, "event queue went backwards");
             self.now = at_us;
             self.events_processed += 1;
@@ -1017,9 +1062,7 @@ impl Shard {
         };
         if let Some(s) = slot {
             for port in ports {
-                self.dispatch(s, node, port, PHASE_FENCE, cause, |ep, host| {
-                    ep.on_crash(host)
-                });
+                self.dispatch(s, port, PHASE_FENCE, cause, |ep, host| ep.on_crash(host));
             }
             let n = &mut self.nodes[s];
             n.dead = true;
@@ -1066,9 +1109,7 @@ impl Shard {
                 let Some(slot) = self.live_slot(ev.node) else {
                     return;
                 };
-                self.dispatch(slot, ev.node, port, PHASE_EVENT, cause, |ep, host| {
-                    ep.on_start(host)
-                });
+                self.dispatch(slot, port, PHASE_EVENT, cause, |ep, host| ep.on_start(host));
             }
             EventKind::Deliver(env) => self.deliver_one(cause, ev.node, env),
             EventKind::DeliverBatch(mut envs) => {
@@ -1084,28 +1125,18 @@ impl Shard {
                 }
             }
             EventKind::Timer { port, token } => {
-                let Some(slot) = self.slots.get(ev.node) else {
-                    return;
-                };
-                let n = &mut self.nodes[slot];
-                if n.dead {
-                    return;
+                // `run_window` let only the node's earliest pending timer
+                // through: it fires now and leaves the table first.
+                let slot = self.slots.get(ev.node).expect("a due timer's node");
+                self.nodes[slot].timers.pop();
+                if !self.nodes[slot].dead {
+                    self.dispatch(slot, port, PHASE_EVENT, cause, move |ep, host| {
+                        ep.on_timer(token, host)
+                    });
                 }
-                // Fast path: with no cancellations outstanding anywhere on
-                // this node, fire without hashing into the cancel map.
-                if n.pending_cancels > 0 {
-                    if let Some(c) = n.cancelled_timers.get_mut(&(port, token)) {
-                        *c -= 1;
-                        n.pending_cancels -= 1;
-                        if *c == 0 {
-                            n.cancelled_timers.remove(&(port, token));
-                        }
-                        return;
-                    }
-                }
-                self.dispatch(slot, ev.node, port, PHASE_EVENT, cause, move |ep, host| {
-                    ep.on_timer(token, host)
-                });
+                // Only now, so the re-arm a callback makes replaces what it
+                // cancels instead of joining it in the queue.
+                self.queue_earliest_timer(slot);
             }
             EventKind::CpuCheck { generation } => {
                 let Some(slot) = self.live_slot(ev.node) else {
@@ -1125,7 +1156,7 @@ impl Shard {
                     n.cpu.note_completed();
                 }
                 for &(port, pid) in &done {
-                    self.dispatch(slot, ev.node, port, PHASE_EVENT, cause, move |ep, host| {
+                    self.dispatch(slot, port, PHASE_EVENT, cause, move |ep, host| {
                         ep.on_work_done(pid, host)
                     });
                 }
@@ -1160,13 +1191,12 @@ impl Shard {
         let now = self.now;
         let trace_on = self.trace.is_enabled();
         let port = env.dst.port;
+        let Some(slot) = self.slots.get(node) else {
+            self.hot_stats.dropped += 1;
+            return;
+        };
         let mut fx = self.scratch_fx.take().unwrap_or_default();
         {
-            let Some(slot) = self.slots.get(node) else {
-                self.scratch_fx = Some(fx);
-                self.hot_stats.dropped += 1;
-                return;
-            };
             let n = &mut self.nodes[slot];
             // The destination may have died after the send was judged.
             if n.dead || self.fault.is_dead(env.dst.node) {
@@ -1209,7 +1239,7 @@ impl Shard {
             };
             ep.on_envelope(env, &mut ctx);
         }
-        self.apply_effects(node, port, PHASE_EVENT, cause, &mut fx);
+        self.apply_effects(slot, port, PHASE_EVENT, cause, &mut fx);
         self.scratch_fx = Some(fx);
     }
 
@@ -1217,6 +1247,31 @@ impl Shard {
     #[inline]
     fn live_slot(&self, node: NodeId) -> Option<usize> {
         self.slots.get(node).filter(|&s| !self.nodes[s].dead)
+    }
+
+    /// Whether a timer entry popped at `(at_us, cause)` for `node` is live.
+    #[inline]
+    fn timer_is_due(&self, node: NodeId, at_us: u64, cause: u64) -> bool {
+        self.slots
+            .get(node)
+            .is_some_and(|s| self.nodes[s].timer_is_due(at_us, cause))
+    }
+
+    /// Give the earliest pending timer of the node in `slot` its queue
+    /// entry, unless it has one. A timer targets the node that armed it:
+    /// always intra-shard.
+    fn queue_earliest_timer(&mut self, slot: usize) {
+        let n = &mut self.nodes[slot];
+        let Some(t) = n.timers.last_mut().filter(|t| !t.queued) else {
+            return;
+        };
+        t.queued = true;
+        let kind = EventKind::Timer {
+            port: t.port,
+            token: t.token,
+        };
+        let node = n.info.node;
+        self.events.push(t.at_us, t.cause, Event { node, kind });
     }
 
     fn schedule_cpu_check(&mut self, node: NodeId) {
@@ -1240,13 +1295,12 @@ impl Shard {
         }
     }
 
-    /// Run one endpoint callback and apply its effects. `slot` must be
-    /// `node_id`'s slab slot. `(tphase, tcause)` key any trace lines the
+    /// Run one callback of the endpoint on `port` of the node in `slot` and
+    /// apply its effects. `(tphase, tcause)` key any trace lines the
     /// callback emits.
     fn dispatch(
         &mut self,
         slot: usize,
-        node_id: NodeId,
         port: PortId,
         tphase: u8,
         tcause: u64,
@@ -1288,65 +1342,48 @@ impl Shard {
             };
             f(ep.as_mut(), &mut ctx);
         }
-        self.apply_effects(node_id, port, tphase, tcause, &mut fx);
+        self.apply_effects(slot, port, tphase, tcause, &mut fx);
         self.scratch_fx = Some(fx);
     }
 
+    /// Apply what the callback of `port` on the node in `slot` issued.
     fn apply_effects(
         &mut self,
-        node_id: NodeId,
+        slot: usize,
         port: PortId,
         tphase: u8,
         tcause: u64,
         fx: &mut Effects,
     ) {
         let now = self.now;
-        let slot = self.slots.get(node_id);
+        let node_id = self.nodes[slot].info.node;
         for line in fx.logs.drain(..) {
             self.trace.push(now, tphase, tcause, node_id, line);
         }
-        if !fx.timer_cancels.is_empty() {
-            if let Some(s) = slot {
-                let n = &mut self.nodes[s];
-                for token in fx.timer_cancels.drain(..) {
-                    *n.cancelled_timers.entry((port, token)).or_insert(0) += 1;
-                    n.pending_cancels += 1;
-                }
-            } else {
-                fx.timer_cancels.clear();
-            }
-        }
-        for (delay, token) in fx.timers.drain(..) {
-            let cause = match slot {
-                Some(s) => self.nodes[s].next_cause(),
-                None => self.next_orphan_cause(),
-            };
-            // A timer targets the node that armed it: always intra-shard.
-            self.events.push(
-                now + delay,
-                cause,
-                Event {
-                    node: node_id,
-                    kind: EventKind::Timer { port, token },
-                },
-            );
-        }
-        if !fx.work_ops.is_empty() {
-            if let Some(s) = slot {
-                let n = &mut self.nodes[s];
-                n.cpu.advance(now);
-                for op in fx.work_ops.drain(..) {
-                    match op {
-                        WorkOp::Start(pid, mops) => n.cpu.add_job((port, pid), mops),
-                        WorkOp::Cancel(pid) => {
-                            n.cpu.remove_job((port, pid));
-                        }
+        if !fx.timer_ops.is_empty() {
+            let n = &mut self.nodes[slot];
+            for op in fx.timer_ops.drain(..) {
+                match op {
+                    TimerOp::Set(delay, token) => n.arm_timer(now + delay, port, token),
+                    TimerOp::Cancel(token) => {
+                        n.timers.retain(|t| t.port != port || t.token != token)
                     }
                 }
-                self.schedule_cpu_check(node_id);
-            } else {
-                fx.work_ops.clear();
             }
+            self.queue_earliest_timer(slot);
+        }
+        if !fx.work_ops.is_empty() {
+            let n = &mut self.nodes[slot];
+            n.cpu.advance(now);
+            for op in fx.work_ops.drain(..) {
+                match op {
+                    WorkOp::Start(pid, mops) => n.cpu.add_job((port, pid), mops),
+                    WorkOp::Cancel(pid) => {
+                        n.cpu.remove_job((port, pid));
+                    }
+                }
+            }
+            self.schedule_cpu_check(node_id);
         }
         if fx.sends.is_empty() {
             return;
@@ -1357,34 +1394,15 @@ impl Shard {
         // node's own execution order. That order is identical for any shard
         // layout, which is what makes the whole run shard-invariant.
         for (src, dst, payload, category) in fx.sends.drain(..) {
-            let (seq, cause, verdict) = match slot {
-                Some(s) => {
-                    let n = &mut self.nodes[s];
-                    let seq = n.send_seq;
-                    n.send_seq += 1;
-                    let cause = n.next_cause();
-                    let verdict = self.fault.judge(src.node, dst.node, &mut n.link_rng);
-                    (seq, cause, verdict)
-                }
-                None => {
-                    let seq = self.orphan_seq;
-                    self.orphan_seq += 1;
-                    let cause = self.next_orphan_cause();
-                    let verdict = self.fault.judge(src.node, dst.node, &mut self.orphan_rng);
-                    (seq, cause, verdict)
-                }
-            };
+            let n = &mut self.nodes[slot];
+            let seq = n.send_seq;
+            n.send_seq += 1;
+            let cause = n.next_cause();
+            let verdict = self.fault.judge(src.node, dst.node, &mut n.link_rng);
             // A duplicate verdict needs a second ordering key (the two
             // copies may land at the same microsecond); drawn only then, so
             // counters advance identically on every layout.
-            let cause2 = if matches!(verdict, Delivery::Duplicate { .. }) {
-                Some(match slot {
-                    Some(s) => self.nodes[s].next_cause(),
-                    None => self.next_orphan_cause(),
-                })
-            } else {
-                None
-            };
+            let cause2 = matches!(verdict, Delivery::Duplicate { .. }).then(|| n.next_cause());
             self.route_send(
                 src,
                 dst,
@@ -1398,12 +1416,6 @@ impl Shard {
             );
         }
         self.flush_delivery(pending);
-    }
-
-    fn next_orphan_cause(&mut self) -> u64 {
-        let c = cause_key(MAX_ORIGIN, self.orphan_cause_seq);
-        self.orphan_cause_seq += 1;
-        c
     }
 
     #[allow(clippy::too_many_arguments)]
