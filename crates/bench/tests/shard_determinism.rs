@@ -51,7 +51,10 @@ const SERIAL_ENGINE_FINGERPRINT: u64 = 0xcd8c_5ce5_cac3_563d;
 /// instead of leaving an entry that pops, is recorded and is dropped — so
 /// the recording loses the pops of every collect timer an allocation round
 /// cancelled, and the event indices its snapshots carry shift with them.
-const MEMBERSHIP_CHURN_VCT: u64 = 0xb9b4_9413_046b_b1fe;
+/// And once more when a crash took its node's pending timers with it: the
+/// killed member's and coordinator's timers no longer pop, to be dropped,
+/// while their nodes are down.
+const MEMBERSHIP_CHURN_VCT: u64 = 0x317f_5901_f5c8_bc1d;
 
 /// Everything observable from one full experiment pass, formatted so a
 /// mismatch diff shows *which* scenario diverged.

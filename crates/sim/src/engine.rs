@@ -396,8 +396,8 @@ impl Sim {
         self.inject_at(self.now, src, dst, enc.finish_bytes());
     }
 
-    /// Crash a machine immediately: connectivity drops, resident jobs are
-    /// lost, timers go stale. Endpoint state survives for a later
+    /// Crash a machine immediately: connectivity drops, resident jobs and
+    /// pending timers are lost. Endpoint state survives for a later
     /// [`Sim::revive_node`] (a rebooted daemon restarting from scratch is
     /// modelled by the endpoint itself on `on_start`).
     pub fn kill_node(&mut self, node: NodeId) {

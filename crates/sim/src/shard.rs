@@ -1051,7 +1051,8 @@ impl Shard {
 
     /// Crash an owned machine: give each endpoint its crash instant (the
     /// plan replica is already updated, so anything `on_crash` sends is
-    /// dropped by the fault judge), then mark it dead and clear its CPU.
+    /// dropped by the fault judge), then mark it dead and clear its CPU and
+    /// its pending timers, whose queue entries go stale.
     fn kill_local(&mut self, at: u64, cause: u64, node: NodeId) {
         let slot = self.slots.get(node);
         let ports: Vec<PortId> = match slot {
@@ -1068,6 +1069,7 @@ impl Shard {
             n.dead = true;
             n.cpu.advance(at);
             n.cpu.clear();
+            n.timers.clear();
         }
         if self.trace.is_enabled() {
             self.trace
@@ -1126,14 +1128,14 @@ impl Shard {
             }
             EventKind::Timer { port, token } => {
                 // `run_window` let only the node's earliest pending timer
-                // through: it fires now and leaves the table first.
+                // through (a dead node has none): it fires now and leaves
+                // the table first.
                 let slot = self.slots.get(ev.node).expect("a due timer's node");
+                debug_assert!(!self.nodes[slot].dead, "a dead node kept a timer");
                 self.nodes[slot].timers.pop();
-                if !self.nodes[slot].dead {
-                    self.dispatch(slot, port, PHASE_EVENT, cause, move |ep, host| {
-                        ep.on_timer(token, host)
-                    });
-                }
+                self.dispatch(slot, port, PHASE_EVENT, cause, move |ep, host| {
+                    ep.on_timer(token, host)
+                });
                 // Only now, so the re-arm a callback makes replaces what it
                 // cancels instead of joining it in the queue.
                 self.queue_earliest_timer(slot);
