@@ -4,8 +4,8 @@
 //! the structure it replaced in `Sim` — must produce identical pop
 //! sequences, including same-timestamp cause-order tie-breaks and
 //! interaction with lazy cancellation (cancelled entries stay queued and
-//! are silently consumed at pop, exactly like the engine's cancelled-timer
-//! filter) and bursts of up to three chunks into one bucket, so loads walk
+//! are silently consumed at pop, like the entry of a timer the engine has
+//! erased from its node's table) and bursts of up to three chunks into one bucket, so loads walk
 //! chunk chains and multi-chunk runs are handed back and rewound.
 
 use proptest::prelude::*;

@@ -132,12 +132,16 @@ echo "== queue sorted-insert gate (bag_of_tasks(64), S=1 and S=2) =="
 cargo test --release --offline -q -p vce-bench --test queue_shift
 # Its memory is a count too: the capacity the queue retains, against the
 # most it held at once plus its largest run (≤ 1.1; the warm-buffer pool
-# it replaced read 5.0 at S=1 and 6.1 at S=2). And the heap oracle gets a
-# longer soak than tier-1's 64 cases, bursts of up to three chunks into one
-# bucket included.
-echo "== queue footprint gate (sharded_storm(2048), S=1 and S=2) + heap oracle (4096 cases) =="
+# it replaced read 5.0 at S=1 and 6.1 at S=2). The same storm gates what a
+# cancel saves: its exact event count and at most 17 queued entries a node
+# (count-based cancels queued 27 and popped one more event a node a tick).
+# And the heap oracle gets a longer soak than tier-1's 64 cases, bursts of
+# up to three chunks into one bucket included, as does the timer-table
+# oracle.
+echo "== queue footprint gate (sharded_storm(2048), S=1 and S=2) + heap and timer oracles (4096 cases) =="
 cargo test --release --offline -q -p vce-bench --test queue_footprint
 PROPTEST_CASES=4096 cargo test --release --offline -q -p vce-sim --test proptest_queue
+PROPTEST_CASES=4096 cargo test --release --offline -q -p vce-sim --test proptest_timers
 
 # benchmark/ is its own workspace and compiles against the crates' public
 # API only: build and unit-test it here so a PR that breaks that API fails
