@@ -106,8 +106,8 @@ pub(crate) enum EventKind {
     /// processing order is identical to the uncoalesced form.
     DeliverBatch(Vec<Envelope>),
     /// A node's earliest pending timer, queued under the key it was armed
-    /// with. Stale — and skipped unseen — once that timer is cancelled
-    /// (see [`PendingTimer`]).
+    /// with. Stale — and skipped unseen — once that timer is cancelled or
+    /// its node crashes (see [`PendingTimer`]).
     Timer {
         port: PortId,
         token: u64,
@@ -168,11 +168,12 @@ struct SimNode {
 /// A timer armed and neither fired nor cancelled. Its ordering key is
 /// drawn when it is armed, so keys and counters are those of a queue entry
 /// per `set_timer`; but only the node's earliest pending timer is sure to
-/// have a queue entry. Every other one waits here, and a cancel erases it.
-/// An entry whose timer was cancelled stays queued until its instant and
-/// is skipped there: a popped timer entry is live iff its key is its
-/// node's earliest pending timer's. Everything earlier has popped by then,
-/// so a pending timer is always its node's earliest when its entry pops.
+/// have a queue entry. Every other one waits here, and a cancel (or a
+/// crash) erases it. The entry of an erased timer stays queued until its
+/// instant and is skipped there: a popped timer entry is live iff its key
+/// is its node's earliest pending timer's. Everything earlier has popped
+/// by then, so a pending timer is always its node's earliest when its
+/// entry pops.
 struct PendingTimer {
     at_us: u64,
     cause: u64,
@@ -225,15 +226,6 @@ impl SimNode {
                 queued: false,
             },
         );
-    }
-
-    /// Whether a timer entry popped at `(at_us, cause)` is this node's
-    /// earliest pending timer — and so not a cancelled one.
-    #[inline]
-    fn timer_is_due(&self, at_us: u64, cause: u64) -> bool {
-        self.timers
-            .last()
-            .is_some_and(|t| t.at_us == at_us && t.cause == cause)
     }
 }
 
@@ -751,7 +743,7 @@ impl Shard {
             if matches!(ev.kind, EventKind::Timer { .. })
                 && !self.timer_is_due(ev.node, at_us, cause)
             {
-                continue; // a cancelled timer's entry: no event at all
+                continue; // a cancelled or crashed-away timer: no event at all
             }
             debug_assert!(at_us >= self.now, "event queue went backwards");
             self.now = at_us;
@@ -1251,12 +1243,16 @@ impl Shard {
         self.slots.get(node).filter(|&s| !self.nodes[s].dead)
     }
 
-    /// Whether a timer entry popped at `(at_us, cause)` for `node` is live.
+    /// Whether a timer entry popped at `(at_us, cause)` for `node` is that
+    /// node's earliest pending timer — and so not a cancelled one.
     #[inline]
     fn timer_is_due(&self, node: NodeId, at_us: u64, cause: u64) -> bool {
-        self.slots
-            .get(node)
-            .is_some_and(|s| self.nodes[s].timer_is_due(at_us, cause))
+        self.slots.get(node).is_some_and(|s| {
+            self.nodes[s]
+                .timers
+                .last()
+                .is_some_and(|t| t.at_us == at_us && t.cause == cause)
+        })
     }
 
     /// Give the earliest pending timer of the node in `slot` its queue
