@@ -10,7 +10,6 @@
 //! technique. Any failing seed is replayed with the trace enabled and its
 //! report printed.
 //!
-//! `VCE_CHAOS_SEEDS` shrinks the per-cell seed count (CI smoke uses 1);
 //! `exp_chaos --replay <seed> <shape> <technique>` replays one cell.
 //!
 //! Output is a pure function of the grid — byte-identical under
@@ -23,21 +22,13 @@ use vce_bench::chaos::{
 use vce_bench::sweep::sweep;
 use vce_workloads::table::Table;
 
-/// Seeds per grid cell: 10 × 8 shapes × 4 techniques = 320 schedules.
-const DEFAULT_SEEDS: u64 = 10;
+/// Seeds per grid cell: 10 × 12 shapes × 4 techniques = 480 schedules.
+const SEEDS: u64 = 10;
 /// Seed base — arbitrary, fixed so reports name replayable seeds.
 const SEED_BASE: u64 = 100;
 
 fn tech_name(t: vce_exm::migrate::MigrationTechnique) -> &'static str {
     technique_name(t)
-}
-
-fn seeds_per_cell() -> u64 {
-    std::env::var("VCE_CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_SEEDS)
 }
 
 fn replay_main(args: &[String]) -> ! {
@@ -90,11 +81,10 @@ fn main() {
         replay_main(&args[2..]);
     }
 
-    let seeds = seeds_per_cell();
     let mut grid: Vec<ChaosConfig> = Vec::new();
     for &technique in &TECHNIQUES {
         for &shape in &ScheduleShape::ALL {
-            for s in 0..seeds {
+            for s in 0..SEEDS {
                 grid.push(ChaosConfig {
                     seed: SEED_BASE + s,
                     shape,

@@ -158,14 +158,6 @@ impl ScheduleShape {
         ScheduleShape::Flapping,
     ];
 
-    /// The gray-failure shapes alone, for the quick CI smoke stage.
-    pub const GRAY: [ScheduleShape; 4] = [
-        ScheduleShape::SlowNodes,
-        ScheduleShape::AsymLinks,
-        ScheduleShape::LinkRamp,
-        ScheduleShape::Flapping,
-    ];
-
     /// Stable name for tables and reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -198,8 +198,8 @@ pub fn bidding_round_detailed(seed: u64, n: u32, jitter_us: u64) -> BiddingRound
             };
         });
     }
-    let sent_before = vce.sim().stats().sent();
-    let hb_before = vce.sim().stats().heartbeats_sent();
+    let sent_before = vce.sim().stats().sent;
+    let hb_before = vce.sim().stats().heartbeats_sent;
     let app = single_task_app(vce.db(), simple_task("probe", 100.0));
     let handle = vce.submit(app, NodeId(0));
     let report = vce.run_until_done(&handle, HORIZON_US);
@@ -216,8 +216,8 @@ pub fn bidding_round_detailed(seed: u64, n: u32, jitter_us: u64) -> BiddingRound
         .timeline
         .allocation_latency(req)
         .expect("allocation observed");
-    let msgs = vce.sim().stats().sent() - sent_before;
-    let heartbeat_msgs = vce.sim().stats().heartbeats_sent() - hb_before;
+    let msgs = vce.sim().stats().sent - sent_before;
+    let heartbeat_msgs = vce.sim().stats().heartbeats_sent - hb_before;
     BiddingRound {
         latency_us: latency,
         protocol_msgs: msgs - heartbeat_msgs,
@@ -229,9 +229,9 @@ pub fn bidding_round_detailed(seed: u64, n: u32, jitter_us: u64) -> BiddingRound
 /// sends in `window_us` — the liveness plane's standing cost.
 pub fn idle_heartbeats(seed: u64, n: u32, window_us: u64) -> u64 {
     let mut vce = workstation_vce(seed, n, 100.0, ExmConfig::default());
-    let before = vce.sim().stats().heartbeats_sent();
+    let before = vce.sim().stats().heartbeats_sent;
     vce.sim_mut().run_for(window_us);
-    vce.sim().stats().heartbeats_sent() - before
+    vce.sim().stats().heartbeats_sent - before
 }
 
 /// Outcome of one forced-technique migration (M1).

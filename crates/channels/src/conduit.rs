@@ -7,82 +7,111 @@
 //! > tasks." — §4.2
 //!
 //! [`ChannelConduit`] implements the MPI [`PointToPoint`] transport on top
-//! of a shared [`ChannelRegistry`] and the live in-memory network: every
-//! rank owns a registry *port*; sends look the destination port's current
-//! location up **per message**. Migrating a rank is therefore one
-//! [`ChannelRegistry::move_port`] call — in-flight communication pattern
-//! unchanged, exactly the redirection hook process migration needs.
+//! of a shared [`ChannelRegistry`]: every rank owns a registry *port* and a
+//! mailbox at that port's location; sends look the destination port's
+//! current location up **per message** and post `(rank, tag, bytes)` to the
+//! mailbox there. Migrating a rank is therefore one
+//! [`ChannelRegistry::move_port`] call (see [`ConduitWorld::migrate`]) —
+//! in-flight communication pattern unchanged, exactly the redirection hook
+//! process migration needs.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use vce_codec::{Decoder, Encoder};
-use vce_net::{Addr, MemoryNetwork, NodeHandle, NodeId, PortId as NetPort};
+use vce_net::{Addr, NodeId, PortId as NetPort};
 
 use crate::mpi::{PointToPoint, Rank};
 use crate::registry::{ChannelId, ChannelRegistry, PortId, Role};
 
-/// Shared state of one conduit world: the registry plus the rank→port map.
+/// A message in flight: `(source rank, tag, bytes)`.
+type Frame = (Rank, u64, Vec<u8>);
+
+/// Per-(sender, tag) holdback of frames received out of matching order.
+type Stash = HashMap<(Rank, u64), VecDeque<Vec<u8>>>;
+
+/// Where each rank is and how to reach it there. One lock covers both, so
+/// a send's lookup-and-post and a migration never interleave: every
+/// location the registry names has its rank's mailbox.
+struct Routes {
+    registry: ChannelRegistry,
+    mailboxes: HashMap<Addr, Sender<Frame>>,
+}
+
+/// Shared state of one conduit world: the registry, the rank→port map and
+/// one mailbox per rank, keyed by the rank port's location.
 pub struct ConduitWorld {
-    registry: Mutex<ChannelRegistry>,
+    routes: Mutex<Routes>,
     ports: Vec<PortId>,
     /// The data channel every rank attaches to (diagnostics).
     pub channel: ChannelId,
 }
 
 impl ConduitWorld {
-    /// Lay out `n` ranks on nodes `0..n` of a fresh [`MemoryNetwork`]:
-    /// one registry port per rank, all attached (Both) to one channel.
-    /// Returns the world and one [`ChannelConduit`] per rank.
-    pub fn create(n: usize, seed: u64) -> (Arc<ConduitWorld>, MemoryNetwork, Vec<ChannelConduit>) {
+    /// Lay out `n` ranks on machines `0..n`: one registry port per rank,
+    /// all attached (Both) to one channel. Returns the world and one
+    /// [`ChannelConduit`] per rank.
+    pub fn create(n: usize) -> (Arc<ConduitWorld>, Vec<ChannelConduit>) {
         assert!(n > 0);
-        let net = MemoryNetwork::new(seed);
         let mut registry = ChannelRegistry::new();
         let channel = registry.create_channel();
         let mut ports = Vec::with_capacity(n);
-        for i in 0..n {
-            let port = registry.create_port(rank_addr(i));
+        let mut mailboxes = HashMap::with_capacity(n);
+        let mut inboxes = Vec::with_capacity(n);
+        for rank in 0..n {
+            let home = Addr::new(NodeId(rank as u32), rank_port(rank));
+            let port = registry.create_port(home);
             registry.attach(port, channel, Role::Both).expect("fresh");
             ports.push(port);
+            let (tx, rx) = unbounded();
+            mailboxes.insert(home, tx);
+            inboxes.push(rx);
         }
         let world = Arc::new(ConduitWorld {
-            registry: Mutex::new(registry),
+            routes: Mutex::new(Routes {
+                registry,
+                mailboxes,
+            }),
             ports,
             channel,
         });
-        let conduits = (0..n)
-            .map(|rank| {
-                // Each rank starts on its home node; migration re-homes the
-                // port (and, in live mode, attaches a forwarding handle).
-                let handle = net.attach(NodeId(rank as u32));
-                ChannelConduit {
-                    rank,
-                    world: Arc::clone(&world),
-                    handle,
-                    stash: RefCell::new(HashMap::new()),
-                }
+        let conduits = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, inbox)| ChannelConduit {
+                rank,
+                world: Arc::clone(&world),
+                inbox,
+                stash: RefCell::new(HashMap::new()),
             })
             .collect();
-        (world, net, conduits)
+        (world, conduits)
     }
 
     /// Migrate `rank`'s port to a new machine. Every *subsequent* send to
     /// this rank routes to the new location — one registry update, no
-    /// sender involvement (§4.2 redirection).
+    /// sender involvement (§4.2 redirection). The rank's mailbox moves with
+    /// its port, so frames already waiting in it are still received.
     pub fn migrate(&self, rank: Rank, to: NodeId) {
+        let mut routes = self.routes.lock();
         let port = self.ports[rank];
-        self.registry
-            .lock()
-            .move_port(port, Addr::new(to, rank_port(rank)))
-            .expect("known port");
+        let from = routes.registry.location(port).expect("known port");
+        let at = Addr::new(to, rank_port(rank));
+        routes.registry.move_port(port, at).expect("known port");
+        let mailbox = routes
+            .mailboxes
+            .remove(&from)
+            .expect("every location has a mailbox");
+        routes.mailboxes.insert(at, mailbox);
     }
 
     /// Current location of a rank's port.
     pub fn location_of(&self, rank: Rank) -> Addr {
-        self.registry
+        self.routes
             .lock()
+            .registry
             .location(self.ports[rank])
             .expect("known port")
     }
@@ -98,44 +127,12 @@ fn rank_port(rank: Rank) -> NetPort {
     NetPort(NetPort::DYNAMIC_BASE.0 + rank as u32)
 }
 
-fn rank_addr(rank: Rank) -> Addr {
-    Addr::new(NodeId(rank as u32), rank_port(rank))
-}
-
-/// Per-(sender, tag) holdback of frames received out of matching order.
-type Stash = HashMap<(Rank, u64), VecDeque<Vec<u8>>>;
-
 /// One rank's MPI transport over the channel registry.
 pub struct ChannelConduit {
     rank: Rank,
     world: Arc<ConduitWorld>,
-    handle: NodeHandle,
+    inbox: Receiver<Frame>,
     stash: RefCell<Stash>,
-}
-
-impl ChannelConduit {
-    /// After [`ConduitWorld::migrate`], the migrated rank itself must call
-    /// this with a handle attached at its new node so it keeps receiving.
-    /// (In the full runtime the daemon performs both halves.)
-    pub fn rehome(&mut self, handle: NodeHandle) {
-        self.handle = handle;
-    }
-
-    fn frame(&self, tag: u64, bytes: &[u8]) -> bytes::Bytes {
-        let mut enc = Encoder::with_capacity(16 + bytes.len());
-        enc.put_u32(self.rank as u32);
-        enc.put_u64(tag);
-        enc.put_len_bytes(bytes);
-        enc.finish_bytes()
-    }
-
-    fn unframe(payload: &[u8]) -> (Rank, u64, Vec<u8>) {
-        let mut dec = Decoder::new(payload);
-        let from = dec.get_u32().expect("frame") as Rank;
-        let tag = dec.get_u64().expect("frame");
-        let bytes = dec.get_len_bytes().expect("frame").to_vec();
-        (from, tag, bytes)
-    }
 }
 
 impl PointToPoint for ChannelConduit {
@@ -147,9 +144,14 @@ impl PointToPoint for ChannelConduit {
     }
     fn send_bytes(&self, to: Rank, tag: u64, bytes: Vec<u8>) {
         // Per-message location lookup: redirection is transparent.
-        let dst = self.world.location_of(to);
-        let src = Addr::new(self.handle.node(), rank_port(self.rank));
-        self.handle.send_raw(src, dst, self.frame(tag, &bytes));
+        let routes = self.world.routes.lock();
+        let dst = routes
+            .registry
+            .location(self.world.ports[to])
+            .expect("known port");
+        routes.mailboxes[&dst]
+            .send((self.rank, tag, bytes))
+            .expect("receiver alive");
     }
     fn recv_bytes(&self, from: Rank, tag: u64) -> Vec<u8> {
         if let Some(q) = self.stash.borrow_mut().get_mut(&(from, tag)) {
@@ -158,8 +160,7 @@ impl PointToPoint for ChannelConduit {
             }
         }
         loop {
-            let env = self.handle.recv().expect("network alive");
-            let (src, t, bytes) = Self::unframe(&env.payload);
+            let (src, t, bytes) = self.inbox.recv().expect("senders alive");
             if src == from && t == tag {
                 return bytes;
             }
@@ -175,80 +176,42 @@ impl PointToPoint for ChannelConduit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpi::Communicator;
-
-    #[test]
-    fn collectives_run_over_the_channel_registry() {
-        let (_world, _net, conduits) = ConduitWorld::create(4, 5);
-        let handles: Vec<_> = conduits
-            .into_iter()
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let comm = Communicator::new(c);
-                    let sum = comm.allreduce(comm.rank() as u64 + 1, |a, b| a + b);
-                    comm.barrier();
-                    sum
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 10);
-        }
-    }
 
     #[test]
     fn redirection_moves_a_rank_mid_conversation() {
-        let (world, net, mut conduits) = ConduitWorld::create(2, 7);
+        let (world, mut conduits) = ConduitWorld::create(2);
         let c1 = conduits.pop().unwrap();
         let c0 = conduits.pop().unwrap();
 
-        // Rank 1 receives one message at home, then "migrates" to node 9
+        // Rank 1 receives one message at home, then migrates to machine 9
         // and receives the next one there — rank 0 never learns about it.
+        let (moved_tx, moved_rx) = unbounded();
         let w = Arc::clone(&world);
-        let new_handle = net.attach(NodeId(9));
         let r1 = std::thread::spawn(move || {
-            let mut c1 = c1;
             let a = c1.recv_bytes(0, 1);
-            // Migrate: registry re-homed, then the rank re-homes its handle.
             w.migrate(1, NodeId(9));
-            c1.rehome(new_handle);
+            moved_tx.send(()).unwrap();
             let b = c1.recv_bytes(0, 1);
             (a, b)
         });
-        let r0 = std::thread::spawn(move || {
-            c0.send_bytes(1, 1, b"before".to_vec());
-            // Give the migration a moment (receiver-driven handoff).
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            c0.send_bytes(1, 1, b"after".to_vec());
-        });
-        r0.join().unwrap();
+        c0.send_bytes(1, 1, b"before".to_vec());
+        moved_rx.recv().unwrap();
+        assert_eq!(world.location_of(1).node, NodeId(9));
+        c0.send_bytes(1, 1, b"after".to_vec());
         let (a, b) = r1.join().unwrap();
         assert_eq!(a, b"before");
         assert_eq!(b, b"after");
-        assert_eq!(world.location_of(1).node, NodeId(9));
     }
 
     #[test]
-    fn out_of_order_tags_match_correctly() {
-        let (_world, _net, conduits) = ConduitWorld::create(2, 9);
-        let handles: Vec<_> = conduits
-            .into_iter()
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let comm = Communicator::new(c);
-                    if comm.rank() == 0 {
-                        comm.send(1, 5, &5u64);
-                        comm.send(1, 6, &6u64);
-                        0
-                    } else {
-                        let six: u64 = comm.recv(0, 6);
-                        let five: u64 = comm.recv(0, 5);
-                        five * 10 + six
-                    }
-                })
-            })
-            .collect();
-        let results: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(results[1], 56);
+    fn frames_waiting_at_the_old_location_follow_the_move() {
+        let (world, conduits) = ConduitWorld::create(2);
+        let (c0, c1) = (&conduits[0], &conduits[1]);
+        c0.send_bytes(1, 3, b"queued".to_vec());
+        world.migrate(1, NodeId(9));
+        c0.send_bytes(1, 3, b"there".to_vec());
+        assert_eq!(world.location_of(1), Addr::new(NodeId(9), rank_port(1)));
+        assert_eq!(c1.recv_bytes(0, 3), b"queued");
+        assert_eq!(c1.recv_bytes(0, 3), b"there");
     }
 }

@@ -16,7 +16,8 @@
 //!   primitives defined in the MPI or via object-oriented method invocation
 //!   semantics." [`mpi`] implements the MPI subset (send/recv/bcast/
 //!   barrier/reduce/gather/scatter over communicators) as a library above a
-//!   transport trait, with a threaded implementation for live use.
+//!   transport trait; [`conduit`] implements that trait over the channel
+//!   registry, so every MPI send is routed by the port's current location.
 //! * **Proxies** (Fig. 2): client proxy and server proxy marshal method
 //!   invocations into architecture-independent form and forward them.
 //!   [`idl`] is the stand-in for the OMG IDL compiler (§4.2 cites it);

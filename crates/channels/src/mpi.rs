@@ -5,18 +5,18 @@
 //! communication tools available in the system". This module is that
 //! library: collectives (broadcast, barrier, reduce, allreduce, gather,
 //! scatter) built from binomial trees over a point-to-point transport
-//! trait. [`ThreadComm`] is the live transport (crossbeam channels, one
-//! rank per OS thread); the VCE runtime maps the same trait onto daemon
-//! channels.
+//! trait, which [`ChannelConduit`] implements over the channel registry
+//! (one rank per OS thread, every send routed by its destination port's
+//! current location).
 //!
 //! Collective algorithms are the classic MPICH binomial/dissemination
-//! shapes, so cost scales O(log n) — measured by the `mpi` bench.
+//! shapes, so cost scales O(log n) in rounds.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use vce_codec::{from_bytes, to_bytes, Codec};
+
+use crate::conduit::{ChannelConduit, ConduitWorld};
 
 /// A process index within a communicator.
 pub type Rank = usize;
@@ -216,94 +216,20 @@ impl<T: PointToPoint> Communicator<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-
-/// Live transport: one crossbeam mailbox per rank, envelope matching with a
-/// local holdback buffer. One `ThreadComm` per rank, moved into its thread.
-/// A framed message in flight: `(source rank, tag, bytes)`.
-type Frame = (Rank, u64, Vec<u8>);
-/// Per-(sender, tag) holdback of frames received out of matching order.
-type Stash = HashMap<(Rank, u64), VecDeque<Vec<u8>>>;
-
-/// Live transport: one crossbeam mailbox per rank, with MPI envelope
-/// matching via a local holdback buffer. One `ThreadComm` per rank, moved
-/// into its thread.
-pub struct ThreadComm {
-    rank: Rank,
-    senders: Vec<Sender<Frame>>,
-    inbox: Receiver<Frame>,
-    stash: RefCell<Stash>,
-}
-
-impl ThreadComm {
-    /// Create a fully connected set of `n` rank transports.
-    pub fn create(n: usize) -> Vec<ThreadComm> {
-        assert!(n > 0);
-        let mut senders = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            inboxes.push(rx);
-        }
-        inboxes
-            .into_iter()
-            .enumerate()
-            .map(|(rank, inbox)| ThreadComm {
-                rank,
-                senders: senders.clone(),
-                inbox,
-                stash: RefCell::new(HashMap::new()),
-            })
-            .collect()
-    }
-}
-
-impl PointToPoint for ThreadComm {
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-    fn size(&self) -> usize {
-        self.senders.len()
-    }
-    fn send_bytes(&self, to: Rank, tag: u64, bytes: Vec<u8>) {
-        self.senders[to]
-            .send((self.rank, tag, bytes))
-            .expect("receiver alive");
-    }
-    fn recv_bytes(&self, from: Rank, tag: u64) -> Vec<u8> {
-        if let Some(q) = self.stash.borrow_mut().get_mut(&(from, tag)) {
-            if let Some(b) = q.pop_front() {
-                return b;
-            }
-        }
-        loop {
-            let (src, t, bytes) = self.inbox.recv().expect("senders alive");
-            if src == from && t == tag {
-                return bytes;
-            }
-            self.stash
-                .borrow_mut()
-                .entry((src, t))
-                .or_default()
-                .push_back(bytes);
-        }
-    }
-}
-
-/// Run `f(comm)` on `n` ranks, one thread each, collecting rank-ordered
-/// results. The standard harness for MPI-style tests and benches.
+/// Run `f(comm)` on `n` ranks of a fresh [`ConduitWorld`], one thread
+/// each, collecting rank-ordered results. The standard harness for
+/// MPI-style tests.
 pub fn run_ranks<R: Send + 'static>(
     n: usize,
-    f: impl Fn(&Communicator<ThreadComm>) -> R + Send + Sync + 'static,
+    f: impl Fn(&Communicator<ChannelConduit>) -> R + Send + Sync + 'static,
 ) -> Vec<R> {
-    let comms = ThreadComm::create(n);
+    let (_world, conduits) = ConduitWorld::create(n);
     let f = std::sync::Arc::new(f);
-    let handles: Vec<_> = comms
+    let handles: Vec<_> = conduits
         .into_iter()
         .map(|c| {
             let f = std::sync::Arc::clone(&f);
-            // vce-lint: allow(D004) run_ranks is the live MPI harness: one OS thread per rank, used by tests/benches only
+            // vce-lint: allow(D004) run_ranks is the MPI test harness: one OS thread per rank, as MPI ranks are processes
             std::thread::spawn(move || f(&Communicator::new(c)))
         })
         .collect();
@@ -445,8 +371,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "tag too large")]
     fn user_tags_cannot_collide_with_collectives() {
-        let comms = ThreadComm::create(1);
-        let c = Communicator::new(comms.into_iter().next().unwrap());
+        let (_world, conduits) = ConduitWorld::create(1);
+        let c = Communicator::new(conduits.into_iter().next().unwrap());
         c.send(0, MAX_USER_TAG, &0u8);
     }
 }

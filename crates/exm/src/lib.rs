@@ -27,9 +27,10 @@
 //!   execution, checkpointing, address-space dump, recompilation) and the
 //!   policy that picks one per migration from task traits + system state.
 //!
-//! Everything is an [`vce_net::Endpoint`] state machine: the same code runs
-//! on the deterministic simulator (all experiments) and on the threaded
-//! live driver.
+//! Everything is an [`vce_net::Endpoint`] state machine: it reaches time,
+//! timers and the network only through its [`vce_net::Host`], which is the
+//! deterministic simulator in every experiment and a
+//! [`vce_net::testing`] double in unit tests.
 
 mod backoff;
 pub mod config;

@@ -179,10 +179,10 @@ fn mute(sim: &mut Sim, from: &[u32], to: u32, for_us: u64) {
 fn steady_state_costs_4n_minus_6_heartbeats_a_tick() {
     for n in [12u32, 48] {
         let mut sim = group(n);
-        let before = sim.stats().heartbeats_sent();
+        let before = sim.stats().heartbeats_sent;
         let ticks = 50;
         sim.run_until(5_100_000 + ticks * TICK_US);
-        let per_tick = (sim.stats().heartbeats_sent() - before) / ticks;
+        let per_tick = (sim.stats().heartbeats_sent - before) / ticks;
         assert_eq!(per_tick, 4 * u64::from(n) - 6, "n = {n}");
         let solicits: u64 = (0..n)
             .map(|i| with(&mut sim, i, |m| m.seen.solicits_sent))

@@ -29,8 +29,8 @@
 //! | S002 | sync primitives outside the sanctioned rendezvous module; `Relaxed`/`try_lock` inside it |
 //!
 //! D/S-rules apply to the sim-deterministic crates' `src/` trees, excluding
-//! `#[cfg(test)]` items (tests of the live threaded components are
-//! wall-clock by nature). P001 applies to the message-handler files in
+//! `#[cfg(test)]` items (tests of threaded components may block on real
+//! threads). P001 applies to the message-handler files in
 //! `isis` and `exm`; P002–P004 anchor at the registry/journal files they
 //! check. Violations are suppressed line-by-line with
 //! `// vce-lint: allow(RULE) reason` — the reason is mandatory, and stale

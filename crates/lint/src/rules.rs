@@ -73,14 +73,14 @@ pub struct Finding {
     pub hint: &'static str,
 }
 
-const HINT_D001: &str = "use sim time (Host::now_us); wall-clock belongs to live mode, waive it";
+const HINT_D001: &str =
+    "use sim time (Host::now_us); a harness timing itself is waivable with a reason";
 const HINT_D002: &str =
     "switch to BTreeMap/BTreeSet, or waive with an order-insensitivity argument";
 const HINT_D003: &str = "seed the RNG explicitly (e.g. SmallRng::seed_from_u64 from config)";
-const HINT_D004: &str =
-    "sim-deterministic code is single-threaded; threads live in vce-bench or live drivers (waive)";
+const HINT_D004: &str = "sim-deterministic code is single-threaded; threads live in vce-bench, the sharded engine or a test harness (waive)";
 const HINT_D005: &str = "give the element a `seq` field assigned from a monotone insertion counter and include it in `Ord` (the `(at_us, seq)` contract), or waive with an ordering argument";
-const HINT_D006: &str = "route time/randomness through the Host (sim time, seeded RNG) or break the call chain; live-mode plumbing is waivable with a reason";
+const HINT_D006: &str = "route time/randomness through the Host (sim time, seeded RNG) or break the call chain; harness plumbing is waivable with a reason";
 const HINT_P001: &str = "remote input must not panic a node: drop/log or reply with an error, or waive with an invariant argument";
 const HINT_P002: &str = "a wire tag must be unique, encoded once, decoded once, and its variant handled somewhere; fix the registry or waive with a protocol argument";
 const HINT_P003: &str = "re-encode tokens as tag<<32|payload (docs/PROTOCOL.md token table) so id growth cannot bleed across token spaces";
@@ -948,7 +948,7 @@ const S002_SYNC_PRIMS: &[&str] = &[
 /// S002: cross-thread synchronization primitives are confined to the
 /// sanctioned rendezvous module(s). Flagged at the point the name enters
 /// scope — the `use std::sync::..` item or a fully-qualified path — so a
-/// sanctioned or live-mode file carries one reasoned waiver per import,
+/// file outside the rendezvous list needs one reasoned waiver per import,
 /// mirroring D004's treatment of `use std::thread`. Inside a rendezvous
 /// file the rule instead polices the access discipline: `Ordering::Relaxed`
 /// and `try_lock` are non-rendezvous accesses (unordered, or racing past

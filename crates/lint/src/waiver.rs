@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! // vce-lint: allow(D002) iteration feeds a sort two lines down
-//! // vce-lint: allow(D001,D004) live driver is wall-clock by design
+//! // vce-lint: allow(D001,D004) the sweep harness times its own worker threads
 //! ```
 //!
 //! A waiver on its own line suppresses the named rules on the next code

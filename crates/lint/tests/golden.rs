@@ -54,7 +54,7 @@ fn d001_ignores_duration_and_unscoped_crates() {
 fn d001_waived_is_suppressed() {
     assert_clean(
         SIM,
-        "// vce-lint: allow(D001) live harness is wall-clock by design\n\
+        "// vce-lint: allow(D001) bench harness is wall-clock by design\n\
          use std::time::Instant;\n",
     );
 }
@@ -168,7 +168,7 @@ mod tests {
 fn d004_waived_is_suppressed() {
     assert_clean(
         SIM,
-        "// vce-lint: allow(D004) one OS thread per node in live mode\n\
+        "// vce-lint: allow(D004) one OS thread per rank in the MPI harness\n\
          fn f() { std::thread::spawn(|| {}); }\n",
     );
 }
@@ -466,7 +466,7 @@ fn waiver_covering_nothing_is_w003() {
 fn trailing_waiver_covers_its_own_line() {
     assert_clean(
         SIM,
-        "use std::time::Instant; // vce-lint: allow(D001) live-mode import\n",
+        "use std::time::Instant; // vce-lint: allow(D001) bench-harness import\n",
     );
 }
 
@@ -483,7 +483,7 @@ fn doc_comments_quoting_the_marker_are_not_directives() {
 fn waiver_covers_multiple_rules_in_one_directive() {
     assert_clean(
         SIM,
-        "// vce-lint: allow(D001,D004) live harness: threads + wall clock\n\
+        "// vce-lint: allow(D001,D004) bench harness: threads + wall clock\n\
          fn f() { std::thread::spawn(|| { let _ = std::time::Instant::now(); }); }\n",
     );
 }

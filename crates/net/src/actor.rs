@@ -3,15 +3,18 @@
 //! Daemons, group leaders, executors and simulated tasks are written as
 //! [`Endpoint`] state machines: they react to envelopes, timers and
 //! work-completion notifications, and express all side effects through the
-//! [`Host`] interface. Two hosts exist:
+//! [`Host`] interface. The hosts that implement it are:
 //!
-//! * the deterministic discrete-event host in `vce-sim` (all experiments);
-//! * the threaded [`LiveDriver`](crate::driver::LiveDriver) over
-//!   [`MemoryNetwork`](crate::MemoryNetwork) (live examples).
+//! * the deterministic discrete-event host in `vce-sim` — every experiment,
+//!   example and integration test, on one thread or (sharded) many;
+//! * the doubles in [`testing`](crate::testing) — a hand-scripted
+//!   [`MockHost`](crate::testing::MockHost) and a
+//!   [`ForwardHost`](crate::testing::ForwardHost) that wraps a real host and
+//!   sees every send — for unit tests.
 //!
-//! Because the state machines *cannot tell the difference*, the code that is
-//! benchmarked is the code that runs live — the property DESIGN.md calls
-//! "the evaluated system is the shipped system".
+//! Time and I/O reach an endpoint only through its host, so the code that is
+//! benchmarked is the code that ships — the property DESIGN.md calls "the
+//! evaluated system is the shipped system".
 
 use bytes::Bytes;
 

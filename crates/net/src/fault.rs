@@ -3,8 +3,7 @@
 //! The paper leans on Isis "error notification functions" for fault tolerance
 //! (§5: leader takeover by the oldest surviving member). To evaluate that we
 //! must be able to kill machines, partition the network and perturb delivery.
-//! A [`FaultPlan`] is consulted by both transports (threaded and simulated)
-//! for every envelope.
+//! The simulator consults a [`FaultPlan`] for every envelope.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -40,13 +40,6 @@ impl Envelope {
         }
     }
 
-    /// Encode `msg` with `vce-codec` and wrap it.
-    pub fn encode_payload<T: Codec>(src: Addr, dst: Addr, seq: u64, msg: &T) -> Self {
-        let mut enc = Encoder::with_capacity(64);
-        msg.encode(&mut enc);
-        Self::new(src, dst, seq, enc.finish_bytes())
-    }
-
     /// Decode the payload as a `T`. The payload buffer is passed as the
     /// decoder's backing store, so nested byte fields (e.g. the payload
     /// inside an `IsisMsg::Cast`) decode as zero-copy sub-views of it.
@@ -65,7 +58,7 @@ impl Envelope {
     }
 
     /// Total size of the envelope on the (notional) wire: header + payload.
-    /// Used by the simulator's bandwidth model and by [`crate::NetStats`].
+    /// Used by the simulator's bandwidth model and its [`crate::NetStats`].
     /// Exactly what the `Codec` writes, computed without encoding.
     pub fn wire_size(&self) -> usize {
         let len = self.payload.len();
@@ -103,11 +96,11 @@ mod tests {
     use vce_codec::{from_bytes, to_bytes};
 
     fn sample() -> Envelope {
-        Envelope::encode_payload(
+        Envelope::new(
             Addr::daemon(NodeId(1)),
             Addr::leader(NodeId(2)),
             7,
-            &("bid".to_string(), 0.25f64),
+            to_bytes(&("bid".to_string(), 0.25f64)),
         )
     }
 

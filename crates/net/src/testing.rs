@@ -1,4 +1,4 @@
-//! Hosts for testing endpoints outside a driver: [`MockHost`] records what
+//! Hosts for testing endpoints outside the simulator: [`MockHost`] records what
 //! an endpoint does and is scripted by hand, [`ForwardHost`] sits between
 //! an endpoint and the host it really runs on and sees what it sends.
 //!

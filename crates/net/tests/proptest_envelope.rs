@@ -1,6 +1,6 @@
 //! The model charges what the codec writes: `Envelope::wire_size` — what
-//! the simulator's bandwidth model, `NetStats` and `net::memory` bill a
-//! message at — is computed arithmetically, so it is held here to the
+//! the simulator's bandwidth model and its `NetStats` bill a message at —
+//! is computed arithmetically, so it is held here to the
 //! length the `Codec` actually produces, over the whole `u32`/`u64` range
 //! of every header field. The same envelopes must come back from
 //! `decode_from` equal and with the payload still a view of the wire

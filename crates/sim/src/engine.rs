@@ -102,9 +102,6 @@ pub struct Sim {
     /// Master trace, appended in global `(at_us, phase, cause)` order at
     /// every sync point.
     trace: Trace,
-    /// Aggregate of the per-shard counters, rebuilt at sync points.
-    /// Unused (never read) with one shard — `stats()` short-circuits.
-    merged_stats: NetStats,
     trace_enabled: bool,
     /// Attached `.vct` recorder, if any (see [`crate::record`]).
     recorder: Option<Recorder>,
@@ -188,7 +185,6 @@ impl Sim {
             } else {
                 Trace::disabled()
             },
-            merged_stats: NetStats::new(),
             trace_enabled: config.trace_enabled,
             recorder: None,
             rendezvous: Rendezvous::new(shards),
@@ -331,14 +327,12 @@ impl Sim {
             .fold(QueueStats::default(), |a, b| a + b)
     }
 
-    /// Network statistics (aggregated across shards as of the last sync
-    /// point; every public mutating call syncs before returning).
-    pub fn stats(&self) -> &NetStats {
-        if self.shards.len() == 1 {
-            &self.shards[0].stats
-        } else {
-            &self.merged_stats
-        }
+    /// Network statistics, summed over the shards' own counters.
+    pub fn stats(&self) -> NetStats {
+        self.shards.iter().fold(NetStats::default(), |mut sum, s| {
+            sum.absorb(&s.stats);
+            sum
+        })
     }
 
     /// The run trace, in global `(time, cause)` order.
@@ -570,8 +564,8 @@ impl Sim {
         }
     }
 
-    /// Merge per-shard statistics and splice per-shard trace buffers into
-    /// the master trace in global `(at_us, phase, cause)` order.
+    /// Splice per-shard trace buffers into the master trace in global
+    /// `(at_us, phase, cause)` order.
     ///
     /// The batch is *sorted*, not concatenated, even with one shard: a
     /// zero-delay timer can legitimately execute after a
@@ -581,16 +575,6 @@ impl Sim {
     /// count agrees on; the sort is stable and key collisions only occur
     /// within a single callback's lines, which are already in order.
     fn sync(&mut self) {
-        for sh in &mut self.shards {
-            sh.flush_stats();
-        }
-        if self.shards.len() > 1 {
-            let merged = NetStats::new();
-            for sh in &self.shards {
-                merged.absorb(&sh.stats);
-            }
-            self.merged_stats = merged;
-        }
         if let Some(r) = self.recorder.as_mut() {
             let recs: Vec<EventRecord> = splice(&mut self.shards, |sh| &mut sh.rec.buf).collect();
             r.event_index += recs.len() as u64;
@@ -675,7 +659,7 @@ mod tests {
             .expect("someone finished");
         // Ten hops at ~1ms base latency each.
         assert!(t >= 10_000, "time {t}");
-        assert_eq!(sim.stats().delivered(), 11); // inject + 10 replies
+        assert_eq!(sim.stats().delivered, 11); // inject + 10 replies
     }
 
     #[test]
@@ -1022,7 +1006,7 @@ mod tests {
             .with_endpoint_mut::<Counter, _>(Addr::daemon(NodeId(0)), |c| c.last_seen)
             .unwrap();
         assert!(last < 100, "last {last}");
-        assert!(sim.stats().dropped() > 0);
+        assert!(sim.stats().dropped > 0);
     }
 
     #[test]

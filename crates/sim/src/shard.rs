@@ -274,17 +274,6 @@ impl NodeSlots {
     }
 }
 
-/// Plain-integer staging for [`NetStats`] (see `Shard::hot_stats`).
-#[derive(Default)]
-struct HotStats {
-    sent: u64,
-    bytes_sent: u64,
-    heartbeats_sent: u64,
-    delivered: u64,
-    dropped: u64,
-    duplicated: u64,
-}
-
 /// A work mutation, kept in issue order. Interleaving starts and cancels in
 /// one list (rather than two) preserves the order the endpoint issued them:
 /// `cancel(p)` then `start(p)` in one callback leaves `p` running, while
@@ -512,12 +501,6 @@ pub(crate) struct Shard {
     pub(crate) fault: FaultPlan,
     topology: Arc<Topology>,
     pub(crate) stats: NetStats,
-    /// Hot-path counter staging: [`NetStats`]' atomics cost a locked RMW
-    /// per increment, which at several increments per message is real money
-    /// on the storm path. Mutations land here as plain adds and are folded
-    /// into `stats` at sync points ([`Shard::flush_stats`]), before any
-    /// reader can observe them.
-    hot_stats: HotStats,
     pub(crate) trace: TraceBuf,
     pub(crate) rec: RecBuf,
     pub(crate) events_processed: u64,
@@ -558,8 +541,7 @@ impl Shard {
             slots: NodeSlots::default(),
             fault: FaultPlan::none(),
             topology,
-            stats: NetStats::new(),
-            hot_stats: HotStats::default(),
+            stats: NetStats::default(),
             trace: TraceBuf::new(trace_enabled),
             rec: RecBuf::new(),
             events_processed: 0,
@@ -804,23 +786,6 @@ impl Shard {
                 self.rec
                     .push(PHASE_EVENT, rec(EV_LOAD, background.to_bits(), 0));
             }
-        }
-    }
-
-    /// Fold the staged hot-path counters into the shared [`NetStats`].
-    /// Called at sync points (window barriers, run-call returns) — always
-    /// before any reader can observe `stats`, so the staging is invisible.
-    pub(crate) fn flush_stats(&mut self) {
-        let h = std::mem::take(&mut self.hot_stats);
-        if h.sent | h.delivered | h.dropped | h.duplicated != 0 {
-            self.stats.record_batch(
-                h.sent,
-                h.bytes_sent,
-                h.heartbeats_sent,
-                h.delivered,
-                h.dropped,
-                h.duplicated,
-            );
         }
     }
 
@@ -1186,7 +1151,7 @@ impl Shard {
         let trace_on = self.trace.is_enabled();
         let port = env.dst.port;
         let Some(slot) = self.slots.get(node) else {
-            self.hot_stats.dropped += 1;
+            self.stats.dropped += 1;
             return;
         };
         let mut fx = self.scratch_fx.take().unwrap_or_default();
@@ -1195,10 +1160,10 @@ impl Shard {
             // The destination may have died after the send was judged.
             if n.dead || self.fault.is_dead(env.dst.node) {
                 self.scratch_fx = Some(fx);
-                self.hot_stats.dropped += 1;
+                self.stats.dropped += 1;
                 return;
             }
-            self.hot_stats.delivered += 1;
+            self.stats.delivered += 1;
             let Some(i) = n.ep_slot(port) else {
                 self.scratch_fx = Some(fx);
                 if trace_on {
@@ -1430,13 +1395,13 @@ impl Shard {
         pending: &mut PendingDelivery,
     ) {
         let env = Envelope::new(src, dst, seq, payload);
-        self.hot_stats.sent += 1;
+        self.stats.sent += 1;
         let wire_size = env.wire_size();
-        self.hot_stats.bytes_sent += wire_size as u64;
-        self.hot_stats.heartbeats_sent += u64::from(category == MsgCategory::Heartbeat);
+        self.stats.bytes_sent += wire_size as u64;
+        self.stats.heartbeats_sent += u64::from(category == MsgCategory::Heartbeat);
         let base = self.topology.latency_us(src.node, dst.node, wire_size);
         match verdict {
-            Delivery::Drop => self.hot_stats.dropped += 1,
+            Delivery::Drop => self.stats.dropped += 1,
             Delivery::Deliver { extra_delay_us } => {
                 let at = self.now + base + extra_delay_us;
                 // Coalesce with the previous deliverable send when both land
@@ -1474,7 +1439,7 @@ impl Shard {
                 // Flush first so ordering matches the serial (unbatched)
                 // push sequence exactly.
                 self.flush_delivery(std::mem::replace(pending, PendingDelivery::None));
-                self.hot_stats.duplicated += 1;
+                self.stats.duplicated += 1;
                 self.push_or_remote(
                     self.now + base + first_us,
                     cause,
