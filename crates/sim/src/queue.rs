@@ -35,17 +35,28 @@
 //! queue keeps follows what it holds. (Bucket `Vec`s that circulated
 //! through a pool of warm buffers each ended up as large as the fullest
 //! bucket ever was: on `storm_fleet` fourteen buffers of 65–74 k entries
-//! held 194,560 queued events.) Loading a bucket depends only on its own
-//! length:
+//! held 194,560 queued events.) Chunks and the run hold `Option<Entry>`,
+//! so an entry can be taken out of its chunk by position; the engine's
+//! event has a niche, so the `Option` costs no byte. Loading a bucket
+//! depends only on its own length:
 //!
 //! * **one chunk** — the chunk's buffer is swapped with the run's, then
 //!   checked and reversed or sorted in place: no entry is copied;
-//! * **several chunks** — each entry is moved once into one large run
-//!   buffer, newest chunk first and each chunk back to front, so a bucket
-//!   filled in key order arrives descending. That buffer is `parked` while
-//!   one-chunk runs are served.
+//! * **several chunks** — a stable counting sort on the microsecond
+//!   (`at_us & (BUCKET_US - 1)`, the only part of the key a bucket's
+//!   entries differ in besides `cause`). One pass counts the bucket's
+//!   [`BUCKET_US`] microseconds; one writes a `u32` position (chunk and
+//!   index) per entry into the run's order, walking the newest chunk first
+//!   and each chunk back to front; one moves every entry once, from its
+//!   chunk straight to its place in one large run buffer. Each
+//!   microsecond's group so comes out in reverse push order, which is
+//!   descending `cause` whenever its pushes arrived in ascending `cause`;
+//!   a check pass comparison-sorts only a group that did not. The large
+//!   buffer is `parked` while one-chunk runs are served.
 //!
-//! [`QueueStats::retained`] counts the capacity all of it holds.
+//! [`QueueStats::retained`] counts the capacity all of it holds, and
+//! [`QueueStats::entries_sorted`] the entries a load had to
+//! comparison-sort.
 //!
 //! # Ordering contract
 //!
@@ -99,7 +110,9 @@ use std::collections::BinaryHeap;
 /// log2 of the bucket width in microseconds (128 µs per bucket): fine
 /// enough that a bucket rarely holds more than a handful of events, coarse
 /// enough that a millisecond's periodic timers share a few chunks instead
-/// of holding one mostly empty chunk each.
+/// of holding one mostly empty chunk each. A multi-chunk load counts one
+/// slot per microsecond of the bucket, so this is also the size of its
+/// counting-sort table.
 const BUCKET_BITS: u32 = 7;
 /// Bucket width in microseconds.
 const BUCKET_US: u64 = 1 << BUCKET_BITS;
@@ -110,10 +123,18 @@ const NUM_BUCKETS: usize = 8192;
 /// to level 0 (~1.05 simulated seconds). Heartbeats, CPU checks and
 /// backoff probes all live well inside this band.
 pub const SPAN_US: u64 = NUM_BUCKETS as u64 * BUCKET_US;
-/// Entries per bucket chunk. Every `storm_dense` and `app_*` bucket fits
-/// in one, so those are served in place; a bucket of several is copied
-/// once into the large run buffer.
+/// Entries per bucket chunk. Every `storm_dense` bucket fits in one, and
+/// so does nearly every application bucket (an opening burst need not:
+/// `queue_shift`'s 64-task bag fills two past it), so those are served in
+/// place; a bucket of several is counting-sorted into the large run
+/// buffer, each entry moved once.
 pub const CHUNK: usize = 256;
+/// A load's position packs a chunk index above `CHUNK_BITS` bits of index
+/// within the chunk.
+const CHUNK_BITS: u32 = CHUNK.trailing_zeros();
+const _: () = assert!(CHUNK.is_power_of_two());
+/// Chunks a queue may allocate: every position must fit a `u32`.
+const MAX_CHUNKS: usize = 1 << (u32::BITS - CHUNK_BITS);
 
 const RING_MASK: usize = NUM_BUCKETS - 1;
 const WORDS: usize = NUM_BUCKETS / 64;
@@ -136,6 +157,12 @@ impl<T> Entry<T> {
     }
 }
 
+/// The key of a chunk or run entry; each is `Some` until a load moves it.
+#[inline]
+fn key_of<T>(e: &Option<Entry<T>>) -> (u64, u64) {
+    e.as_ref().expect("a queued entry").key()
+}
+
 // Overflow-heap ordering: min on (at_us, cause) via `Reverse`.
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
@@ -156,7 +183,7 @@ impl<T> Ord for Entry<T> {
 
 /// Up to [`CHUNK`] entries of one bucket, in push order.
 struct Chunk<T> {
-    entries: Vec<Entry<T>>,
+    entries: Vec<Option<Entry<T>>>,
     /// The bucket's next older chunk, or — on the free list — the next
     /// free chunk.
     next: u32,
@@ -173,13 +200,17 @@ pub struct QueueStats {
     pub sorted_inserts: u64,
     /// Entries those inserts moved one place up (`memmove` length).
     pub entries_shifted: u64,
-    /// Entries of capacity held now: every chunk, the run and the parked
-    /// run buffer.
+    /// Entries of capacity held now: every chunk, the run, the parked run
+    /// buffer and — in entry-sized units — a load's position list.
     pub retained: u64,
     /// Most entries queued at once.
     pub peak_len: u64,
     /// Most entries one bucket load put in the run.
     pub largest_run: u64,
+    /// Entries a bucket load had to comparison-sort: a one-chunk bucket
+    /// not pushed in key order, or a microsecond of a multi-chunk bucket
+    /// not pushed in `cause` order.
+    pub entries_sorted: u64,
 }
 
 impl std::ops::Add for QueueStats {
@@ -192,6 +223,7 @@ impl std::ops::Add for QueueStats {
             retained: self.retained + b.retained,
             peak_len: self.peak_len + b.peak_len,
             largest_run: self.largest_run + b.largest_run,
+            entries_sorted: self.entries_sorted + b.entries_sorted,
         }
     }
 }
@@ -218,12 +250,15 @@ pub struct CalendarQueue<T> {
     horizon_slot: u64,
     /// The in-flight run: sorted **descending** by `(at_us, cause)` so pops
     /// are `Vec::pop` from the tail. Earlier than everything else queued.
-    current: Vec<Entry<T>>,
+    current: Vec<Option<Entry<T>>>,
     /// The run buffer `current` is not using: the large one while a
     /// one-chunk run is served, a chunk's while a large run is.
-    parked: Vec<Entry<T>>,
+    parked: Vec<Option<Entry<T>>>,
     /// Whether `current` is the large run buffer.
     large_run: bool,
+    /// A multi-chunk load's source for each place in the run, as
+    /// `chunk << CHUNK_BITS | index`.
+    positions: Vec<u32>,
     /// Level 1: far-future events, min-heap on `(at_us, cause)`.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
     len: usize,
@@ -252,6 +287,7 @@ impl<T> CalendarQueue<T> {
             current: Vec::with_capacity(CHUNK),
             parked: Vec::new(),
             large_run: false,
+            positions: Vec::new(),
             overflow: BinaryHeap::new(),
             len: 0,
             run_shifted: 0,
@@ -272,8 +308,11 @@ impl<T> CalendarQueue<T> {
     /// Cost counters since construction, and the capacity held now.
     pub fn stats(&self) -> QueueStats {
         let chunks: usize = self.chunks.iter().map(|c| c.entries.capacity()).sum();
+        let positions = (self.positions.capacity() * std::mem::size_of::<u32>())
+            .div_ceil(std::mem::size_of::<Option<Entry<T>>>());
         QueueStats {
-            retained: (chunks + self.current.capacity() + self.parked.capacity()) as u64,
+            retained: (chunks + self.current.capacity() + self.parked.capacity() + positions)
+                as u64,
             ..self.stats
         }
     }
@@ -309,17 +348,21 @@ impl<T> CalendarQueue<T> {
             self.heads[ring] = head;
             self.occupied[ring / 64] |= 1u64 << (ring % 64);
         }
-        self.chunks[head as usize].entries.push(entry);
+        self.chunks[head as usize].entries.push(Some(entry));
     }
 
     /// A free chunk — or a new one — whose chain continues at `older`.
     fn take_chunk(&mut self, older: u32) -> u32 {
         let c = if self.free == NIL {
+            assert!(
+                self.chunks.len() < MAX_CHUNKS,
+                "a queue of {MAX_CHUNKS} chunks: a load position must fit a u32"
+            );
             self.chunks.push(Chunk {
                 entries: Vec::with_capacity(CHUNK),
                 next: NIL,
             });
-            u32::try_from(self.chunks.len() - 1).expect("fewer than 2^32 chunks")
+            (self.chunks.len() - 1) as u32
         } else {
             let c = self.free;
             self.free = self.chunks[c as usize].next;
@@ -342,14 +385,14 @@ impl<T> CalendarQueue<T> {
     /// `slot <= cur_slot`: the three rules of the module docs, in order.
     fn push_at_or_behind_cursor(&mut self, slot: u64, entry: Entry<T>) {
         let key = entry.key();
-        let idx = self.current.partition_point(|e| e.key() > key);
+        let idx = self.current.partition_point(|e| key_of(e) > key);
         let shift = self.current.len() - idx;
         // `current` is descending and never holds a slot past `cur_slot`:
         // its tail (the minimum) being in `cur_slot` means all of it is.
         let run_is_one_bucket = self
             .current
             .last()
-            .is_none_or(|e| e.at_us >> BUCKET_BITS == self.cur_slot);
+            .is_none_or(|e| key_of(e).0 >> BUCKET_BITS == self.cur_slot);
         let hand_back = run_is_one_bucket
             && if slot < self.cur_slot {
                 slot + NUM_BUCKETS as u64 >= self.horizon_slot
@@ -358,7 +401,7 @@ impl<T> CalendarQueue<T> {
             };
         if hand_back {
             // Popped ascending, so an untouched run reloads without a sort.
-            while let Some(e) = self.current.pop() {
+            while let Some(e) = self.current.pop().flatten() {
                 self.push_bucket(e);
             }
             self.cur_slot = slot;
@@ -370,14 +413,14 @@ impl<T> CalendarQueue<T> {
         self.stats.sorted_inserts += 1;
         self.stats.entries_shifted += shift as u64;
         self.run_shifted += shift;
-        self.current.insert(idx, entry);
+        self.current.insert(idx, Some(entry));
     }
 
     /// Timestamp of the earliest event, or `None` if empty. `&mut` because
     /// peeking may advance the drain cursor to (and sort) the next bucket.
     pub fn peek_time(&mut self) -> Option<u64> {
         if self.ensure_current() {
-            self.current.last().map(|e| e.at_us)
+            self.current.last().map(|e| key_of(e).0)
         } else {
             None
         }
@@ -388,7 +431,11 @@ impl<T> CalendarQueue<T> {
         if !self.ensure_current() {
             return None;
         }
-        let e = self.current.pop().expect("ensure_current guarantees one");
+        let e = self
+            .current
+            .pop()
+            .flatten()
+            .expect("ensure_current guarantees one");
         self.len -= 1;
         Some((e.at_us, e.cause_seq, e.item))
     }
@@ -495,39 +542,87 @@ impl<T> CalendarQueue<T> {
             // usually already ascending (frequently one timestamp run):
             // detect that with one pass and reverse, instead of a full
             // sort.
-            if self.current.windows(2).all(|w| w[0].key() < w[1].key()) {
+            if self
+                .current
+                .windows(2)
+                .all(|w| key_of(&w[0]) < key_of(&w[1]))
+            {
                 self.current.reverse();
             } else {
-                self.current
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                self.current.sort_unstable_by_key(|e| Reverse(key_of(e)));
+                self.stats.entries_sorted += self.current.len() as u64;
             }
         } else {
             if !self.large_run {
                 std::mem::swap(&mut self.current, &mut self.parked);
                 self.large_run = true;
             }
-            let mut n = 0;
-            let mut c = head;
-            while c != NIL {
-                n += self.chunks[c as usize].entries.len();
-                c = self.chunks[c as usize].next;
-            }
-            if self.current.capacity() < n {
-                // Empty, so nothing to copy: trade it for an exact fit.
-                self.current = Vec::with_capacity(n);
-            }
-            let mut c = head;
-            while c != NIL {
-                let chunk = &mut self.chunks[c as usize].entries;
-                self.current.extend(chunk.drain(..).rev());
-                c = self.free_chunk(c);
-            }
-            if !self.current.windows(2).all(|w| w[0].key() > w[1].key()) {
-                self.current
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            }
+            self.load_chain(head);
         }
         self.stats.largest_run = self.stats.largest_run.max(self.current.len() as u64);
+    }
+
+    /// The multi-chunk load of the module docs: a counting sort on the
+    /// microsecond into the empty large run buffer, then a comparison sort
+    /// of any microsecond whose pushes were not in `cause` order.
+    fn load_chain(&mut self, head: u32) {
+        const MICROS: usize = BUCKET_US as usize;
+        // Pass 1: entries per microsecond, then where each microsecond's
+        // group starts in the descending run — the latest first.
+        let mut next = [0usize; MICROS];
+        let mut c = head;
+        while c != NIL {
+            let chunk = &self.chunks[c as usize];
+            for e in &chunk.entries {
+                debug_assert_eq!(key_of(e).0 >> BUCKET_BITS, self.cur_slot);
+                next[key_of(e).0 as usize % MICROS] += 1;
+            }
+            c = chunk.next;
+        }
+        let mut n = 0;
+        for m in (0..MICROS).rev() {
+            n += std::mem::replace(&mut next[m], n);
+        }
+        // Pass 2: each entry's source, at its place. Newest chunk first and
+        // each chunk back to front, so a group is in reverse push order.
+        self.positions.clear();
+        self.positions.resize(n, 0);
+        let mut c = head;
+        while c != NIL {
+            let chunk = &self.chunks[c as usize];
+            for (i, e) in chunk.entries.iter().enumerate().rev() {
+                let m = key_of(e).0 as usize % MICROS;
+                self.positions[next[m]] = (c << CHUNK_BITS) | i as u32;
+                next[m] += 1;
+            }
+            c = chunk.next;
+        }
+        // Pass 3: move every entry once, chunk to run.
+        if self.current.capacity() < n {
+            // Empty, so nothing to copy: trade it for an exact fit.
+            self.current = Vec::with_capacity(n);
+        }
+        let chunks = &mut self.chunks;
+        self.current.extend(
+            self.positions
+                .iter()
+                .map(|&p| chunks[(p >> CHUNK_BITS) as usize].entries[p as usize % CHUNK].take()),
+        );
+        let mut c = head;
+        while c != NIL {
+            self.chunks[c as usize].entries.clear();
+            c = self.free_chunk(c);
+        }
+        // `next[m]` now ends microsecond m's group.
+        let mut start = 0;
+        for &end in next.iter().rev() {
+            let group = &mut self.current[start..end];
+            start = end;
+            if !group.windows(2).all(|w| key_of(&w[0]) > key_of(&w[1])) {
+                group.sort_unstable_by_key(|e| Reverse(key_of(e)));
+                self.stats.entries_sorted += group.len() as u64;
+            }
+        }
     }
 }
 
@@ -606,6 +701,42 @@ mod tests {
             st.retained * 10 <= (st.peak_len + st.largest_run) * 11,
             "{st:?}"
         );
+    }
+
+    #[test]
+    fn a_microsecond_pushed_in_descending_cause_is_sorted_alone() {
+        // Three chunks of one bucket. Every microsecond but one is pushed
+        // in ascending cause, so the load's counting sort leaves it
+        // descending; one microsecond's 64 events, one every twelfth push,
+        // come from senders in descending order (engine-shaped causes,
+        // `origin << 40 | counter`), so only that group is comparison-
+        // sorted.
+        let mut q = CalendarQueue::new();
+        let base = 4 * BUCKET_US;
+        let mut want = Vec::new();
+        for k in 0..3 * CHUNK as u64 {
+            let (at, cause) = if k % 12 == 0 {
+                (base + 120, (64 - k / 12) << 40 | k)
+            } else {
+                (base + k % 100, 1 << 40 | k)
+            };
+            q.push(at, cause, k);
+            want.push((at, cause, k));
+        }
+        want.sort_unstable();
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, want);
+        let st = q.stats();
+        assert_eq!((st.largest_run, st.entries_sorted), (3 * CHUNK as u64, 64));
+    }
+
+    #[test]
+    fn an_event_pays_no_byte_for_its_option() {
+        // Chunks and the run hold `Option<Entry>` so a load can take an
+        // entry by position; the engine's event must keep that free.
+        use crate::shard::Event;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<Entry<Event>>>(), size_of::<Entry<Event>>());
     }
 
     #[test]

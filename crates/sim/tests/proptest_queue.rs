@@ -5,8 +5,12 @@
 //! sequences, including same-timestamp cause-order tie-breaks and
 //! interaction with lazy cancellation (cancelled entries stay queued and
 //! are silently consumed at pop, like the entry of a timer the engine has
-//! erased from its node's table) and bursts of up to three chunks into one bucket, so loads walk
-//! chunk chains and multi-chunk runs are handed back and rewound.
+//! erased from its node's table) and bursts of up to three chunks into one
+//! bucket, so loads walk chunk chains and multi-chunk runs are handed back
+//! and rewound. A burst's causes are engine-shaped — `origin << 40 |
+//! counter` from a few random sending nodes — and its times tie on a few
+//! microseconds, so a microsecond's entries reach a load out of `cause`
+//! order and take the load's per-microsecond sort.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -18,8 +22,9 @@ const SLOT_US: u64 = 128;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push at this absolute time.
-    Push(u64),
+    /// Push at this absolute time, with cause `origin << 40 | counter`
+    /// (origin 0 unless a burst drew it).
+    Push(u64, u64),
     /// Push this far behind the last peeked timestamp (clamped at 0).
     PushBehind(u64),
     /// Peek without popping: parks the wheel's cursor on the earliest
@@ -31,10 +36,41 @@ enum Op {
     Cancel,
     /// Push `n` events into the slot of the last peek, at times ascending
     /// (0), descending (1) or scattered (2) in push order.
-    Burst(usize, u8),
+    Burst(usize, u8, Spread),
     /// A burst, a peek (which loads it when it is the earliest bucket) and
     /// a push this far behind the peek: the rewind of a multi-chunk run.
-    BurstRewind(usize, u64),
+    BurstRewind(usize, u64, Spread),
+}
+
+/// How a burst's events share microseconds and causes.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    /// Microseconds of the slot the burst's times cover: one ties them
+    /// all, [`SLOT_US`] spreads them over the slot.
+    micros: u64,
+    /// Sending nodes the burst's causes come from: with one they ascend in
+    /// push order, with several a microsecond's causes do not.
+    origins: u64,
+    /// Draws each event's origin.
+    seed: u64,
+}
+
+fn spread_strategy() -> impl Strategy<Value = Spread> {
+    ((0usize..4), 1u64..6, 0u64..u64::MAX).prop_map(|(m, origins, seed)| Spread {
+        micros: [1, 3, 16, SLOT_US][m],
+        origins,
+        seed,
+    })
+}
+
+/// SplitMix64: the origin of a burst's `i`-th event.
+fn draw_origin(spread: Spread, i: usize) -> u64 {
+    let mut z = spread
+        .seed
+        .wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) % spread.origins
 }
 
 /// Times are drawn from three absolute bands: a quantized near band
@@ -47,11 +83,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // (The vendored `prop_oneof!` is unweighted; arms are repeated to bias
     // toward tie-heavy near-band pushes and pops.)
     prop_oneof![
-        (0u64..32).prop_map(|t| Op::Push(t * 64)),
-        (0u64..32).prop_map(|t| Op::Push(t * 64)),
-        (0u64..32).prop_map(|t| Op::Push(t * 64)),
-        (0u64..SPAN_US).prop_map(Op::Push),
-        (0u64..4000).prop_map(|r| Op::Push(SPAN_US + r * 731)),
+        (0u64..32).prop_map(|t| Op::Push(t * 64, 0)),
+        (0u64..32).prop_map(|t| Op::Push(t * 64, 0)),
+        (0u64..32).prop_map(|t| Op::Push(t * 64, 0)),
+        (0u64..SPAN_US).prop_map(|t| Op::Push(t, 0)),
+        (0u64..4000).prop_map(|r| Op::Push(SPAN_US + r * 731, 0)),
         (0u64..2048).prop_map(Op::PushBehind),
         (0u64..2048).prop_map(|d| Op::PushBehind(SPAN_US + d)),
         Just(Op::Peek),
@@ -59,8 +95,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Cancel),
-        (0..3 * CHUNK + 1, 0u8..3).prop_map(|(n, order)| Op::Burst(n, order)),
-        (CHUNK + 1..3 * CHUNK + 1, 1u64..4 * SLOT_US).prop_map(|(n, d)| Op::BurstRewind(n, d)),
+        (0..3 * CHUNK + 1, 0u8..3, spread_strategy())
+            .prop_map(|(n, order, spread)| Op::Burst(n, order, spread)),
+        (
+            CHUNK + 1..3 * CHUNK + 1,
+            1u64..4 * SLOT_US,
+            spread_strategy()
+        )
+            .prop_map(|(n, d, spread)| Op::BurstRewind(n, d, spread)),
     ]
 }
 
@@ -69,8 +111,9 @@ proptest! {
     fn wheel_matches_heap_oracle(ops in prop::collection::vec(op_strategy(), 1..300)) {
         let mut wheel: CalendarQueue<u32> = CalendarQueue::new();
         // The reference: a min-heap on (at_us, cause). The caller-side
-        // counter doubles as the cause key — monotone push order, exactly
-        // the serial engine's old insertion-sequence tie-break.
+        // counter is the cause key of a plain push — monotone push order,
+        // exactly the serial engine's old insertion-sequence tie-break —
+        // and the low bits of a burst's.
         let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut next_id = 0u32;
@@ -103,19 +146,16 @@ proptest! {
         let mut ops: VecDeque<Op> = ops.into();
         while let Some(op) = ops.pop_front() {
             match op {
-                Op::Push(t) | Op::PushBehind(t) => {
-                    let at = match op {
-                        Op::PushBehind(_) => last_peek.saturating_sub(t),
-                        _ => t,
-                    };
+                Op::Push(at, origin) => {
                     let id = next_id;
                     next_id += 1;
                     seq += 1;
-                    wheel.push(at, seq, id);
-                    heap.push(Reverse((at, seq, id)));
+                    let cause = origin << 40 | seq;
+                    wheel.push(at, cause, id);
+                    heap.push(Reverse((at, cause, id)));
                     live.push(id);
                 }
-                Op::Burst(n, order) => {
+                Op::Burst(n, order, spread) => {
                     let slot_start = last_peek / SLOT_US * SLOT_US;
                     for i in (0..n).rev() {
                         let k = match order {
@@ -123,14 +163,19 @@ proptest! {
                             1 => n - 1 - i,
                             _ => i * 37 % n,
                         };
-                        ops.push_front(Op::Push(slot_start + k as u64 * SLOT_US / n as u64));
+                        let at = slot_start + k as u64 * spread.micros / n as u64;
+                        ops.push_front(Op::Push(at, draw_origin(spread, i)));
                     }
                     continue;
                 }
-                Op::BurstRewind(n, d) => {
+                Op::PushBehind(d) => {
+                    ops.push_front(Op::Push(last_peek.saturating_sub(d), 0));
+                    continue;
+                }
+                Op::BurstRewind(n, d, spread) => {
                     ops.push_front(Op::PushBehind(d));
                     ops.push_front(Op::Peek);
-                    ops.push_front(Op::Burst(n, 2));
+                    ops.push_front(Op::Burst(n, 2, spread));
                     continue;
                 }
                 Op::Cancel => {

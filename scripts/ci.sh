@@ -126,13 +126,16 @@ cargo test --release --offline -q -p vce-bench --test bidding_alloc
 # cursor ran ahead of the clock, measured ≈ 34).
 echo "== queue sorted-insert gate (bag_of_tasks(64), S=1 and S=2) =="
 cargo test --release --offline -q -p vce-bench --test queue_shift
-# Its memory is a count too: the capacity the queue retains, against the
-# most it held at once plus its largest run (≤ 1.1; the warm-buffer pool
-# it replaced read 5.0 at S=1 and 6.1 at S=2). The same storm gates what a
-# cancel saves: its exact event count and at most 17 queued entries a node
-# (count-based cancels queued 27 and popped one more event a node a tick).
-# And the heap oracle gets a longer soak than tier-1's 64 cases, bursts of
-# up to three chunks into one bucket included, as does the timer-table
+# Its memory is a count too: the capacity the queue retains, position
+# list included, against the most it held at once plus its largest run
+# (≤ 1.1; the warm-buffer pool it replaced read 5.0 at S=1 and 6.1 at
+# S=2). The same storm gates what a cancel saves: its exact event count
+# and at most 17 queued entries a node (count-based cancels queued 27 and
+# popped one more event a node a tick); and, exactly, the entries bucket
+# loads had to comparison-sort after the counting sort on the microsecond
+# (0 at S=1, every delivery at S=2). And the heap oracle gets a longer
+# soak than tier-1's 64 cases, bursts of up to three chunks into one
+# bucket with causes out of push order included, as does the timer-table
 # oracle.
 echo "== queue footprint gate (sharded_storm(2048), S=1 and S=2) + heap and timer oracles (4096 cases) =="
 cargo test --release --offline -q -p vce-bench --test queue_footprint
