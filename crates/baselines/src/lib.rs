@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-baselines — the schedulers §4.3–4.4 argues against
 //!
 //! The paper positions the VCE against the idle-workstation systems of its

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Ablation study: the design decisions DESIGN.md calls out, each toggled
 //! off to show what it buys.
 //!

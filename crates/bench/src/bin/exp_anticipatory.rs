@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment U2: §4.5 anticipatory processing — pre-compile and
 //! pre-replicate for dataflow-blocked tasks with idle cycles.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment B1: the VCE against the schedulers the paper cites, on one
 //! shared workload and fleet.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment F3: the runtime bidding mechanism — allocation latency and
 //! message cost vs group size (Fig. 3 made quantitative).
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment F4: chaos campaign over the Isis/EXM recovery path.
 //!
 //! A seeded fault-injection sweep (see `vce_bench::chaos`): every cell of

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment R1: §5 leader fault tolerance — "the oldest surviving member
 //! of the group ... assumes the role of group leader in case the group
 //! leader fails."

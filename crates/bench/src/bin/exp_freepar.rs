@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment U1: §4.5 free parallelism — speed-up vs efficiency on idle
 //! fleets.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment F6: fixed-timeout vs adaptive (phi-accrual) failure
 //! detection under gray failures.
 //!

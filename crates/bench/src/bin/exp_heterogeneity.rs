@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment H1: heterogeneous class routing at fleet scale — the
 //! paper's core premise that "none of the existing computer systems are
 //! general enough to address all classes of applications" (§1), so the

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment L1: §4.4 load balancing in the full stack — leader-driven
 //! checkpoint migration on vs off, as owner activity intensifies.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment M1: §4.4's four migration techniques, measured head to head.
 //!
 //! One 60-second task; at t≈20 s it is forced off its machine by each

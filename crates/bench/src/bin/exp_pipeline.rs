@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment F1: Fig. 1 — the five-layer SDM/EXM pipeline, walked stage
 //! by stage with the artifacts each layer produces.
 

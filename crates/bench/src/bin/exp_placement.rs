@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment P1: §4.3's task-placement example — utilization-first vs
 //! best-platform.
 //!

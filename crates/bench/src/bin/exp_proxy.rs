@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment F2: Fig. 2 — communication via proxies.
 //!
 //! Measures the cost Fig. 2's indirection adds: a marshaled, type-checked

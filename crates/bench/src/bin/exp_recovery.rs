@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment F5: what stable storage buys — re-executed work after a
 //! crash, by recovery mode.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment M2: the §4.4 "ripple effect" — suspension vs migration on
 //! dependent task graphs.
 //!

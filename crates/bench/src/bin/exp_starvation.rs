@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment P2: §4.3 priority aging — "as a task waits to be dispatched
 //! its priority will be increased to insure it will eventually be
 //! dispatched even if that results in a globally suboptimal schedule."

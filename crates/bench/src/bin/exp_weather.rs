@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment S5: the §5 weather-forecasting script, end to end.
 //!
 //! Reproduces the paper's worked example: parse the exact published

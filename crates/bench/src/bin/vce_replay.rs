@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `.vct` trace tooling: record, inspect, and divergence-check chaos runs.
 //!
 //! A `.vct` file (see `vce_sim::record` and `docs/REPLAY.md`) is a

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Shared experiment scenarios, so the `exp_*` binaries and the
 //! determinism and allocation gates under `tests/` drive identical code.
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-channels — task communication: channels, MPI, proxies
 //!
 //! §4.2 of the paper defines the VCE communication architecture:

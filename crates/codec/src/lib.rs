@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-codec — architecture-independent marshaling
 //!
 //! The VCE paper (§4.2) requires that data crossing machine boundaries be

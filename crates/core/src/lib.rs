@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce — The Virtual Computing Environment
 //!
 //! A production-quality Rust reproduction of *The Virtual Computing

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-exm — the Execution Module
 //!
 //! The runtime half of Fig. 1 and the whole of §5's prototype, rebuilt in

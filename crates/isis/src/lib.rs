@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-isis — a reproduction of the Isis Distributed Toolkit's core
 //!
 //! The paper's prototype (§5) is built directly on Isis 3.0:

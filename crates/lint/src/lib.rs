@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `vce-lint` — determinism & protocol-safety static analysis for the vce
 //! workspace.
 //!

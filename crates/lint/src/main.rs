@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! CLI entry point: lint the workspace, print diagnostics, exit nonzero on
 //! any unwaived finding.
 //!

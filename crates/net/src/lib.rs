@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-net — the communication substrate
 //!
 //! The VCE runtime (§3.1.2, §5 of the paper) is "a distributed application

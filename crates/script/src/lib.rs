@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-script — the application description language
 //!
 //! §5 of the paper drives the prototype scheduler/dispatcher with a script:

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-sdm — the Software Development Module + compilation manager
 //!
 //! Fig. 1 of the paper stacks five layers; this crate implements the

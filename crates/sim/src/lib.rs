@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # vce-sim — the deterministic discrete-event cluster simulator
 //!
 //! The paper evaluated its prototype on a physical workstation LAN plus

@@ -426,6 +426,15 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// The item `k + 1` pops from now will return (`k = 0` is the next),
+    /// if it is in the loaded run; `None` past the run's end. Read-only: it
+    /// never loads a bucket, so a `None` says nothing about the queue.
+    #[inline]
+    pub fn peek_nth(&self, k: usize) -> Option<&T> {
+        let i = self.current.len().checked_sub(k + 1)?;
+        self.current[i].as_ref().map(|e| &e.item)
+    }
+
     /// Remove and return the earliest event as `(at_us, cause, item)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         if !self.ensure_current() {
@@ -728,6 +737,34 @@ mod tests {
         assert_eq!(got, want);
         let st = q.stats();
         assert_eq!((st.largest_run, st.entries_sorted), (3 * CHUNK as u64, 64));
+    }
+
+    #[test]
+    fn peek_nth_sees_the_loaded_run_and_nothing_past_it() {
+        // A one-chunk bucket, a two-chunk bucket out of cause order, and an
+        // overflow event. Before every pop, each `Some` of `peek_nth(k)` is
+        // the item the (k+1)-th pop returns; `None` starts exactly where
+        // the run ends, and peeking changes nothing.
+        let mut q = CalendarQueue::new();
+        for k in 0..10u64 {
+            q.push(2 * BUCKET_US + k, k, k);
+        }
+        for k in 0..2 * CHUNK as u64 {
+            q.push(5 * BUCKET_US + k % 7, 1_000 - k, 100 + k);
+        }
+        q.push(3 * SPAN_US, 0, 9_999);
+        assert_eq!(q.peek_nth(0), None, "nothing is loaded before a peek");
+        let mut runs = Vec::new();
+        while q.peek_time().is_some() {
+            let run: Vec<u64> = (0..).map_while(|k| q.peek_nth(k).copied()).collect();
+            for &item in &run {
+                assert_eq!(q.pop().map(|(_, _, i)| i), Some(item));
+            }
+            assert_eq!(q.peek_nth(0), None);
+            runs.push(run.len());
+        }
+        assert_eq!(runs, [10, 2 * CHUNK, 1]);
+        assert!(q.is_empty());
     }
 
     #[test]

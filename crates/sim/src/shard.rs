@@ -165,6 +165,38 @@ struct SimNode {
     dead: bool,
 }
 
+/// How many pops ahead `Shard::run_window` prefetches each level of an
+/// event's node state: the `SimNode`, then (reading it) its endpoint
+/// table and earliest timer, then (reading the table) its cached
+/// endpoint. Far enough that a miss to memory completes before the next
+/// level reads the line, near enough that the run still holds the event.
+/// On `storm_fleet` (10,240 nodes, working set far past L2) two levels
+/// at 8/4, 16/8, 24/12 and 32/8 all gained, 16/8 the steadiest; the
+/// third level, at 24/16/8, won 6 of 6 pairs over 16/8 (DESIGN decision
+/// 30).
+const NODE_AHEAD: usize = 24;
+const TABLE_AHEAD: usize = 16;
+const ENDPOINT_AHEAD: usize = 8;
+
+/// Ask the CPU to bring the cache line holding `p` into L1. A hint: it
+/// never faults, whatever `p` is, and changes no state the program can
+/// observe. A no-op off x86_64.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the intrinsic needs the `sse` target feature, which every
+    // x86_64 target has. PREFETCHT0 reads no memory in the architectural
+    // sense: it cannot fault on any address, dangling or not, and `p` is
+    // never dereferenced.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// A timer armed and neither fired nor cancelled. Its ordering key is
 /// drawn when it is armed, so keys and counters are those of a queue entry
 /// per `set_timer`; but only the node's earliest pending timer is sure to
@@ -722,6 +754,9 @@ impl Shard {
         self.window_end = w_end;
         while self.events.peek_time().is_some_and(|at| at < w_end) {
             let (at_us, cause, ev) = self.events.pop().expect("peeked an event");
+            if cfg!(target_arch = "x86_64") {
+                self.prefetch_ahead();
+            }
             if matches!(ev.kind, EventKind::Timer { .. })
                 && !self.timer_is_due(ev.node, at_us, cause)
             {
@@ -736,6 +771,38 @@ impl Shard {
             self.handle(cause, ev);
         }
         self.window_end = u64::MAX;
+    }
+
+    /// Start the cache misses of events still queued in the loaded run,
+    /// so their node state is in L1 when they pop. Each level reads only
+    /// node state the level before prefetched; the reads of the run
+    /// entry and the slot table are ordinary loads. Only hints: no state
+    /// changes. Run only on x86_64, where `prefetch` is not a no-op.
+    #[inline]
+    fn prefetch_ahead(&self) {
+        let node_of = |k: usize| {
+            let ev = self.events.peek_nth(k - 1)?;
+            self.slots.get(ev.node).map(|slot| &self.nodes[slot])
+        };
+        if let Some(n) = node_of(NODE_AHEAD) {
+            let p = std::ptr::from_ref(n).cast::<u8>();
+            let size = std::mem::size_of::<SimNode>();
+            // Every 64 B and the last byte: each line the node straddles.
+            for off in (0..size).step_by(64).chain([size - 1]) {
+                prefetch(p.wrapping_add(off));
+            }
+        }
+        if let Some(n) = node_of(TABLE_AHEAD) {
+            prefetch(n.endpoints.as_ptr().cast());
+            if let Some(t) = n.timers.last() {
+                prefetch(std::ptr::from_ref(t).cast());
+            }
+        }
+        if let Some(n) = node_of(ENDPOINT_AHEAD) {
+            if let Some((_, ep)) = n.endpoints.get(n.ep_cache as usize) {
+                prefetch(std::ptr::from_ref::<dyn Endpoint>(&**ep).cast());
+            }
+        }
     }
 
     /// Append this pop to the record/replay buffer. Batched deliveries are

@@ -10,7 +10,8 @@
 //! and rewound. A burst's causes are engine-shaped — `origin << 40 |
 //! counter` from a few random sending nodes — and its times tie on a few
 //! microseconds, so a microsecond's entries reach a load out of `cause`
-//! order and take the load's per-microsecond sort.
+//! order and take the load's per-microsecond sort. At every peek,
+//! `peek_nth` must read the loaded run ahead exactly as the heap pops it.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -19,6 +20,9 @@ use vce_sim::queue::{CalendarQueue, CHUNK, SPAN_US};
 
 /// The queue's bucket width (`queue::BUCKET_US`): a burst stays in one slot.
 const SLOT_US: u64 = 128;
+/// How far into the loaded run a peek checks `peek_nth`: four times the
+/// engine's look-ahead, and cheap enough for a long soak.
+const PEEK_AHEAD: usize = 64;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -189,6 +193,25 @@ proptest! {
                     let heap_peek = heap.peek().map(|Reverse((at, _, _))| *at);
                     prop_assert_eq!(wheel.peek_time(), heap_peek);
                     last_peek = heap_peek.unwrap_or(last_peek);
+                    if matches!(op, Op::Peek) {
+                        // The loaded run, read ahead (its first
+                        // `PEEK_AHEAD` places; the unit test reads whole
+                        // runs): the k-th `Some` is the heap's k-th pop
+                        // (cancelled entries are still queued on both
+                        // sides), and the first `None` ends it. A peek
+                        // leaves a run loaded unless the queue is empty.
+                        let mut ahead = heap.clone();
+                        let run: Vec<u32> = (0..PEEK_AHEAD)
+                            .map_while(|k| wheel.peek_nth(k).copied())
+                            .collect();
+                        for (k, &id) in run.iter().enumerate() {
+                            let want = ahead.pop().map(|Reverse((_, _, id))| id);
+                            prop_assert_eq!(Some(id), want, "peek_nth({}) diverged", k);
+                        }
+                        let k = run.len();
+                        prop_assert!(k > 0 || heap.is_empty(), "no run after a peek");
+                        prop_assert!(k == PEEK_AHEAD || (k..k + 4).all(|j| wheel.peek_nth(j).is_none()));
+                    }
                     if matches!(op, Op::Pop) {
                         let (w, h) = pop_both(&mut wheel, &mut heap, &cancelled);
                         prop_assert_eq!(w, h, "divergent pop");

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Simulated per-node log-structured stable storage.
 //!
 //! The paper's EXM "fault protects" tasks by checkpointing to stable storage

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-taskgraph — the application representation
 //!
 //! §3.1 of the paper: "A VCE application is broken down into functional

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vce-workloads — synthetic workloads, fleets and reporting
 //!
 //! The evaluation substrate: task-graph families (chains, fans, diamonds,
