@@ -7,10 +7,10 @@ use crate::workload::JobId;
 
 impl Codec for JobId {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
+        self.0.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(JobId(dec.get_u32()?))
+        Ok(JobId(u32::decode(dec)?))
     }
 }
 

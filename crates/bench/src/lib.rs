@@ -4,6 +4,7 @@
 //! determinism and allocation gates under `tests/` drive identical code.
 
 pub mod chaos;
+pub mod digests;
 pub mod graydetect;
 pub mod sweep;
 

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use vce_codec::{Decoder, Encoder, Value};
+use vce_codec::{Codec, Decoder, Encoder, Value};
 
 use crate::idl::{InterfaceDef, ParamType};
 
@@ -162,8 +162,8 @@ impl ClientProxy {
                 });
             }
         }
-        enc.put_u32(idx as u32);
-        enc.put_u32(args.len() as u32);
+        (idx as u32).encode(enc);
+        args.len().encode(enc);
         for a in args {
             a.encode(enc);
         }
@@ -268,18 +268,14 @@ impl ServerProxy {
 
     fn try_dispatch(&mut self, request: &[u8]) -> Result<Value, ProxyError> {
         let mut dec = Decoder::new(request);
-        let idx = dec
-            .get_u32()
-            .map_err(|e| ProxyError::Codec(e.to_string()))?;
+        let idx = u32::decode(&mut dec).map_err(|e| ProxyError::Codec(e.to_string()))?;
         let def = self
             .interface
             .methods
             .get(idx as usize)
             .ok_or(ProxyError::BadMethodIndex(idx))?
             .clone();
-        let n = dec
-            .get_u32()
-            .map_err(|e| ProxyError::Codec(e.to_string()))? as usize;
+        let n = usize::decode(&mut dec).map_err(|e| ProxyError::Codec(e.to_string()))?;
         if n != def.params.len() {
             return Err(ProxyError::ArityMismatch {
                 method: def.name.clone(),
@@ -400,8 +396,8 @@ mod tests {
         assert!(matches!(e, ProxyError::Application(_)));
         // Out-of-range method index.
         let mut enc = Encoder::new();
-        enc.put_u32(99);
-        enc.put_u32(0);
+        enc.put_uvarint(99);
+        enc.put_uvarint(0);
         let reply = srv.dispatch(&enc.finish());
         assert!(matches!(
             client.unmarshal_reply("fail", &reply),
@@ -415,8 +411,8 @@ mod tests {
         // Hand-craft a request with a wrong-typed argument (skipping the
         // client's local check, as a buggy foreign stub would).
         let mut enc = Encoder::new();
-        enc.put_u32(0); // add
-        enc.put_u32(2);
+        enc.put_uvarint(0); // add
+        enc.put_uvarint(2);
         Value::I64(1).encode(&mut enc);
         Value::Str("not a number".into()).encode(&mut enc);
         let mut srv = server();

@@ -5,12 +5,34 @@
 //! compiler would have emitted XDR stubs. The encoding here is *untagged*:
 //! both sides know the schema, so no `WireType` bytes are spent. The tagged,
 //! self-describing path lives in [`crate::value`].
+//!
+//! This module decides how an integer goes on the wire, once for every
+//! message type built on it:
+//!
+//! * `u64` and `i64` are 8-byte big-endian words. They carry times, random
+//!   incarnations and hashes, whose high bits are as likely set as not.
+//! * `u8`, `u16`, `u32` and `usize` are LEB128 uvarints
+//!   ([`Encoder::put_uvarint`]): one byte below 128.
+//! * `i8`, `i16` and `i32` are zig-zag uvarints: 0, −1, 1, −2, … map to
+//!   0, 1, 2, 3, …, so a small magnitude is short whatever its sign.
+//! * Every [`impl_codec_for_enum!`] discriminant is a uvarint.
+//! * Every length and count prefix is a uvarint: strings and byte fields
+//!   ([`Encoder::put_len_bytes`]), `Vec` and `BTreeMap` here, and the lists
+//!   and maps the protocol crates and [`crate::Value`] write by hand.
+//!
+//! A `u64` that is a small counter rather than a time or a hash (a view id,
+//! a sequence number) is written with `put_uvarint` by the type that owns it.
+//!
+//! Decoding is total and strict: a uvarint has one encoding (padded forms are
+//! refused), a value past its type's range is refused rather than truncated,
+//! a count or length is checked against the bytes left before anything is
+//! sized from it, and map keys must be strictly ascending.
 
 use std::collections::BTreeMap;
 
 use crate::decode::Decoder;
 use crate::encode::Encoder;
-use crate::error::Result;
+use crate::error::{CodecError, Result};
 
 /// A type that can marshal itself to and from architecture-independent bytes.
 ///
@@ -44,19 +66,15 @@ macro_rules! impl_codec_uint {
     ($($t:ty),*) => {$(
         impl Codec for $t {
             fn encode(&self, enc: &mut Encoder) {
-                enc.put_u64(u64::from(*self));
+                enc.put_uvarint(*self as u64);
             }
             fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-                let v = dec.get_u64()?;
-                <$t>::try_from(v).map_err(|_| crate::error::CodecError::InvalidDiscriminant {
-                    value: v,
-                    type_name: stringify!($t),
-                })
+                dec.get_uvarint_as(stringify!($t))
             }
         }
     )*};
 }
-impl_codec_uint!(u8, u16, u32);
+impl_codec_uint!(u8, u16, u32, usize);
 
 impl Codec for u64 {
     fn encode(&self, enc: &mut Encoder) {
@@ -67,29 +85,18 @@ impl Codec for u64 {
     }
 }
 
-impl Codec for usize {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(*self as u64);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let v = dec.get_u64()?;
-        usize::try_from(v).map_err(|_| crate::error::CodecError::InvalidDiscriminant {
-            value: v,
-            type_name: "usize",
-        })
-    }
-}
-
 macro_rules! impl_codec_sint {
     ($($t:ty),*) => {$(
         impl Codec for $t {
             fn encode(&self, enc: &mut Encoder) {
-                enc.put_i64(i64::from(*self));
+                let v = i64::from(*self);
+                enc.put_uvarint(((v << 1) ^ (v >> 63)) as u64);
             }
             fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-                let v = dec.get_i64()?;
-                <$t>::try_from(v).map_err(|_| crate::error::CodecError::InvalidDiscriminant {
-                    value: v as u64,
+                let zigzag = dec.get_uvarint()?;
+                let v = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+                <$t>::try_from(v).map_err(|_| CodecError::InvalidDiscriminant {
+                    value: zigzag,
                     type_name: stringify!($t),
                 })
             }
@@ -155,8 +162,7 @@ impl<T: Codec> Codec for Option<T> {
 
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, enc: &mut Encoder) {
-        debug_assert!(self.len() <= u32::MAX as usize);
-        enc.put_u32(self.len() as u32);
+        enc.put_uvarint(self.len() as u64);
         for item in self {
             item.encode(enc);
         }
@@ -174,21 +180,14 @@ impl<T: Codec> Codec for Vec<T> {
 
 impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.len() as u32);
+        enc.put_uvarint(self.len() as u64);
         for (k, v) in self {
             k.encode(enc);
             v.encode(enc);
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let n = dec.get_count(2)?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::decode(dec)?;
-            let v = V::decode(dec)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        dec.get_map(2, |dec| Ok((K::decode(dec)?, V::decode(dec)?)))
     }
 }
 
@@ -213,8 +212,8 @@ impl_codec_tuple!(
 );
 
 /// Implement [`Codec`] for a fieldless enum with explicit `u64`
-/// discriminants. Used by the protocol crates for message kinds, machine
-/// classes, problem classes, etc.
+/// discriminants, written as uvarints. Used by the protocol crates for
+/// message kinds, machine classes, problem classes, etc.
 #[macro_export]
 macro_rules! impl_codec_for_enum {
     ($ty:ty { $($variant:path => $disc:literal),+ $(,)? }) => {
@@ -223,10 +222,10 @@ macro_rules! impl_codec_for_enum {
                 let d: u64 = match self {
                     $($variant => $disc,)+
                 };
-                enc.put_u64(d);
+                enc.put_uvarint(d);
             }
             fn decode(dec: &mut $crate::Decoder<'_>) -> $crate::Result<Self> {
-                let d = dec.get_u64()?;
+                let d = dec.get_uvarint()?;
                 match d {
                     $($disc => Ok($variant),)+
                     other => Err($crate::CodecError::InvalidDiscriminant {
@@ -264,10 +263,24 @@ mod tests {
         }
     }
 
+    fn uvarint(v: u64) -> Vec<u8> {
+        let mut e = crate::Encoder::new();
+        e.put_uvarint(v);
+        e.finish()
+    }
+
     #[test]
     fn enum_macro_bad_discriminant() {
-        let bytes = to_bytes(&99u64);
-        assert!(from_bytes::<Color>(&bytes).is_err());
+        assert_eq!(to_bytes(&Color::Blue), [2]);
+        assert_eq!(
+            from_bytes::<Color>(&uvarint(99)),
+            Err(CodecError::InvalidDiscriminant {
+                value: 99,
+                type_name: "Color"
+            })
+        );
+        // A padded discriminant is not a second spelling of `Green`.
+        assert!(from_bytes::<Color>(&[0x81, 0x00]).is_err());
     }
 
     #[test]
@@ -289,6 +302,31 @@ mod tests {
     }
 
     #[test]
+    fn map_refuses_keys_out_of_order() {
+        let wire = |keys: &[u8]| {
+            let mut e = crate::Encoder::new();
+            e.put_uvarint(keys.len() as u64);
+            for &k in keys {
+                e.put_uvarint(u64::from(k));
+                e.put_bool(true);
+            }
+            e.finish()
+        };
+        let m = BTreeMap::from([(1u8, true), (5, true)]);
+        assert_eq!(to_bytes(&m), wire(&[1, 5]));
+        assert_eq!(from_bytes::<BTreeMap<u8, bool>>(&wire(&[1, 5])), Ok(m));
+        // A repeated key and a descending one would each decode to a map
+        // some other frame already spells: refused, with the entry named.
+        for (keys, index) in [(&[1, 1][..], 1), (&[5, 1], 1), (&[1, 5, 3], 2)] {
+            assert_eq!(
+                from_bytes::<BTreeMap<u8, bool>>(&wire(keys)),
+                Err(CodecError::UnsortedKey { index }),
+                "{keys:?}"
+            );
+        }
+    }
+
+    #[test]
     fn tuple_round_trip() {
         let t = (1u8, -2i32, "x".to_string(), true, 2.5f64);
         let back: (u8, i32, String, bool, f64) = from_bytes(&to_bytes(&t)).unwrap();
@@ -297,16 +335,23 @@ mod tests {
 
     #[test]
     fn narrow_uint_range_checked() {
-        let bytes = to_bytes(&300u64);
-        assert!(from_bytes::<u8>(&bytes).is_err());
-        let bytes = to_bytes(&255u64);
-        assert_eq!(from_bytes::<u8>(&bytes).unwrap(), 255);
+        assert!(from_bytes::<u8>(&uvarint(300)).is_err());
+        assert!(from_bytes::<u8>(&uvarint(256)).is_err());
+        assert_eq!(to_bytes(&255u8), [0xff, 0x01]);
+        assert_eq!(from_bytes::<u8>(&uvarint(255)).unwrap(), 255);
+        assert_eq!(to_bytes(&127u32), [127]);
     }
 
     #[test]
     fn narrow_sint_range_checked() {
-        let bytes = to_bytes(&(i64::from(i32::MIN) - 1));
-        assert!(from_bytes::<i32>(&bytes).is_err());
+        // Zig-zag: 0, -1, 1, -2 are 0, 1, 2, 3 on the wire.
+        for (v, wire) in [(0i32, 0u64), (-1, 1), (1, 2), (-2, 3)] {
+            assert_eq!(to_bytes(&v), uvarint(wire));
+        }
+        // i32::MIN is 2^32 - 1; one further out (i32::MIN - 1) is 2^32 + 1.
+        assert_eq!(from_bytes::<i32>(&uvarint((1 << 32) - 1)), Ok(i32::MIN));
+        assert!(from_bytes::<i32>(&uvarint((1 << 32) + 1)).is_err());
+        assert!(from_bytes::<i32>(&uvarint(1 << 32)).is_err());
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The decoder: reads big-endian fields from a byte slice with bounds and
-//! sanity checking.
+//! The decoder: reads the fields [`crate::Encoder`] writes from a byte
+//! slice, with bounds and sanity checking.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
@@ -132,11 +134,12 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// Read a uvarint that must fit a `u32` (node and port numbers, view
-    /// sizes); a larger value is refused as an invalid `type_name`.
-    pub fn get_uvarint32(&mut self, type_name: &'static str) -> Result<u32> {
+    /// Read a uvarint that must fit a `T` (every narrow unsigned type,
+    /// node and port numbers): a larger value is refused as an invalid
+    /// `type_name`, never truncated.
+    pub fn get_uvarint_as<T: TryFrom<u64>>(&mut self, type_name: &'static str) -> Result<T> {
         let value = self.get_uvarint()?;
-        u32::try_from(value).map_err(|_| CodecError::InvalidDiscriminant { value, type_name })
+        T::try_from(value).map_err(|_| CodecError::InvalidDiscriminant { value, type_name })
     }
 
     /// Read a big-endian IEEE-754 binary64.
@@ -154,16 +157,11 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Read a u32 length prefix (validated against [`MAX_LEN`] and the
-    /// remaining buffer) followed by that many raw bytes.
+    /// Read a uvarint length prefix followed by that many raw bytes. The
+    /// length is checked against [`MAX_LEN`] and then against what is
+    /// left before anything is taken.
     pub fn get_len_bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.get_u32()? as u64;
-        self.take_declared(len)
-    }
-
-    /// Take `len` declared bytes: checked against [`MAX_LEN`] and then,
-    /// in `take`, against what is left — before anything is taken.
-    fn take_declared(&mut self, len: u64) -> Result<&'a [u8]> {
+        let len = self.get_uvarint()?;
         if len > MAX_LEN {
             return Err(CodecError::LengthOverflow {
                 declared: len,
@@ -173,21 +171,12 @@ impl<'a> Decoder<'a> {
         self.take(len as usize)
     }
 
-    /// Read a u32 length prefix followed by that many raw bytes, as an
-    /// owned [`Bytes`]. With a backing buffer ([`Decoder::with_backing`])
-    /// this is zero-copy — the result is a sub-view sharing the backing
-    /// allocation; otherwise the bytes are copied out.
+    /// [`Decoder::get_len_bytes`] as an owned [`Bytes`]. With a backing
+    /// buffer ([`Decoder::with_backing`]) this is zero-copy — the result is
+    /// a sub-view sharing the backing allocation; otherwise the bytes are
+    /// copied out.
     pub fn get_bytes(&mut self) -> Result<Bytes> {
         let s = self.get_len_bytes()?;
-        Ok(self.owned(s))
-    }
-
-    /// [`Decoder::get_bytes`] for a uvarint length prefix
-    /// ([`crate::Encoder::put_uvarint_bytes`]): same checks, same
-    /// zero-copy rule.
-    pub fn get_uvarint_bytes(&mut self) -> Result<Bytes> {
-        let len = self.get_uvarint()?;
-        let s = self.take_declared(len)?;
         Ok(self.owned(s))
     }
 
@@ -231,12 +220,12 @@ impl<'a> Decoder<'a> {
         Ok(())
     }
 
-    /// Read a length prefix intended as an element count, validating it
-    /// against what could physically fit in the remaining buffer assuming at
-    /// least `min_elem_size` bytes per element. This stops a forged count
-    /// from pre-allocating unbounded memory.
+    /// Read a uvarint element count, validating it against what could
+    /// physically fit in the remaining buffer assuming at least
+    /// `min_elem_size` bytes per element. This stops a forged count from
+    /// pre-allocating unbounded memory.
     pub fn get_count(&mut self, min_elem_size: usize) -> Result<usize> {
-        let count = self.get_u32()? as u64;
+        let count = self.get_uvarint()?;
         let fit = (self.remaining() / min_elem_size.max(1)) as u64;
         if count > fit {
             return Err(CodecError::LengthOverflow {
@@ -245,6 +234,28 @@ impl<'a> Decoder<'a> {
             });
         }
         Ok(count as usize)
+    }
+
+    /// Read a count and then that many `(key, value)` entries with `entry`
+    /// (each at least `min_entry_size` bytes), refusing any key that is not
+    /// strictly above the one before it. Encoders write a map in key order,
+    /// so each map has exactly one encoding: a duplicate or out-of-order key
+    /// is a second spelling of some other map, not a map.
+    pub fn get_map<K: Ord, V>(
+        &mut self,
+        min_entry_size: usize,
+        mut entry: impl FnMut(&mut Self) -> Result<(K, V)>,
+    ) -> Result<BTreeMap<K, V>> {
+        let n = self.get_count(min_entry_size)?;
+        let mut map = BTreeMap::new();
+        for index in 0..n {
+            let (k, v) = entry(self)?;
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(CodecError::UnsortedKey { index });
+            }
+            map.insert(k, v);
+        }
+        Ok(map)
     }
 
     /// Enter one level of nesting, failing past [`MAX_DEPTH`].
@@ -361,9 +372,9 @@ mod tests {
         e.put_uvarint(u64::from(u32::MAX));
         e.put_uvarint(u64::from(u32::MAX) + 1);
         let mut d = Decoder::new(e.as_slice());
-        assert_eq!(d.get_uvarint32("t"), Ok(u32::MAX));
+        assert_eq!(d.get_uvarint_as::<u32>("t"), Ok(u32::MAX));
         assert_eq!(
-            d.get_uvarint32("t"),
+            d.get_uvarint_as::<u32>("t"),
             Err(CodecError::InvalidDiscriminant {
                 value: 1 << 32,
                 type_name: "t"
@@ -374,40 +385,50 @@ mod tests {
     #[test]
     fn uvarint_bytes_checks_the_length_before_taking() {
         let mut e = Encoder::new();
-        e.put_uvarint_bytes(b"a payload long enough to leave the inline form");
+        e.put_len_bytes(b"a payload long enough to leave the inline form");
         let wire = e.finish_bytes();
         let mut d = Decoder::with_backing(&wire);
-        let got = d.get_uvarint_bytes().unwrap();
+        let got = d.get_bytes().unwrap();
         assert_eq!(got.as_ptr(), wire[1..].as_ptr(), "a view, not a copy");
         assert!(d.is_empty());
         // Declared past MAX_LEN, and past the bytes left.
         let mut e = Encoder::new();
         e.put_uvarint(MAX_LEN + 1);
         assert!(matches!(
-            Decoder::new(e.as_slice()).get_uvarint_bytes(),
+            Decoder::new(e.as_slice()).get_bytes(),
             Err(CodecError::LengthOverflow { .. })
         ));
         assert!(matches!(
-            Decoder::new(&[5, 1, 2]).get_uvarint_bytes(),
+            Decoder::new(&[5, 1, 2]).get_bytes(),
             Err(CodecError::UnexpectedEof {
                 needed: 5,
                 remaining: 2
             })
         ));
+        // A padded length is not a second spelling of the same bytes.
+        assert!(Decoder::new(&[0x82, 0x00, 1, 2]).get_len_bytes().is_err());
     }
 
     #[test]
     fn forged_count_rejected() {
-        // Claims 1_000_000 elements but only 4 bytes remain.
+        // Claims 1_000_000 elements (a three-byte uvarint) but only 4
+        // bytes remain.
         let mut e = Encoder::new();
-        e.put_u32(1_000_000);
+        e.put_uvarint(1_000_000);
         e.put_u32(0);
         let bytes = e.finish();
+        assert_eq!(bytes.len(), 3 + 4);
         let mut d = Decoder::new(&bytes);
-        assert!(matches!(
+        assert_eq!(
             d.get_count(8),
-            Err(CodecError::LengthOverflow { .. })
-        ));
+            Err(CodecError::LengthOverflow {
+                declared: 1_000_000,
+                limit: 0
+            })
+        );
+        // Four one-byte elements fit in 4 bytes; a fifth does not.
+        assert_eq!(Decoder::new(&[4, 0, 0, 0, 0]).get_count(1), Ok(4));
+        assert!(Decoder::new(&[5, 0, 0, 0, 0]).get_count(1).is_err());
     }
 
     #[test]

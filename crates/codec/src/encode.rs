@@ -1,4 +1,5 @@
-//! The encoder: appends big-endian, length-exact fields to a growable buffer.
+//! The encoder: appends length-exact fields — LEB128 varints or fixed-width
+//! big-endian words — to a growable buffer.
 
 use bytes::{BufMut, BytesMut};
 
@@ -13,9 +14,11 @@ pub const fn uvarint_len(v: u64) -> usize {
 
 /// Append-only encoder producing network-order bytes.
 ///
-/// All multi-byte integers are written **big-endian** regardless of host
-/// architecture — this is the "architecture independent form" of the paper's
-/// §4.2. Encoding never fails; the buffer grows as needed.
+/// Integers are written in a byte order fixed by the format, never by the
+/// host architecture: uvarints low group first, fixed-width words
+/// **big-endian** — this is the "architecture independent form" of the
+/// paper's §4.2. Which integer gets which form is decided in
+/// [`crate::codec`]. Encoding never fails; the buffer grows as needed.
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: BytesMut,
@@ -87,12 +90,14 @@ impl Encoder {
         self.buf.put_u8(v);
     }
 
-    /// Write a big-endian u16.
+    /// Write a big-endian u16 (a fixed field of a format outside the
+    /// [`crate::Codec`] rule, such as the `.vct` recording header).
     pub fn put_u16(&mut self, v: u16) {
         self.buf.put_u16(v);
     }
 
-    /// Write a big-endian u32.
+    /// Write a big-endian u32 (a fixed field of a format outside the
+    /// [`crate::Codec`] rule; a `u32` value is a uvarint).
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_u32(v);
     }
@@ -129,20 +134,9 @@ impl Encoder {
         self.buf.put_u8(u8::from(v));
     }
 
-    /// Write a u32 length prefix followed by the raw bytes.
+    /// Write a uvarint length prefix followed by the raw bytes: the one
+    /// prefix every string, payload and byte field carries.
     pub fn put_len_bytes(&mut self, bytes: &[u8]) {
-        debug_assert!(
-            bytes.len() <= u32::MAX as usize,
-            "buffer too large for wire"
-        );
-        self.buf.put_u32(bytes.len() as u32);
-        self.buf.put_slice(bytes);
-    }
-
-    /// Write a uvarint length prefix followed by the raw bytes — the
-    /// compact counterpart of [`Encoder::put_len_bytes`], read back by
-    /// [`crate::Decoder::get_uvarint_bytes`].
-    pub fn put_uvarint_bytes(&mut self, bytes: &[u8]) {
         self.put_uvarint(bytes.len() as u64);
         self.buf.put_slice(bytes);
     }
@@ -153,7 +147,7 @@ impl Encoder {
         self.buf.put_slice(wire);
     }
 
-    /// Write a u32 length prefix followed by UTF-8 bytes.
+    /// Write a uvarint length prefix followed by UTF-8 bytes.
     pub fn put_str(&mut self, s: &str) {
         self.put_len_bytes(s.as_bytes());
     }
@@ -186,15 +180,15 @@ mod tests {
     fn str_is_length_prefixed() {
         let mut e = Encoder::new();
         e.put_str("ab");
-        assert_eq!(e.finish(), vec![0, 0, 0, 2, b'a', b'b']);
+        assert_eq!(e.finish(), vec![2, b'a', b'b']);
     }
 
     #[test]
     fn raw_bytes_are_appended_verbatim() {
         let mut e = Encoder::new();
         e.put_u8(1);
-        e.put_raw(&[0, 0, 0, 2, b'a', b'b']);
-        assert_eq!(e.finish(), vec![1, 0, 0, 0, 2, b'a', b'b']);
+        e.put_raw(&[2, b'a', b'b']);
+        assert_eq!(e.finish(), vec![1, 2, b'a', b'b']);
     }
 
     #[test]
@@ -214,8 +208,8 @@ mod tests {
     #[test]
     fn uvarint_bytes_prefix_is_one_byte_for_short_buffers() {
         let mut e = Encoder::new();
-        e.put_uvarint_bytes(b"ab");
-        e.put_uvarint_bytes(&[7u8; 128]);
+        e.put_len_bytes(b"ab");
+        e.put_len_bytes(&[7u8; 128]);
         let out = e.finish();
         assert_eq!(&out[..3], &[2, b'a', b'b']);
         assert_eq!(&out[3..5], &[0x80, 0x01]);

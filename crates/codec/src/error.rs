@@ -51,6 +51,12 @@ pub enum CodecError {
         /// Human-readable name of the type being decoded.
         type_name: &'static str,
     },
+    /// A map key was not strictly above the key before it: maps are
+    /// written in key order, so a duplicate or out-of-order key is refused.
+    UnsortedKey {
+        /// Position of the offending entry.
+        index: usize,
+    },
     /// Decoding succeeded but unconsumed bytes remain (only reported by
     /// whole-buffer helpers such as [`crate::from_bytes`]).
     TrailingBytes {
@@ -85,6 +91,9 @@ impl fmt::Display for CodecError {
             CodecError::InvalidBool(b) => write!(f, "invalid boolean byte 0x{b:02x}"),
             CodecError::InvalidDiscriminant { value, type_name } => {
                 write!(f, "discriminant {value} out of range for {type_name}")
+            }
+            CodecError::UnsortedKey { index } => {
+                write!(f, "map key {index} is not above the key before it")
             }
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decode")

@@ -8,8 +8,11 @@
 //! big-endian supercomputers and little-endian workstations. In 1994 this was
 //! the job of Sun XDR or the OMG IDL compiler's marshaling stubs.
 //!
-//! This crate is the reproduction of that layer: a compact, self-describing,
-//! **big-endian (network order)** wire format with
+//! This crate is the reproduction of that layer: a compact wire format whose
+//! byte order is fixed by the format, never by the host — LEB128 uvarints
+//! for counts, lengths, discriminants and narrow integers, **big-endian**
+//! (network order) words for `u64`, `i64` and `f64`; the rule is stated
+//! once, in [`codec`] — with
 //!
 //! * a [`Codec`] trait implemented for all primitives, strings, byte buffers,
 //!   `Option`, `Vec`, tuples and maps — the static (stub-generated) path;

@@ -72,13 +72,13 @@ impl Value {
             Value::Str(s) => enc.put_str(s),
             Value::Bytes(b) => enc.put_len_bytes(b),
             Value::List(items) | Value::Record(items) => {
-                enc.put_u32(items.len() as u32);
+                enc.put_uvarint(items.len() as u64);
                 for it in items {
                     it.encode(enc);
                 }
             }
             Value::Map(m) => {
-                enc.put_u32(m.len() as u32);
+                enc.put_uvarint(m.len() as u64);
                 for (k, v) in m {
                     enc.put_str(k);
                     v.encode(enc);
@@ -99,32 +99,20 @@ impl Value {
             WireType::F64 => Value::F64(dec.get_f64()?),
             WireType::Str => Value::Str(dec.get_str()?.to_owned()),
             WireType::Bytes => Value::Bytes(dec.get_len_bytes()?.to_vec()),
-            WireType::List => {
+            WireType::List | WireType::Record => {
                 let n = dec.get_count(1)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(Value::decode(dec)?);
                 }
-                Value::List(items)
-            }
-            WireType::Record => {
-                let n = dec.get_count(1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(Value::decode(dec)?);
+                match tag {
+                    WireType::List => Value::List(items),
+                    _ => Value::Record(items),
                 }
-                Value::Record(items)
             }
-            WireType::Map => {
-                let n = dec.get_count(2)?;
-                let mut m = BTreeMap::new();
-                for _ in 0..n {
-                    let k = dec.get_str()?.to_owned();
-                    let v = Value::decode(dec)?;
-                    m.insert(k, v);
-                }
-                Value::Map(m)
-            }
+            WireType::Map => Value::Map(dec.get_map(2, |dec| {
+                Ok((dec.get_str()?.to_owned(), Value::decode(dec)?))
+            })?),
         };
         dec.pop_depth();
         Ok(v)

@@ -19,22 +19,23 @@ pub enum WireType {
     /// Boolean, encoded as one byte (0 or 1).
     Bool = 1,
     /// Unsigned 64-bit integer, big-endian. Narrower unsigned ints widen to
-    /// this on the tagged path.
+    /// this on the tagged path (which keeps fixed-width words; the compact
+    /// integers are the static path's, see [`crate::codec`]).
     U64 = 2,
     /// Signed 64-bit integer, big-endian two's complement.
     I64 = 3,
     /// IEEE-754 binary64, big-endian. (`f32` widens to this on the tagged
     /// path, exactly as XDR promotes floats in many RPC stacks.)
     F64 = 4,
-    /// UTF-8 string: u32 byte length, then bytes.
+    /// UTF-8 string: uvarint byte length, then bytes.
     Str = 5,
-    /// Opaque bytes: u32 length, then bytes.
+    /// Opaque bytes: uvarint length, then bytes.
     Bytes = 6,
-    /// Homogeneously-typed list: u32 count, then tagged elements.
+    /// Homogeneously-typed list: uvarint count, then tagged elements.
     List = 7,
-    /// String-keyed map: u32 count, then (string, tagged value) pairs.
+    /// String-keyed map: uvarint count, then (string, tagged value) pairs.
     Map = 8,
-    /// Record/struct: u32 field count, then tagged field values in
+    /// Record/struct: uvarint field count, then tagged field values in
     /// declaration order.
     Record = 9,
 }

@@ -35,22 +35,22 @@ pub struct InstanceKey {
 
 impl Codec for AppId {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.0);
+        enc.put_uvarint(self.0);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(AppId(dec.get_u64()?))
+        Ok(AppId(dec.get_uvarint()?))
     }
 }
 
 impl Codec for ReqId {
     fn encode(&self, enc: &mut Encoder) {
         self.app.encode(enc);
-        enc.put_u32(self.seq);
+        self.seq.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(ReqId {
             app: AppId::decode(dec)?,
-            seq: dec.get_u32()?,
+            seq: u32::decode(dec)?,
         })
     }
 }
@@ -58,14 +58,14 @@ impl Codec for ReqId {
 impl Codec for InstanceKey {
     fn encode(&self, enc: &mut Encoder) {
         self.app.encode(enc);
-        enc.put_u32(self.task);
-        enc.put_u32(self.instance);
+        self.task.encode(enc);
+        self.instance.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(InstanceKey {
             app: AppId::decode(dec)?,
-            task: dec.get_u32()?,
-            instance: dec.get_u32()?,
+            task: u32::decode(dec)?,
+            instance: u32::decode(dec)?,
         })
     }
 }
@@ -106,7 +106,7 @@ impl Codec for LoadProgram {
         self.key.encode(enc);
         self.unit.encode(enc);
         enc.put_f64(self.work_mops);
-        enc.put_u32(self.mem_mb);
+        self.mem_mb.encode(enc);
         enc.put_bool(self.checkpoints);
         enc.put_u64(self.checkpoint_interval_us);
         enc.put_bool(self.restartable);
@@ -120,7 +120,7 @@ impl Codec for LoadProgram {
             key: InstanceKey::decode(dec)?,
             unit: String::decode(dec)?,
             work_mops: dec.get_f64()?,
-            mem_mb: dec.get_u32()?,
+            mem_mb: u32::decode(dec)?,
             checkpoints: dec.get_bool()?,
             checkpoint_interval_us: dec.get_u64()?,
             restartable: dec.get_bool()?,
@@ -162,7 +162,7 @@ impl Codec for MigrationState {
         enc.put_f64(self.remaining_mops);
         enc.put_u64(self.state_kib);
         self.technique.encode(enc);
-        enc.put_u32(self.mem_mb);
+        self.mem_mb.encode(enc);
         enc.put_bool(self.checkpoints);
         enc.put_u64(self.checkpoint_interval_us);
         self.reply_to.encode(enc);
@@ -174,7 +174,7 @@ impl Codec for MigrationState {
             remaining_mops: dec.get_f64()?,
             state_kib: dec.get_u64()?,
             technique: MigrationTechnique::decode(dec)?,
-            mem_mb: dec.get_u32()?,
+            mem_mb: u32::decode(dec)?,
             checkpoints: dec.get_bool()?,
             checkpoint_interval_us: dec.get_u64()?,
             reply_to: Addr::decode(dec)?,
@@ -358,7 +358,8 @@ impl ResourceRequest {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let req = ReqId::decode(dec)?;
         let class = MachineClass::decode(dec)?;
-        let (count_min, count_max, mem_mb) = (dec.get_u32()?, dec.get_u32()?, dec.get_u32()?);
+        let count_min = u32::decode(dec)?;
+        let (count_max, mem_mb) = (u32::decode(dec)?, u32::decode(dec)?);
         Ok(ResourceRequest {
             req,
             class,
@@ -425,9 +426,9 @@ impl Codec for ExmMsg {
                 enc.put_u8(T_RESOURCE_REQUEST);
                 req.encode(enc);
                 class.encode(enc);
-                enc.put_u32(*count_min);
-                enc.put_u32(*count_max);
-                enc.put_u32(*mem_mb);
+                count_min.encode(enc);
+                count_max.encode(enc);
+                mem_mb.encode(enc);
                 unit.encode(enc);
                 priority_boost.encode(enc);
                 reply_to.encode(enc);
@@ -556,7 +557,7 @@ impl DaemonInput {
                 reason: String::decode(dec)?,
             },
             T_DISCLOSE => ExmMsg::DiscloseState {
-                units: NameList::decode_short(dec, MAX_ASKED_UNITS)?,
+                units: NameList::decode_at_most(dec, MAX_ASKED_UNITS)?,
             },
             T_LOAD => ExmMsg::Load(LoadProgram::decode(dec)?),
             T_TASK_DONE => ExmMsg::TaskDone {
@@ -637,12 +638,12 @@ pub fn encode_isis_frame(msg: &IsisMsg, enc: &mut Encoder) {
 /// Most units one disclosure may ask about: a bid has a bit for each.
 pub const MAX_ASKED_UNITS: u32 = u64::BITS;
 
-/// [`ExmMsg::DiscloseState`]'s wire form — tag, one-byte count, units —
-/// from borrowed units: the leader asks every round and builds no list.
+/// [`ExmMsg::DiscloseState`]'s wire form — tag, count, units — from
+/// borrowed units: the leader asks every round and builds no list.
 pub fn encode_disclose(units: &[WireStr], enc: &mut Encoder) {
     debug_assert!(units.len() <= MAX_ASKED_UNITS as usize);
     enc.put_u8(T_DISCLOSE);
-    NameList::encode_items_short(units, enc);
+    NameList::encode_items(units, enc);
 }
 
 #[cfg(test)]

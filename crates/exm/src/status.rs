@@ -46,7 +46,7 @@ impl Codec for ResidentTask {
         enc.put_bool(self.restartable);
         enc.put_bool(self.core_dumpable);
         enc.put_bool(self.redundant);
-        enc.put_u32(self.mem_mb);
+        self.mem_mb.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(ResidentTask {
@@ -57,7 +57,7 @@ impl Codec for ResidentTask {
             restartable: dec.get_bool()?,
             core_dumpable: dec.get_bool()?,
             redundant: dec.get_bool()?,
-            mem_mb: dec.get_u32()?,
+            mem_mb: u32::decode(dec)?,
         })
     }
 }
@@ -128,7 +128,7 @@ impl DaemonStatus {
         enc.put_f64(self.load);
         enc.put_f64(self.background);
         enc.put_f64(self.speed_mops);
-        enc.put_u32(self.mem_mb);
+        self.mem_mb.encode(enc);
         enc.put_bool(self.willing);
         tasks(enc);
         enc.put_uvarint(self.staged);
@@ -146,7 +146,7 @@ impl Codec for DaemonStatus {
             load: dec.get_f64()?,
             background: dec.get_f64()?,
             speed_mops: dec.get_f64()?,
-            mem_mb: dec.get_u32()?,
+            mem_mb: u32::decode(dec)?,
             willing: dec.get_bool()?,
             tasks: WireList::decode(dec)?,
             staged: dec.get_uvarint()?,

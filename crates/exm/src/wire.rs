@@ -7,7 +7,8 @@
 //! everything the owned types check — every count, every length, UTF-8 —
 //! and then keep a view of the message buffer ([`Decoder::consumed_since`])
 //! instead of copying out of it. Both encode to exactly the bytes `String`
-//! and `Vec<T>` encode to; a disclosure's list has a shorter count.
+//! and `Vec<T>` encode to; a disclosure's list is read with a tighter cap on
+//! its count.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -86,8 +87,8 @@ impl WireItem for WireStr {
     }
 }
 
-/// A list held in wire form. On the wire: `[u32 count][item]*`, `Vec<T>`'s
-/// layout — or, where a message says so, `[uvarint count][item]*`.
+/// A list held in wire form. On the wire: `[uvarint count][item]*`,
+/// `Vec<T>`'s layout.
 ///
 /// Decoding walks the items once to check them and keeps the span they
 /// occupy; [`WireList::iter`] decodes them again on demand, in place.
@@ -109,38 +110,27 @@ impl<T: WireItem> WireList<T> {
         WireList { len, items, item }
     }
 
-    /// Check the `len` items at the cursor and keep their span.
-    fn decode_items(dec: &mut Decoder<'_>, len: u32) -> Result<Self> {
-        let start = dec.position();
-        for _ in 0..len {
-            T::validate(dec)?;
-        }
-        Ok(Self::checked(len, dec.consumed_since(start)))
-    }
-
     /// Append `items` as the list they would make, without making it.
     pub fn encode_items(items: &[T], enc: &mut Encoder) {
         debug_assert!(items.len() <= u32::MAX as usize);
-        enc.put_u32(items.len() as u32);
-        items.iter().for_each(|item| item.encode(enc));
-    }
-
-    /// [`WireList::encode_items`] with a `uvarint` count: one byte, for a
-    /// short list that rides on every round and is mostly empty.
-    pub fn encode_items_short(items: &[T], enc: &mut Encoder) {
         enc.put_uvarint(items.len() as u64);
         items.iter().for_each(|item| item.encode(enc));
     }
 
-    /// Decode [`WireList::encode_items_short`]'s layout, refusing more than
-    /// `max` items — or than the buffer could hold — on the count alone.
-    pub fn decode_short(dec: &mut Decoder<'_>, max: u32) -> Result<Self> {
+    /// Decode a list, refusing more than `max` items — or than the buffer
+    /// could hold — on the count alone; then check each item and keep the
+    /// span they occupy.
+    pub fn decode_at_most(dec: &mut Decoder<'_>, max: u32) -> Result<Self> {
         let declared = dec.get_uvarint()?;
         let limit = u64::from(max).min(dec.remaining() as u64);
         if declared > limit {
             return Err(CodecError::LengthOverflow { declared, limit });
         }
-        Self::decode_items(dec, declared as u32)
+        let start = dec.position();
+        for _ in 0..declared {
+            T::validate(dec)?;
+        }
+        Ok(Self::checked(declared as u32, dec.consumed_since(start)))
     }
 
     /// Number of items.
@@ -169,14 +159,13 @@ impl<T: WireItem> Default for WireList<T> {
 
 impl<T: WireItem> Codec for WireList<T> {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.len);
+        enc.put_uvarint(u64::from(self.len));
         enc.put_raw(&self.items);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        // The guard `Vec<T>` applies: a forged count fails here, before
-        // anything is sized from it.
-        let len = dec.get_count(1)?;
-        Self::decode_items(dec, len as u32)
+        // The guard `Vec<T>` applies, with the error it gives: a forged
+        // count fails before anything is sized from it.
+        Self::decode_at_most(dec, u32::MAX)
     }
 }
 
@@ -228,33 +217,39 @@ mod tests {
 
     #[test]
     fn the_short_form_differs_in_the_count_only() {
+        // A disclosure's list is the plain list on the wire: what differs
+        // is the cap the reader puts on its count.
         let items: Vec<WireStr> = ["collector", ""].map(WireStr::from).to_vec();
         let list: NameList = items.iter().cloned().collect();
-        let (mut long, mut short) = (Encoder::new(), Encoder::new());
-        list.encode(&mut long);
-        NameList::encode_items_short(&items, &mut short);
-        let (long, short) = (long.finish(), short.finish());
-        assert_eq!(short[0], 2);
-        assert_eq!(short[1..], long[4..]);
-        let mut dec = Decoder::new(&short);
-        assert_eq!(NameList::decode_short(&mut dec, 2).unwrap(), list);
+        let (mut plain, mut listed) = (Encoder::new(), Encoder::new());
+        list.encode(&mut plain);
+        NameList::encode_items(&items, &mut listed);
+        let (plain, listed) = (plain.finish(), listed.finish());
+        assert_eq!(plain, listed);
+        assert_eq!(plain, [&[2, 9][..], b"collector", &[0]].concat());
+        let mut dec = Decoder::new(&plain);
+        assert_eq!(NameList::decode_at_most(&mut dec, 2).unwrap(), list);
         assert!(dec.is_empty());
-        // One more item than the reader allows, and a count the buffer
-        // cannot hold, fail on the count alone.
+        // One more item than the reader allows, a count the buffer cannot
+        // hold, and a padded count fail on the count alone.
         assert_eq!(
-            NameList::decode_short(&mut Decoder::new(&short), 1).unwrap_err(),
+            NameList::decode_at_most(&mut Decoder::new(&plain), 1).unwrap_err(),
             CodecError::LengthOverflow {
                 declared: 2,
                 limit: 1
             }
         );
         assert_eq!(
-            NameList::decode_short(&mut Decoder::new(&[9, 0, 0]), 64).unwrap_err(),
+            NameList::decode_at_most(&mut Decoder::new(&[9, 0, 0]), 64).unwrap_err(),
             CodecError::LengthOverflow {
                 declared: 9,
                 limit: 2
             }
         );
+        assert!(matches!(
+            NameList::decode_at_most(&mut Decoder::new(&[0x82, 0x00, 0, 0]), 64),
+            Err(CodecError::InvalidDiscriminant { .. })
+        ));
     }
 
     #[test]
@@ -278,23 +273,32 @@ mod tests {
             assert_eq!(from_bytes::<Vec<String>>(bytes).unwrap_err(), err);
             err
         }
-        // A count no buffer this size could hold.
-        assert!(matches!(
-            same(&[0xff, 0xff, 0xff, 0xff, 0, 0]),
-            CodecError::LengthOverflow { .. }
-        ));
+        // A count no buffer this size could hold (u32::MAX as a uvarint).
+        assert_eq!(
+            same(&[0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0]),
+            CodecError::LengthOverflow {
+                declared: u64::from(u32::MAX),
+                limit: 2
+            }
+        );
         // A name cut short, and a name that is not UTF-8.
         assert!(matches!(
-            same(&[0, 0, 0, 1, 0, 0, 0, 5, b'a']),
+            same(&[1, 5, b'a']),
             CodecError::UnexpectedEof { .. }
         ));
-        assert_eq!(
-            same(&[0, 0, 0, 1, 0, 0, 0, 1, 0xff]),
-            CodecError::InvalidUtf8
-        );
+        assert_eq!(same(&[1, 1, 0xff]), CodecError::InvalidUtf8);
         assert!(matches!(
-            same(&[0, 0, 0, 0, 9]),
+            same(&[0, 9]),
             CodecError::TrailingBytes { remaining: 1 }
+        ));
+        // A padded count, and a padded name length: one spelling each.
+        assert!(matches!(
+            same(&[0x81, 0x00, 0, 0]),
+            CodecError::InvalidDiscriminant { .. }
+        ));
+        assert!(matches!(
+            same(&[1, 0x81, 0x00, b'a']),
+            CodecError::InvalidDiscriminant { .. }
         ));
     }
 }

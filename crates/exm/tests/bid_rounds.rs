@@ -250,3 +250,59 @@ fn a_malformed_bid_is_dropped_whole() {
     assert_eq!(malformed, Some(vec![NodeId(0)]));
     assert_eq!((malformed, leader), round(Some(unwilling)));
 }
+
+/// The round's four messages as `alloc_steady` sends them, byte for byte:
+/// every field that is a count, a length, a discriminant or a narrow
+/// integer is a uvarint, so a small value costs one byte. A size that grows
+/// back fails here before it shows in the benchmark's bytes per operation.
+#[test]
+fn the_round_s_messages_keep_their_pinned_sizes() {
+    let req = ReqId {
+        app: AppId(1),
+        seq: 1,
+    };
+    let request = ExmMsg::ResourceRequest {
+        req,
+        class: MachineClass::Workstation,
+        count_min: 1,
+        count_max: 1,
+        mem_mb: 16,
+        unit: UNIT.into(),
+        priority_boost: 0,
+        reply_to: CLIENT,
+    };
+    // Tag, app, seq, class, the three counts, the unit (1 + 27), the boost
+    // and the client's address (port 500 takes two bytes).
+    assert_eq!(encode_msg(&request).len(), 39);
+    let disclose = ExmMsg::DiscloseState {
+        units: [UNIT].map(Into::into).into_iter().collect(),
+    };
+    assert_eq!(encode_msg(&disclose).len(), 1 + 1 + 1 + UNIT.len());
+    // A bare bid: node, class, three f64s, memory, willing, an empty task
+    // list and the `staged` mask; then the reply's tags, `BcastId` and
+    // payload length around it.
+    let bid = DaemonStatus {
+        node: NodeId(2),
+        class: MachineClass::Workstation,
+        load: 0.0,
+        background: 0.0,
+        speed_mops: 100.0,
+        mem_mb: 64,
+        willing: true,
+        tasks: Default::default(),
+        staged: 1,
+    };
+    let bid = Bytes::from(to_bytes(&bid));
+    assert_eq!(bid.len(), 30);
+    let to = vce_isis::BcastId {
+        origin: Addr::leader(NodeId(0)),
+        seq: 3,
+    };
+    let reply = ExmMsg::Isis(IsisMsg::Reply { to, payload: bid });
+    assert_eq!(encode_msg(&reply).len(), 36);
+    let allocation = ExmMsg::Allocation {
+        req,
+        nodes: vec![NodeId(2)].into(),
+    };
+    assert_eq!(encode_msg(&allocation).len(), 5);
+}

@@ -256,10 +256,11 @@ proptest! {
         } else {
             // `encode_disclose` would (rightly) assert; write it by hand.
             enc.put_u8(4);
-            NameList::encode_items_short(&units, &mut enc);
+            NameList::encode_items(&units, &mut enc);
         }
         let bytes = enc.finish();
-        let text: usize = names.iter().map(|n| 4 + n.len()).sum();
+        // Tag, count, and a one-byte length before each name.
+        let text: usize = names.iter().map(|n| 1 + n.len()).sum();
         prop_assert_eq!(bytes.len(), 2 + text);
         match vce_codec::from_bytes::<ExmMsg>(&bytes) {
             Ok(ExmMsg::DiscloseState { units: back }) => {
@@ -362,8 +363,9 @@ proptest! {
         let mut bent = bytes.clone();
         bent[flip % bytes.len()] = junk;
         prop_assert!(same(&bent));
-        let mut forged = bytes.clone();
-        forged[..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        // The count (under 128, one byte) swapped for u32::MAX's uvarint.
+        let mut forged = vec![0xff, 0xff, 0xff, 0xff, 0x0f];
+        forged.extend(&bytes[1..]);
         prop_assert!(same(&forged));
         prop_assert!(vce_codec::from_bytes::<NameList>(&forged).is_err());
         prop_assert!(same(&noise));
@@ -377,7 +379,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let mut enc = vce_codec::Encoder::new();
-        enc.put_u32(names.len() as u32);
+        enc.put_uvarint(names.len() as u64);
         for name in &names {
             enc.put_len_bytes(name);
         }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use vce_codec::{Codec, Decoder, Encoder, Result};
+use vce_codec::{Codec, CodecError, Decoder, Encoder, Result};
 use vce_net::Addr;
 
 /// A vector clock over group-member addresses.
@@ -80,23 +80,27 @@ impl VClock {
     }
 }
 
+/// On the wire: a uvarint count, then `(address, uvarint counter)` in
+/// ascending address order. A clock holds no zero counter, so none is sent.
 impl Codec for VClock {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.entries.len() as u32);
+        enc.put_uvarint(self.entries.len() as u64);
         for (&who, &v) in &self.entries {
             who.encode(enc);
-            enc.put_u64(v);
+            enc.put_uvarint(v);
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        // Smallest entry: a 2-byte address and the 8-byte count.
-        let n = dec.get_count(10)?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let who = Addr::decode(dec)?;
-            let v = dec.get_u64()?;
-            entries.insert(who, v);
-        }
+        // Smallest entry: a 2-byte address and a 1-byte counter. Addresses
+        // out of order, repeated, or carrying a zero would each spell a
+        // clock some other frame already spells: all refused.
+        let entries = dec.get_map(3, |dec| match (Addr::decode(dec)?, dec.get_uvarint()?) {
+            (_, 0) => Err(CodecError::InvalidDiscriminant {
+                value: 0,
+                type_name: "VClock counter (zero is never sent)",
+            }),
+            entry => Ok(entry),
+        })?;
         Ok(VClock { entries })
     }
 }
@@ -192,5 +196,39 @@ mod tests {
         c.set(a(7), 99);
         let bytes = vce_codec::to_bytes(&c);
         assert_eq!(vce_codec::from_bytes::<VClock>(&bytes).unwrap(), c);
+        // Count, then (node, port, counter) per entry: 1 + 2 × 3 bytes.
+        assert_eq!(bytes, [2, 0, 0, 1, 7, 0, 99]);
+    }
+
+    #[test]
+    fn decode_refuses_what_the_encoder_never_writes() {
+        let frame = |entries: &[(u8, u8)]| {
+            let mut w = vec![entries.len() as u8];
+            for &(node, count) in entries {
+                w.extend([node, 0, count]);
+            }
+            w
+        };
+        let back = vce_codec::from_bytes::<VClock>(&frame(&[(0, 1), (7, 99)])).unwrap();
+        assert_eq!((back.get(a(0)), back.get(a(7))), (1, 99));
+        // A repeated address, a descending one, and a zero counter.
+        assert_eq!(
+            vce_codec::from_bytes::<VClock>(&frame(&[(7, 1), (7, 2)])),
+            Err(CodecError::UnsortedKey { index: 1 })
+        );
+        assert_eq!(
+            vce_codec::from_bytes::<VClock>(&frame(&[(7, 1), (0, 2)])),
+            Err(CodecError::UnsortedKey { index: 1 })
+        );
+        assert!(vce_codec::from_bytes::<VClock>(&frame(&[(0, 0)])).is_err());
+        // Three bytes an entry is the floor a count is checked against:
+        // two entries in five bytes are refused on the count alone.
+        assert!(matches!(
+            vce_codec::from_bytes::<VClock>(&frame(&[(0, 1), (7, 1)])[..6]),
+            Err(CodecError::LengthOverflow {
+                declared: 2,
+                limit: 1
+            })
+        ));
     }
 }

@@ -18,12 +18,12 @@ pub struct Member {
 impl Codec for Member {
     fn encode(&self, enc: &mut Encoder) {
         self.addr.encode(enc);
-        enc.put_u64(self.joined_seq);
+        enc.put_uvarint(self.joined_seq);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(Member {
             addr: Addr::decode(dec)?,
-            joined_seq: dec.get_u64()?,
+            joined_seq: dec.get_uvarint()?,
         })
     }
 }
@@ -98,11 +98,11 @@ impl fmt::Display for View {
 
 impl Codec for View {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.id);
+        enc.put_uvarint(self.id);
         self.members.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let id = dec.get_u64()?;
+        let id = dec.get_uvarint()?;
         let members = Vec::<Member>::decode(dec)?;
         Ok(View::new(id, members))
     }

@@ -96,7 +96,7 @@ impl Codec for NodeId {
         enc.put_uvarint(u64::from(self.0));
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(NodeId(dec.get_uvarint32("NodeId")?))
+        Ok(NodeId(dec.get_uvarint_as("NodeId")?))
     }
 }
 
@@ -105,7 +105,7 @@ impl Codec for PortId {
         enc.put_uvarint(u64::from(self.0));
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(PortId(dec.get_uvarint32("PortId")?))
+        Ok(PortId(dec.get_uvarint_as("PortId")?))
     }
 }
 

@@ -427,8 +427,8 @@ impl<'a> IntoIterator for &'a NodeList {
 
 impl Codec for NodeList {
     fn encode(&self, enc: &mut Encoder) {
-        // Wire format of `Vec<NodeId>`: u32 count, then each id.
-        enc.put_u32(self.len() as u32);
+        // Wire format of `Vec<NodeId>`: uvarint count, then each id.
+        enc.put_uvarint(self.len() as u64);
         for id in self.iter() {
             id.encode(enc);
         }

@@ -122,7 +122,7 @@ impl Codec for MachineInfo {
         self.node.encode(enc);
         self.class.encode(enc);
         enc.put_f64(self.speed_mops);
-        enc.put_u32(self.mem_mb);
+        self.mem_mb.encode(enc);
         enc.put_bool(self.allows_remote);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
@@ -130,7 +130,7 @@ impl Codec for MachineInfo {
             node: NodeId::decode(dec)?,
             class: MachineClass::decode(dec)?,
             speed_mops: dec.get_f64()?,
-            mem_mb: dec.get_u32()?,
+            mem_mb: u32::decode(dec)?,
             allows_remote: dec.get_bool()?,
         })
     }

@@ -75,7 +75,7 @@ impl Codec for Envelope {
         self.src.encode(enc);
         self.dst.encode(enc);
         enc.put_uvarint(self.seq);
-        enc.put_uvarint_bytes(&self.payload);
+        enc.put_len_bytes(&self.payload);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(Envelope {
@@ -84,7 +84,7 @@ impl Codec for Envelope {
             seq: dec.get_uvarint()?,
             // Zero-copy when the decoder has a backing buffer (see
             // `Envelope::decode_from`); copies otherwise.
-            payload: dec.get_uvarint_bytes()?,
+            payload: dec.get_bytes()?,
         })
     }
 }

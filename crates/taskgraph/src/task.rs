@@ -10,10 +10,10 @@ pub struct TaskId(pub u32);
 
 impl Codec for TaskId {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
+        self.0.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(TaskId(dec.get_u32()?))
+        Ok(TaskId(u32::decode(dec)?))
     }
 }
 
@@ -48,14 +48,14 @@ impl Default for MigrationTraits {
 impl Codec for MigrationTraits {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_bool(self.checkpoints);
-        enc.put_u32(self.checkpoint_interval_s);
+        self.checkpoint_interval_s.encode(enc);
         enc.put_bool(self.restartable);
         enc.put_bool(self.core_dumpable);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(MigrationTraits {
             checkpoints: dec.get_bool()?,
-            checkpoint_interval_s: dec.get_u32()?,
+            checkpoint_interval_s: u32::decode(dec)?,
             restartable: dec.get_bool()?,
             core_dumpable: dec.get_bool()?,
         })
@@ -75,12 +75,12 @@ pub struct TaskHints {
 
 impl Codec for TaskHints {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.expected_dominance);
-        (self.priority_boost as i64).encode(enc);
+        self.expected_dominance.encode(enc);
+        self.priority_boost.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(TaskHints {
-            expected_dominance: dec.get_u32()?,
+            expected_dominance: u32::decode(dec)?,
             priority_boost: i32::decode(dec)?,
         })
     }
@@ -241,13 +241,13 @@ impl Codec for TaskSpec {
     fn encode(&self, enc: &mut Encoder) {
         self.id.encode(enc);
         self.name.encode(enc);
-        enc.put_u32(self.instances);
-        enc.put_u32(self.instances_min);
+        self.instances.encode(enc);
+        self.instances_min.encode(enc);
         self.class.encode(enc);
         self.nature.encode(enc);
         self.language.encode(enc);
         enc.put_f64(self.work_mops);
-        enc.put_u32(self.mem_mb);
+        self.mem_mb.encode(enc);
         self.input_files.encode(enc);
         self.migration.encode(enc);
         enc.put_bool(self.local_only);
@@ -258,13 +258,13 @@ impl Codec for TaskSpec {
         Ok(TaskSpec {
             id: TaskId::decode(dec)?,
             name: String::decode(dec)?,
-            instances: dec.get_u32()?,
-            instances_min: dec.get_u32()?,
+            instances: u32::decode(dec)?,
+            instances_min: u32::decode(dec)?,
             class: Option::<ProblemClass>::decode(dec)?,
             nature: TaskNature::decode(dec)?,
             language: Option::<Language>::decode(dec)?,
             work_mops: dec.get_f64()?,
-            mem_mb: dec.get_u32()?,
+            mem_mb: u32::decode(dec)?,
             input_files: Vec::<String>::decode(dec)?,
             migration: MigrationTraits::decode(dec)?,
             local_only: dec.get_bool()?,

@@ -18,6 +18,9 @@
 #             run what --check runs, rewrite only the dir/<exp>.txt that
 #             moved, and append one dated line per moved table — name,
 #             reason — to EXPERIMENTS.md § "Raw outputs and identity".
+#             exp_digests is one of the tables: the two FNV-64 digests
+#             tests/shard_determinism.rs pins (experiment fingerprint,
+#             membership-churn .vct) re-pin here, never by hand.
 #             Refuses an empty reason, and writes nothing when any table
 #             differs between VCE_SHARDS 1 and 4 (that is a bug, not a
 #             move).
@@ -49,7 +52,7 @@ section="## Raw outputs and identity"
 experiments="exp_pipeline exp_proxy exp_bidding exp_weather exp_placement
     exp_starvation exp_migration exp_ripple exp_freepar exp_anticipatory
     exp_baselines exp_failover exp_heterogeneity exp_loadbal exp_ablation
-    exp_chaos exp_recovery exp_graydetect"
+    exp_chaos exp_recovery exp_graydetect exp_digests"
 # exp_proxy measures wall-clock: it is regenerated but never compared.
 deterministic=$(echo $experiments | tr ' ' '\n' | grep -v '^exp_proxy$')
 run() { cargo run --release --offline -q -p vce-bench --bin "$1"; }
