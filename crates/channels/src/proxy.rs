@@ -127,20 +127,6 @@ impl ClientProxy {
     /// Marshal an invocation. Checks arity and argument types against the
     /// IDL *before* anything leaves the machine (fail fast, locally).
     pub fn marshal_call(&self, method: &str, args: &[Value]) -> Result<Vec<u8>, ProxyError> {
-        let mut enc = Encoder::with_capacity(64);
-        self.marshal_call_into(method, args, &mut enc)?;
-        Ok(enc.finish())
-    }
-
-    /// [`Self::marshal_call`] into a caller-owned encoder (appends; the
-    /// caller clears or freezes it). Hosts pass their pooled scratch
-    /// encoder here so marshaling a call allocates nothing.
-    pub fn marshal_call_into(
-        &self,
-        method: &str,
-        args: &[Value],
-        enc: &mut Encoder,
-    ) -> Result<(), ProxyError> {
         let idx = self
             .interface
             .index_of(method)
@@ -162,12 +148,13 @@ impl ClientProxy {
                 });
             }
         }
-        (idx as u32).encode(enc);
-        args.len().encode(enc);
+        let mut enc = Encoder::with_capacity(64);
+        (idx as u32).encode(&mut enc);
+        args.len().encode(&mut enc);
         for a in args {
-            a.encode(enc);
+            a.encode(&mut enc);
         }
-        Ok(())
+        Ok(enc.finish())
     }
 
     /// Unmarshal a reply for `method`, checking the return type.
@@ -241,18 +228,10 @@ impl ServerProxy {
     /// the diagnosis), never a panic.
     pub fn dispatch(&mut self, request: &[u8]) -> Vec<u8> {
         let mut enc = Encoder::with_capacity(32);
-        self.dispatch_into(request, &mut enc);
-        enc.finish()
-    }
-
-    /// [`Self::dispatch`] into a caller-owned encoder (appends; the caller
-    /// clears or freezes it). Hosts pass their pooled scratch encoder here
-    /// so serving a call allocates nothing beyond the argument values.
-    pub fn dispatch_into(&mut self, request: &[u8], enc: &mut Encoder) {
         match self.try_dispatch(request) {
             Ok(v) => {
                 enc.put_u8(REPLY_OK);
-                v.encode(enc);
+                v.encode(&mut enc);
             }
             Err(e) => {
                 enc.put_u8(REPLY_ERR);
@@ -264,6 +243,7 @@ impl ServerProxy {
                 }
             }
         }
+        enc.finish()
     }
 
     fn try_dispatch(&mut self, request: &[u8]) -> Result<Value, ProxyError> {

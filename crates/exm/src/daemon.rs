@@ -68,14 +68,17 @@ fn decode_token(token: u64) -> (u64, u64) {
 /// on its own configured period).
 const TICK_US: u64 = 500_000;
 
+/// Where a resident is in its prep pipeline. Each state carries the pid
+/// its work item or timer was issued under: a completion or timer finds its
+/// resident by state, and a stale one finds none.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum RunState {
     /// Compiling the missing binary (pid of the compile work item).
     Compiling(u64),
-    /// Fetching input files (timer pending).
-    Fetching,
-    /// Waiting out the migration state transfer.
-    Transferring,
+    /// Fetching input files (pid of the pending fetch timer).
+    Fetching(u64),
+    /// Waiting out the migration state transfer (pid of its timer).
+    Transferring(u64),
     /// Executing (pid of the task work item).
     Running(u64),
 }
@@ -131,11 +134,9 @@ struct LeaderState {
     /// bids are inflated until the loads show up for real.
     recent_alloc: SlotArena<NodeId, u64>,
     last_rebalance_us: u64,
-    /// Instances ordered to migrate and not yet confirmed gone (avoid
-    /// re-ordering every sweep).
-    migrating: BTreeSet<InstanceKey>,
-    /// Last migration order per instance (thrash hysteresis).
-    last_migrated_us: BTreeMap<InstanceKey, u64>,
+    /// Instances this leader ordered to migrate that a sweep must skip:
+    /// still in flight, or inside the cooldown since the order.
+    migration_orders: BTreeMap<InstanceKey, MigrationOrder>,
     /// Consecutive bid collects that expired short of a full reply set —
     /// drives exponential backoff of the collect deadline.
     short_rounds: u32,
@@ -150,10 +151,24 @@ impl LeaderState {
             collects: HashMap::new(),
             recent_alloc: SlotArena::new(),
             last_rebalance_us: 0,
-            migrating: BTreeSet::new(),
-            last_migrated_us: BTreeMap::new(),
+            migration_orders: BTreeMap::new(),
             short_rounds: 0,
         }
+    }
+}
+
+/// A migration order the leader gave at `at_us`, `in_flight` until no bid
+/// shows the instance any more.
+struct MigrationOrder {
+    at_us: u64,
+    in_flight: bool,
+}
+
+impl MigrationOrder {
+    /// Does it keep its instance out of a sweep at `now`: in flight (a
+    /// second order would race the move), or inside the thrash cooldown?
+    fn holds(&self, now: u64) -> bool {
+        self.in_flight || now.saturating_sub(self.at_us) < MIGRATION_COOLDOWN_US
     }
 }
 
@@ -195,7 +210,6 @@ pub struct DaemonEndpoint {
     /// for one of these means the owner never got the `TaskDone`: it is
     /// sent again, and the instance never runs a second time.
     done: BTreeSet<InstanceKey>,
-    pid_of: BTreeMap<u64, InstanceKey>,
     next_pid: u64,
     /// Work items that are compiles, mapping pid → unit being compiled.
     compiles: BTreeMap<u64, String>,
@@ -258,7 +272,6 @@ impl DaemonEndpoint {
             gm,
             tasks: BTreeMap::new(),
             done: BTreeSet::new(),
-            pid_of: BTreeMap::new(),
             next_pid: 1,
             compiles: BTreeMap::new(),
             binaries: BTreeSet::new(),
@@ -329,11 +342,18 @@ impl DaemonEndpoint {
         host.send(self.me, dst, payload);
     }
 
-    fn alloc_pid(&mut self, key: InstanceKey) -> u64 {
+    fn alloc_pid(&mut self) -> u64 {
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.pid_of.insert(pid, key);
         pid
+    }
+
+    /// The resident in `state`, which names the pid it was issued under.
+    fn resident_in(&self, state: RunState) -> Option<InstanceKey> {
+        self.tasks
+            .iter()
+            .find(|(_, r)| r.state == state)
+            .map(|(&k, _)| k)
     }
 
     /// VCE work items currently charged to the CPU by this daemon.
@@ -411,9 +431,9 @@ impl DaemonEndpoint {
         self.wal
             .journal(host.now_us(), &WalRecord::Loaded(lp.clone()));
         let work = lp.work_mops;
-        // `Fetching` is a placeholder; `advance_prep` sets the real state.
+        // A placeholder under no pid; `advance_prep` sets the real state.
         self.tasks
-            .insert(key, Resident::new(lp, work, RunState::Fetching));
+            .insert(key, Resident::new(lp, work, RunState::Fetching(0)));
         self.advance_prep(key, host);
     }
 
@@ -425,7 +445,7 @@ impl DaemonEndpoint {
         // 1. Missing binary? Compile it (consumes CPU).
         if !self.binaries.contains(&r.lp.unit) {
             let unit = r.lp.unit.clone();
-            let pid = self.alloc_pid(key);
+            let pid = self.alloc_pid();
             self.compiles.insert(pid, unit.clone());
             if let Some(r) = self.tasks.get_mut(&key) {
                 r.state = RunState::Compiling(pid);
@@ -453,9 +473,9 @@ impl DaemonEndpoint {
             for f in missing {
                 self.files.insert(f);
             }
-            let pid = self.alloc_pid(key);
+            let pid = self.alloc_pid();
             if let Some(r) = self.tasks.get_mut(&key) {
-                r.state = RunState::Fetching;
+                r.state = RunState::Fetching(pid);
             }
             if let Some(r) = self.tasks.get(&key).filter(|_| host.log_enabled()) {
                 host.log(format!("daemon: fetching inputs for {}", r.lp.unit));
@@ -468,7 +488,7 @@ impl DaemonEndpoint {
     }
 
     fn start_running(&mut self, key: InstanceKey, host: &mut dyn Host) {
-        let pid = self.alloc_pid(key);
+        let pid = self.alloc_pid();
         let Some(r) = self.tasks.get_mut(&key) else {
             return;
         };
@@ -640,10 +660,10 @@ impl DaemonEndpoint {
         };
         self.wal
             .journal(host.now_us(), &WalRecord::Loaded(lp.clone()));
-        let resident = Resident::new(lp, st.remaining_mops, RunState::Transferring);
-        self.tasks.insert(key, resident);
         // Charge the state-transfer time, then run the prep pipeline.
-        let pid = self.alloc_pid(key);
+        let pid = self.alloc_pid();
+        let resident = Resident::new(lp, st.remaining_mops, RunState::Transferring(pid));
+        self.tasks.insert(key, resident);
         let delay = (st.state_kib * TRANSFER_US_PER_KIB).max(1);
         host.set_timer(delay, pid_token(TAG_TRANSFER, pid));
     }
@@ -995,20 +1015,12 @@ impl DaemonEndpoint {
             }
             // One migration per loaded machine per sweep.
             let candidate = src.tasks.iter().find_map(|t| {
-                if self.leader.migrating.contains(&t.key) || t.redundant {
-                    // Redundant incarnations are the source daemon's own
-                    // (cheaper) problem.
-                    return None;
-                }
-                // Hysteresis: a freshly migrated instance stays put for the
-                // cooldown even if the new owner returns — repeated rollback
-                // costs more than sharing.
-                if self
-                    .leader
-                    .last_migrated_us
-                    .get(&t.key)
-                    .is_some_and(|&at| now.saturating_sub(at) < MIGRATION_COOLDOWN_US)
-                {
+                // Redundant incarnations are the source daemon's own
+                // (cheaper) problem. Hysteresis: a freshly migrated
+                // instance stays put for the cooldown even if the new owner
+                // returns — repeated rollback costs more than sharing.
+                let ordered = self.leader.migration_orders.get(&t.key);
+                if t.redundant || ordered.is_some_and(|o| o.holds(now)) {
                     return None;
                 }
                 choose_technique(&t, true).map(|tech| (t.key, tech))
@@ -1022,8 +1034,11 @@ impl DaemonEndpoint {
             if target.node == src.node {
                 continue;
             }
-            self.leader.migrating.insert(key);
-            self.leader.last_migrated_us.insert(key, now);
+            let order = MigrationOrder {
+                at_us: now,
+                in_flight: true,
+            };
+            self.leader.migration_orders.insert(key, order);
             if host.log_enabled() {
                 host.log(format!(
                     "leader: ordering migration of {key:?} {} -> {} ({technique:?})",
@@ -1044,9 +1059,11 @@ impl DaemonEndpoint {
         self.targets_scratch = targets;
         // Forget confirmations we can observe: anything no longer resident
         // anywhere will re-appear in future disclosures if still running.
-        self.leader
-            .migrating
-            .retain(|k| bids.iter().any(|b| b.tasks.iter().any(|t| t.key == *k)));
+        // An order neither in flight nor cooling down holds nothing back.
+        self.leader.migration_orders.retain(|k, o| {
+            o.in_flight &= bids.iter().any(|b| b.tasks.iter().any(|t| t.key == *k));
+            o.holds(now)
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1103,7 +1120,6 @@ impl Endpoint for DaemonEndpoint {
         // the exp_chaos crash/revive campaign.
         self.tasks.clear();
         self.done.clear();
-        self.pid_of.clear();
         self.compiles.clear();
         self.leader = LeaderState::new(self.cfg.aging_quantum_us);
         self.recovered_served.clear();
@@ -1129,9 +1145,9 @@ impl Endpoint for DaemonEndpoint {
                 // into the range the load order allows.
                 let rem = rem.clamp(0.0, lp.work_mops.max(0.0));
                 let reply_to = lp.reply_to;
-                // `Fetching` is a placeholder; `advance_prep` below fixes it.
+                // A placeholder under no pid; `advance_prep` below fixes it.
                 self.tasks
-                    .insert(key, Resident::new(lp, rem, RunState::Fetching));
+                    .insert(key, Resident::new(lp, rem, RunState::Fetching(0)));
                 restored.push(key);
                 // Tell the owner this incarnation is back. The executor
                 // replies KillTask if the instance already finished or now
@@ -1314,54 +1330,32 @@ impl Endpoint for DaemonEndpoint {
                 }
             }
             t if decode_token(t).0 == TAG_TRANSFER => {
-                let pid = decode_token(t).1;
-                if let Some(&key) = self.pid_of.get(&pid) {
-                    if self
-                        .tasks
-                        .get(&key)
-                        .is_some_and(|r| r.state == RunState::Transferring)
-                    {
-                        self.advance_prep(key, host);
-                    }
+                if let Some(key) = self.resident_in(RunState::Transferring(decode_token(t).1)) {
+                    self.advance_prep(key, host);
                 }
             }
             t if decode_token(t).0 == TAG_FETCH => {
-                let pid = decode_token(t).1;
-                if let Some(&key) = self.pid_of.get(&pid) {
-                    if self
-                        .tasks
-                        .get(&key)
-                        .is_some_and(|r| r.state == RunState::Fetching)
-                    {
-                        self.start_running(key, host);
-                    }
+                if let Some(key) = self.resident_in(RunState::Fetching(decode_token(t).1)) {
+                    self.start_running(key, host);
                 }
             }
             t if decode_token(t).0 == TAG_CHECKPOINT => {
                 let pid = decode_token(t).1;
-                if let Some(&key) = self.pid_of.get(&pid) {
-                    let snapshot = match self.tasks.get_mut(&key) {
-                        Some(r) if r.state == RunState::Running(pid) => {
-                            host.work_remaining(pid).inspect(|&rem| {
-                                r.checkpointed_remaining = rem;
-                                host.set_timer(
-                                    r.lp.checkpoint_interval_us.max(1),
-                                    pid_token(TAG_CHECKPOINT, pid),
-                                );
-                            })
-                        }
-                        _ => None,
-                    };
-                    if let Some(rem) = snapshot {
-                        self.wal.journal(
-                            host.now_us(),
-                            &WalRecord::Checkpoint {
-                                key,
-                                remaining_mops: rem,
-                            },
-                        );
-                    }
-                }
+                let Some(key) = self.resident_in(RunState::Running(pid)) else {
+                    return;
+                };
+                let (Some(rem), Some(r)) = (host.work_remaining(pid), self.tasks.get_mut(&key))
+                else {
+                    return;
+                };
+                r.checkpointed_remaining = rem;
+                let interval = r.lp.checkpoint_interval_us.max(1);
+                host.set_timer(interval, pid_token(TAG_CHECKPOINT, pid));
+                let record = WalRecord::Checkpoint {
+                    key,
+                    remaining_mops: rem,
+                };
+                self.wal.journal(host.now_us(), &record);
             }
             _ => {}
         }
@@ -1371,25 +1365,11 @@ impl Endpoint for DaemonEndpoint {
         if let Some(unit) = self.compiles.remove(&pid) {
             self.binaries.insert(unit);
             // A dispatch-blocked task may be waiting on this compile.
-            if let Some(&key) = self.pid_of.get(&pid) {
-                if self
-                    .tasks
-                    .get(&key)
-                    .is_some_and(|r| r.state == RunState::Compiling(pid))
-                {
-                    self.advance_prep(key, host);
-                }
+            if let Some(key) = self.resident_in(RunState::Compiling(pid)) {
+                self.advance_prep(key, host);
             }
-            return;
-        }
-        if let Some(&key) = self.pid_of.get(&pid) {
-            if self
-                .tasks
-                .get(&key)
-                .is_some_and(|r| r.state == RunState::Running(pid))
-            {
-                self.finish_task(key, host);
-            }
+        } else if let Some(key) = self.resident_in(RunState::Running(pid)) {
+            self.finish_task(key, host);
         }
     }
 
@@ -1410,10 +1390,12 @@ impl Endpoint for DaemonEndpoint {
             .write_u64(self.files.len() as u64)
             .write_u64(self.tasks.len() as u64);
         for (key, r) in &self.tasks {
+            // A fetch or transfer hashes pid 0: its pid names a timer, not
+            // a work item.
             let (tag, pid) = match r.state {
                 RunState::Compiling(p) => (0u8, p),
-                RunState::Fetching => (1, 0),
-                RunState::Transferring => (2, 0),
+                RunState::Fetching(_) => (1, 0),
+                RunState::Transferring(_) => (2, 0),
                 RunState::Running(p) => (3, p),
             };
             h.write_u64(key.app.0)

@@ -14,6 +14,10 @@
 //! describes exactly this dynamic behaviour as the goal). Retries make the
 //! executor robust to leader failover: requests are idempotent and
 //! re-sent until answered.
+//!
+//! State is one row per task, indexed by `TaskId`, holding one row per
+//! instance the task runs with (DESIGN decision 32); a remote key names a
+//! row or is dropped.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,7 +25,7 @@ use vce_channels::registry::{ChannelId, ChannelRegistry, PortId as ChanPortId, R
 use vce_codec::Codec;
 use vce_net::{Addr, Endpoint, Envelope, Host, MachineClass, NodeId, NodeList};
 use vce_sdm::MachineDb;
-use vce_taskgraph::{algo, TaskGraph, TaskId};
+use vce_taskgraph::{TaskGraph, TaskId};
 
 use crate::backoff::backoff_delay_us;
 use crate::config::{
@@ -90,16 +94,53 @@ struct ProgressTrack {
     samples: u32,
 }
 
+/// One task of the graph.
 #[derive(Debug, Default)]
-struct TaskRun {
-    /// Number of instances this task runs with (fixed at first allocation
-    /// for divisible tasks).
-    instances_total: u32,
-    /// Work per instance, Mops.
+struct TaskRow {
+    /// Its request, dataflow-delay timer or local work was started.
+    dispatched: bool,
+    /// Every instance reported done.
+    complete: bool,
+    /// Work per instance, Mops (fixed at first allocation for divisible
+    /// tasks).
     per_instance_mops: f64,
-    done_instances: BTreeSet<u32>,
-    /// Live copies per instance (redundant execution).
-    copies: BTreeMap<u32, BTreeSet<NodeId>>,
+    /// One row per instance the task runs with: empty until the first
+    /// allocation (or the local start), then as many as were granted. A
+    /// ranged task's count only grows; a divisible task's is fixed then.
+    instances: Vec<InstanceRow>,
+}
+
+impl TaskRow {
+    /// Run with at least `n` instances.
+    fn grow(&mut self, n: u32) {
+        let n = n as usize;
+        if self.instances.len() < n {
+            self.instances.resize_with(n, InstanceRow::default);
+        }
+    }
+}
+
+/// One instance slot of a task. Where its primary copy runs is not here
+/// but in [`ExecutorEndpoint::placements`].
+#[derive(Debug, Default)]
+struct InstanceRow {
+    done: bool,
+    /// Live copies (redundant execution).
+    copies: BTreeSet<NodeId>,
+    /// Copies written off by the watchdog whose hosts may in fact be alive
+    /// behind a partition (§5's false-suspicion case). Until the instance
+    /// completes we keep sending kills so a healed stale copy cannot keep
+    /// running a SYNC task concurrently with its replacement.
+    superseded: BTreeSet<NodeId>,
+    /// Watchdog: unanswered probes (0 when none is counted).
+    probe_misses: u32,
+    /// Straggler hedging: progress estimate of the primary copy, fed by
+    /// probe replies.
+    progress: Option<ProgressTrack>,
+    /// Already hedged (at most one speculative copy).
+    hedged: bool,
+    /// §4.2: the port the instance connects through.
+    port: Option<ChanPortId>,
 }
 
 /// The executor endpoint.
@@ -111,38 +152,24 @@ pub struct ExecutorEndpoint {
     cfg: ExmConfig,
     /// §4.5 anticipatory processing on/off.
     anticipate: bool,
-    task_state: BTreeMap<TaskId, TaskRun>,
-    completed: BTreeSet<TaskId>,
-    dispatched: BTreeSet<TaskId>,
-    next_req_seq: u32,
-    requests: BTreeMap<ReqId, PendingReq>,
-    local_pids: BTreeMap<u64, TaskId>,
-    next_local_pid: u64,
+    /// One row per task, indexed by `TaskId`.
+    tasks: Vec<TaskRow>,
+    /// Every request sent, indexed by `ReqId::seq` (dense from 0, never
+    /// removed: a late answer must find its request).
+    requests: Vec<PendingReq>,
+    /// The task of each local work item, indexed by pid − `LOCAL_PID_BASE`.
+    local_pids: Vec<TaskId>,
     /// Where each instance currently runs (primary copy).
     pub placements: BTreeMap<InstanceKey, NodeId>,
     /// Recorded run history for experiments.
     pub timeline: Timeline,
     /// Set when the application cannot proceed (allocation refused).
     pub failed: Option<String>,
-    /// Watchdog: unanswered probes per outstanding instance.
-    probe_misses: BTreeMap<InstanceKey, u32>,
-    /// Straggler hedging: per-instance progress estimate of the primary
-    /// copy, fed by probe replies.
-    progress: BTreeMap<InstanceKey, ProgressTrack>,
-    /// Instances already hedged (at most one speculative copy each).
-    hedged: BTreeSet<InstanceKey>,
-    /// Copies written off by the watchdog whose hosts may in fact be alive
-    /// behind a partition (§5's false-suspicion case). Until the instance
-    /// completes we keep sending kills so a healed stale copy cannot keep
-    /// running a SYNC task concurrently with its replacement.
-    superseded: BTreeMap<InstanceKey, BTreeSet<NodeId>>,
     /// §4.2 channel bookkeeping: one channel per stream arc, one port per
     /// connected instance, redirected as instances move.
     pub channels: ChannelRegistry,
     /// Channel per stream arc `(from task, to task)`.
     stream_channels: Vec<(TaskId, TaskId, ChannelId)>,
-    /// The port each instance connects through.
-    port_of: BTreeMap<InstanceKey, ChanPortId>,
     done: bool,
 }
 
@@ -166,29 +193,77 @@ impl ExecutorEndpoint {
         Self {
             me,
             app,
+            tasks: graph.ids().map(|_| TaskRow::default()).collect(),
             graph,
             db,
             cfg,
             anticipate: false,
-            task_state: BTreeMap::new(),
-            completed: BTreeSet::new(),
-            dispatched: BTreeSet::new(),
-            next_req_seq: 0,
-            requests: BTreeMap::new(),
-            local_pids: BTreeMap::new(),
-            next_local_pid: LOCAL_PID_BASE,
+            requests: Vec::new(),
+            local_pids: Vec::new(),
             placements: BTreeMap::new(),
             timeline: Timeline::default(),
             failed: None,
-            probe_misses: BTreeMap::new(),
-            progress: BTreeMap::new(),
-            hedged: BTreeSet::new(),
-            superseded: BTreeMap::new(),
             channels,
             stream_channels,
-            port_of: BTreeMap::new(),
             done: false,
         }
+    }
+
+    fn row(&self, task: TaskId) -> Option<&TaskRow> {
+        self.tasks.get(task.0 as usize)
+    }
+
+    fn is_complete(&self, task: TaskId) -> bool {
+        self.row(task).is_some_and(|r| r.complete)
+    }
+
+    /// The row of one of this application's instances: `None` for another
+    /// application's key, a task the graph does not know, or a slot past
+    /// the instances the task runs with.
+    fn slot(&self, key: InstanceKey) -> Option<&InstanceRow> {
+        if key.app != self.app {
+            return None;
+        }
+        self.row(TaskId(key.task))?
+            .instances
+            .get(key.instance as usize)
+    }
+
+    fn slot_mut(&mut self, key: InstanceKey) -> Option<&mut InstanceRow> {
+        if key.app != self.app {
+            return None;
+        }
+        self.tasks
+            .get_mut(key.task as usize)?
+            .instances
+            .get_mut(key.instance as usize)
+    }
+
+    /// This application's key for `instance` of `task`.
+    fn key(&self, task: u32, instance: u32) -> InstanceKey {
+        InstanceKey {
+            app: self.app,
+            task,
+            instance,
+        }
+    }
+
+    /// Every instance row with its key, in key order.
+    fn slots(&self) -> impl Iterator<Item = (InstanceKey, &InstanceRow)> + '_ {
+        (0u32..).zip(&self.tasks).flat_map(move |(task, row)| {
+            (0u32..)
+                .zip(&row.instances)
+                .map(move |(instance, s)| (self.key(task, instance), s))
+        })
+    }
+
+    /// One of this application's requests (`None` for another's, or a seq
+    /// never sent).
+    fn request_mut(&mut self, req: ReqId) -> Option<&mut PendingReq> {
+        if req.app != self.app {
+            return None;
+        }
+        self.requests.get_mut(req.seq as usize)
     }
 
     /// Connect a placed instance's port to every stream channel its task
@@ -211,10 +286,16 @@ impl ExecutorEndpoint {
         if involved.is_empty() {
             return;
         }
-        let port = *self
-            .port_of
-            .entry(key)
-            .or_insert_with(|| self.channels.create_port(Addr::daemon(node)));
+        let port = match self.slot(key).and_then(|s| s.port) {
+            Some(port) => port,
+            None => {
+                let port = self.channels.create_port(Addr::daemon(node));
+                if let Some(s) = self.slot_mut(key) {
+                    s.port = Some(port);
+                }
+                port
+            }
+        };
         let _ = self.channels.move_port(port, Addr::daemon(node));
         for (ch, role) in involved {
             let _ = self.channels.attach(port, ch, role);
@@ -224,14 +305,14 @@ impl ExecutorEndpoint {
     /// Redirect an instance's port after a move (§4.2: "monitor, redirect,
     /// and move connections between tasks").
     fn redirect_port(&mut self, key: InstanceKey, to: NodeId) {
-        if let Some(&port) = self.port_of.get(&key) {
+        if let Some(port) = self.slot(key).and_then(|s| s.port) {
             let _ = self.channels.move_port(port, Addr::daemon(to));
         }
     }
 
     /// Destroy an instance's port when it finishes.
     fn retire_port(&mut self, key: InstanceKey) {
-        if let Some(port) = self.port_of.remove(&key) {
+        if let Some(port) = self.slot_mut(key).and_then(|s| s.port.take()) {
             let _ = self.channels.destroy_port(port);
         }
     }
@@ -266,20 +347,17 @@ impl ExecutorEndpoint {
             .collect()
     }
 
-    /// Spec lookup. `None` for an id the graph does not know — task ids
-    /// in remote messages (`InstanceKey::task`) are untrusted, and a bogus
-    /// one must not panic the executor.
-    fn spec(&self, task: TaskId) -> Option<&vce_taskgraph::TaskSpec> {
-        self.graph.get(task)
-    }
-
     // ------------------------------------------------------------------
     // Dispatch
     // ------------------------------------------------------------------
 
     fn dispatch_ready(&mut self, host: &mut dyn Host) {
-        let running: BTreeSet<TaskId> = self.dispatched.iter().copied().collect();
-        let mut ready = algo::ready_set(&self.graph, &self.completed, &running);
+        let mut ready: Vec<TaskId> = self
+            .graph
+            .ids()
+            .filter(|&t| self.row(t).is_some_and(|r| !r.complete && !r.dispatched))
+            .filter(|&t| self.graph.predecessors(t).all(|p| self.is_complete(p)))
+            .collect();
         // §3.1.1's hint: "dispatching of the longer job can be given higher
         // priority so opportunities for parallel execution will be
         // maximized" — request resources for dominant tasks first.
@@ -298,7 +376,9 @@ impl ExecutorEndpoint {
                 .map(|a| a.data_kib * TRANSFER_US_PER_KIB)
                 .max()
                 .unwrap_or(0);
-            self.dispatched.insert(task);
+            if let Some(row) = self.tasks.get_mut(task.0 as usize) {
+                row.dispatched = true;
+            }
             if delay > 0 {
                 host.set_timer(delay, dispatch_token(task));
             } else {
@@ -308,25 +388,20 @@ impl ExecutorEndpoint {
     }
 
     fn dispatch_task(&mut self, task: TaskId, host: &mut dyn Host) {
-        let Some(spec) = self.spec(task).cloned() else {
+        let Some(spec) = self.graph.get(task).cloned() else {
             return;
         };
         if spec.local_only {
             // Run on the user's workstation (§5 LOCAL).
-            let run = self.task_state.entry(task).or_default();
-            run.instances_total = spec.instances;
-            run.per_instance_mops = spec.work_mops;
+            if let Some(row) = self.tasks.get_mut(task.0 as usize) {
+                row.grow(spec.instances);
+            }
+            let node = host.machine().node;
             for i in 0..spec.instances {
-                let pid = self.next_local_pid;
-                self.next_local_pid += 1;
-                self.local_pids.insert(pid, task);
+                let pid = LOCAL_PID_BASE + self.local_pids.len() as u64;
+                self.local_pids.push(task);
                 host.start_work(pid, spec.work_mops);
-                let key = InstanceKey {
-                    app: self.app,
-                    task: task.0,
-                    instance: i,
-                };
-                let node = host.machine().node;
+                let key = self.key(task.0, i);
                 self.placements.insert(key, node);
                 self.timeline
                     .push(host.now_us(), AppEvent::Loaded { key, node });
@@ -373,25 +448,21 @@ impl ExecutorEndpoint {
         hedge: bool,
         host: &mut dyn Host,
     ) {
-        let Some(spec) = self.spec(task).cloned() else {
+        let Some(spec) = self.graph.get(task).cloned() else {
             return;
         };
         let req = ReqId {
             app: self.app,
-            seq: self.next_req_seq,
+            seq: self.requests.len() as u32,
         };
-        self.next_req_seq += 1;
-        self.requests.insert(
-            req,
-            PendingReq {
-                task,
-                slots,
-                class,
-                allocated: false,
-                retries: 0,
-                hedge,
-            },
-        );
+        self.requests.push(PendingReq {
+            task,
+            slots,
+            class,
+            allocated: false,
+            retries: 0,
+            hedge,
+        });
         let msg = ExmMsg::ResourceRequest {
             req,
             class,
@@ -411,7 +482,7 @@ impl ExecutorEndpoint {
     }
 
     fn handle_allocation(&mut self, req: ReqId, nodes: NodeList, host: &mut dyn Host) {
-        let Some(pending) = self.requests.get_mut(&req) else {
+        let Some(pending) = self.request_mut(req) else {
             return;
         };
         if pending.allocated || nodes.is_empty() {
@@ -428,10 +499,12 @@ impl ExecutorEndpoint {
                 nodes: nodes.as_slice().to_vec(),
             },
         );
-        let Some(spec) = self.spec(task).cloned() else {
+        let Some(spec) = self.graph.get(task).cloned() else {
             return;
         };
-        let run = self.task_state.entry(task).or_default();
+        let Some(run) = self.tasks.get_mut(task.0 as usize) else {
+            return;
+        };
         // Instance plan: divisible tasks split work across what we got;
         // others replicate, with surplus machines as redundant copies.
         let (assignments, per_instance): (Vec<(u32, NodeId, bool)>, f64) = if spec.divisible {
@@ -440,10 +513,10 @@ impl ExecutorEndpoint {
             // re-request for a *lost* slot arrives here with slots=[that
             // slot]; reuse the established plan — resetting it used to
             // relaunch slot 0 with the whole task's work and shrink
-            // instances_total, so the task never converged (found by the
-            // exp_chaos eviction/re-request schedules).
-            let per = if run.instances_total == 0 {
-                run.instances_total = n as u32;
+            // the instance count, so the task never converged (found by
+            // the exp_chaos eviction/re-request schedules).
+            let per = if run.instances.is_empty() {
+                run.grow(n as u32);
                 spec.work_mops / n as f64
             } else {
                 run.per_instance_mops
@@ -462,10 +535,10 @@ impl ExecutorEndpoint {
             )
         } else {
             // Ranged requests (`SYNC 5,10`) accept fewer primaries than the
-            // maximum: instances_total becomes what the group granted (at
-            // least instances_min — the leader enforced count_min).
+            // maximum: the task runs with what the group granted (at least
+            // instances_min — the leader enforced count_min).
             let primaries = slots.len().min(nodes.len()).max(1);
-            run.instances_total = run.instances_total.max(primaries as u32);
+            run.grow(primaries as u32);
             let redundant = nodes.len() > primaries;
             let mut v = Vec::new();
             for (i, &slot) in slots.iter().take(primaries).enumerate() {
@@ -486,21 +559,14 @@ impl ExecutorEndpoint {
         };
         run.per_instance_mops = per_instance;
         for (slot, node, redundant) in assignments {
-            let key = InstanceKey {
-                app: self.app,
-                task: task.0,
-                instance: slot,
+            let key = self.key(task.0, slot);
+            let Some(s) = self.slot_mut(key) else {
+                continue;
             };
-            let run = self.task_state.entry(task).or_default();
-            run.copies.entry(slot).or_default().insert(node);
+            s.copies.insert(node);
             // The node legitimately hosts this instance again — don't keep
             // killing its fresh copy.
-            if let Some(set) = self.superseded.get_mut(&key) {
-                set.remove(&node);
-                if set.is_empty() {
-                    self.superseded.remove(&key);
-                }
-            }
+            s.superseded.remove(&node);
             self.placements.entry(key).or_insert(node);
             if !hedge {
                 // A hedge copy must not steal the primary's stream ports.
@@ -526,37 +592,37 @@ impl ExecutorEndpoint {
     }
 
     fn instance_done(&mut self, key: InstanceKey, node: NodeId, host: &mut dyn Host) {
-        let task = TaskId(key.task);
-        let Some(run) = self.task_state.get_mut(&task) else {
+        let Some(s) = self.slot_mut(key) else {
             return;
         };
-        if !run.done_instances.insert(key.instance) {
+        if s.done {
             return; // duplicate completion (redundant copy raced the kill)
         }
+        s.done = true;
         // Kill surviving redundant copies of this instance, plus any
         // written-off copy on a host that may still be alive behind a
         // partition.
-        let mut doomed: BTreeSet<NodeId> = run.copies.remove(&key.instance).unwrap_or_default();
-        doomed.extend(self.superseded.remove(&key).unwrap_or_default());
+        let mut doomed = std::mem::take(&mut s.copies);
+        doomed.append(&mut s.superseded);
         doomed.remove(&node);
-        let others: Vec<NodeId> = doomed.into_iter().collect();
+        s.progress = None;
+        s.hedged = false;
         self.placements.insert(key, node);
         self.retire_port(key);
-        self.progress.remove(&key);
-        self.hedged.remove(&key);
         self.timeline
             .push(host.now_us(), AppEvent::InstanceDone { key, node });
-        for other in others {
+        for other in doomed {
             self.send(host, Addr::daemon(other), &ExmMsg::KillTask { key });
         }
-        let Some(run) = self.task_state.get(&task) else {
+        let task = TaskId(key.task);
+        let Some(run) = self.tasks.get_mut(task.0 as usize) else {
             return;
         };
-        if run.done_instances.len() as u32 >= run.instances_total {
-            self.completed.insert(task);
+        if run.instances.iter().all(|s| s.done) {
+            run.complete = true;
             self.timeline
                 .push(host.now_us(), AppEvent::TaskComplete { task: task.0 });
-            if self.completed.len() == self.graph.len() {
+            if self.tasks.iter().all(|r| r.complete) {
                 self.finish(host);
             } else {
                 if self.anticipate {
@@ -568,34 +634,30 @@ impl ExecutorEndpoint {
     }
 
     fn instance_evicted(&mut self, key: InstanceKey, node: NodeId, host: &mut dyn Host) {
-        let task = TaskId(key.task);
-        // Whatever copy survives, its progress history starts over.
-        self.progress.remove(&key);
-        self.timeline
-            .push(host.now_us(), AppEvent::InstanceEvicted { key, node });
-        let Some(run) = self.task_state.get_mut(&task) else {
+        let Some(s) = self.slot_mut(key) else {
             return;
         };
-        if run.done_instances.contains(&key.instance) {
+        // Whatever copy survives, its progress history starts over.
+        s.progress = None;
+        self.timeline
+            .push(host.now_us(), AppEvent::InstanceEvicted { key, node });
+        let Some(s) = self.slot_mut(key).filter(|s| !s.done) else {
             return;
-        }
-        let copies = run.copies.entry(key.instance).or_default();
-        copies.remove(&node);
-        if let Some(&next) = copies.iter().next() {
+        };
+        s.copies.remove(&node);
+        if let Some(&next) = s.copies.first() {
             // A redundant copy survives: it becomes the primary the
             // watchdog follows.
             self.placements.insert(key, next);
             return;
         }
-        if copies.is_empty() {
-            // Last incarnation gone: re-request one machine for this slot.
-            let Some(spec) = self.spec(task).cloned() else {
-                return;
-            };
-            let classes = self.db.feasible_classes(&spec);
-            if let Some(&class) = classes.first() {
-                self.send_request(task, class, vec![key.instance], 1, 1, host);
-            }
+        // Last incarnation gone: re-request one machine for this slot.
+        let task = TaskId(key.task);
+        let Some(spec) = self.graph.get(task) else {
+            return;
+        };
+        if let Some(&class) = self.db.feasible_classes(spec).first() {
+            self.send_request(task, class, vec![key.instance], 1, 1, host);
         }
     }
 
@@ -633,15 +695,11 @@ impl ExecutorEndpoint {
         let blocked: Vec<TaskId> = self
             .graph
             .ids()
-            .filter(|t| !self.completed.contains(t) && !self.dispatched.contains(t))
-            .filter(|&t| {
-                self.graph
-                    .predecessors(t)
-                    .any(|p| !self.completed.contains(&p))
-            })
+            .filter(|&t| self.row(t).is_some_and(|r| !r.complete && !r.dispatched))
+            .filter(|&t| self.graph.predecessors(t).any(|p| !self.is_complete(p)))
             .collect();
         for task in blocked {
-            let Some(spec) = self.spec(task).cloned() else {
+            let Some(spec) = self.graph.get(task).cloned() else {
                 continue;
             };
             for class in self.db.feasible_classes(&spec) {
@@ -685,15 +743,8 @@ impl ExecutorEndpoint {
 
 /// Watchdog helper block.
 impl ExecutorEndpoint {
-    fn instance_outstanding(&self, key: &InstanceKey) -> bool {
-        let task = TaskId(key.task);
-        if self.completed.contains(&task) {
-            return false;
-        }
-        !self
-            .task_state
-            .get(&task)
-            .is_some_and(|r| r.done_instances.contains(&key.instance))
+    fn instance_outstanding(&self, key: InstanceKey) -> bool {
+        !self.is_complete(TaskId(key.task)) && self.slot(key).is_some_and(|s| !s.done)
     }
 
     /// Fold a probe reply's remaining-work report into the instance's
@@ -708,7 +759,7 @@ impl ExecutorEndpoint {
         remaining: f64,
         host: &mut dyn Host,
     ) {
-        if !self.instance_outstanding(&key) {
+        if !self.instance_outstanding(key) {
             return;
         }
         // Only the primary copy's progress drives hedging.
@@ -716,7 +767,10 @@ impl ExecutorEndpoint {
             return;
         }
         let now = host.now_us();
-        let (samples, first_at_us, first_remaining) = match self.progress.get_mut(&key) {
+        let Some(s) = self.slot_mut(key) else {
+            return;
+        };
+        let (samples, first_at_us, first_remaining) = match &mut s.progress {
             Some(t) if t.node == node => {
                 t.samples += 1;
                 t.last_at_us = now;
@@ -726,24 +780,18 @@ impl ExecutorEndpoint {
             _ => {
                 // First sample for this host (or the primary moved):
                 // (re)base the estimate.
-                self.progress.insert(
-                    key,
-                    ProgressTrack {
-                        node,
-                        first_at_us: now,
-                        first_remaining: remaining,
-                        last_at_us: now,
-                        last_remaining: remaining,
-                        samples: 1,
-                    },
-                );
+                s.progress = Some(ProgressTrack {
+                    node,
+                    first_at_us: now,
+                    first_remaining: remaining,
+                    last_at_us: now,
+                    last_remaining: remaining,
+                    samples: 1,
+                });
                 return;
             }
         };
-        if samples < HEDGE_MIN_SAMPLES
-            || self.hedged.contains(&key)
-            || remaining <= HEDGE_MIN_REMAINING_MOPS
-        {
+        if samples < HEDGE_MIN_SAMPLES || s.hedged || remaining <= HEDGE_MIN_REMAINING_MOPS {
             return;
         }
         let elapsed = now.saturating_sub(first_at_us);
@@ -760,7 +808,7 @@ impl ExecutorEndpoint {
             return;
         }
         let task = TaskId(key.task);
-        let Some(spec) = self.spec(task).cloned() else {
+        let Some(spec) = self.graph.get(task) else {
             return;
         };
         if !spec.divisible {
@@ -768,11 +816,12 @@ impl ExecutorEndpoint {
             // targets divisible slots whose work split is fixed.
             return;
         }
-        let classes = self.db.feasible_classes(&spec);
-        let Some(&class) = classes.first() else {
+        let Some(&class) = self.db.feasible_classes(spec).first() else {
             return;
         };
-        self.hedged.insert(key);
+        if let Some(s) = self.slot_mut(key) {
+            s.hedged = true;
+        }
         if host.log_enabled() {
             host.log(format!(
                 "executor: instance {key:?} stalled on {node} (rate {:.3}/{:.3} Mops/ms), hedging",
@@ -790,18 +839,20 @@ impl ExecutorEndpoint {
         let targets: Vec<(InstanceKey, NodeId)> = self
             .placements
             .iter()
-            .filter(|(k, &n)| n != my_node && self.instance_outstanding(k))
+            .filter(|(&k, &n)| n != my_node && self.instance_outstanding(k))
             .map(|(&k, &n)| (k, n))
             .collect();
         for (key, node) in targets {
-            let misses = self.probe_misses.entry(key).or_insert(0);
-            *misses += 1;
-            if *misses > PROBE_MISS_LIMIT {
+            let Some(s) = self.slot_mut(key) else {
+                continue;
+            };
+            s.probe_misses += 1;
+            if s.probe_misses > PROBE_MISS_LIMIT {
                 // Host presumed dead: recover the instance. Suspicion can
                 // be wrong (partition, not crash), so remember the node and
                 // keep killing the possibly-live stale copy below.
-                self.probe_misses.remove(&key);
-                self.superseded.entry(key).or_default().insert(node);
+                s.probe_misses = 0;
+                s.superseded.insert(node);
                 if host.log_enabled() {
                     host.log(format!("executor: instance {key:?} lost on {node}"));
                 }
@@ -822,9 +873,8 @@ impl ExecutorEndpoint {
         // heal delivers the next round within one probe period, bounding
         // how long a stale copy can run concurrently with its replacement.
         let stale: Vec<(InstanceKey, NodeId)> = self
-            .superseded
-            .iter()
-            .flat_map(|(&k, nodes)| nodes.iter().map(move |&n| (k, n)))
+            .slots()
+            .flat_map(|(k, s)| s.superseded.iter().map(move |&n| (k, n)))
             .collect();
         for (key, node) in stale {
             self.send(host, Addr::daemon(node), &ExmMsg::KillTask { key });
@@ -838,25 +888,23 @@ impl Endpoint for ExecutorEndpoint {
         // work item, so restart from surviving in-memory state *before*
         // dispatching new work. All three sets are empty on a first boot,
         // so fair-weather behaviour is unchanged.
-        let unanswered: Vec<u32> = self
-            .requests
-            .iter()
+        let unanswered: Vec<u32> = (0u32..)
+            .zip(&self.requests)
             .filter(|(_, p)| !p.allocated)
-            .map(|(r, _)| r.seq)
+            .map(|(seq, _)| seq)
             .collect();
         let stuck: Vec<TaskId> = self
-            .dispatched
-            .iter()
-            .copied()
-            .filter(|t| !self.completed.contains(t))
-            .filter(|t| !self.task_state.contains_key(t))
-            .filter(|t| !self.requests.values().any(|p| p.task == *t && !p.allocated))
+            .graph
+            .ids()
+            .filter(|&t| {
+                self.row(t)
+                    .is_some_and(|r| r.dispatched && !r.complete && r.instances.is_empty())
+            })
+            .filter(|t| !self.requests.iter().any(|p| p.task == *t && !p.allocated))
             .collect();
-        let local_restart: Vec<(u64, TaskId)> = self
-            .local_pids
-            .iter()
-            .map(|(&p, &t)| (p, t))
-            .filter(|(_, t)| !self.completed.contains(t))
+        let local_restart: Vec<(u64, TaskId)> = (LOCAL_PID_BASE..)
+            .zip(self.local_pids.iter().copied())
+            .filter(|&(_, t)| !self.is_complete(t))
             .collect();
         for seq in unanswered {
             host.set_timer(self.cfg.request_retry_us, retry_token(seq));
@@ -867,7 +915,7 @@ impl Endpoint for ExecutorEndpoint {
         }
         for (pid, task) in local_restart {
             if host.work_remaining(pid).is_none() {
-                if let Some(spec) = self.spec(task) {
+                if let Some(spec) = self.graph.get(task) {
                     host.start_work(pid, spec.work_mops);
                 }
             }
@@ -884,9 +932,26 @@ impl Endpoint for ExecutorEndpoint {
         let Ok(msg) = vce_codec::from_backing::<ExmMsg>(&env.payload) else {
             return;
         };
+        // A key that is not one of ours names nothing: drop the message
+        // before any handler sees it (docs/PROTOCOL.md).
+        let key = match &msg {
+            ExmMsg::TaskDone { key, .. }
+            | ExmMsg::TaskEvicted { key, .. }
+            | ExmMsg::TaskMoved { key, .. }
+            | ExmMsg::RecoveredTask { key, .. }
+            | ExmMsg::TaskStatusReply { key, .. } => Some(*key),
+            _ => None,
+        };
+        if key.is_some_and(|k| self.slot(k).is_none()) {
+            return;
+        }
         match msg {
             ExmMsg::Allocation { req, nodes } => self.handle_allocation(req, nodes, host),
             ExmMsg::AllocError { req, reason } => {
+                let Some(pending) = self.request_mut(req) else {
+                    return;
+                };
+                let unanswered = !pending.allocated;
                 self.timeline.push(
                     host.now_us(),
                     AppEvent::AllocFailed {
@@ -894,7 +959,7 @@ impl Endpoint for ExecutorEndpoint {
                         reason: reason.clone(),
                     },
                 );
-                if self.requests.get(&req).is_some_and(|p| !p.allocated) {
+                if unanswered {
                     self.fail(host, reason);
                 }
             }
@@ -903,14 +968,16 @@ impl Endpoint for ExecutorEndpoint {
             ExmMsg::TaskMoved { key, to } => {
                 self.placements.insert(key, to);
                 self.redirect_port(key, to);
-                self.probe_misses.remove(&key);
-                self.progress.remove(&key);
+                if let Some(s) = self.slot_mut(key) {
+                    s.probe_misses = 0;
+                    s.progress = None;
+                }
                 self.timeline
                     .push(host.now_us(), AppEvent::InstanceMoved { key, to });
             }
             ExmMsg::RequestQueued { req } => {
                 // The group has the request; a queue wait is not a failure.
-                if let Some(p) = self.requests.get_mut(&req) {
+                if let Some(p) = self.request_mut(req) {
                     if !p.allocated {
                         p.retries = 0;
                     }
@@ -921,17 +988,16 @@ impl Endpoint for ExecutorEndpoint {
                 // restarted this instance. The recovered copy defers to
                 // the live view: keep it only if this node still
                 // legitimately hosts the instance and it is still wanted.
-                let keep = self.instance_outstanding(&key)
+                let keep = self.instance_outstanding(key)
                     && self
-                        .task_state
-                        .get(&TaskId(key.task))
-                        .and_then(|r| r.copies.get(&key.instance))
-                        .is_some_and(|set| set.contains(&node))
-                    && !self.superseded.get(&key).is_some_and(|s| s.contains(&node));
+                        .slot(key)
+                        .is_some_and(|s| s.copies.contains(&node) && !s.superseded.contains(&node));
                 if keep {
                     // The incarnation resumed from its checkpoint; give the
                     // watchdog a fresh budget.
-                    self.probe_misses.remove(&key);
+                    if let Some(s) = self.slot_mut(key) {
+                        s.probe_misses = 0;
+                    }
                     self.timeline
                         .push(host.now_us(), AppEvent::Loaded { key, node });
                 } else {
@@ -945,12 +1011,16 @@ impl Endpoint for ExecutorEndpoint {
                 remaining_mops,
             } => {
                 if running {
-                    self.probe_misses.remove(&key);
+                    if let Some(s) = self.slot_mut(key) {
+                        s.probe_misses = 0;
+                    }
                     self.note_progress(key, node, remaining_mops, host);
-                } else if self.instance_outstanding(&key) {
+                } else if self.instance_outstanding(key) {
                     // The daemon is alive but no longer hosts it (e.g. a
                     // Load lost to a crash window): recover now.
-                    self.probe_misses.remove(&key);
+                    if let Some(s) = self.slot_mut(key) {
+                        s.probe_misses = 0;
+                    }
                     self.instance_evicted(key, node, host);
                 }
             }
@@ -971,7 +1041,7 @@ impl Endpoint for ExecutorEndpoint {
         } else if tag == TAG_RETRY {
             let seq = payload;
             let req = ReqId { app: self.app, seq };
-            let state = self.requests.get(&req).map(|p| (p.allocated, p.retries));
+            let state = self.request_mut(req).map(|p| (p.allocated, p.retries));
             match state {
                 None | Some((true, _)) => return,
                 Some((false, retries)) if retries >= 10 => {
@@ -988,7 +1058,8 @@ impl Endpoint for ExecutorEndpoint {
             }
             {
                 let (class, min, max, spec_mem, boost, unit) = {
-                    let Some(p) = self.requests.get_mut(&req) else {
+                    let redundancy = self.cfg.redundancy.max(1);
+                    let Some(p) = self.requests.get_mut(seq as usize) else {
                         return; // request retired between the check and here
                     };
                     p.retries += 1;
@@ -999,10 +1070,7 @@ impl Endpoint for ExecutorEndpoint {
                     let (min, max) = if spec.divisible {
                         (1, slots)
                     } else {
-                        (
-                            spec.instances_min.min(slots),
-                            slots * self.cfg.redundancy.max(1),
-                        )
+                        (spec.instances_min.min(slots), slots * redundancy)
                     };
                     (
                         p.class,
@@ -1032,7 +1100,7 @@ impl Endpoint for ExecutorEndpoint {
                 // partitioned group is retried at a decaying rate instead
                 // of full-rate lockstep (RequestQueued resets `retries`,
                 // so a live-but-busy leader keeps the fast interval).
-                let retries = self.requests.get(&req).map_or(0, |p| p.retries);
+                let retries = self.request_mut(req).map_or(0, |p| p.retries);
                 let delay = backoff_delay_us(
                     self.cfg.request_retry_us,
                     self.cfg.request_retry_cap_us,
@@ -1045,20 +1113,18 @@ impl Endpoint for ExecutorEndpoint {
     }
 
     fn on_work_done(&mut self, pid: u64, host: &mut dyn Host) {
-        if let Some(&task) = self.local_pids.get(&pid) {
+        let task = pid
+            .checked_sub(LOCAL_PID_BASE)
+            .and_then(|i| usize::try_from(i).ok())
+            .and_then(|i| self.local_pids.get(i).copied());
+        if let Some(task) = task {
             // Determine which instance finished: local instances complete
             // in pid order; use the count of done instances as the slot.
             let node = host.machine().node;
             let instance = self
-                .task_state
-                .get(&task)
-                .map(|r| r.done_instances.len() as u32)
-                .unwrap_or(0);
-            let key = InstanceKey {
-                app: self.app,
-                task: task.0,
-                instance,
-            };
+                .row(task)
+                .map_or(0, |r| r.instances.iter().filter(|s| s.done).count() as u32);
+            let key = self.key(task.0, instance);
             self.instance_done(key, node, host);
         }
     }
@@ -1068,18 +1134,25 @@ impl Endpoint for ExecutorEndpoint {
     }
 
     fn snapshot_hash(&self) -> u64 {
+        // Folds what the keyed maps this state replaced folded, in their
+        // order: request and pid counters, completed then dispatched task
+        // ids, placements, the number of instances with written-off copies
+        // and with counted probe misses, then hedged instances and progress
+        // estimates in key order.
+        let completed = || self.graph.ids().filter(|&t| self.is_complete(t));
+        let dispatched = self
+            .graph
+            .ids()
+            .filter(|&t| self.row(t).is_some_and(|r| r.dispatched));
         let mut h = vce_net::Fnv64::new();
         h.write_u64(self.app.0)
             .write_bool(self.done)
             .write_bool(self.failed.is_some())
-            .write_u64(u64::from(self.next_req_seq))
-            .write_u64(self.next_local_pid)
             .write_u64(self.requests.len() as u64)
-            .write_u64(self.completed.len() as u64);
-        for t in &self.completed {
-            h.write_u64(u64::from(t.0));
-        }
-        for t in &self.dispatched {
+            .write_u64(LOCAL_PID_BASE + self.local_pids.len() as u64)
+            .write_u64(self.requests.len() as u64)
+            .write_u64(completed().count() as u64);
+        for t in completed().chain(dispatched) {
             h.write_u64(u64::from(t.0));
         }
         h.write_u64(self.placements.len() as u64);
@@ -1088,15 +1161,19 @@ impl Endpoint for ExecutorEndpoint {
                 .write_u64(u64::from(key.instance))
                 .write_u64(u64::from(node.0));
         }
-        h.write_u64(self.superseded.len() as u64)
-            .write_u64(self.probe_misses.len() as u64);
-        h.write_u64(self.hedged.len() as u64);
-        for key in &self.hedged {
+        let count = |f: fn(&InstanceRow) -> bool| self.slots().filter(|(_, s)| f(s)).count() as u64;
+        h.write_u64(count(|s| !s.superseded.is_empty()))
+            .write_u64(count(|s| s.probe_misses > 0));
+        h.write_u64(count(|s| s.hedged));
+        for (key, _) in self.slots().filter(|(_, s)| s.hedged) {
             h.write_u64(u64::from(key.task))
                 .write_u64(u64::from(key.instance));
         }
-        h.write_u64(self.progress.len() as u64);
-        for (key, t) in &self.progress {
+        h.write_u64(count(|s| s.progress.is_some()));
+        for (key, t) in self
+            .slots()
+            .filter_map(|(k, s)| Some((k, s.progress.as_ref()?)))
+        {
             h.write_u64(u64::from(key.task))
                 .write_u64(u64::from(key.instance))
                 .write_u64(u64::from(t.node.0))
@@ -1242,7 +1319,7 @@ mod tests {
             seq: 1,
         };
         assert!(
-            exec.requests.contains_key(&hedge_req),
+            exec.request_mut(hedge_req).is_some(),
             "hedge must re-request the stalled slot"
         );
         // A third stalled sample must not hedge again.
@@ -1336,5 +1413,149 @@ mod tests {
             host.timers,
             host.sent
         );
+    }
+    /// Two replicated instances of one task on nodes 1 and 2, the executor
+    /// on node 0; started, allocated, and the start-up traffic drained.
+    fn two_instance_fixture(host: &mut MockHost) -> ExecutorEndpoint {
+        let mut g = TaskGraph::new("t");
+        g.add_task(
+            TaskSpec::new("pair")
+                .with_class(ProblemClass::Asynchronous)
+                .with_language(Language::C)
+                .with_work(1_000.0)
+                .with_instances(2),
+        );
+        let mut db = MachineDb::new();
+        for n in 0..3 {
+            db.register(MachineInfo::workstation(NodeId(n), 100.0));
+        }
+        let me = Addr::executor(NodeId(0));
+        let mut exec = ExecutorEndpoint::new(AppId(1), me, g, db, ExmConfig::default());
+        exec.on_start(host);
+        let req = ReqId {
+            app: AppId(1),
+            seq: 0,
+        };
+        deliver(
+            &mut exec,
+            host,
+            &ExmMsg::Allocation {
+                req,
+                nodes: vec![NodeId(1), NodeId(2)].into(),
+            },
+        );
+        assert_eq!(exec.placements.len(), 2);
+        host.sent.clear();
+        exec
+    }
+
+    fn key(app: u64, task: u32, instance: u32) -> InstanceKey {
+        InstanceKey {
+            app: AppId(app),
+            task,
+            instance,
+        }
+    }
+
+    /// Deliver `msg` and assert it was dropped whole: no state hash,
+    /// placement or timeline change, and nothing sent.
+    fn assert_dropped(exec: &mut ExecutorEndpoint, host: &mut MockHost, msg: &ExmMsg) {
+        let hash = exec.snapshot_hash();
+        let placements = exec.placements.clone();
+        let timeline = exec.timeline.events().to_vec();
+        deliver(exec, host, msg);
+        assert_eq!(exec.snapshot_hash(), hash, "{msg:?} changed the state");
+        assert_eq!(exec.placements, placements, "{msg:?} changed placements");
+        assert_eq!(
+            exec.timeline.events(),
+            timeline,
+            "{msg:?} changed the timeline"
+        );
+        assert!(host.sent.is_empty(), "{msg:?} sent {:?}", host.sent);
+    }
+
+    /// A move for a task the graph does not have names no instance: it is
+    /// not placed, and the watchdog never probes it.
+    #[test]
+    fn a_move_for_an_unknown_task_is_never_probed() {
+        let mut host = MockHost::new(NodeId(0));
+        let mut exec = two_instance_fixture(&mut host);
+        let ghost = key(1, 5, 0);
+        let moved = ExmMsg::TaskMoved {
+            key: ghost,
+            to: NodeId(2),
+        };
+        assert_dropped(&mut exec, &mut host, &moved);
+        for round in 1..=20u64 {
+            host.now = round * exec.cfg.probe_period_us;
+            exec.on_timer(TOKEN_PROBE, &mut host);
+        }
+        let ghost_probes = msgs_to(&host, Addr::daemon(NodeId(2)))
+            .into_iter()
+            .filter(|m| matches!(m, ExmMsg::ProbeTask { key, .. } if *key == ghost))
+            .count();
+        assert_eq!(ghost_probes, 0);
+    }
+
+    /// A completion for a slot past the task's instances does not count
+    /// toward the task: the application stays running while instance 1
+    /// does.
+    #[test]
+    fn a_done_past_the_instance_count_does_not_finish_the_app() {
+        let mut host = MockHost::new(NodeId(0));
+        let mut exec = two_instance_fixture(&mut host);
+        deliver(
+            &mut exec,
+            &mut host,
+            &ExmMsg::TaskDone {
+                key: key(1, 0, 0),
+                node: NodeId(1),
+            },
+        );
+        host.sent.clear();
+        let done = ExmMsg::TaskDone {
+            key: key(1, 0, 7),
+            node: NodeId(1),
+        };
+        assert_dropped(&mut exec, &mut host, &done);
+        assert!(!exec.is_done());
+        deliver(
+            &mut exec,
+            &mut host,
+            &ExmMsg::TaskDone {
+                key: key(1, 0, 1),
+                node: NodeId(2),
+            },
+        );
+        assert!(exec.is_done());
+    }
+
+    /// An eviction for a slot that does not exist requests no machine.
+    #[test]
+    fn an_eviction_past_the_instance_count_requests_nothing() {
+        let mut host = MockHost::new(NodeId(0));
+        let mut exec = two_instance_fixture(&mut host);
+        let evicted = ExmMsg::TaskEvicted {
+            key: key(1, 0, 7),
+            node: NodeId(1),
+        };
+        assert_dropped(&mut exec, &mut host, &evicted);
+        assert_eq!(exec.requests.len(), 1);
+    }
+
+    /// Another application's key names none of this one's instances, even
+    /// where its task and slot numbers match.
+    #[test]
+    fn a_done_for_another_application_is_dropped() {
+        let mut host = MockHost::new(NodeId(0));
+        let mut exec = two_instance_fixture(&mut host);
+        for instance in 0..2 {
+            let done = ExmMsg::TaskDone {
+                key: key(2, 0, instance),
+                node: NodeId(1 + instance),
+            };
+            assert_dropped(&mut exec, &mut host, &done);
+        }
+        assert!(!exec.is_done());
     }
 }

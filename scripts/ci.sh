@@ -187,5 +187,11 @@ rust_lines=$(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)
 # spell the marker out dozens of times and waive nothing.)
 waivers=$(grep -rn --include='*.rs' 'vce-lint: allow' crates | grep -v '^crates/lint/' | wc -l)
 echo "stage-size: ${rust_lines} Rust lines under crates/, ${waivers} vce-lint waivers"
+# The waiver count only falls: 5 is what is left after the live transport
+# went (ROADMAP item 3). A new waiver needs this ceiling raised in the
+# same change, where a reviewer sees it.
+waiver_ceiling=5
+[ "$waivers" -le "$waiver_ceiling" ] \
+  || { echo "waiver gate: ${waivers} vce-lint waivers, ceiling ${waiver_ceiling}"; exit 1; }
 
 echo "CI OK"
