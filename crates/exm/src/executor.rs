@@ -73,6 +73,9 @@ struct PendingReq {
     /// Instance slots this request will fill.
     slots: Vec<u32>,
     class: MachineClass,
+    /// Machines the group may grant, `(count_min, count_max)`: every retry
+    /// re-sends the range the request was opened with.
+    count: (u32, u32),
     allocated: bool,
     retries: u32,
     /// Speculative straggler hedge: the granted copies load as *redundant*
@@ -413,7 +416,7 @@ impl ExecutorEndpoint {
             self.fail(host, format!("no feasible machines for task {task:?}"));
             return;
         };
-        let (count_min, count_max) = if spec.divisible {
+        let count = if spec.divisible {
             (1, spec.instances)
         } else {
             (
@@ -422,63 +425,59 @@ impl ExecutorEndpoint {
             )
         };
         let slots: Vec<u32> = (0..spec.instances).collect();
-        self.send_request(task, class, slots, count_min, count_max, host);
+        self.open_request(task, class, slots, count, false, host);
     }
 
-    fn send_request(
+    /// Open a request for `slots` of `task` that admits `count` machines
+    /// (`count_min`, `count_max`), send it and arm its retry timer.
+    fn open_request(
         &mut self,
         task: TaskId,
         class: MachineClass,
         slots: Vec<u32>,
-        count_min: u32,
-        count_max: u32,
-        host: &mut dyn Host,
-    ) {
-        self.send_request_with(task, class, slots, count_min, count_max, false, host);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_request_with(
-        &mut self,
-        task: TaskId,
-        class: MachineClass,
-        slots: Vec<u32>,
-        count_min: u32,
-        count_max: u32,
+        count: (u32, u32),
         hedge: bool,
         host: &mut dyn Host,
     ) {
-        let Some(spec) = self.graph.get(task).cloned() else {
-            return;
-        };
-        let req = ReqId {
-            app: self.app,
-            seq: self.requests.len() as u32,
-        };
+        let seq = self.requests.len() as u32;
         self.requests.push(PendingReq {
             task,
             slots,
             class,
+            count,
             allocated: false,
             retries: 0,
             hedge,
         });
+        self.send_request(seq, host);
+        host.set_timer(self.cfg.request_retry_us, retry_token(seq));
+    }
+
+    /// Send request `seq` to its class group as it was opened: the first
+    /// time and on every retry.
+    fn send_request(&mut self, seq: u32, host: &mut dyn Host) {
+        let Some(p) = self.requests.get(seq as usize) else {
+            return;
+        };
+        let Some(spec) = self.graph.get(p.task) else {
+            return;
+        };
+        let req = ReqId { app: self.app, seq };
         let msg = ExmMsg::ResourceRequest {
             req,
-            class,
-            count_min,
-            count_max,
+            class: p.class,
+            count_min: p.count.0,
+            count_max: p.count.1,
             mem_mb: spec.mem_mb,
             unit: spec.name.clone(),
             priority_boost: spec.hints.priority_boost,
             reply_to: self.me,
         };
-        for d in self.class_daemons(class) {
+        for d in self.class_daemons(p.class) {
             self.send(host, d, &msg);
         }
         self.timeline
             .push(host.now_us(), AppEvent::RequestSent { req });
-        host.set_timer(self.cfg.request_retry_us, retry_token(req.seq));
     }
 
     fn handle_allocation(&mut self, req: ReqId, nodes: NodeList, host: &mut dyn Host) {
@@ -657,7 +656,7 @@ impl ExecutorEndpoint {
             return;
         };
         if let Some(&class) = self.db.feasible_classes(spec).first() {
-            self.send_request(task, class, vec![key.instance], 1, 1, host);
+            self.open_request(task, class, vec![key.instance], (1, 1), false, host);
         }
     }
 
@@ -831,7 +830,7 @@ impl ExecutorEndpoint {
         }
         self.timeline
             .push(now, AppEvent::InstanceHedged { key, node });
-        self.send_request_with(task, class, vec![key.instance], 1, 1, true, host);
+        self.open_request(task, class, vec![key.instance], (1, 1), true, host);
     }
 
     fn run_probes(&mut self, host: &mut dyn Host) {
@@ -1039,76 +1038,35 @@ impl Endpoint for ExecutorEndpoint {
         } else if tag == TAG_DISPATCH {
             self.dispatch_task(TaskId(payload), host);
         } else if tag == TAG_RETRY {
-            let seq = payload;
-            let req = ReqId { app: self.app, seq };
-            let state = self.request_mut(req).map(|p| (p.allocated, p.retries));
-            match state {
-                None | Some((true, _)) => return,
-                Some((false, retries)) if retries >= 10 => {
-                    // A request unanswered through ten retry windows means
-                    // the group is unreachable (every daemon dead or
-                    // partitioned away): surface it instead of hanging.
-                    self.fail(
-                        host,
-                        format!("request {req:?} unanswered after {retries} retries"),
-                    );
-                    return;
-                }
-                Some((false, _)) => {}
+            let req = ReqId {
+                app: self.app,
+                seq: payload,
+            };
+            let Some(p) = self.request_mut(req).filter(|p| !p.allocated) else {
+                return;
+            };
+            let retries = p.retries;
+            if retries >= 10 {
+                // A request unanswered through ten retry windows means
+                // the group is unreachable (every daemon dead or
+                // partitioned away): surface it instead of hanging.
+                let reason = format!("request {req:?} unanswered after {retries} retries");
+                self.fail(host, reason);
+                return;
             }
-            {
-                let (class, min, max, spec_mem, boost, unit) = {
-                    let redundancy = self.cfg.redundancy.max(1);
-                    let Some(p) = self.requests.get_mut(seq as usize) else {
-                        return; // request retired between the check and here
-                    };
-                    p.retries += 1;
-                    let Some(spec) = self.graph.get(p.task) else {
-                        return;
-                    };
-                    let slots = p.slots.len() as u32;
-                    let (min, max) = if spec.divisible {
-                        (1, slots)
-                    } else {
-                        (spec.instances_min.min(slots), slots * redundancy)
-                    };
-                    (
-                        p.class,
-                        min,
-                        max,
-                        spec.mem_mb,
-                        spec.hints.priority_boost,
-                        spec.name.clone(),
-                    )
-                };
-                let msg = ExmMsg::ResourceRequest {
-                    req,
-                    class,
-                    count_min: min,
-                    count_max: max,
-                    mem_mb: spec_mem,
-                    unit,
-                    priority_boost: boost,
-                    reply_to: self.me,
-                };
-                for d in self.class_daemons(class) {
-                    self.send(host, d, &msg);
-                }
-                self.timeline
-                    .push(host.now_us(), AppEvent::RequestSent { req });
-                // Exponential backoff with seeded jitter: a dead or
-                // partitioned group is retried at a decaying rate instead
-                // of full-rate lockstep (RequestQueued resets `retries`,
-                // so a live-but-busy leader keeps the fast interval).
-                let retries = self.request_mut(req).map_or(0, |p| p.retries);
-                let delay = backoff_delay_us(
-                    self.cfg.request_retry_us,
-                    self.cfg.request_retry_cap_us,
-                    retries,
-                    host.rand_u64(),
-                );
-                host.set_timer(delay, token);
-            }
+            p.retries += 1;
+            self.send_request(payload, host);
+            // Exponential backoff with seeded jitter: a dead or
+            // partitioned group is retried at a decaying rate instead
+            // of full-rate lockstep (RequestQueued resets `retries`,
+            // so a live-but-busy leader keeps the fast interval).
+            let delay = backoff_delay_us(
+                self.cfg.request_retry_us,
+                self.cfg.request_retry_cap_us,
+                retries + 1,
+                host.rand_u64(),
+            );
+            host.set_timer(delay, token);
         }
     }
 
@@ -1472,6 +1430,59 @@ mod tests {
             "{msg:?} changed the timeline"
         );
         assert!(host.sent.is_empty(), "{msg:?} sent {:?}", host.sent);
+    }
+
+    /// A retry re-sends the range its request was opened with: the
+    /// one-slot re-request after an eviction asks for exactly one machine
+    /// on every retry, whatever the redundancy the first request used.
+    #[test]
+    fn a_retry_resends_the_count_range_it_retries() {
+        let mut g = TaskGraph::new("t");
+        g.add_task(
+            TaskSpec::new("job")
+                .with_class(ProblemClass::Asynchronous)
+                .with_language(Language::C)
+                .with_work(1_000.0),
+        );
+        let mut db = MachineDb::new();
+        for n in 0..3 {
+            db.register(MachineInfo::workstation(NodeId(n), 100.0));
+        }
+        let mut cfg = ExmConfig::default();
+        cfg.redundancy = 2;
+        let me = Addr::executor(NodeId(0));
+        let mut exec = ExecutorEndpoint::new(AppId(1), me, g, db, cfg);
+        let mut host = MockHost::new(NodeId(0));
+        exec.on_start(&mut host);
+        let first = ReqId {
+            app: AppId(1),
+            seq: 0,
+        };
+        let nodes = vec![NodeId(1)].into();
+        deliver(
+            &mut exec,
+            &mut host,
+            &ExmMsg::Allocation { req: first, nodes },
+        );
+        let lost = ExmMsg::TaskEvicted {
+            key: key(1, 0, 0),
+            node: NodeId(1),
+        };
+        deliver(&mut exec, &mut host, &lost);
+        host.sent.clear();
+        exec.on_timer(retry_token(1), &mut host);
+        let ranges: Vec<(u32, u32)> = msgs_to(&host, Addr::daemon(NodeId(2)))
+            .into_iter()
+            .filter_map(|m| match m {
+                ExmMsg::ResourceRequest {
+                    count_min,
+                    count_max,
+                    ..
+                } => Some((count_min, count_max)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ranges, vec![(1, 1)]);
     }
 
     /// A move for a task the graph does not have names no instance: it is
