@@ -113,16 +113,6 @@ struct TaskRow {
     instances: Vec<InstanceRow>,
 }
 
-impl TaskRow {
-    /// Run with at least `n` instances.
-    fn grow(&mut self, n: u32) {
-        let n = n as usize;
-        if self.instances.len() < n {
-            self.instances.resize_with(n, InstanceRow::default);
-        }
-    }
-}
-
 /// One instance slot of a task. Where its primary copy runs is not here
 /// but in [`ExecutorEndpoint::placements`].
 #[derive(Debug, Default)]
@@ -227,7 +217,8 @@ impl ExecutorEndpoint {
         if key.app != self.app {
             return None;
         }
-        self.row(TaskId(key.task))?
+        self.tasks
+            .get(key.task as usize)?
             .instances
             .get(key.instance as usize)
     }
@@ -291,14 +282,11 @@ impl ExecutorEndpoint {
         }
         let port = match self.slot(key).and_then(|s| s.port) {
             Some(port) => port,
-            None => {
-                let port = self.channels.create_port(Addr::daemon(node));
-                if let Some(s) = self.slot_mut(key) {
-                    s.port = Some(port);
-                }
-                port
-            }
+            None => self.channels.create_port(Addr::daemon(node)),
         };
+        if let Some(s) = self.slot_mut(key) {
+            s.port = Some(port);
+        }
         let _ = self.channels.move_port(port, Addr::daemon(node));
         for (ch, role) in involved {
             let _ = self.channels.attach(port, ch, role);
@@ -397,7 +385,8 @@ impl ExecutorEndpoint {
         if spec.local_only {
             // Run on the user's workstation (§5 LOCAL).
             if let Some(row) = self.tasks.get_mut(task.0 as usize) {
-                row.grow(spec.instances);
+                row.instances
+                    .resize_with(spec.instances as usize, Default::default);
             }
             let node = host.machine().node;
             for i in 0..spec.instances {
@@ -515,7 +504,7 @@ impl ExecutorEndpoint {
             // the instance count, so the task never converged (found by
             // the exp_chaos eviction/re-request schedules).
             let per = if run.instances.is_empty() {
-                run.grow(n as u32);
+                run.instances.resize_with(n, Default::default);
                 spec.work_mops / n as f64
             } else {
                 run.per_instance_mops
@@ -537,7 +526,8 @@ impl ExecutorEndpoint {
             // maximum: the task runs with what the group granted (at least
             // instances_min — the leader enforced count_min).
             let primaries = slots.len().min(nodes.len()).max(1);
-            run.grow(primaries as u32);
+            let n = primaries.max(run.instances.len());
+            run.instances.resize_with(n, Default::default);
             let redundant = nodes.len() > primaries;
             let mut v = Vec::new();
             for (i, &slot) in slots.iter().take(primaries).enumerate() {
@@ -947,17 +937,14 @@ impl Endpoint for ExecutorEndpoint {
         match msg {
             ExmMsg::Allocation { req, nodes } => self.handle_allocation(req, nodes, host),
             ExmMsg::AllocError { req, reason } => {
-                let Some(pending) = self.request_mut(req) else {
+                let Some(unanswered) = self.request_mut(req).map(|p| !p.allocated) else {
                     return;
                 };
-                let unanswered = !pending.allocated;
-                self.timeline.push(
-                    host.now_us(),
-                    AppEvent::AllocFailed {
-                        req,
-                        reason: reason.clone(),
-                    },
-                );
+                let refused = AppEvent::AllocFailed {
+                    req,
+                    reason: reason.clone(),
+                };
+                self.timeline.push(host.now_us(), refused);
                 if unanswered {
                     self.fail(host, reason);
                 }
@@ -1092,11 +1079,8 @@ impl Endpoint for ExecutorEndpoint {
     }
 
     fn snapshot_hash(&self) -> u64 {
-        // Folds what the keyed maps this state replaced folded, in their
-        // order: request and pid counters, completed then dispatched task
-        // ids, placements, the number of instances with written-off copies
-        // and with counted probe misses, then hedged instances and progress
-        // estimates in key order.
+        // The values and order the keyed maps these rows replaced folded:
+        // a map's length is the number of rows with the field set.
         let completed = || self.graph.ids().filter(|&t| self.is_complete(t));
         let dispatched = self
             .graph
