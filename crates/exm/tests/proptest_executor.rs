@@ -72,7 +72,9 @@ fn key(app: u64, task: u32, instance: u32) -> InstanceKey {
     }
 }
 
-/// An instance key, and whether it is certainly not the executor's.
+/// An instance key, and whether it is certainly not the executor's. The
+/// vendored `prop_oneof!` has no weights: repeating the own-key arm makes
+/// half the keys candidates for a real instance.
 fn arb_key() -> impl Strategy<Value = (InstanceKey, bool)> {
     prop_oneof![
         (0..TASKS, 0..MAX_INSTANCES).prop_map(|(t, i)| (key(1, t, i), false)),

@@ -10,7 +10,7 @@
 # build + unit-test of the out-of-workspace benchmark plus a hard gate on
 # three of its exactly repeatable counters — allocs_per_op,
 # isis.heartbeats_per_op and codec.bytes_per_msg (benchmark/run.sh is what
-# measures speed).
+# measures speed) — and last, a ceiling on the number of vce-lint waivers.
 # Keep this cheap enough to run on every change.
 #
 # Usage: scripts/ci.sh
@@ -152,17 +152,18 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # Heap allocations, heartbeats and encoded bytes per message are counted,
 # not timed: all three repeat exactly for a seed, so they are gated hard
 # while wall-clock stays ungated. Each ceiling sits about 10 % above what
-# the tree measures: 4,261 allocations an application (4,682 before
-# counts, lengths and narrow integers went to uvarints and more payloads
-# fit `Bytes`' inline form; the `Vec<String>` bid lists this guards
-# against cost 55,995), 3,550 heartbeats (the O(n) liveness plane;
+# the tree measures: 3,922 allocations an application (4,261 while the
+# executor kept its per-instance state in keyed maps, DESIGN decision 32;
+# 4,682 before counts, lengths and narrow integers went to uvarints and
+# more payloads fit `Bytes`' inline form; the `Vec<String>` bid lists this
+# guards against cost 55,995), 3,550 heartbeats (the O(n) liveness plane;
 # all-candidates heartbeats cost 9,686), and 23.1 bytes a message (one
 # integer rule, DESIGN decision 31: 30.4 with fixed-width counts, lengths,
 # discriminants and narrow integers; 68.0 before uvarint framing, whose
 # heartbeat frame is 19–20 bytes where it was 59; 101.97 with bids that
 # listed their machine's staged binaries).
 echo "== allocs_per_op, heartbeats_per_op and bytes_per_msg gates (app_dense, seed 1) =="
-allocs_ceiling=4690
+allocs_ceiling=4320
 heartbeats_ceiling=3900
 bytes_per_msg_ceiling=25.5
 bash benchmark/run.sh --quick --workload app_dense --seed 1 --trace 1 | tail -n 1 \
