@@ -94,6 +94,8 @@ const DETECT_BOUND_US: u64 = 8_000_000;
 /// A slowed node's view membership is only judged after this long — lets
 /// churn from the slow-down moment (there should be none) settle.
 const GRACE_SLOW_US: u64 = 3_000_000;
+/// Trace lines a red cell keeps for its replay dump.
+const TRACE_TAIL_LINES: usize = 60;
 
 /// The isis heartbeat period the fleet runs with (see
 /// `vce_isis::GroupConfig`); used to express reconvergence in heartbeats.
@@ -1156,11 +1158,7 @@ pub fn run_chaos_recorded(
         .filter(|(_, e)| matches!(e, vce_exm::events::AppEvent::Allocated { .. }))
         .count() as u64;
     let trace_tail = if cfg.trace && !violations.is_empty() {
-        let n = std::env::var("VCE_CHAOS_TRACE_TAIL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(60);
-        Some(vce.sim().trace().dump_tail(n))
+        Some(vce.sim().trace().dump_tail(TRACE_TAIL_LINES))
     } else {
         None
     };

@@ -186,14 +186,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// As a map, if this is `Map`.
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Map(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {

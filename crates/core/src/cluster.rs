@@ -26,7 +26,6 @@ pub struct VceBuilder {
     db: MachineDb,
     loads: Vec<(NodeId, LoadTrace)>,
     cfg: ExmConfig,
-    topology: Topology,
     trace_enabled: bool,
     shards: usize,
 }
@@ -39,7 +38,6 @@ impl VceBuilder {
             db: MachineDb::new(),
             loads: Vec::new(),
             cfg: ExmConfig::default(),
-            topology: Topology::default(),
             trace_enabled: true,
             shards: SimConfig::shards_from_env(),
         }
@@ -65,12 +63,6 @@ impl VceBuilder {
         self
     }
 
-    /// Override the network topology.
-    pub fn topology(&mut self, topology: Topology) -> &mut Self {
-        self.topology = topology;
-        self
-    }
-
     /// Disable tracing (hot benchmark loops).
     pub fn trace_enabled(&mut self, on: bool) -> &mut Self {
         self.trace_enabled = on;
@@ -88,7 +80,7 @@ impl VceBuilder {
     pub fn build(self) -> Vce {
         let mut sim = Sim::new(SimConfig {
             seed: self.seed,
-            topology: self.topology,
+            topology: Topology::default(),
             trace_enabled: self.trace_enabled,
             shards: self.shards,
         });

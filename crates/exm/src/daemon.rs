@@ -1220,7 +1220,7 @@ impl Endpoint for DaemonEndpoint {
         match msg {
             ExmMsg::Isis(m) => {
                 let mut ups = std::mem::take(&mut self.upcall_scratch);
-                self.gm.handle_into(env.src, m, host, &mut ups);
+                self.gm.handle(env.src, m, host, &mut ups);
                 self.process_upcalls(&mut ups, host);
                 self.upcall_scratch = ups;
             }
@@ -1306,7 +1306,7 @@ impl Endpoint for DaemonEndpoint {
     fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
         if is_isis_token(token) {
             let mut ups = std::mem::take(&mut self.upcall_scratch);
-            self.gm.on_timer_into(token, host, &mut ups);
+            self.gm.on_timer(token, host, &mut ups);
             self.process_upcalls(&mut ups, host);
             self.upcall_scratch = ups;
             return;

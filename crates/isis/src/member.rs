@@ -9,7 +9,7 @@
 //! window, whether it is in the view, whether it asked to join, its flap
 //! record) lives in one row of one `Vec`, indexed by the peer's **rank**
 //! in that list. A received message has its `src` resolved to a rank once,
-//! at the top of [`GroupMember::handle_into`]; a heartbeat is then one row
+//! at the top of [`GroupMember::handle`]; a heartbeat is then one row
 //! update plus one indexed write in the ordering layer, and the periodic
 //! liveness scans walk the rows in order. There is no keyed map behind the
 //! table and no second copy of any of these facts.
@@ -441,15 +441,9 @@ impl GroupMember {
     }
 
     /// Forward isis timer tokens here (see [`crate::is_isis_token`]).
-    pub fn on_timer(&mut self, token: u64, host: &mut dyn Host) -> Vec<Upcall> {
-        let mut up = Vec::new();
-        self.on_timer_into(token, host, &mut up);
-        up
-    }
-
-    /// [`Self::on_timer`] with upcalls appended to a caller-owned vector
-    /// (the embedding endpoint reuses one across events).
-    pub fn on_timer_into(&mut self, token: u64, host: &mut dyn Host, up: &mut Vec<Upcall>) {
+    /// Upcalls are appended to a caller-owned vector (the embedding
+    /// endpoint reuses one across events).
+    pub fn on_timer(&mut self, token: u64, host: &mut dyn Host, up: &mut Vec<Upcall>) {
         if token == TOKEN_TICK {
             host.set_timer(self.cfg.heartbeat_us, TOKEN_TICK);
             // A junior half a silence budget into hearing none of its
@@ -463,7 +457,7 @@ impl GroupMember {
             self.run_failure_detector(host, up);
             let mut nacks = std::mem::take(&mut self.nack_scratch);
             debug_assert!(nacks.is_empty());
-            self.ordering.overdue_gaps_into(host.now_us(), &mut nacks);
+            self.ordering.overdue_gaps(host.now_us(), &mut nacks);
             for &(sender, expected) in &nacks {
                 if let Some(&dst) = self.cfg.candidates.get(sender) {
                     self.out(host, dst, &IsisMsg::Nack { expected });
@@ -487,22 +481,10 @@ impl GroupMember {
         }
     }
 
-    /// Forward received isis messages here.
-    pub fn handle(&mut self, src: Addr, msg: IsisMsg, host: &mut dyn Host) -> Vec<Upcall> {
-        let mut up = Vec::new();
-        self.handle_into(src, msg, host, &mut up);
-        up
-    }
-
-    /// [`Self::handle`] with upcalls appended to a caller-owned vector
-    /// (the embedding endpoint reuses one across events).
-    pub fn handle_into(
-        &mut self,
-        src: Addr,
-        msg: IsisMsg,
-        host: &mut dyn Host,
-        up: &mut Vec<Upcall>,
-    ) {
+    /// Forward received isis messages here. Upcalls are appended to a
+    /// caller-owned vector (the embedding endpoint reuses one across
+    /// events).
+    pub fn handle(&mut self, src: Addr, msg: IsisMsg, host: &mut dyn Host, up: &mut Vec<Upcall>) {
         // Only configured candidates are ever listened to: anything else
         // is dropped here, before it touches state. This is also the one
         // place `src` is looked up — everything below works on its row.
@@ -636,7 +618,7 @@ impl GroupMember {
                 let mut delivered = std::mem::take(&mut self.deliver_scratch);
                 debug_assert!(delivered.is_empty());
                 self.ordering
-                    .on_cast_into(rank, fifo_seq, data, now, &mut delivered);
+                    .on_cast(rank, fifo_seq, data, now, &mut delivered);
                 for d in delivered.drain(..) {
                     up.push(Upcall::Deliver {
                         id: d.id,

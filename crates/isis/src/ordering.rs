@@ -85,7 +85,7 @@ pub struct OrderingState {
     /// once set, mirrors `total_holdback.base()`).
     next_total: Option<u64>,
     total_holdback: SeqWindow<CastData>,
-    /// Reused between [`Self::on_cast_into`] calls for the FIFO release
+    /// Reused between [`Self::on_cast`] calls for the FIFO release
     /// run (capacity retained, contents always drained).
     released_scratch: Vec<CastData>,
 }
@@ -111,23 +111,10 @@ impl OrderingState {
     }
 
     /// Feed one cast received from the sender of rank `transport_sender`
-    /// at time `now_us`. Returns everything that becomes deliverable, in
-    /// delivery order. (Convenience wrapper over [`Self::on_cast_into`].)
+    /// at time `now_us`. Everything that becomes deliverable is appended to
+    /// a caller-owned vector, in delivery order, so the per-message hot
+    /// path allocates nothing.
     pub fn on_cast(
-        &mut self,
-        transport_sender: usize,
-        fifo_seq: u64,
-        data: CastData,
-        now_us: u64,
-    ) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        self.on_cast_into(transport_sender, fifo_seq, data, now_us, &mut out);
-        out
-    }
-
-    /// [`Self::on_cast`] with the deliverables appended to a caller-owned
-    /// vector, so the per-message hot path allocates nothing.
-    pub fn on_cast_into(
         &mut self,
         transport_sender: usize,
         fifo_seq: u64,
@@ -264,19 +251,12 @@ impl OrderingState {
         self.causal_holdback.retain(|(s, _)| *s != sender);
     }
 
-    /// Senders with a delivery gap older than [`NACK_AFTER_US`]: returns
-    /// `(sender rank, first_missing_seq)` pairs in rank order and refreshes
-    /// their gap clocks so NACKs repeat at most once per interval.
-    pub fn overdue_gaps(&mut self, now_us: u64) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        self.overdue_gaps_into(now_us, &mut out);
-        out
-    }
-
-    /// [`Self::overdue_gaps`] appending into a caller-owned vector (the
-    /// periodic tick reuses one, so a gap-free steady state is
-    /// allocation-free).
-    pub fn overdue_gaps_into(&mut self, now_us: u64, out: &mut Vec<(usize, u64)>) {
+    /// Senders with a delivery gap older than [`NACK_AFTER_US`]: appends
+    /// `(sender rank, first_missing_seq)` pairs in rank order to a
+    /// caller-owned vector (the periodic tick reuses one, so a gap-free
+    /// steady state is allocation-free) and refreshes their gap clocks so
+    /// NACKs repeat at most once per interval.
+    pub fn overdue_gaps(&mut self, now_us: u64, out: &mut Vec<(usize, u64)>) {
         for (sender, fifo) in self.per_sender.iter_mut().enumerate() {
             if let (Some(since), true) = (fifo.gap_since_us, fifo.synced) {
                 if !fifo.holdback.is_empty() && now_us.saturating_sub(since) >= NACK_AFTER_US {
@@ -307,6 +287,24 @@ mod tests {
         Addr::daemon(NodeId(n))
     }
 
+    fn cast(
+        st: &mut OrderingState,
+        sender: usize,
+        seq: u64,
+        data: CastData,
+        now: u64,
+    ) -> Vec<Delivered> {
+        let mut out = Vec::new();
+        st.on_cast(sender, seq, data, now, &mut out);
+        out
+    }
+
+    fn gaps(st: &mut OrderingState, now: u64) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        st.overdue_gaps(now, &mut out);
+        out
+    }
+
     fn fifo_cast(origin: u32, seq: u64) -> CastData {
         CastData {
             id: BcastId {
@@ -324,7 +322,7 @@ mod tests {
     fn in_order_fifo_delivers_immediately() {
         let mut st = OrderingState::new(4);
         for s in 0..3 {
-            let out = st.on_cast(1, s, fifo_cast(1, s), 0);
+            let out = cast(&mut st, 1, s, fifo_cast(1, s), 0);
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].id.seq, s);
         }
@@ -334,10 +332,10 @@ mod tests {
     fn out_of_order_fifo_held_back_then_released() {
         let mut st = OrderingState::new(4);
         // Adopt stream at 0.
-        assert_eq!(st.on_cast(1, 0, fifo_cast(1, 0), 0).len(), 1);
+        assert_eq!(cast(&mut st, 1, 0, fifo_cast(1, 0), 0).len(), 1);
         // Gap: 2 before 1.
-        assert!(st.on_cast(1, 2, fifo_cast(1, 2), 10).is_empty());
-        let out = st.on_cast(1, 1, fifo_cast(1, 1), 20);
+        assert!(cast(&mut st, 1, 2, fifo_cast(1, 2), 10).is_empty());
+        let out = cast(&mut st, 1, 1, fifo_cast(1, 1), 20);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.seq, 1);
         assert_eq!(out[1].id.seq, 2);
@@ -346,19 +344,19 @@ mod tests {
     #[test]
     fn duplicates_dropped() {
         let mut st = OrderingState::new(4);
-        assert_eq!(st.on_cast(1, 0, fifo_cast(1, 0), 0).len(), 1);
-        assert!(st.on_cast(1, 0, fifo_cast(1, 0), 1).is_empty());
+        assert_eq!(cast(&mut st, 1, 0, fifo_cast(1, 0), 0).len(), 1);
+        assert!(cast(&mut st, 1, 0, fifo_cast(1, 0), 1).is_empty());
     }
 
     #[test]
     fn first_contact_adopts_stream_position() {
         let mut st = OrderingState::new(4);
         // A late joiner first hears seq 41.
-        let out = st.on_cast(1, 41, fifo_cast(1, 41), 0);
+        let out = cast(&mut st, 1, 41, fifo_cast(1, 41), 0);
         assert_eq!(out.len(), 1);
         // 40 is now "duplicate" territory.
-        assert!(st.on_cast(1, 40, fifo_cast(1, 40), 1).is_empty());
-        assert_eq!(st.on_cast(1, 42, fifo_cast(1, 42), 2).len(), 1);
+        assert!(cast(&mut st, 1, 40, fifo_cast(1, 40), 1).is_empty());
+        assert_eq!(cast(&mut st, 1, 42, fifo_cast(1, 42), 2).len(), 1);
     }
 
     #[test]
@@ -368,11 +366,11 @@ mod tests {
         st.sync_stream(1, 0);
         // First cast seen is seq 1 (seq 0 was dropped): held back, not
         // adopted.
-        assert!(st.on_cast(1, 1, fifo_cast(1, 1), 100).is_empty());
+        assert!(cast(&mut st, 1, 1, fifo_cast(1, 1), 100).is_empty());
         // The gap is NACKable...
-        assert_eq!(st.overdue_gaps(100 * NACK_AFTER_US), vec![(1, 0)]);
+        assert_eq!(gaps(&mut st, 100 * NACK_AFTER_US), vec![(1, 0)]);
         // ...and the retransmit releases both in order.
-        let out = st.on_cast(1, 0, fifo_cast(1, 0), 200 * NACK_AFTER_US);
+        let out = cast(&mut st, 1, 0, fifo_cast(1, 0), 200 * NACK_AFTER_US);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.seq, 0);
         assert_eq!(out[1].id.seq, 1);
@@ -381,11 +379,11 @@ mod tests {
     #[test]
     fn sync_stream_is_inert_once_casts_flow() {
         let mut st = OrderingState::new(4);
-        assert_eq!(st.on_cast(1, 0, fifo_cast(1, 0), 0).len(), 1);
+        assert_eq!(cast(&mut st, 1, 0, fifo_cast(1, 0), 0).len(), 1);
         // A stale (or fresher) advertisement must not rewind/skip.
         st.sync_stream(1, 0);
         st.sync_stream(1, 7);
-        assert_eq!(st.on_cast(1, 1, fifo_cast(1, 1), 10).len(), 1);
+        assert_eq!(cast(&mut st, 1, 1, fifo_cast(1, 1), 10).len(), 1);
     }
 
     #[test]
@@ -393,32 +391,32 @@ mod tests {
         let mut st = OrderingState::new(4);
         // A joiner first hears a heartbeat advertising fifo_next = 41.
         st.sync_stream(1, 41);
-        assert_eq!(st.on_cast(1, 41, fifo_cast(1, 41), 0).len(), 1);
+        assert_eq!(cast(&mut st, 1, 41, fifo_cast(1, 41), 0).len(), 1);
         // Older history is duplicate territory, as with adoption.
-        assert!(st.on_cast(1, 40, fifo_cast(1, 40), 1).is_empty());
+        assert!(cast(&mut st, 1, 40, fifo_cast(1, 40), 1).is_empty());
     }
 
     #[test]
     fn gap_triggers_nack_once_per_interval() {
         let mut st = OrderingState::new(4);
-        st.on_cast(1, 0, fifo_cast(1, 0), 0);
+        cast(&mut st, 1, 0, fifo_cast(1, 0), 0);
         let t = NACK_AFTER_US;
-        st.on_cast(1, 5, fifo_cast(1, 5), t);
-        assert!(st.overdue_gaps(t + t / 2).is_empty()); // not overdue yet
-        let n = st.overdue_gaps(2 * t + t / 2);
+        cast(&mut st, 1, 5, fifo_cast(1, 5), t);
+        assert!(gaps(&mut st, t + t / 2).is_empty()); // not overdue yet
+        let n = gaps(&mut st, 2 * t + t / 2);
         assert_eq!(n, vec![(1, 1)]);
         // Refreshed: not again immediately.
-        assert!(st.overdue_gaps(2 * t + t / 2 + t / 10).is_empty());
-        assert_eq!(st.overdue_gaps(4 * t), vec![(1, 1)]);
+        assert!(gaps(&mut st, 2 * t + t / 2 + t / 10).is_empty());
+        assert_eq!(gaps(&mut st, 4 * t), vec![(1, 1)]);
     }
 
     #[test]
     fn gap_clock_clears_when_filled() {
         let mut st = OrderingState::new(4);
-        st.on_cast(1, 0, fifo_cast(1, 0), 0);
-        st.on_cast(1, 2, fifo_cast(1, 2), 10);
-        st.on_cast(1, 1, fifo_cast(1, 1), 20);
-        assert!(st.overdue_gaps(100 * NACK_AFTER_US).is_empty());
+        cast(&mut st, 1, 0, fifo_cast(1, 0), 0);
+        cast(&mut st, 1, 2, fifo_cast(1, 2), 10);
+        cast(&mut st, 1, 1, fifo_cast(1, 1), 20);
+        assert!(gaps(&mut st, 100 * NACK_AFTER_US).is_empty());
     }
 
     fn causal_cast(origin: u32, my_count: u64, seen: &[(u32, u64)]) -> CastData {
@@ -444,10 +442,10 @@ mod tests {
         let mut st = OrderingState::new(4);
         // Node 2's message depends on node 1's first message.
         let dependent = causal_cast(2, 1, &[(1, 1)]);
-        assert!(st.on_cast(2, 0, dependent, 0).is_empty());
+        assert!(cast(&mut st, 2, 0, dependent, 0).is_empty());
         assert_eq!(st.causal_holdback_len(), 1);
         // Node 1's message arrives: both deliver, dependency first.
-        let out = st.on_cast(1, 0, causal_cast(1, 1, &[]), 10);
+        let out = cast(&mut st, 1, 0, causal_cast(1, 1, &[]), 10);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.origin, a(1));
         assert_eq!(out[1].id.origin, a(2));
@@ -457,8 +455,8 @@ mod tests {
     #[test]
     fn causal_in_order_from_one_sender() {
         let mut st = OrderingState::new(4);
-        assert_eq!(st.on_cast(1, 0, causal_cast(1, 1, &[]), 0).len(), 1);
-        assert_eq!(st.on_cast(1, 1, causal_cast(1, 2, &[]), 1).len(), 1);
+        assert_eq!(cast(&mut st, 1, 0, causal_cast(1, 1, &[]), 0).len(), 1);
+        assert_eq!(cast(&mut st, 1, 1, causal_cast(1, 2, &[]), 1).len(), 1);
         assert_eq!(st.local_vc().get(a(1)), 2);
     }
 
@@ -477,11 +475,11 @@ mod tests {
         let mut st = OrderingState::new(4);
         // fifo seqs in order (same sequencer), but pretend global seq gap:
         // adopt 5 first.
-        assert_eq!(st.on_cast(0, 0, total_cast(5), 0).len(), 1);
+        assert_eq!(cast(&mut st, 0, 0, total_cast(5), 0).len(), 1);
         // 7 held until 6 arrives.
-        assert!(st.on_cast(0, 2, total_cast(7), 1).is_empty());
+        assert!(cast(&mut st, 0, 2, total_cast(7), 1).is_empty());
         // Wait: fifo gap too (seq 1 missing). Fill fifo 1 with total 6.
-        let out = st.on_cast(0, 1, total_cast(6), 2);
+        let out = cast(&mut st, 0, 1, total_cast(6), 2);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].payload, Bytes::from_static(b"t"));
         assert_eq!(st.total_holdback_len(), 0);
@@ -490,22 +488,22 @@ mod tests {
     #[test]
     fn total_reset_adopts_new_sequencer() {
         let mut st = OrderingState::new(4);
-        assert_eq!(st.on_cast(0, 0, total_cast(5), 0).len(), 1);
+        assert_eq!(cast(&mut st, 0, 0, total_cast(5), 0).len(), 1);
         st.reset_total_order();
         // New sequencer starts numbering at 0.
         let mut c = total_cast(0);
         c.id.origin = a(3);
-        assert_eq!(st.on_cast(3, 0, c, 1).len(), 1);
+        assert_eq!(cast(&mut st, 3, 0, c, 1).len(), 1);
     }
 
     #[test]
     fn forget_sender_clears_state() {
         let mut st = OrderingState::new(4);
-        st.on_cast(1, 0, fifo_cast(1, 0), 0);
-        st.on_cast(1, 2, fifo_cast(1, 2), 1);
+        cast(&mut st, 1, 0, fifo_cast(1, 0), 0);
+        cast(&mut st, 1, 2, fifo_cast(1, 2), 1);
         st.forget_sender(1);
         // Fresh contact re-adopts.
-        assert_eq!(st.on_cast(1, 9, fifo_cast(1, 9), 2).len(), 1);
+        assert_eq!(cast(&mut st, 1, 9, fifo_cast(1, 9), 2).len(), 1);
     }
 
     #[test]
@@ -513,16 +511,16 @@ mod tests {
         let mut st = OrderingState::new(2);
         st.sync_stream(2, 0);
         st.forget_sender(2);
-        assert!(st.on_cast(2, 0, fifo_cast(2, 0), 0).is_empty());
-        assert!(st.overdue_gaps(100 * NACK_AFTER_US).is_empty());
+        assert!(cast(&mut st, 2, 0, fifo_cast(2, 0), 0).is_empty());
+        assert!(gaps(&mut st, 100 * NACK_AFTER_US).is_empty());
     }
 
     #[test]
     fn independent_senders_do_not_block_each_other() {
         let mut st = OrderingState::new(4);
-        st.on_cast(1, 0, fifo_cast(1, 0), 0);
-        st.on_cast(1, 5, fifo_cast(1, 5), 1); // gap on sender 1
-        let out = st.on_cast(2, 0, fifo_cast(2, 0), 2);
+        cast(&mut st, 1, 0, fifo_cast(1, 0), 0);
+        cast(&mut st, 1, 5, fifo_cast(1, 5), 1); // gap on sender 1
+        let out = cast(&mut st, 2, 0, fifo_cast(2, 0), 2);
         assert_eq!(out.len(), 1, "sender 2 unaffected by sender 1's gap");
     }
 }

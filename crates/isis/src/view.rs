@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use vce_codec::{Codec, Decoder, Encoder, Result};
+use vce_codec::{Codec, CodecError, Decoder, Encoder, Result};
 use vce_net::Addr;
 
 /// One group member as recorded in a view.
@@ -104,7 +104,20 @@ impl Codec for View {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let id = dec.get_uvarint()?;
         let members = Vec::<Member>::decode(dec)?;
-        Ok(View::new(id, members))
+        // Encoders write views in `View::new`'s order, so each view has one
+        // encoding: members strictly ascending by (joined_seq, addr), no
+        // address twice. Anything else is refused rather than normalized —
+        // a member listed twice would be counted twice.
+        for (index, m) in members.iter().enumerate().skip(1) {
+            let earlier = &members[..index];
+            let prev = earlier[index - 1];
+            if (prev.joined_seq, prev.addr) >= (m.joined_seq, m.addr)
+                || earlier.iter().any(|e| e.addr == m.addr)
+            {
+                return Err(CodecError::UnsortedKey { index });
+            }
+        }
+        Ok(View { id, members })
     }
 }
 
@@ -163,6 +176,48 @@ mod tests {
         let v = View::new(4, vec![m(1, 0), m(2, 1), m(3, 2)]);
         let bytes = vce_codec::to_bytes(&v);
         assert_eq!(vce_codec::from_bytes::<View>(&bytes).unwrap(), v);
+    }
+
+    #[test]
+    fn decode_refuses_what_the_encoder_never_writes() {
+        // The public fields let a frame be spelt in any order.
+        let wire = |members: Vec<Member>| vce_codec::to_bytes(&View { id: 4, members });
+        let refused = |members| vce_codec::from_bytes::<View>(&wire(members));
+        // Out of order: the younger member first.
+        assert_eq!(
+            refused(vec![m(2, 1), m(1, 0)]),
+            Err(CodecError::UnsortedKey { index: 1 })
+        );
+        // Seniority tie broken the wrong way round.
+        assert_eq!(
+            refused(vec![m(2, 0), m(1, 0)]),
+            Err(CodecError::UnsortedKey { index: 1 })
+        );
+        // Ascending, but one address under two joined_seqs.
+        assert_eq!(
+            refused(vec![m(1, 0), m(2, 1), m(1, 2)]),
+            Err(CodecError::UnsortedKey { index: 2 })
+        );
+        assert_eq!(
+            refused(vec![m(1, 0), m(1, 5)]),
+            Err(CodecError::UnsortedKey { index: 1 })
+        );
+        // The same refusal reaches a whole ViewInstall frame.
+        let install = crate::IsisMsg::ViewInstall {
+            view: View {
+                id: 4,
+                members: vec![m(1, 0), m(2, 1), m(1, 2)],
+            },
+        };
+        assert!(vce_codec::from_bytes::<crate::IsisMsg>(&vce_codec::to_bytes(&install)).is_err());
+        // The honest spelling of each decodes to itself.
+        for members in [vec![m(1, 0), m(2, 1)], vec![m(1, 0), m(2, 0), m(3, 9)]] {
+            let v = View::new(4, members);
+            assert_eq!(
+                vce_codec::from_bytes::<View>(&vce_codec::to_bytes(&v)),
+                Ok(v)
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ fn coordinator() -> (GroupMember, MockHost, BcastId) {
     let mut gm = GroupMember::new(addr(0), GroupConfig::new((0..3).map(addr).collect()));
     gm.start(&mut host);
     host.now = 1_000_000;
-    let ups = gm.on_timer(ISIS_TOKEN_BASE, &mut host);
+    let mut ups = Vec::new();
+    gm.on_timer(ISIS_TOKEN_BASE, &mut host, &mut ups);
     assert!(matches!(
         ups.as_slice(),
         [Upcall::ViewInstalled(_), Upcall::BecameCoordinator(_)]
@@ -96,14 +97,16 @@ fn a_non_candidate_cannot_touch_the_group() {
     let (mut gm, mut host, open) = coordinator();
     for msg in every_variant(open) {
         let (hash, before) = (gm.snapshot_hash(), effects(&host));
-        let ups = gm.handle(addr(9), msg.clone(), &mut host);
+        let mut ups = Vec::new();
+        gm.handle(addr(9), msg.clone(), &mut host, &mut ups);
         assert!(ups.is_empty(), "{msg:?} from an outsider produced {ups:?}");
         assert_eq!(effects(&host), before, "{msg:?} reached the host");
         assert_eq!(gm.snapshot_hash(), hash, "{msg:?} changed state");
     }
     // It never became a joiner either: ticks go by and the view stays.
     host.now += 200_000;
-    let ups = gm.on_timer(ISIS_TOKEN_BASE, &mut host);
+    let mut ups = Vec::new();
+    gm.on_timer(ISIS_TOKEN_BASE, &mut host, &mut ups);
     assert!(ups.is_empty(), "{ups:?}");
     assert_eq!(gm.view().len(), 1);
 }
@@ -130,7 +133,8 @@ fn the_same_messages_from_a_candidate_do_something() {
             other => other,
         };
         let (hash, before) = (gm.snapshot_hash(), effects(&host));
-        let ups = gm.handle(addr(1), msg, &mut host);
+        let mut ups = Vec::new();
+        gm.handle(addr(1), msg, &mut host, &mut ups);
         assert!(
             !ups.is_empty() || effects(&host) != before || gm.snapshot_hash() != hash,
             "variant {i} from a candidate left no trace"
@@ -153,7 +157,8 @@ fn a_refused_heartbeat_changes_nothing() {
     });
     // What a daemon does with an isis frame: decode, then handle.
     let deliver = |gm: &mut GroupMember, host: &mut MockHost, wire: &[u8]| {
-        vce_codec::from_bytes::<IsisMsg>(wire).map(|msg| gm.handle(addr(1), msg, host))
+        vce_codec::from_bytes::<IsisMsg>(wire)
+            .map(|msg| gm.handle(addr(1), msg, host, &mut Vec::new()))
     };
     let (mut gm, mut host, _) = coordinator();
     let (hash, before) = (gm.snapshot_hash(), effects(&host));
@@ -185,7 +190,8 @@ fn a_view_naming_a_non_candidate_is_ignored_whole() {
             .collect(),
     );
     let before = gm.view().clone();
-    let ups = gm.handle(addr(1), IsisMsg::ViewInstall { view }, &mut host);
+    let mut ups = Vec::new();
+    gm.handle(addr(1), IsisMsg::ViewInstall { view }, &mut host, &mut ups);
     assert!(ups.is_empty(), "{ups:?}");
     assert_eq!(gm.view(), &before);
     assert!(gm.is_coordinator());
@@ -198,7 +204,7 @@ fn a_view_naming_a_non_candidate_is_ignored_whole() {
 fn a_closed_collect_is_re_sent_without_its_question() {
     let (mut gm, mut host, open) = coordinator();
     let resent = |gm: &mut GroupMember, host: &mut MockHost, expected| {
-        gm.handle(addr(1), IsisMsg::Nack { expected }, host);
+        gm.handle(addr(1), IsisMsg::Nack { expected }, host, &mut Vec::new());
         match vce_codec::from_bytes(&host.sent.last().expect("a re-send").2) {
             Ok(IsisMsg::Cast {
                 id,
@@ -212,10 +218,20 @@ fn a_closed_collect_is_re_sent_without_its_question() {
     let asked = resent(&mut gm, &mut host, 0);
     assert_eq!(asked, (open, 0, Bytes::from_static(b"bids?")));
     let reply = |payload| IsisMsg::Reply { to: open, payload };
-    assert!(gm
-        .handle(addr(1), reply(Bytes::from_static(b"a")), &mut host)
-        .is_empty());
-    let ups = gm.handle(addr(2), reply(Bytes::from_static(b"b")), &mut host);
+    let mut ups = Vec::new();
+    gm.handle(
+        addr(1),
+        reply(Bytes::from_static(b"a")),
+        &mut host,
+        &mut ups,
+    );
+    assert!(ups.is_empty(), "{ups:?}");
+    gm.handle(
+        addr(2),
+        reply(Bytes::from_static(b"b")),
+        &mut host,
+        &mut ups,
+    );
     assert!(matches!(ups.as_slice(), [Upcall::CollectDone(done)] if done.replies.len() == 2));
     assert_eq!(resent(&mut gm, &mut host, 0), (open, 0, Bytes::new()));
     // The same when the deadline closes it, short of replies.
@@ -230,7 +246,8 @@ fn a_closed_collect_is_re_sent_without_its_question() {
     let deadline = host.timers.last().expect("the collect's deadline").1;
     let asked = resent(&mut gm, &mut host, 1);
     assert_eq!(asked, (late, 1, Bytes::from_static(b"more bids?")));
-    let ups = gm.on_timer(deadline, &mut host);
+    ups.clear();
+    gm.on_timer(deadline, &mut host, &mut ups);
     assert!(matches!(ups.as_slice(), [Upcall::CollectDone(done)] if done.timed_out));
     assert_eq!(resent(&mut gm, &mut host, 1), (late, 1, Bytes::new()));
 }

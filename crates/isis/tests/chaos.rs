@@ -20,12 +20,12 @@ impl Endpoint for Member {
     }
     fn on_envelope(&mut self, env: Envelope, host: &mut dyn Host) {
         if let Ok(msg) = from_bytes::<IsisMsg>(&env.payload) {
-            let _ = self.gm.handle(env.src, msg, host);
+            self.gm.handle(env.src, msg, host, &mut Vec::new());
         }
     }
     fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
         assert!(is_isis_token(token));
-        let _ = self.gm.on_timer(token, host);
+        self.gm.on_timer(token, host, &mut Vec::new());
     }
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)

@@ -100,12 +100,14 @@ impl Endpoint for TestMember {
     }
     fn on_envelope(&mut self, env: Envelope, host: &mut dyn Host) {
         let msg: IsisMsg = from_bytes(&env.payload).expect("isis msg");
-        let ups = self.gm.handle(env.src, msg, host);
+        let mut ups = Vec::new();
+        self.gm.handle(env.src, msg, host, &mut ups);
         self.process(ups, host);
     }
     fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
         assert!(is_isis_token(token));
-        let ups = self.gm.on_timer(token, host);
+        let mut ups = Vec::new();
+        self.gm.on_timer(token, host, &mut ups);
         self.process(ups, host);
         self.drain_pending(host);
     }

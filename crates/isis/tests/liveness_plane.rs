@@ -86,15 +86,17 @@ impl Endpoint for Member {
             _ => "other",
         };
         let now = host.now_us();
-        let ups = self
-            .gm
-            .handle(env.src, msg, &mut self.seen.tap(host, Some(what)));
+        let mut ups = Vec::new();
+        self.gm
+            .handle(env.src, msg, &mut self.seen.tap(host, Some(what)), &mut ups);
         self.record(now, ups);
     }
     fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
         assert!(is_isis_token(token));
         let now = host.now_us();
-        let ups = self.gm.on_timer(token, &mut self.seen.tap(host, None));
+        let mut ups = Vec::new();
+        self.gm
+            .on_timer(token, &mut self.seen.tap(host, None), &mut ups);
         self.record(now, ups);
     }
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {

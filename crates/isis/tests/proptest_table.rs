@@ -539,8 +539,11 @@ proptest! {
         let mut gm = GroupMember::new(addr(me), cfg.clone());
         let mut model = Model::new(addr(me), cfg);
         boot(&mut gm, &mut model, &mut host);
+        // The model holds the table, not the upcalls: they are dropped.
+        let mut ups = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
+            ups.clear();
             let view_id = |delta: i64| model.view.id.saturating_add_signed(delta);
             match op {
                 Op::Advance(dt) => host.now += dt,
@@ -553,7 +556,7 @@ proptest! {
                         fifo_next: 0,
                     };
                     model.handle(addr(*src), &msg, host.now);
-                    gm.handle(addr(*src), msg, &mut host);
+                    gm.handle(addr(*src), msg, &mut host, &mut ups);
                 }
                 Op::Install { src, view_delta, members } => {
                     let members = members
@@ -564,18 +567,18 @@ proptest! {
                         view: View::new(view_id(*view_delta), members),
                     };
                     model.handle(addr(*src), &msg, host.now);
-                    gm.handle(addr(*src), msg, &mut host);
+                    gm.handle(addr(*src), msg, &mut host, &mut ups);
                 }
                 Op::Solicit { src } => {
                     model.handle(addr(*src), &IsisMsg::Solicit, host.now);
-                    gm.handle(addr(*src), IsisMsg::Solicit, &mut host);
+                    gm.handle(addr(*src), IsisMsg::Solicit, &mut host, &mut ups);
                 }
                 Op::Tick => {
-                    gm.on_timer(TOKEN_TICK, &mut host);
+                    gm.on_timer(TOKEN_TICK, &mut host, &mut ups);
                     model.tick(host.now);
                 }
                 Op::Sweep => {
-                    gm.on_timer(TOKEN_QUARANTINE_SWEEP, &mut host);
+                    gm.on_timer(TOKEN_QUARANTINE_SWEEP, &mut host, &mut ups);
                     model.sweep(host.now);
                 }
                 Op::Reboot => boot(&mut gm, &mut model, &mut host),

@@ -176,15 +176,6 @@ impl Cpu {
             .min_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
     }
 
-    /// Jobs owned by one endpoint port: `(pid, remaining_mops)` pairs.
-    pub fn jobs_of_port(&self, port: PortId) -> Vec<(u64, f64)> {
-        self.jobs
-            .iter()
-            .filter(|((p, _), _)| *p == port)
-            .map(|(&(_, pid), j)| (pid, j.remaining_mops))
-            .collect()
-    }
-
     /// Keys of jobs whose remaining work is numerically zero (≤ 1e-9 Mops —
     /// one nanop of slack absorbs floating-point residue from sharing).
     /// Replaces the contents of `out`, so a caller on the event path can

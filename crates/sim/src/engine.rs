@@ -6,10 +6,9 @@
 //! sequence of `add_*`/`kill_*`/`inject` calls) — **independent of the
 //! shard count**. Every event carries a *cause key* derived from its
 //! creator (see [`crate::shard`]); the global total order is `(at_us,
-//! cause)`, and shards advance in conservative time windows sized by the
-//! adaptive lookahead plan (`crate::lookahead` — at least
-//! [`Topology::min_cross_latency_us`], wider on clustered fleets) so
-//! cross-shard events always land in a later window. Traces, experiment
+//! cause)`, and shards advance in conservative time windows
+//! [`Topology::min_cross_latency_us`] wide, so cross-shard events always
+//! land in a later window. Traces, experiment
 //! stdout and chaos invariants are byte-identical for `shards` ∈ {1, 2, 4,
 //! 8}; every shard count advances through the one window loop in
 //! [`crate::sharded`], which with `shards = 1` runs on the caller's thread
@@ -32,7 +31,6 @@ use bytes::Bytes;
 use vce_net::{Addr, Endpoint, Envelope, FaultPlan, MachineInfo, NetStats, NodeId};
 
 use crate::load::LoadTrace;
-use crate::lookahead::LookaheadPlan;
 use crate::metrics::NodeMetrics;
 use crate::queue::QueueStats;
 use crate::record::{EventRecord, SnapshotRecord, TraceWriter};
@@ -82,7 +80,6 @@ impl Default for SimConfig {
 pub struct Sim {
     now: u64,
     shards: Vec<Shard>,
-    topology: Arc<Topology>,
     /// Canonical fault plan (driver's view). Shards hold replicas, updated
     /// op-wise at fences; [`Sim::with_fault_plan`] re-clones wholesale.
     fault: FaultPlan,
@@ -90,15 +87,11 @@ pub struct Sim {
     fences: BTreeMap<(u64, u64), vce_net::FaultOp>,
     /// Driver cause counter (origin 0): injections, fences, driver kills.
     driver_seq: u64,
-    /// Conservative window width: the cheapest latency any *realizable*
-    /// cross-shard pair can achieve, per the site-occupancy plan below.
-    /// Unbounded while no such pair exists (one shard, or no node yet) and
-    /// recomputed whenever a node registration grows a shard's site set;
-    /// never narrower than [`Topology::min_cross_latency_us`].
+    /// Conservative window width: the link floor
+    /// [`Topology::min_cross_latency_us`], unbounded with one shard (no
+    /// message can cross shards, so only fences and the run bound cut
+    /// windows).
     lookahead: u64,
-    /// Which sites each shard hosts (sources) and owns (destinations) —
-    /// the adaptive-window planner behind `lookahead`.
-    lookahead_plan: LookaheadPlan,
     /// Master trace, appended in global `(at_us, phase, cause)` order at
     /// every sync point.
     trace: Trace,
@@ -156,11 +149,12 @@ impl Sim {
     /// Build an empty simulator.
     pub fn new(config: SimConfig) -> Self {
         let shards = config.shards.clamp(1, 64);
+        let lookahead = if shards == 1 {
+            u64::MAX
+        } else {
+            config.topology.min_cross_latency_us()
+        };
         let topology = Arc::new(config.topology);
-        let lookahead_plan = LookaheadPlan::new(shards, &topology);
-        // No node is registered yet, so the window is unbounded;
-        // add_node_with_load narrows it as site occupancy becomes known.
-        let lookahead = lookahead_plan.window_us(&topology);
         Self {
             now: 0,
             shards: (0..shards)
@@ -174,12 +168,10 @@ impl Sim {
                     )
                 })
                 .collect(),
-            topology,
             fault: FaultPlan::none(),
             fences: BTreeMap::new(),
             driver_seq: 0,
             lookahead,
-            lookahead_plan,
             trace: if config.trace_enabled {
                 Trace::new()
             } else {
@@ -295,19 +287,12 @@ impl Sim {
     }
 
     /// Width of the conservative time window the sharded runner advances
-    /// through per barrier round, in µs. At least
-    /// [`Topology::min_cross_latency_us`]; wider when the registered fleet
-    /// is clustered so that every realizable cross-shard message crosses a
-    /// site boundary, and `u64::MAX` when no message can cross shards at
-    /// all (see `crate::lookahead`). Purely diagnostic — output is
-    /// byte-identical whatever the window width.
+    /// through per barrier round, in µs: [`Topology::min_cross_latency_us`],
+    /// or `u64::MAX` with one shard, where no message can cross shards.
+    /// Purely diagnostic — output is byte-identical whatever the window
+    /// width.
     pub fn window_lookahead_us(&self) -> u64 {
         self.lookahead
-    }
-
-    /// Number of shards the simulator is running with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Total events processed so far, summed across shards. Independent of
@@ -358,10 +343,6 @@ impl Sim {
     /// Register a machine and schedule its background-load trace.
     pub fn add_node_with_load(&mut self, info: MachineInfo, load: LoadTrace) {
         let owner = shard_of(info.node, self.shards.len());
-        let site = self.topology.site_of(info.node);
-        if self.lookahead_plan.note_node(owner, site) {
-            self.lookahead = self.lookahead_plan.window_us(&self.topology);
-        }
         let now = self.now;
         self.shards[owner].add_node_with_load(info, &load, now);
     }
@@ -401,12 +382,6 @@ impl Sim {
     /// Revive a crashed machine and re-run `on_start` on its endpoints.
     pub fn revive_node(&mut self, node: NodeId) {
         self.apply_fence_now(vce_net::FaultOp::Revive(node));
-    }
-
-    /// Degrade a machine's CPU immediately: work takes `factor`× longer
-    /// (`factor == 1` restores full speed). The node stays alive.
-    pub fn slow_node(&mut self, node: NodeId, factor: u32) {
-        self.apply_fence_now(vce_net::FaultOp::SlowNode(node, factor));
     }
 
     /// Apply a fault op at driver time (now), on the canonical plan and
@@ -590,11 +565,6 @@ impl Sim {
             }
         }
     }
-
-    /// The latency model in use.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
 }
 
 #[cfg(test)]
@@ -756,86 +726,40 @@ mod tests {
         }
     }
 
-    /// A clustered campus fleet whose modulo shard assignment is site-pure
-    /// (even ids = site 1, odd ids = site 2, two shards), run at a given
-    /// shard count. On two shards the adaptive plan widens the window to
-    /// the campus inter-site base; output must not care.
-    fn clustered_fingerprint(shards: usize) -> (u64, u64, vce_net::stats::StatsSnapshot, String) {
-        let mut topo = crate::topology::Topology::two_tier(
-            crate::topology::LinkParams::lan_1994(),
-            crate::topology::LinkParams::campus_1994(),
-        );
-        let n_nodes = 8u32;
-        for n in 0..n_nodes {
-            topo.set_site(NodeId(n), 1 + n % 2);
-        }
-        let mut sim = Sim::new(SimConfig {
-            seed: 11,
-            topology: topo,
-            trace_enabled: true,
-            shards,
-        });
-        for n in 0..n_nodes {
-            sim.add_node(MachineInfo::workstation(NodeId(n), 100.0));
-        }
-        if shards == 2 {
-            // Site-pure shards: every cross-shard hop crosses sites, so the
-            // window is the campus base, 5× the global floor.
-            assert_eq!(sim.window_lookahead_us(), 5_000);
-        } else {
-            assert!(sim.window_lookahead_us() >= 1_000);
-        }
-        for n in 0..n_nodes {
-            sim.add_endpoint(
-                Addr::daemon(NodeId(n)),
-                Box::new(Counter {
-                    me: Addr::daemon(NodeId(n)),
-                    cap: 200,
-                    last_seen: 0,
-                    finish_time: None,
-                }),
-            );
-        }
-        sim.with_fault_plan(|p| {
-            p.default_link.jitter_us = 700;
-            p.default_link.dup_prob = 0.04;
-        });
-        // Chains that alternate sites every hop (odd stride) and chains
-        // that stay within a site (even stride).
-        for n in 0..n_nodes {
-            sim.inject(
-                Addr::daemon(NodeId(n)),
-                Addr::daemon(NodeId((n + 1) % n_nodes)),
-                &0u64,
-            );
-            sim.inject(
-                Addr::daemon(NodeId(n)),
-                Addr::daemon(NodeId((n + 2) % n_nodes)),
-                &0u64,
-            );
-        }
-        sim.schedule_fault(200_000, vce_net::FaultOp::Kill(NodeId(2)));
-        sim.schedule_fault(400_000, vce_net::FaultOp::Revive(NodeId(2)));
-        sim.run_until(900_000);
-        sim.run_until_idle();
-        (
-            sim.now_us(),
-            sim.events_processed(),
-            sim.stats().snapshot(),
-            sim.trace().dump(),
-        )
-    }
-
     #[test]
-    fn adaptive_lookahead_widens_on_clustered_fleet_without_changing_output() {
-        let baseline = clustered_fingerprint(1);
-        assert!(baseline.1 > 0, "workload generated no events");
-        for shards in [2, 4, 8] {
-            let got = clustered_fingerprint(shards);
-            assert_eq!(baseline.0, got.0, "final time diverged at {shards} shards");
-            assert_eq!(baseline.1, got.1, "event count diverged at {shards} shards");
-            assert_eq!(baseline.2, got.2, "net stats diverged at {shards} shards");
-            assert_eq!(baseline.3, got.3, "trace diverged at {shards} shards");
+    fn window_is_unbounded_at_one_shard_and_the_link_floor_above() {
+        use crate::topology::LinkParams;
+        let links = [
+            LinkParams::lan_1994(),
+            LinkParams {
+                base_us: 333,
+                per_kib_us: 7,
+            },
+            // Zero-cost links clamp to the 1 µs floor, never a 0-wide window.
+            LinkParams {
+                base_us: 0,
+                per_kib_us: 0,
+            },
+        ];
+        for link in links {
+            let topology = Topology::uniform(link);
+            let floor = topology.min_cross_latency_us();
+            assert_eq!(floor, link.base_us.max(1));
+            for shards in [1, 2, 4, 8] {
+                let mut sim = Sim::new(SimConfig {
+                    seed: 0,
+                    topology: topology.clone(),
+                    trace_enabled: false,
+                    shards,
+                });
+                let want = if shards == 1 { u64::MAX } else { floor };
+                assert_eq!(sim.window_lookahead_us(), want, "S={shards}, {link:?}");
+                // Registering machines never moves the window.
+                for n in 0..9 {
+                    sim.add_node(MachineInfo::workstation(NodeId(n), 100.0));
+                }
+                assert_eq!(sim.window_lookahead_us(), want, "S={shards}, {link:?}");
+            }
         }
     }
 

@@ -42,7 +42,6 @@
 pub mod cpu;
 pub mod engine;
 pub mod load;
-mod lookahead;
 pub mod metrics;
 pub mod queue;
 pub mod record;

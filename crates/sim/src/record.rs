@@ -333,11 +333,6 @@ impl TraceWriter {
         self.write_frame(FrameKind::Snapshot)
     }
 
-    /// Events written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
     /// Write the `End` frame, flush, and return the recording (memory
     /// sinks return their bytes; file sinks return `None`).
     pub fn finish(mut self, sim_hash: u64, now_us: u64) -> io::Result<Option<Vec<u8>>> {

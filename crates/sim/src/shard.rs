@@ -4,7 +4,7 @@
 //! The engine (see `DESIGN.md` decision 17) partitions nodes across `S`
 //! shards by `NodeId % S` and advances all shards in lock-step
 //! *conservative time windows* of width `lookahead` — the cheapest latency
-//! any realizable cross-shard message can have (`crate::lookahead`).
+//! any cross-node message can have ([`Topology::min_cross_latency_us`]).
 //! Everything a node does lands either on itself (timers, CPU checks, load
 //! changes — always intra-shard) or on a peer reached through the network,
 //! and a peer on another shard is at least `lookahead` away; therefore no

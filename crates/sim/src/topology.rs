@@ -1,12 +1,10 @@
 //! Network latency/bandwidth model.
 //!
 //! A 1994 department LAN (the paper's testbed) is well modelled by a uniform
-//! base latency plus a per-byte serialization cost; campus-scale VCEs add a
-//! cluster structure (machines in the same machine room are closer). Both
-//! are supported: nodes may be assigned to *sites*, with intra-site and
-//! inter-site parameters.
-
-use std::collections::BTreeMap;
+//! base latency plus a per-byte serialization cost: every pair of distinct
+//! nodes uses one [`LinkParams`], and a node talking to itself pays only a
+//! loopback cost. The cheapest cross-node latency is also the sharded
+//! engine's conservative window width (see [`Topology::min_cross_latency_us`]).
 
 use vce_net::NodeId;
 
@@ -28,14 +26,6 @@ impl LinkParams {
         }
     }
 
-    /// Campus backbone between sites: ~5 ms base.
-    pub fn campus_1994() -> Self {
-        Self {
-            base_us: 5_000,
-            per_kib_us: 1_000,
-        }
-    }
-
     /// Latency of a `bytes`-byte message on this link.
     pub fn latency_us(&self, bytes: usize) -> u64 {
         self.base_us + (bytes as u64 * self.per_kib_us) / 1024
@@ -45,10 +35,7 @@ impl LinkParams {
 /// Fleet communication topology.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    intra: LinkParams,
-    inter: LinkParams,
-    /// Site id per node; absent ⇒ site 0.
-    sites: BTreeMap<NodeId, u32>,
+    link: LinkParams,
     /// Loopback cost (same node), typically ~free.
     local_us: u64,
 }
@@ -61,46 +48,8 @@ impl Default for Topology {
 
 impl Topology {
     /// Every pair of distinct nodes uses the same link parameters.
-    pub fn uniform(params: LinkParams) -> Self {
-        Self {
-            intra: params,
-            inter: params,
-            sites: BTreeMap::new(),
-            local_us: 10,
-        }
-    }
-
-    /// Two-tier topology: `intra` within a site, `inter` across sites.
-    pub fn two_tier(intra: LinkParams, inter: LinkParams) -> Self {
-        Self {
-            intra,
-            inter,
-            sites: BTreeMap::new(),
-            local_us: 10,
-        }
-    }
-
-    /// Assign a node to a site (default site is 0).
-    pub fn set_site(&mut self, node: NodeId, site: u32) {
-        if site == 0 {
-            self.sites.remove(&node);
-        } else {
-            self.sites.insert(node, site);
-        }
-    }
-
-    /// Site of a node.
-    pub fn site_of(&self, node: NodeId) -> u32 {
-        self.sites.get(&node).copied().unwrap_or(0)
-    }
-
-    /// The explicit node → site assignments (nodes absent from the map are
-    /// site 0). The adaptive lookahead planner walks this at construction
-    /// to learn which sites each shard could ever *deliver* to — including
-    /// nodes that are assigned a site but never registered, whose traffic
-    /// still routes to (and drops at) their modulo owner.
-    pub(crate) fn site_map(&self) -> &BTreeMap<NodeId, u32> {
-        &self.sites
+    pub fn uniform(link: LinkParams) -> Self {
+        Self { link, local_us: 10 }
     }
 
     /// One-way latency for a `bytes`-byte message from `src` to `dst`.
@@ -116,12 +65,7 @@ impl Topology {
         if src == dst {
             return self.local_us;
         }
-        let params = if self.site_of(src) == self.site_of(dst) {
-            self.intra
-        } else {
-            self.inter
-        };
-        params.latency_us(bytes).max(1)
+        self.link.latency_us(bytes).max(1)
     }
 
     /// The minimum possible cross-node latency under this topology — the
@@ -134,20 +78,7 @@ impl Topology {
     /// changes shard, so loopback traffic can never cross a shard boundary.
     /// Never returns 0 (see [`Topology::latency_us`] for the clamp).
     pub fn min_cross_latency_us(&self) -> u64 {
-        self.intra.base_us.min(self.inter.base_us).max(1)
-    }
-
-    /// The minimum latency any message from a node in site `a` to a node
-    /// in site `b` can experience — the per-site-pair refinement of
-    /// [`Topology::min_cross_latency_us`]. The adaptive lookahead planner
-    /// (`crate::lookahead`) takes the minimum of this over the site pairs a
-    /// shard pair can actually realize, which on clustered fleets is the
-    /// inter-site base — a much wider conservative window than the global
-    /// floor. Clamped to ≥ 1 µs like [`Topology::latency_us`], so the two
-    /// can never disagree about a zero-cost link.
-    pub fn min_site_pair_latency_us(&self, a: u32, b: u32) -> u64 {
-        let params = if a == b { self.intra } else { self.inter };
-        params.base_us.max(1)
+        self.link.base_us.max(1)
     }
 }
 
@@ -171,31 +102,15 @@ mod tests {
     }
 
     #[test]
-    fn two_tier_charges_more_across_sites() {
-        let mut t = Topology::two_tier(LinkParams::lan_1994(), LinkParams::campus_1994());
-        t.set_site(NodeId(1), 1);
-        let same = t.latency_us(NodeId(0), NodeId(2), 0); // both site 0
-        let cross = t.latency_us(NodeId(0), NodeId(1), 0);
-        assert_eq!(same, 1_000);
-        assert_eq!(cross, 5_000);
-    }
-
-    #[test]
-    fn site_zero_is_default_and_resettable() {
-        let mut t = Topology::default();
-        assert_eq!(t.site_of(NodeId(9)), 0);
-        t.set_site(NodeId(9), 3);
-        assert_eq!(t.site_of(NodeId(9)), 3);
-        t.set_site(NodeId(9), 0);
-        assert_eq!(t.site_of(NodeId(9)), 0);
-    }
-
-    #[test]
     fn min_cross_latency_is_cheapest_link_class() {
-        let t = Topology::two_tier(LinkParams::lan_1994(), LinkParams::campus_1994());
-        assert_eq!(t.min_cross_latency_us(), 1_000);
-        let u = Topology::default();
-        assert_eq!(u.min_cross_latency_us(), 1_000);
+        assert_eq!(Topology::default().min_cross_latency_us(), 1_000);
+        let t = Topology::uniform(LinkParams {
+            base_us: 250,
+            per_kib_us: 4_000,
+        });
+        assert_eq!(t.min_cross_latency_us(), 250);
+        // The floor is the cheapest message the link carries: an empty one.
+        assert_eq!(t.latency_us(NodeId(0), NodeId(1), 0), 250);
     }
 
     #[test]
@@ -212,36 +127,8 @@ mod tests {
         let t = Topology::uniform(zero);
         assert_eq!(t.min_cross_latency_us(), 1);
         assert_eq!(t.latency_us(NodeId(0), NodeId(1), 0), 1);
-        // Same-site pairs in a two-tier topology with a zero-cost intra
-        // link: still clamped.
-        let mixed = Topology::two_tier(zero, LinkParams::campus_1994());
-        assert_eq!(mixed.min_cross_latency_us(), 1);
-        assert_eq!(mixed.latency_us(NodeId(0), NodeId(1), 0), 1);
         // Loopback is unaffected by the clamp and by the lookahead.
         assert_eq!(t.latency_us(NodeId(2), NodeId(2), 64), 10);
-    }
-
-    #[test]
-    fn site_pair_minimum_matches_link_classes() {
-        let t = Topology::two_tier(LinkParams::lan_1994(), LinkParams::campus_1994());
-        assert_eq!(t.min_site_pair_latency_us(1, 1), 1_000);
-        assert_eq!(t.min_site_pair_latency_us(0, 0), 1_000);
-        assert_eq!(t.min_site_pair_latency_us(1, 2), 5_000);
-        assert_eq!(t.min_site_pair_latency_us(2, 1), 5_000);
-        // Zero-cost links clamp exactly like latency_us does.
-        let zero = LinkParams {
-            base_us: 0,
-            per_kib_us: 0,
-        };
-        let z = Topology::two_tier(zero, zero);
-        assert_eq!(z.min_site_pair_latency_us(3, 3), 1);
-        assert_eq!(z.min_site_pair_latency_us(3, 4), 1);
-        // The global floor is the min over all pairs, same or cross.
-        assert_eq!(
-            t.min_cross_latency_us(),
-            t.min_site_pair_latency_us(1, 1)
-                .min(t.min_site_pair_latency_us(1, 2))
-        );
     }
 
     #[test]

@@ -1,21 +1,16 @@
 //! Property gate for the sharded engine: on **random topologies** (random
-//! site assignments, random intra/inter link costs down to the zero-cost
-//! degenerate case, random jitter/drop/duplicate link faults, random
-//! crash/revive schedules) a sharded run must be indistinguishable from
-//! the serial run — same event count, same final clock, same network
-//! stats, same trace, byte for byte.
+//! link costs down to the zero-cost degenerate case, random
+//! jitter/drop/duplicate link faults, random crash/revive schedules) a
+//! sharded run must be indistinguishable from the serial run — same event
+//! count, same final clock, same network stats, same trace, byte for byte.
 //!
 //! The conservative-window invariant — *no cross-shard event ever lands
 //! inside the window that produced it* — is enforced by an always-on
 //! assert in the engine's cross-shard enqueue path (`push_or_remote` in
 //! `shard.rs`), so every sharded case here is also a direct test of the
 //! barrier rule: a topology whose minimum cross-node latency undercut the
-//! lookahead would abort the run rather than silently diverge. Since the
-//! lookahead is now *adaptive* (sized from per-shard site occupancy, see
-//! `lookahead.rs`), the random site assignments here double as a property
-//! gate on the planner: any window wider than a realizable cross-shard
-//! latency aborts, and the explicit assertion below pins the other side
-//! (never narrower than the global floor).
+//! lookahead would abort the run rather than silently diverge. The
+//! explicit assertion below pins the window to that floor exactly.
 
 use proptest::prelude::*;
 use vce_net::{send_msg, Addr, Endpoint, Envelope, Host, LinkFault, MachineInfo, NodeId};
@@ -81,9 +76,7 @@ struct Case {
     seed: u64,
     nodes: u32,
     shards: usize,
-    sites: Vec<u32>,
-    intra_base_us: u64,
-    inter_base_us: u64,
+    base_us: u64,
     per_kib_us: u64,
     jitter_us: u64,
     drop_prob: f64,
@@ -97,9 +90,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         any::<u64>(),
         3u32..=10,
         2usize..=8,
-        proptest::collection::vec(0u32..3, 10),
         0u64..=2_000,
-        0u64..=4_000,
         0u64..=64,
         (0u64..=1_500, 0.0f64..0.3, 0.0f64..0.3),
         proptest::option::of((0u32..10, 10_000u64..60_000, 60_000u64..110_000)),
@@ -109,9 +100,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 seed,
                 nodes,
                 shards,
-                sites,
-                intra_base_us,
-                inter_base_us,
+                base_us,
                 per_kib_us,
                 (jitter_us, drop_prob, dup_prob),
                 crash,
@@ -119,9 +108,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 seed,
                 nodes,
                 shards,
-                sites,
-                intra_base_us,
-                inter_base_us,
+                base_us,
                 per_kib_us,
                 jitter_us,
                 drop_prob,
@@ -132,19 +119,10 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 }
 
 fn build_and_run(case: &Case, shards: usize) -> (u64, u64, String, String) {
-    let mut topo = Topology::two_tier(
-        LinkParams {
-            base_us: case.intra_base_us,
-            per_kib_us: case.per_kib_us,
-        },
-        LinkParams {
-            base_us: case.inter_base_us,
-            per_kib_us: case.per_kib_us,
-        },
-    );
-    for i in 0..case.nodes {
-        topo.set_site(NodeId(i), case.sites[i as usize]);
-    }
+    let topo = Topology::uniform(LinkParams {
+        base_us: case.base_us,
+        per_kib_us: case.per_kib_us,
+    });
     let mut sim = Sim::new(SimConfig {
         seed: case.seed,
         topology: topo,
@@ -177,17 +155,15 @@ fn build_and_run(case: &Case, shards: usize) -> (u64, u64, String, String) {
             }),
         );
     }
-    // The adaptive window must dominate the global floor — narrower would
-    // only add barrier rounds, and a window wider than some realizable
-    // cross-shard latency would trip the push_or_remote assert mid-run,
-    // so the run itself certifies the upper side.
-    let floor = case.intra_base_us.min(case.inter_base_us).max(1);
-    assert!(
-        sim.window_lookahead_us() >= floor,
-        "adaptive lookahead {} narrower than floor {}",
-        sim.window_lookahead_us(),
-        floor
-    );
+    // One shard has no cross-shard pair and an unbounded window; more
+    // shards advance exactly one link floor at a time (a wider window
+    // would trip the push_or_remote assert mid-run).
+    let floor = if shards == 1 {
+        u64::MAX
+    } else {
+        case.base_us.max(1)
+    };
+    assert_eq!(sim.window_lookahead_us(), floor, "S={shards}");
     if let Some((victim, kill_at, revive_at)) = case.crash {
         sim.schedule_fault(kill_at, vce_net::FaultOp::Kill(NodeId(victim)));
         sim.schedule_fault(revive_at, vce_net::FaultOp::Revive(NodeId(victim)));

@@ -30,12 +30,6 @@ impl Table {
         self
     }
 
-    /// Convenience row from display values.
-    pub fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

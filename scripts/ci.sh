@@ -187,7 +187,12 @@ rust_lines=$(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)
 # (Not under crates/lint/: the linter's own sources and golden fixtures
 # spell the marker out dozens of times and waive nothing.)
 waivers=$(grep -rn --include='*.rs' 'vce-lint: allow' crates | grep -v '^crates/lint/' | wc -l)
-echo "stage-size: ${rust_lines} Rust lines under crates/, ${waivers} vce-lint waivers"
+# Non-test lines: files outside */tests/, each counted up to its first
+# `#[cfg(test)]` (printed, not gated).
+code_lines=$(find crates -name '*.rs' -not -path '*/tests/*' -print0 \
+  | xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' \
+  | awk '{ s += $1 } END { print s }')
+echo "stage-size: ${rust_lines} Rust lines under crates/ (${code_lines} non-test), ${waivers} vce-lint waivers"
 # The waiver count only falls: 5 is what is left after the live transport
 # went (ROADMAP item 3). A new waiver needs this ceiling raised in the
 # same change, where the diff shows it.
