@@ -16,9 +16,13 @@
 //!   leader's rebalance sweep running inside the window — which is the
 //!   round as `exp_*` binaries and `app_dense` pay for it.
 //!
-//! The WAL is off in both: journaling has its own cost and its own tests.
-//! Allocations are counted per thread (a one-shard sim runs on its
-//! caller's), so the two cases can run side by side.
+//! A third case runs the bare fleet with a retry horizon short enough
+//! that the leader forgets old grants inside the window: the sweep frees
+//! into the slab's free list, and later grants reuse those slots.
+//!
+//! The WAL is off in all three: journaling has its own cost and its own
+//! tests. Allocations are counted per thread (a one-shard sim runs on its
+//! caller's), so the cases can run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -125,15 +129,16 @@ impl Endpoint for Client {
 }
 
 /// Run `rounds` allocation rounds after `warmup` warm-up rounds on a fleet
-/// that is bare or staged (see the file header); returns (alloc delta
-/// inside the measured window, allocations granted in total).
-fn measured_rounds(staged: bool, warmup: u32, rounds: u32) -> (u64, u64) {
+/// that is bare or staged (see the file header) under `cfg`, with the WAL
+/// off; returns (alloc delta inside the measured window, allocations
+/// granted in total).
+fn measured_rounds(staged: bool, cfg: ExmConfig, warmup: u32, rounds: u32) -> (u64, u64) {
     let cfg = ExmConfig {
         wal_enabled: false,
         // On, the leader sweeps every `REBALANCE_PERIOD_US` (2 s): the
         // staged fleet's window of 100 rounds × 50 ms holds two sweeps.
         migration_enabled: staged,
-        ..ExmConfig::default()
+        ..cfg
     };
     assert!(2 * REBALANCE_PERIOD_US <= u64::from(rounds) * PERIOD_US);
     let mut vce = workstation_vce(11, DAEMONS, 100.0, cfg);
@@ -195,9 +200,12 @@ fn measured_rounds(staged: bool, warmup: u32, rounds: u32) -> (u64, u64) {
         }),
     );
     // Warm-up: every slab, scratch vector and pool reaches steady-state
-    // capacity (the leader's `served` arena grows one slot per round, so
-    // the warm-up must push its backing vector past the doubling that
-    // covers warmup + rounds — 300 rounds leaves capacity 512 ≥ 400).
+    // capacity. The leader's `served` arena gains one entry a round and
+    // forgets those older than the retry horizon (148.5 s by default, far
+    // past these windows), so the warm-up must also push its backing
+    // vectors past the doubling that covers warmup + rounds — 300 rounds
+    // leave capacity 512 ≥ 400 — or, with a short horizon, through two
+    // sweeps, after which it holds at most two horizons of grants.
     let start = sim.now_us();
     sim.run_until(start + u64::from(warmup) * PERIOD_US + PERIOD_US / 2);
     let before = allocs();
@@ -218,22 +226,44 @@ fn measured_rounds(staged: bool, warmup: u32, rounds: u32) -> (u64, u64) {
 /// overflow heap a handful of times inside a multi-second window —
 /// infrastructure, not per-round cost. 100 rounds performing even one
 /// transient allocation each would blow far past this.
-fn assert_warm_rounds_allocate_nothing(delta: u64, granted: u64) {
+fn assert_warm_rounds_allocate_nothing(delta: u64, granted: u64, total: u32, measured: u32) {
     assert!(
-        granted >= 400,
-        "only {granted} of 400 rounds were granted an allocation"
+        granted >= u64::from(total),
+        "only {granted} of {total} rounds were granted an allocation"
     );
     assert!(
         delta <= 8,
-        "steady-state bidding rounds allocated {delta} times across 100 \
+        "steady-state bidding rounds allocated {delta} times across {measured} \
          rounds — a protocol path allocates per round"
     );
 }
 
 #[test]
 fn steady_state_bidding_round_allocates_nothing() {
-    let (delta, granted) = measured_rounds(false, 300, 100);
-    assert_warm_rounds_allocate_nothing(delta, granted);
+    let (delta, granted) = measured_rounds(false, ExmConfig::default(), 300, 100);
+    assert_warm_rounds_allocate_nothing(delta, granted, 400, 100);
+}
+
+/// The leader's sweep of grants past the retry horizon stays off the
+/// heap. Retries capped at 2.5 s — the least that still outlasts a fully
+/// backed-off bid collect — give a 30.9 s horizon: 619 rounds. Three
+/// horizons of warm-up take the arena through two sweeps to its largest
+/// size. A sweep comes at most a horizon and a round after the last, so
+/// the window holds at least nine: one allocation a sweep would already
+/// exceed the engine's slack of 8.
+#[test]
+fn bidding_rounds_across_served_sweeps_allocate_nothing() {
+    let cfg = ExmConfig {
+        request_retry_us: 2_500_000,
+        request_retry_cap_us: 2_500_000,
+        ..ExmConfig::default()
+    };
+    let horizon_rounds = cfg.retry_horizon_us().div_ceil(PERIOD_US);
+    let (warmup, rounds) = (1_900, 6_300);
+    assert!(u64::from(warmup) >= 3 * horizon_rounds);
+    assert!(u64::from(rounds) >= 10 * (horizon_rounds + 1));
+    let (delta, granted) = measured_rounds(false, cfg, warmup, rounds);
+    assert_warm_rounds_allocate_nothing(delta, granted, warmup + rounds, rounds);
 }
 
 /// The same gate on the round applications pay for: every bid carries 64
@@ -242,6 +272,6 @@ fn steady_state_bidding_round_allocates_nothing() {
 /// the leader's decode of them, the sweep's target scan — may allocate.
 #[test]
 fn staged_fleet_bidding_round_allocates_nothing() {
-    let (delta, granted) = measured_rounds(true, 300, 100);
-    assert_warm_rounds_allocate_nothing(delta, granted);
+    let (delta, granted) = measured_rounds(true, ExmConfig::default(), 300, 100);
+    assert_warm_rounds_allocate_nothing(delta, granted, 400, 100);
 }

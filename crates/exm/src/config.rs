@@ -32,6 +32,9 @@ pub const HEDGE_MIN_SAMPLES: u32 = 2;
 /// Remaining work, Mops, below which hedging is pointless (the
 /// original will finish before a hedge could spin up).
 pub const HEDGE_MIN_REMAINING_MOPS: f64 = 50.0;
+/// Retries an executor sends for one unanswered request before it fails
+/// the application. A `RequestQueued` resets the count; a grant ends it.
+pub const REQUEST_RETRY_LIMIT: u32 = 10;
 
 /// Execution-module configuration.
 #[derive(Debug, Clone)]
@@ -90,6 +93,23 @@ pub struct ExmConfig {
     pub adaptive_detection: bool,
 }
 
+impl ExmConfig {
+    /// How long after a grant a retry of the same request can still reach
+    /// the leader, µs; the leader forgets the grant after that.
+    ///
+    /// The executor retries only an unallocated request, and once granted
+    /// the leader never answers it with `RequestQueued` again, so at most
+    /// [`REQUEST_RETRY_LIMIT`] more retries follow the grant. Each comes at
+    /// most one backed-off interval after the last — the cap (lifted to the
+    /// base, as the backoff does) plus its 1/8 jitter. One interval more
+    /// covers link delay, which is milliseconds on every modelled link.
+    pub fn retry_horizon_us(&self) -> u64 {
+        let cap = self.request_retry_cap_us.max(self.request_retry_us);
+        let interval = cap.saturating_add(cap / 8);
+        interval.saturating_mul(u64::from(REQUEST_RETRY_LIMIT) + 1)
+    }
+}
+
 impl Default for ExmConfig {
     fn default() -> Self {
         Self {
@@ -136,5 +156,38 @@ mod tests {
         // Rate estimation needs at least two probe samples.
         const _: () = assert!(HEDGE_MIN_SAMPLES >= 2);
         const _: () = assert!(HEDGE_MIN_REMAINING_MOPS > 0.0);
+    }
+
+    /// The leader keeps a grant for as long as the executor can still
+    /// retry it: the horizon covers the latest the last retry can leave,
+    /// every backed-off interval drawn at maximum jitter, and then some.
+    #[test]
+    fn retry_horizon_outlasts_the_last_possible_retry() {
+        let small = ExmConfig {
+            request_retry_us: 2_500_000,
+            request_retry_cap_us: 2_500_000,
+            ..ExmConfig::default()
+        };
+        let lifted = ExmConfig {
+            request_retry_cap_us: 1_000,
+            ..ExmConfig::default()
+        };
+        for c in [ExmConfig::default(), small, lifted] {
+            let (base, cap) = (c.request_retry_us, c.request_retry_cap_us);
+            // The largest jitter draw: `rand % spread` at `spread - 1`,
+            // where the spread is a quarter of the (lifted) cap.
+            let max_jitter = (cap.max(base) / 4).max(1) - 1;
+            let longest = (0..=REQUEST_RETRY_LIMIT)
+                .map(|attempt| crate::backoff::backoff_delay_us(base, cap, attempt, max_jitter))
+                .max()
+                .unwrap();
+            // The interval pending at the grant, then one per retry left:
+            // the last retry leaves `REQUEST_RETRY_LIMIT` intervals later.
+            // And a second to spare for the retry's trip to the leader.
+            let span = u64::from(REQUEST_RETRY_LIMIT) * longest + 1_000_000;
+            let horizon = c.retry_horizon_us();
+            assert!(horizon >= span, "{horizon} < {span}");
+        }
+        assert_eq!(ExmConfig::default().retry_horizon_us(), 148_500_000);
     }
 }

@@ -126,7 +126,12 @@ enum CollectKind {
 /// keep entries in dense recycled slots (iteration order still sorted by
 /// key) instead of allocating a tree node per insert.
 struct LeaderState {
-    served: SlotArena<ReqId, NodeList>,
+    /// Requests granted, with the grant time, kept to replay a retry's
+    /// allocation. An entry lives at least one retry horizon
+    /// ([`ExmConfig::retry_horizon_us`]) and less than two.
+    served: SlotArena<ReqId, (NodeList, u64)>,
+    /// When `served` was last swept of grants past the horizon.
+    served_swept_us: u64,
     pending: SlotArena<ReqId, (Needs, Addr, i32)>,
     queue: RequestQueue,
     collects: HashMap<BcastId, CollectKind>,
@@ -146,6 +151,7 @@ impl LeaderState {
     fn new(aging_quantum_us: u64) -> Self {
         Self {
             served: SlotArena::new(),
+            served_swept_us: 0,
             pending: SlotArena::new(),
             queue: RequestQueue::new(aging_quantum_us),
             collects: HashMap::new(),
@@ -683,7 +689,7 @@ impl DaemonEndpoint {
         if class != self.class || !self.gm.is_coordinator() {
             return; // not for my group / not the leader
         }
-        if let Some(nodes) = self.leader.served.get(&req) {
+        if let Some((nodes, _)) = self.leader.served.get(&req) {
             // Executor retry after a lost reply.
             let nodes = nodes.clone();
             self.send(host, reply_to, &ExmMsg::Allocation { req, nodes });
@@ -882,7 +888,8 @@ impl DaemonEndpoint {
     }
 
     /// Make an allocation stick: soft-reserve its machines, journal it,
-    /// keep it for retries and tell the executor; `how` is for the trace.
+    /// keep it for retries (for a retry horizon) and tell the executor;
+    /// `how` is for the trace.
     fn grant(&mut self, req: ReqId, nodes: NodeList, to: Addr, how: &str, host: &mut dyn Host) {
         let now = host.now_us();
         for &n in nodes.iter() {
@@ -894,7 +901,16 @@ impl DaemonEndpoint {
             let nodes = nodes.as_slice().to_vec();
             self.wal.journal(now, &WalRecord::Allocated { req, nodes });
         }
-        self.leader.served.insert(req, nodes.clone());
+        // No retry can reach us past the horizon: forget such grants, once
+        // a horizon, into the slab's free list (no allocation).
+        let horizon = self.cfg.retry_horizon_us();
+        if now >= self.leader.served_swept_us.saturating_add(horizon) {
+            self.leader
+                .served
+                .retain(|_, (_, at)| at.saturating_add(horizon) > now);
+            self.leader.served_swept_us = now;
+        }
+        self.leader.served.insert(req, (nodes.clone(), now));
         if host.log_enabled() {
             host.log(format!("leader: {how} {req:?} -> {nodes:?}"));
         }
@@ -1099,8 +1115,10 @@ impl DaemonEndpoint {
                     // answering old requests idempotently cannot contradict
                     // a live allocator. Until this point they stay inert —
                     // a recovered coordinator stands down by default.
+                    // Their horizon runs from the election.
+                    let now = host.now_us();
                     for (req, nodes) in std::mem::take(&mut self.recovered_served) {
-                        self.leader.served.insert(req, NodeList::from(nodes));
+                        self.leader.served.insert(req, (NodeList::from(nodes), now));
                     }
                 }
                 Upcall::ViewInstalled(_) | Upcall::Evicted => {}
@@ -1469,6 +1487,136 @@ mod queue_tests {
             !inside(&queued[0].needs.unit),
             "still a view of the message"
         );
+    }
+
+    /// Retries every 2.5 s at most: a retry horizon of 30.9 s.
+    fn short_retry_cfg() -> ExmConfig {
+        ExmConfig {
+            request_retry_us: 2_500_000,
+            request_retry_cap_us: 2_500_000,
+            wal_enabled: false,
+            ..ExmConfig::default()
+        }
+    }
+
+    /// The daemon of a one-machine group, run on `host` until it leads.
+    fn lone_leader(cfg: ExmConfig, host: &mut MockHost) -> DaemonEndpoint {
+        let me = host.info.node;
+        let mut daemon =
+            DaemonEndpoint::new(me, MachineClass::Workstation, vec![Addr::daemon(me)], cfg);
+        daemon.on_start(host);
+        while !daemon.gm.is_coordinator() {
+            assert!(host.now < 10_000_000, "the lone daemon never led");
+            let timers = std::mem::take(&mut host.timers);
+            host.now += timers.iter().map(|t| t.0).min().expect("a timer armed");
+            for (_, token) in timers {
+                daemon.on_timer(token, host);
+            }
+        }
+        daemon
+    }
+
+    fn request(seq: u32) -> ResourceRequest {
+        ResourceRequest {
+            req: ReqId {
+                app: crate::msg::AppId(1),
+                seq,
+            },
+            class: MachineClass::Workstation,
+            needs: Needs {
+                mem_mb: 0,
+                count_min: 1,
+                count_max: 1,
+                unit: WireStr::default(),
+            },
+            priority_boost: 0,
+            reply_to: Addr::executor(NodeId(9)),
+        }
+    }
+
+    /// A retry inside the horizon gets the grant's own nodes back and
+    /// costs no round; one after the grant was forgotten starts a fresh
+    /// round, as a retry reaching a successor leader does.
+    #[test]
+    fn a_retry_inside_the_horizon_replays_the_grant() {
+        let cfg = short_retry_cfg();
+        let horizon = cfg.retry_horizon_us();
+        let mut host = MockHost::new(NodeId(0));
+        let mut daemon = lone_leader(cfg, &mut host);
+        let first = request(1);
+        let nodes = NodeList::from(vec![NodeId(3), NodeId(5)]);
+        daemon.grant(
+            first.req,
+            nodes.clone(),
+            first.reply_to,
+            "allocated",
+            &mut host,
+        );
+
+        host.now += horizon - 1;
+        host.sent.clear();
+        daemon.handle_resource_request(first.clone(), &mut host);
+        let [(_, to, payload)] = host.sent.as_slice() else {
+            panic!("one reply, got {:?}", host.sent);
+        };
+        assert_eq!(*to, first.reply_to);
+        assert_eq!(
+            vce_codec::from_backing::<ExmMsg>(payload).expect("an ExmMsg"),
+            ExmMsg::Allocation {
+                req: first.req,
+                nodes: nodes.clone()
+            }
+        );
+        assert!(daemon.leader.collects.is_empty(), "a retry started a round");
+        assert!(!daemon.leader.pending.contains_key(&first.req));
+
+        // A grant a horizon after the first one sweeps it away.
+        host.now += 1;
+        let second = request(2);
+        daemon.grant(second.req, nodes, second.reply_to, "allocated", &mut host);
+        assert!(!daemon.leader.served.contains_key(&first.req));
+        daemon.handle_resource_request(first.clone(), &mut host);
+        assert!(daemon.leader.pending.contains_key(&first.req));
+        assert_eq!(daemon.leader.collects.len(), 1, "no fresh round");
+    }
+
+    /// A leader granting without pause keeps each grant at least one
+    /// horizon and at most the grants of the last two.
+    #[test]
+    fn served_keeps_at_most_two_horizons_of_grants() {
+        let cfg = short_retry_cfg();
+        let horizon = cfg.retry_horizon_us();
+        let me = NodeId(0);
+        let mut daemon =
+            DaemonEndpoint::new(me, MachineClass::Workstation, vec![Addr::daemon(me)], cfg);
+        let mut host = MockHost::new(me);
+        let period = 50_000;
+        host.now = period;
+        let mut granted_at = Vec::new();
+        let mut seq = 0;
+        while host.now < 4 * horizon {
+            seq += 1;
+            let r = request(seq);
+            daemon.grant(
+                r.req,
+                NodeList::from(vec![NodeId(1)]),
+                r.reply_to,
+                "allocated",
+                &mut host,
+            );
+            host.sent.clear();
+            granted_at.push(host.now);
+            let since = |span: u64| {
+                let from = host.now.saturating_sub(span);
+                granted_at.iter().filter(|&&at| at > from).count()
+            };
+            let live = daemon.leader.served.len();
+            assert!(live >= since(horizon), "forgot a grant inside the horizon");
+            assert!(live <= since(2 * horizon), "{live} live at {} µs", host.now);
+            host.now += period;
+        }
+        // Swept three times over; the slab holds no more than two horizons.
+        assert!(daemon.leader.served.slab_len() as u64 <= 2 * horizon / period + 1);
     }
 }
 

@@ -30,7 +30,7 @@ use vce_taskgraph::{TaskGraph, TaskId};
 use crate::backoff::backoff_delay_us;
 use crate::config::{
     ExmConfig, HEDGE_MIN_REMAINING_MOPS, HEDGE_MIN_SAMPLES, HEDGE_STALL_PERMILLE,
-    TRANSFER_US_PER_KIB,
+    REQUEST_RETRY_LIMIT, TRANSFER_US_PER_KIB,
 };
 use crate::events::{AppEvent, Timeline};
 use crate::msg::{AppId, ExmMsg, InstanceKey, LoadProgram, ReqId};
@@ -1033,8 +1033,8 @@ impl Endpoint for ExecutorEndpoint {
                 return;
             };
             let retries = p.retries;
-            if retries >= 10 {
-                // A request unanswered through ten retry windows means
+            if retries >= REQUEST_RETRY_LIMIT {
+                // A request unanswered through every retry window means
                 // the group is unreachable (every daemon dead or
                 // partitioned away): surface it instead of hanging.
                 let reason = format!("request {req:?} unanswered after {retries} retries");

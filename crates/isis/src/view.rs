@@ -38,10 +38,12 @@ pub struct View {
 }
 
 impl View {
-    /// Build a view, normalizing member order.
+    /// Build a view, normalizing member order. An address listed twice
+    /// keeps its earliest `(joined_seq, addr)`: it is counted once.
     pub fn new(id: u64, mut members: Vec<Member>) -> Self {
-        members.sort_by_key(|m| (m.joined_seq, m.addr));
+        members.sort_by_key(|m| (m.addr, m.joined_seq));
         members.dedup_by_key(|m| m.addr);
+        members.sort_by_key(|m| (m.joined_seq, m.addr));
         Self { id, members }
     }
 
@@ -153,6 +155,23 @@ mod tests {
         let v = View::new(1, vec![m(1, 0), m(1, 5)]);
         assert_eq!(v.len(), 1);
         assert_eq!(v.members[0].joined_seq, 0);
+    }
+
+    #[test]
+    fn dedup_by_addr_when_the_duplicates_are_not_adjacent() {
+        // Sorted by seniority, n1's two entries have n2's between them.
+        for members in [
+            vec![m(1, 0), m(2, 1), m(1, 2)],
+            vec![m(1, 2), m(2, 1), m(1, 0)],
+        ] {
+            let v = View::new(1, members);
+            assert_eq!(v.members, vec![m(1, 0), m(2, 1)]);
+            // What it builds is what the decoder accepts.
+            assert_eq!(
+                vce_codec::from_bytes::<View>(&vce_codec::to_bytes(&v)),
+                Ok(v)
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== vce-lint =="
+# Each stage prints its wall-clock time when the next one starts (and the
+# last one before the size rows): printed, not gated.
+stage_name="" stage_t0=0
+stage_time() {
+  if [ -n "$stage_name" ]; then
+    echo "stage-time: $stage_name $(( ($(date +%s%N) - stage_t0) / 1000000 ))ms"
+  fi
+}
+stage() {
+  stage_time
+  stage_name=$1 stage_t0=$(date +%s%N)
+  echo "== $1 =="
+}
+
+stage "vce-lint"
 # Build first so the timed run measures analysis, not compilation; consume
 # the JSON report so CI logs show a per-rule summary even on a clean pass.
 cargo build --offline -q -p vce-lint
@@ -39,26 +53,26 @@ PY
 rm -f "$lint_tmp"
 [ "$lint_rc" -eq 0 ] || { echo "vce-lint: findings above must be fixed or waived"; exit 1; }
 
-echo "== build (release) =="
+stage "build (release)"
 cargo build --release --offline -q
 
-echo "== tests =="
+stage "tests"
 cargo test --offline -q
 # vendor/ is outside the workspace, but its buffer pool is this repo's own
 # code and sits on every send.
 cargo test --offline -q -p bytes
 
-echo "== clippy =="
+stage "clippy"
 cargo clippy --all-targets --offline -q -- -D warnings
 
-echo "== fmt =="
+stage "fmt"
 cargo fmt --check
 
 # Every deterministic experiment, at VCE_SHARDS=1 and 4, against the
 # checked-in tables: run-to-run determinism, shard invisibility (stdout
 # with three worker threads beside the caller's must equal the one-shard
 # run) and "no table moved" in one pass; prints which tables moved.
-echo "== experiment identity (VCE_SHARDS 1 and 4 vs experiment-results/) =="
+stage "experiment identity (VCE_SHARDS 1 and 4 vs experiment-results/)"
 scripts/run_experiments.sh --check
 
 # The identity stage above ran the whole 480-cell chaos campaign, at one
@@ -66,19 +80,19 @@ scripts/run_experiments.sh --check
 # The gray shapes get a second, louder pass: one replayed cell per shape,
 # so a detector/quarantine regression names the exact failing shape (and
 # prints the per-invariant report) instead of hiding in the F4 grid.
-echo "== gray-shape chaos smoke =="
+stage "gray-shape chaos smoke"
 for shape in slow-nodes asym-links link-ramp flapping; do
   ./target/release/exp_chaos --replay 100 "$shape" checkpoint \
     || { echo "gray chaos smoke: $shape violated an invariant"; exit 1; }
 done
 
-echo "== sweep determinism =="
+stage "sweep determinism"
 cargo test --release --offline -q -p vce-bench --test sweep_determinism
 
 # The sharded engine must be invisible. The identity stage above compared
 # experiment stdout at one shard and four; the in-process suite
 # additionally sweeps S in {1,2,4,8} and compares chaos traces.
-echo "== shard determinism (S in {1,2,4,8}) =="
+stage "shard determinism (S in {1,2,4,8})"
 cargo test --release --offline -q -p vce-sim --test proptest_shard
 # (The pinned `.vct` digest in the same file runs in the record/replay
 # stage below, where a failure reads as what it is.)
@@ -88,7 +102,7 @@ cargo test --release --offline -q -p vce-bench --test shard_determinism -- --ski
 # on the same binary, reports zero divergence (exit 0); and the recording
 # itself — frame layout, snapshot hash chain, every byte — must be
 # identical no matter how many shards produced it.
-echo "== record/replay divergence gate =="
+stage "record/replay divergence gate"
 # The bytes themselves are pinned too: an FNV-64 of a twelve-machine
 # recording through a member kill/revive, a coordinator kill and a
 # partition, pinned in experiment-results/exp_digests.txt (the identity
@@ -111,21 +125,22 @@ echo "record/replay: zero divergence; recording byte-identical at VCE_SHARDS=4"
 # The barriers must make worker wake order irrelevant: sweep 32 seeded
 # schedule permutations (each yields workers pseudo-randomly before the
 # ship/publish phases) and require the serial digest every time.
-echo "== shard schedule-permutation gate (32 seeds) =="
+stage "shard schedule-permutation gate (32 seeds)"
 VCE_STAGGER_PERMS=32 cargo test --release --offline -q -p vce-bench --test shard_stagger
 
-# The bidding round must stay off the heap, on a bare fleet and on one
-# with staged binaries, a resident task and the rebalance sweep running.
+# The bidding round must stay off the heap, on a bare fleet, on one with
+# staged binaries, a resident task and the rebalance sweep running, and
+# on a bare fleet whose leader forgets grants past a short retry horizon.
 # `cargo test` above ran these in the dev profile; this is the build the
 # experiments use.
-echo "== zero-alloc bidding round (bare + staged fleets) =="
+stage "zero-alloc bidding round (bare + staged fleets, served sweep)"
 cargo test --release --offline -q -p vce-bench --test bidding_alloc
 
 # The event queue's sorted-insert path must stay off an application's
 # bill: entries shifted per event is a count, so it gates hard where the
 # wall-clock it predicts cannot (≤ 2; the queue it guards against, whose
 # cursor ran ahead of the clock, measured ≈ 34).
-echo "== queue sorted-insert gate (bag_of_tasks(64), S=1 and S=2) =="
+stage "queue sorted-insert gate (bag_of_tasks(64), S=1 and S=2)"
 cargo test --release --offline -q -p vce-bench --test queue_shift
 # Its memory is a count too: the capacity the queue retains, position
 # list included, against the most it held at once plus its largest run
@@ -138,7 +153,7 @@ cargo test --release --offline -q -p vce-bench --test queue_shift
 # soak than tier-1's 64 cases, bursts of up to three chunks into one
 # bucket with causes out of push order included, as does the timer-table
 # oracle.
-echo "== queue footprint gate (sharded_storm(2048), S=1 and S=2) + heap and timer oracles (4096 cases) =="
+stage "queue footprint gate (sharded_storm(2048), S=1 and S=2) + heap and timer oracles (4096 cases)"
 cargo test --release --offline -q -p vce-bench --test queue_footprint
 PROPTEST_CASES=4096 cargo test --release --offline -q -p vce-sim --test proptest_queue
 PROPTEST_CASES=4096 cargo test --release --offline -q -p vce-sim --test proptest_timers
@@ -146,7 +161,7 @@ PROPTEST_CASES=4096 cargo test --release --offline -q -p vce-sim --test proptest
 # benchmark/ is its own workspace and compiles against the crates' public
 # API only: build and unit-test it here so a PR that breaks that API fails
 # locally, not in the benchmark run.
-echo "== benchmark crate (build + unit tests) =="
+stage "benchmark crate (build + unit tests)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # Heap allocations, heartbeats and encoded bytes per message are counted,
@@ -162,7 +177,7 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # discriminants and narrow integers; 68.0 before uvarint framing, whose
 # heartbeat frame is 19–20 bytes where it was 59; 101.97 with bids that
 # listed their machine's staged binaries).
-echo "== allocs_per_op, heartbeats_per_op and bytes_per_msg gates (app_dense, seed 1) =="
+stage "allocs_per_op, heartbeats_per_op and bytes_per_msg gates (app_dense, seed 1)"
 allocs_ceiling=4320
 heartbeats_ceiling=3900
 bytes_per_msg_ceiling=25.5
@@ -179,6 +194,7 @@ for name, ceiling in zip(names, sys.argv[1:]):
 sys.exit(over)' "$allocs_ceiling" "$heartbeats_ceiling" "$bytes_per_msg_ceiling" \
   || { echo "counter gate: over a ceiling, or the traced pass failed"; exit 1; }
 
+stage_time
 # Tooling latency lives next to the perf numbers: the linter is the
 # fastest gate and must stay that way as the registries grow.
 echo "stage-time: vce-lint ${lint_ms}ms (analysis only, binary prebuilt)"
