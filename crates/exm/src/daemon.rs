@@ -19,7 +19,7 @@
 //!   allocating or queueing with priority aging, and driving §4.4
 //!   migrations on its rebalance sweep.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use vce_codec::{Codec, Decoder};
 use vce_isis::{is_isis_token, BcastId, GroupConfig, GroupMember, Upcall};
@@ -134,7 +134,7 @@ struct LeaderState {
     served_swept_us: u64,
     pending: SlotArena<ReqId, (Needs, Addr, i32)>,
     queue: RequestQueue,
-    collects: HashMap<BcastId, CollectKind>,
+    collects: BTreeMap<BcastId, CollectKind>,
     /// Soft reservations: nodes allocated recently, with expiry µs — their
     /// bids are inflated until the loads show up for real.
     recent_alloc: SlotArena<NodeId, u64>,
@@ -154,7 +154,7 @@ impl LeaderState {
             served_swept_us: 0,
             pending: SlotArena::new(),
             queue: RequestQueue::new(aging_quantum_us),
-            collects: HashMap::new(),
+            collects: BTreeMap::new(),
             recent_alloc: SlotArena::new(),
             last_rebalance_us: 0,
             migration_orders: BTreeMap::new(),

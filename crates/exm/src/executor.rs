@@ -1222,7 +1222,6 @@ mod tests {
         let env = Envelope {
             src: Addr::daemon(NodeId(1)),
             dst: Addr::executor(NodeId(0)),
-            seq: 0,
             payload: crate::msg::encode_msg(msg),
         };
         exec.on_envelope(env, host);

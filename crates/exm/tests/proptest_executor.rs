@@ -161,7 +161,6 @@ fn deliver(exec: &mut ExecutorEndpoint, host: &mut MockHost, msg: &ExmMsg) {
     let env = Envelope {
         src: Addr::daemon(NodeId(1)),
         dst: Addr::executor(NodeId(0)),
-        seq: 0,
         payload: vce_exm::msg::encode_msg(msg),
     };
     exec.on_envelope(env, host);

@@ -7,7 +7,7 @@
 //! [`GroupMember`](crate::GroupMember) arms a deadline timer per collection
 //! so a crashed daemon cannot hang the leader.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use vce_net::Addr;
@@ -34,7 +34,7 @@ struct Pending {
 /// Book-keeping for outstanding collected broadcasts.
 #[derive(Debug, Default)]
 pub struct Collector {
-    pending: HashMap<BcastId, Pending>,
+    pending: BTreeMap<BcastId, Pending>,
     /// Reply vectors handed back via [`Collector::recycle`], reused by the
     /// next [`Collector::open`] so steady-state collection rounds don't
     /// allocate a fresh vector per round.

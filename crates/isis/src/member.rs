@@ -37,7 +37,7 @@
 //! that is not still hears a senior, and the fault is on this member's
 //! own links.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use vce_codec::{Codec, Encoder};
@@ -230,8 +230,8 @@ pub struct GroupMember {
     // Inbound.
     ordering: OrderingState,
     collector: Collector,
-    collect_deadlines: HashMap<u64, BcastId>,
-    token_of_collect: HashMap<BcastId, u64>,
+    collect_deadlines: BTreeMap<u64, BcastId>,
+    token_of_collect: BTreeMap<BcastId, u64>,
     next_collect_token: u64,
     // Per-tick scratch (drained every use, capacity retained).
     deliver_scratch: Vec<Delivered>,
@@ -294,8 +294,8 @@ impl GroupMember {
             causal_out: 0,
             ordering,
             collector: Collector::new(),
-            collect_deadlines: HashMap::new(),
-            token_of_collect: HashMap::new(),
+            collect_deadlines: BTreeMap::new(),
+            token_of_collect: BTreeMap::new(),
             next_collect_token: 0,
             deliver_scratch: Vec::new(),
             nack_scratch: Vec::new(),
@@ -343,9 +343,8 @@ impl GroupMember {
     /// with the time, every tracked arrival window, every flap record —
     /// each section prefixed by its count, as when they were three sorted
     /// maps, so recordings made before the table still compare equal.
-    /// Deliberately skips the `HashMap` collect bookkeeping (iteration
-    /// order is not deterministic) — its effects surface through the
-    /// counters folded here.
+    /// Deliberately skips the collect bookkeeping — its effects surface
+    /// through the counters folded here.
     pub fn snapshot_hash(&self) -> u64 {
         let mut h = vce_net::Fnv64::new();
         h.write_u64(u64::from(self.me.node.0))

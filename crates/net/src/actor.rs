@@ -176,7 +176,7 @@ mod tests {
         let mut echo = Echo { me, seen: 0 };
         let mut host = MockHost::new(NodeId(0));
         echo.on_envelope(
-            Envelope::new(peer, me, 0, Bytes::from_static(b"hi")),
+            Envelope::new(peer, me, Bytes::from_static(b"hi")),
             &mut host,
         );
         assert_eq!(echo.seen, 1);

@@ -5,37 +5,32 @@ use vce_codec::{uvarint_len, Codec, Decoder, Encoder, Result};
 
 use crate::addr::Addr;
 
-/// A routed message: source, destination, sequence number and an opaque
-/// payload.
+/// A routed message: source, destination and an opaque payload.
 ///
 /// The payload is already in architecture-independent form (encoded with
-/// `vce-codec` by the protocol layer); transports never inspect it. The
-/// sequence number is assigned per *sender endpoint* and is what FIFO
-/// ordering in `vce-isis` is built from.
+/// `vce-codec` by the protocol layer); transports never inspect it, and
+/// ordering is the protocols' business (`vce-isis` numbers its own casts).
 ///
-/// On the wire the header is four uvarint-built fields — `src`, `dst`
-/// (two uvarints each), `seq`, payload length — then the payload: 6–7
-/// bytes of header between daemons of a small fleet, 34 at worst
-/// (docs/PROTOCOL.md § Framing).
+/// On the wire the header is `src`, `dst` (two uvarints each) and the
+/// payload length, then the payload: 5 bytes of header between daemons of
+/// a small fleet, however much traffic they have exchanged, and 24 at
+/// worst (docs/PROTOCOL.md § Framing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Sending endpoint.
     pub src: Addr,
     /// Receiving endpoint.
     pub dst: Addr,
-    /// Per-sender monotone sequence number.
-    pub seq: u64,
     /// Opaque encoded payload.
     pub payload: Bytes,
 }
 
 impl Envelope {
     /// Build an envelope around an already-encoded payload.
-    pub fn new(src: Addr, dst: Addr, seq: u64, payload: impl Into<Bytes>) -> Self {
+    pub fn new(src: Addr, dst: Addr, payload: impl Into<Bytes>) -> Self {
         Self {
             src,
             dst,
-            seq,
             payload: payload.into(),
         }
     }
@@ -62,11 +57,7 @@ impl Envelope {
     /// Exactly what the `Codec` writes, computed without encoding.
     pub fn wire_size(&self) -> usize {
         let len = self.payload.len();
-        self.src.wire_len()
-            + self.dst.wire_len()
-            + uvarint_len(self.seq)
-            + uvarint_len(len as u64)
-            + len
+        self.src.wire_len() + self.dst.wire_len() + uvarint_len(len as u64) + len
     }
 }
 
@@ -74,14 +65,12 @@ impl Codec for Envelope {
     fn encode(&self, enc: &mut Encoder) {
         self.src.encode(enc);
         self.dst.encode(enc);
-        enc.put_uvarint(self.seq);
         enc.put_len_bytes(&self.payload);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(Envelope {
             src: Addr::decode(dec)?,
             dst: Addr::decode(dec)?,
-            seq: dec.get_uvarint()?,
             // Zero-copy when the decoder has a backing buffer (see
             // `Envelope::decode_from`); copies otherwise.
             payload: dec.get_bytes()?,
@@ -99,7 +88,6 @@ mod tests {
         Envelope::new(
             Addr::daemon(NodeId(1)),
             Addr::leader(NodeId(2)),
-            7,
             to_bytes(&("bid".to_string(), 0.25f64)),
         )
     }
@@ -124,12 +112,11 @@ mod tests {
         let env = Envelope::new(
             Addr::daemon(NodeId(0)),
             Addr::daemon(NodeId(1)),
-            0,
             vec![0u8; 10],
         );
-        // src(1+1) + dst(1+1) + seq(1) + len(1) + 10
-        assert_eq!(env.wire_size(), 16);
-        assert_eq!(to_bytes(&env).len(), 16);
+        // src(1+1) + dst(1+1) + len(1) + 10
+        assert_eq!(env.wire_size(), 15);
+        assert_eq!(to_bytes(&env).len(), 15);
     }
 
     #[test]
@@ -145,7 +132,6 @@ mod tests {
         let env = Envelope::new(
             Addr::daemon(NodeId(1)),
             Addr::daemon(NodeId(2)),
-            3,
             (0u8..64).collect::<Vec<u8>>(),
         );
         let wire = Bytes::from(to_bytes(&env));
@@ -170,12 +156,11 @@ mod tests {
         let env = Envelope::new(
             Addr::new(NodeId(1), PortId(1001)),
             Addr::new(NodeId(2), PortId(1002)),
-            1,
             Bytes::new(),
         );
         assert!(env.src.port.is_dynamic());
-        // src(1+2) + dst(1+2) + seq(1) + len(1)
-        assert_eq!(env.wire_size(), 8);
-        assert_eq!(to_bytes(&env), [1, 0xe9, 0x07, 2, 0xea, 0x07, 1, 0]);
+        // src(1+2) + dst(1+2) + len(1)
+        assert_eq!(env.wire_size(), 7);
+        assert_eq!(to_bytes(&env), [1, 0xe9, 0x07, 2, 0xea, 0x07, 0]);
     }
 }

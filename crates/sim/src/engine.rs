@@ -353,7 +353,7 @@ impl Sim {
     /// Inject an external envelope, delivered to `dst` at `at_us`
     /// (≥ now). Used by experiment harnesses to kick off scenarios.
     pub fn inject_at(&mut self, at_us: u64, src: Addr, dst: Addr, payload: Bytes) {
-        let env = Envelope::new(src, dst, u64::MAX, payload);
+        let env = Envelope::new(src, dst, payload);
         let cause = self.next_driver_cause();
         let owner = shard_of(dst.node, self.shards.len());
         let at = at_us.max(self.now);

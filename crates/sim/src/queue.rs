@@ -777,6 +777,17 @@ mod tests {
     }
 
     #[test]
+    fn an_in_flight_message_is_two_addresses_and_its_bytes() {
+        // Every queue push, load and pop moves an `Entry<Event>`, so its
+        // size is paid per event: the envelope is `src`, `dst` and the
+        // payload handle, nothing more (DESIGN decision 34).
+        use crate::shard::Event;
+        use std::mem::size_of;
+        assert_eq!(size_of::<vce_net::Envelope>(), 48);
+        assert_eq!(size_of::<Entry<Event>>(), 72);
+    }
+
+    #[test]
     fn far_future_rides_the_overflow_level() {
         let mut q = CalendarQueue::new();
         // Beyond the wheel horizon → overflow, promoted on demand.

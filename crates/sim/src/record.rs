@@ -30,8 +30,10 @@
 //! `End` (totals + final hash). Since format version 2, `Events` frames
 //! varint delta-encode their records (`at_us` as a delta from the previous
 //! record, `cause` as a zigzag delta, `node`/`a`/`b` as plain varints) —
-//! a ~3× size cut on real recordings; version-1 (fixed-width) files are
-//! rejected. The engine writes frames at driver-call
+//! a ~3× size cut on real recordings. Version 3 records a delivery's
+//! payload length where version 2 recorded the envelope's sequence number,
+//! which the envelope no longer carries; version-1 (fixed-width) and
+//! version-2 files are rejected. The engine writes frames at driver-call
 //! boundaries, which are independent of the shard count — so a `.vct` file
 //! is **byte-identical for `VCE_SHARDS` ∈ {1, 2, 4, 8}**, making the
 //! sharded engine independently verifiable (`scripts/ci.sh` diffs the
@@ -49,8 +51,9 @@ use vce_storage::{crc32, FRAME_HEADER, MAX_RECORD};
 pub const MAGIC: &[u8; 4] = b"VCT1";
 /// Format version written in the header frame, and the only one the
 /// reader accepts. Version 2 varint delta-encodes `Events` frames (see
-/// [`TraceWriter::append_events`]).
-pub const VERSION: u16 = 2;
+/// [`TraceWriter::append_events`]); version 3 gives `EV_DELIVER` records
+/// the payload length as their `a`.
+pub const VERSION: u16 = 3;
 
 // Event-kind tags inside an `Events` frame (one per engine event pop).
 /// An endpoint `on_start` (node boot or revive).
@@ -86,7 +89,7 @@ pub const FENCE_CLEAR_LINK: u64 = 6;
 pub const FENCE_SLOW: u64 = 7;
 
 /// One recorded event pop. `a`/`b` are kind-specific details (timer token,
-/// envelope seq, load bits, fence op) — enough to tell two schedules apart
+/// payload length, load bits, fence op) — enough to tell two schedules apart
 /// at the first divergent pop without storing payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
@@ -98,7 +101,8 @@ pub struct EventRecord {
     pub node: NodeId,
     /// `EV_*` tag.
     pub kind: u8,
-    /// Kind detail: port (`EV_START`), envelope seq (`EV_DELIVER`), token
+    /// Kind detail: port (`EV_START`), payload length in bytes
+    /// (`EV_DELIVER`; the delivery itself is named by `cause`), token
     /// (`EV_TIMER`), generation (`EV_CPU`), load bits (`EV_LOAD`), fence op
     /// (`EV_FENCE`).
     pub a: u64,
@@ -832,26 +836,57 @@ mod tests {
         w.finish(h2, 200).unwrap().unwrap()
     }
 
-    #[test]
-    fn version_1_recordings_are_rejected() {
-        // Rewrite a sealed recording's header to claim version 1 and
-        // re-chain that frame's CRC, so the version check — not the CRC —
-        // is what refuses it.
-        let mut file = TraceWriter::to_memory("v1 scenario", 50)
+    /// Rewrite a sealed recording's header to claim `version` and re-chain
+    /// that frame's CRC, so the version check — not the CRC — is what
+    /// refuses it.
+    fn refusal_of_version(version: u16) -> String {
+        let mut file = TraceWriter::to_memory("old scenario", 50)
             .finish(0, 0)
             .unwrap()
             .unwrap();
         let body = MAGIC.len() + FRAME_HEADER;
         let end = body + u32::from_be_bytes(file[4..8].try_into().unwrap()) as usize;
-        file[body + 1..body + 3].copy_from_slice(&1u16.to_be_bytes());
+        file[body + 1..body + 3].copy_from_slice(&version.to_be_bytes());
         let mut crc_input = crc32(MAGIC).to_be_bytes().to_vec();
         crc_input.extend_from_slice(&file[body..end]);
         file[8..12].copy_from_slice(&crc32(&crc_input).to_be_bytes());
-        let err = read_trace(&file).unwrap_err();
+        read_trace(&file).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn version_1_recordings_are_rejected() {
+        let err = refusal_of_version(1);
         assert!(
-            err.to_string().contains("unsupported version 1"),
+            err.contains("unsupported version 1"),
             "unexpected error: {err}"
         );
+    }
+
+    /// Version 2 recorded a delivery's envelope sequence number in `a`;
+    /// its files are refused rather than compared against version-3 `a`s.
+    /// A version-3 delivery's `a` is the length of the payload delivered.
+    #[test]
+    fn version_2_is_refused_and_a_delivery_records_its_payload_length() {
+        let err = refusal_of_version(2);
+        assert!(
+            err.contains("unsupported version 2"),
+            "unexpected error: {err}"
+        );
+
+        let mut sim = crate::Sim::new(crate::SimConfig::default());
+        sim.add_node(vce_net::MachineInfo::workstation(NodeId(0), 100.0));
+        sim.record_to_memory("payload length", 1_000);
+        let (src, dst) = (
+            vce_net::Addr::daemon(NodeId(1)),
+            vce_net::Addr::daemon(NodeId(0)),
+        );
+        sim.inject_at(5, src, dst, bytes::Bytes::from_static(b"seventeen bytes!!"));
+        sim.run_until_idle();
+        let bytes = sim.finish_recording().unwrap().unwrap();
+        let trace = read_trace(&bytes).unwrap();
+        let delivery = trace.events.iter().find(|e| e.kind == EV_DELIVER).unwrap();
+        assert_eq!((delivery.at_us, delivery.a), (5, 17));
+        assert_eq!(delivery.b, 1 << 32, "source code: node 1, daemon port 0");
     }
 
     #[test]

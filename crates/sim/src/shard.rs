@@ -27,7 +27,7 @@
 //! 2, 4, 8, …}. Traces are merged on exactly that key at barrier-sync
 //! points, so experiment stdout is byte-identical across shard counts.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -155,7 +155,6 @@ struct SimNode {
     /// verdicts are identical for any shard count. Seeded separately from
     /// `rng` so endpoint draws and link draws can't perturb each other.
     link_rng: SmallRng,
-    send_seq: u64,
     /// `origin_of(node) << CAUSE_SEQ_BITS`, precomputed.
     cause_base: u64,
     cause_seq: u64,
@@ -268,7 +267,7 @@ impl SimNode {
 #[derive(Default)]
 struct NodeSlots {
     dense: Vec<u32>,
-    spill: HashMap<u32, u32>,
+    spill: BTreeMap<u32, u32>,
 }
 
 impl NodeSlots {
@@ -607,7 +606,6 @@ impl Shard {
             ep_cache: 0,
             rng: SmallRng::seed_from_u64(node_seed),
             link_rng: SmallRng::seed_from_u64(link_seed),
-            send_seq: 0,
             cause_base: origin_of(node) << CAUSE_SEQ_BITS,
             cause_seq: 0,
             timers: Vec::new(),
@@ -824,8 +822,10 @@ impl Shard {
                     .push(PHASE_EVENT, rec(EV_START, u64::from(port.0), 0));
             }
             EventKind::Deliver(env) => {
-                self.rec
-                    .push(PHASE_EVENT, rec(EV_DELIVER, env.seq, addr_code(env.src)));
+                self.rec.push(
+                    PHASE_EVENT,
+                    rec(EV_DELIVER, env.payload.len() as u64, addr_code(env.src)),
+                );
             }
             EventKind::DeliverBatch(envs) => {
                 for (i, env) in envs.iter().enumerate() {
@@ -836,7 +836,7 @@ impl Shard {
                             cause: cause + i as u64,
                             node,
                             kind: EV_DELIVER,
-                            a: env.seq,
+                            a: env.payload.len() as u64,
                             b: addr_code(env.src),
                         },
                     );
@@ -1059,7 +1059,6 @@ impl Shard {
             h.write_u64(u64::from(n.info.node.0))
                 .write_bool(n.dead)
                 .write_u64(n.cause_seq)
-                .write_u64(n.send_seq)
                 .write_u64(n.cpu.busy_us())
                 .write_u64(n.cpu.completed_jobs())
                 .write_u64(n.cpu.job_count() as u64)
@@ -1419,14 +1418,12 @@ impl Shard {
             return;
         }
         let mut pending = PendingDelivery::None;
-        // Every per-send draw — envelope seq, cause key(s), fault verdict —
+        // Every per-send draw — cause key(s), fault verdict —
         // comes from the *executing* node's counters and link RNG, in the
         // node's own execution order. That order is identical for any shard
         // layout, which is what makes the whole run shard-invariant.
         for (src, dst, payload, category) in fx.sends.drain(..) {
             let n = &mut self.nodes[slot];
-            let seq = n.send_seq;
-            n.send_seq += 1;
             let cause = n.next_cause();
             let verdict = self.fault.judge(src.node, dst.node, &mut n.link_rng);
             // A duplicate verdict needs a second ordering key (the two
@@ -1438,7 +1435,6 @@ impl Shard {
                 dst,
                 payload,
                 category,
-                seq,
                 cause,
                 cause2,
                 verdict,
@@ -1455,13 +1451,12 @@ impl Shard {
         dst: Addr,
         payload: Bytes,
         category: MsgCategory,
-        seq: u64,
         cause: u64,
         cause2: Option<u64>,
         verdict: Delivery,
         pending: &mut PendingDelivery,
     ) {
-        let env = Envelope::new(src, dst, seq, payload);
+        let env = Envelope::new(src, dst, payload);
         self.stats.sent += 1;
         let wire_size = env.wire_size();
         self.stats.bytes_sent += wire_size as u64;
