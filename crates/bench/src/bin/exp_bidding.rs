@@ -80,9 +80,11 @@ fn main() {
         "Paper-expected shape: one parallel collect round ⇒ flat median,\n\
          slowly growing tail (max of n jittered bids). The collect and the\n\
          failure detector underneath both cost O(n) messages: a view's two\n\
-         seniors heartbeat everyone and everyone heartbeats them (4n − 6 a\n\
-         tick), so a member's share stays near 20/s at any group size. The\n\
-         all-to-all detector the 1994 prototype inherited from Isis cost\n\
-         each member 5(n − 1)/s — the last column."
+         seniors heartbeat everyone and everyone heartbeats them (at most\n\
+         4n − 6 a tick; 2(n − 2) in a busy group, whose casts and replies\n\
+         stand in for the coordinator's), so a member's share stays near\n\
+         20/s at any group size. The all-to-all detector the 1994\n\
+         prototype inherited from Isis cost each member 5(n − 1)/s — the\n\
+         last column."
     );
 }

@@ -180,7 +180,8 @@ pub struct BiddingRound {
     /// allocation, membership traffic.
     pub protocol_msgs: u64,
     /// Failure-detector heartbeats during the round — the standing cost
-    /// of group liveness (4n − 6 a tick), split out so F3 shows both curves.
+    /// of group liveness (at most 4n − 6 a tick; 2(n − 2) in a busy group),
+    /// split out so F3 shows both curves.
     pub heartbeat_msgs: u64,
 }
 

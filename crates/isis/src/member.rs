@@ -23,9 +23,9 @@
 //!
 //! # The liveness plane
 //!
-//! Heartbeats are role-based, 4n − 6 a tick instead of n(n − 1): a view's
-//! `SENIORS` (its coordinator and deputy, `view.members[..SENIORS]`) and
-//! every non-member heartbeat all candidates; every other member — a
+//! Heartbeats are role-based, at most 4n − 6 a tick instead of n(n − 1): a
+//! view's `SENIORS` (its coordinator and deputy, `view.members[..SENIORS]`)
+//! and every non-member heartbeat all candidates; every other member — a
 //! *junior* — heartbeats only the seniors. So the seniors hold a full table
 //! (eviction and single-coordinator succession work as they always did)
 //! and a junior's table is current for the seniors alone. A junior that
@@ -36,6 +36,12 @@
 //! old by then and every view-mate that answered is searching too: one
 //! that is not still hears a senior, and the fault is on this member's
 //! own links.
+//!
+//! Any message proves its sender alive, so a member that is in a view and
+//! not searching skips the heartbeat to a view-mate it sent anything else
+//! within half a period. A group whose coordinator casts every tick and is
+//! replied to pays 2(n − 2) a tick, the deputy↔junior links, and no link
+//! goes more than 1.5 periods without a message.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -174,6 +180,9 @@ struct Peer {
     regular: bool,
     /// When it last `Solicit`ed me, i.e. was itself searching.
     sought: Option<u64>,
+    /// When I last sent it protocol traffic — anything but a heartbeat. A
+    /// view-mate sent some within half a period is owed no heartbeat.
+    sent: Option<u64>,
     /// Incarnation in its last heartbeat. The one field a reboot of *this*
     /// member keeps: a peer that restarted meanwhile is still recognised.
     incarnation: Option<u64>,
@@ -266,6 +275,7 @@ impl GroupMember {
                 heard: None,
                 regular: false,
                 sought: None,
+                sent: None,
                 incarnation: None,
                 in_view: false,
                 joiner: false,
@@ -428,6 +438,7 @@ impl GroupMember {
             p.heard = None;
             p.regular = false;
             p.sought = None;
+            p.sent = None;
             p.in_view = false;
             p.joiner = false;
             p.tracked = false;
@@ -650,11 +661,13 @@ impl GroupMember {
             }
             IsisMsg::Nack { expected } => {
                 // Retransmit everything still buffered from `expected` on.
-                for (seq, m) in &self.resend {
+                let resend = std::mem::take(&mut self.resend);
+                for (seq, m) in &resend {
                     if *seq >= expected {
                         self.out(host, src, m);
                     }
                 }
+                self.resend = resend;
             }
             IsisMsg::Reply { to, payload } => {
                 if let Some(result) = self.collector.on_reply(to, src, payload) {
@@ -794,8 +807,17 @@ impl GroupMember {
         host.encode_with(&mut |enc| (self.wrap)(msg, enc))
     }
 
-    fn out(&self, host: &mut dyn Host, dst: Addr, msg: &IsisMsg) {
+    fn out(&mut self, host: &mut dyn Host, dst: Addr, msg: &IsisMsg) {
         let bytes = self.encode(host, msg);
+        self.send(host, dst, bytes);
+    }
+
+    /// Send protocol traffic, noting on `dst`'s row that it just heard from
+    /// this member (the skip rule in [`Self::send_heartbeats`]).
+    fn send(&mut self, host: &mut dyn Host, dst: Addr, bytes: Bytes) {
+        if let Some(p) = self.rank_of(dst).and_then(|r| self.peers.get_mut(r)) {
+            p.sent = Some(host.now_us());
+        }
         host.send(self.me, dst, bytes);
     }
 
@@ -812,9 +834,11 @@ impl GroupMember {
             unreachable!("cast_to_group takes Cast messages only");
         }
         let bytes = self.encode(host, &msg);
-        for dst in self.view.addrs() {
-            host.send(self.me, dst, bytes.clone());
+        let view = std::mem::take(&mut self.view);
+        for dst in view.addrs() {
+            self.send(host, dst, bytes.clone());
         }
+        self.view = view;
         self.resend.push_back((seq, msg));
         while self.resend.len() > RESEND_BUFFER {
             self.resend.pop_front();
@@ -833,17 +857,23 @@ impl GroupMember {
 
     /// One tick of the liveness plane (module docs): seniors, non-members
     /// and searchers heartbeat every candidate, a junior only its seniors —
-    /// O(n) standing cost for the group. Tagged so transports can attribute
-    /// liveness traffic separately from the protocol operation under
-    /// measurement (F3's message count splits on this).
+    /// O(n) standing cost for the group. A member in a view that is not
+    /// searching skips a view-mate it sent protocol traffic within half a
+    /// period: that traffic already proved it alive. Tagged so transports can
+    /// attribute liveness traffic separately from the protocol operation
+    /// under measurement (F3's message count splits on this).
     fn send_heartbeats(&mut self, host: &mut dyn Host) {
         use vce_net::MsgCategory::Heartbeat;
-        let me = self.me;
+        let (me, now) = (self.me, host.now_us());
         let junior = self.is_member() && !self.is_senior(self.me_rank);
+        let settled = self.is_member() && self.searching.is_none();
+        let recent =
+            |t: Option<u64>| t.is_some_and(|t| now.saturating_sub(t) < self.cfg.heartbeat_us / 2);
         let bytes = self.encode(host, &self.heartbeat());
-        for (r, &dst) in self.cfg.candidates.iter().enumerate() {
+        for (r, (&dst, p)) in self.cfg.candidates.iter().zip(&self.peers).enumerate() {
             let wanted = !junior || self.searching.is_some() || self.is_senior(r);
-            if wanted && dst != me {
+            let covered = settled && p.in_view && recent(p.sent);
+            if wanted && !covered && dst != me {
                 host.send_category(me, dst, bytes.clone(), Heartbeat);
             }
         }

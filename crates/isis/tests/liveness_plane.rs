@@ -1,14 +1,22 @@
 //! The O(n) liveness plane: a view's two seniors (coordinator and deputy)
 //! and every non-member heartbeat all candidates; every other member — a
 //! junior — heartbeats only the seniors, searches when both go silent, and
-//! takes over only when the search says the whole view lost them too.
+//! takes over only when the search says the whole view lost them too. A
+//! settled member owes no heartbeat to a view-mate it sent other traffic
+//! within half a period, so a busy group's plane shrinks to the
+//! deputy↔junior links.
 //!
 //! Nodes all boot at t = 0, so every member's protocol tick lands on a
-//! multiple of 200 ms; faults are injected between ticks.
+//! multiple of 200 ms; faults are injected between ticks. A member told to
+//! talk does so 1 ms past every multiple of 50 ms, never on a tick.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use vce_codec::from_bytes;
-use vce_isis::{is_isis_token, GroupConfig, GroupMember, IsisMsg, Upcall, View};
+use vce_isis::{
+    is_isis_token, BcastId, CastOrder, GroupConfig, GroupMember, IsisMsg, Upcall, View,
+};
 use vce_net::testing::ForwardHost;
 use vce_net::{
     Addr, Endpoint, Envelope, FaultOp, Host, LinkFault, MachineInfo, MsgCategory, NodeId,
@@ -19,6 +27,12 @@ const TICK_US: u64 = 200_000;
 /// Silence budget for a peer whose window holds nothing but on-time
 /// heartbeats: the detector's floor, four heartbeat periods.
 const SILENCE_US: u64 = 4 * TICK_US;
+/// The test's own timer: a member's protocol traffic, if it has been told
+/// to send any, leaves every `TALK_US` — the bidding round's request rate.
+const TALK: u64 = 1;
+const TALK_US: u64 = 50_000;
+/// One message's flight on the default LAN, with room to spare.
+const FLIGHT_US: u64 = 2_000;
 
 /// What a member did, as seen from outside its `GroupMember`.
 #[derive(Default)]
@@ -33,6 +47,11 @@ struct Seen {
     /// by construction: the tick is the only other place heartbeats leave
     /// — naming the kind of message that was being handled.
     answered: Vec<&'static str>,
+    /// Heartbeats its ticks sent, by destination node.
+    beats: BTreeMap<u32, u64>,
+    /// When each message from the coordinator of the settled view, node 0,
+    /// arrived.
+    from_node_0: Vec<u64>,
 }
 
 impl Seen {
@@ -43,11 +62,14 @@ impl Seen {
         inner: &'a mut dyn Host,
         handling: Option<&'static str>,
     ) -> impl Host + 'a {
-        let on_send = move |_, _, payload: Bytes, category| {
+        let on_send = move |_, dst: Addr, payload: Bytes, category| {
             if category == MsgCategory::Heartbeat {
                 match from_bytes::<IsisMsg>(&payload).expect("isis msg") {
                     IsisMsg::Solicit => self.solicits_sent += 1,
-                    IsisMsg::Heartbeat { .. } => self.answered.extend(handling),
+                    IsisMsg::Heartbeat { .. } => match handling {
+                        Some(what) => self.answered.push(what),
+                        None => *self.beats.entry(dst.node.0).or_default() += 1,
+                    },
                     other => panic!("{other:?} sent as liveness traffic"),
                 }
             }
@@ -60,6 +82,11 @@ impl Seen {
 struct Member {
     gm: GroupMember,
     seen: Seen,
+    /// Cast to the view every `TALK_US`, as a coordinator asking for bids
+    /// does. Every member replies to every cast it delivers.
+    casting: bool,
+    /// Send each of these a reply every `TALK_US`, in a view or not.
+    replying_to: Vec<Addr>,
 }
 
 impl Member {
@@ -77,6 +104,7 @@ impl Member {
 impl Endpoint for Member {
     fn on_start(&mut self, host: &mut dyn Host) {
         self.gm.start(host);
+        host.set_timer(1_000, TALK);
     }
     fn on_envelope(&mut self, env: Envelope, host: &mut dyn Host) {
         let msg: IsisMsg = from_bytes(&env.payload).expect("isis msg");
@@ -86,12 +114,34 @@ impl Endpoint for Member {
             _ => "other",
         };
         let now = host.now_us();
+        if env.src == addr(0) {
+            self.seen.from_node_0.push(now);
+        }
         let mut ups = Vec::new();
-        self.gm
-            .handle(env.src, msg, &mut self.seen.tap(host, Some(what)), &mut ups);
+        let mut host = self.seen.tap(host, Some(what));
+        self.gm.handle(env.src, msg, &mut host, &mut ups);
+        for up in &ups {
+            if let Upcall::Deliver { id, .. } = up {
+                if id.origin != self.gm.me() {
+                    self.gm.reply(*id, Bytes::new(), &mut host);
+                }
+            }
+        }
+        drop(host);
         self.record(now, ups);
     }
     fn on_timer(&mut self, token: u64, host: &mut dyn Host) {
+        if token == TALK {
+            host.set_timer(TALK_US, TALK);
+            if self.casting {
+                self.gm.bcast(CastOrder::Fifo, Bytes::new(), host);
+            }
+            for &to in &self.replying_to {
+                let id = BcastId { origin: to, seq: 0 };
+                self.gm.reply(id, Bytes::new(), host);
+            }
+            return;
+        }
         assert!(is_isis_token(token));
         let now = host.now_us();
         let mut ups = Vec::new();
@@ -121,6 +171,8 @@ fn group(n: u32) -> Sim {
             Box::new(Member {
                 gm,
                 seen: Seen::default(),
+                casting: false,
+                replying_to: Vec::new(),
             }),
         );
     }
@@ -173,6 +225,32 @@ fn mute(sim: &mut Sim, from: &[u32], to: u32, for_us: u64) {
         sim.schedule_fault(now, FaultOp::Link(NodeId(f), NodeId(to), deaf));
         sim.schedule_fault(now + for_us, FaultOp::ClearLink(NodeId(f), NodeId(to)));
     }
+}
+
+/// Heartbeats node `n`'s ticks have sent so far, by destination node.
+fn beats(sim: &mut Sim, n: u32) -> BTreeMap<u32, u64> {
+    with(sim, n, |m| m.seen.beats.clone())
+}
+
+/// How many heartbeats went to `to` between two readings of [`beats`].
+fn beats_between(before: &BTreeMap<u32, u64>, after: &BTreeMap<u32, u64>, to: u32) -> u64 {
+    let count = |b: &BTreeMap<u32, u64>| b.get(&to).copied().unwrap_or(0);
+    count(after) - count(before)
+}
+
+/// The longest silence between two messages from node 0 that node `n`
+/// heard after `since`.
+fn longest_silence_from_node_0(sim: &mut Sim, n: u32, since: u64) -> u64 {
+    with(sim, n, |m| {
+        let heard: Vec<u64> = m
+            .seen
+            .from_node_0
+            .iter()
+            .copied()
+            .filter(|&t| t > since)
+            .collect();
+        heard.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
+    })
 }
 
 /// (a) The standing cost: 2(n − 1) from each of two seniors, 2 from each
@@ -396,4 +474,168 @@ fn an_answer_to_a_solicitation_is_never_itself_answered() {
         answers > 0 && answers <= solicits,
         "{answers} answers to {solicits}"
     );
+}
+
+/// (i) A coordinator that casts every 50 ms, and is replied to, keeps every
+/// link it shares with its view-mates proven alive both ways: its ticks
+/// send them nothing and nobody heartbeats it. What is left is the deputy
+/// and the juniors heartbeating each other, 2(n − 2) a tick.
+#[test]
+fn a_busy_coordinator_leaves_2n_minus_4_heartbeats_a_tick() {
+    for n in [12u32, 48] {
+        let mut sim = group(n);
+        let quiet = beats(&mut sim, 0);
+        with(&mut sim, 0, |m| m.casting = true);
+        sim.run_until(5_300_000);
+        let before = sim.stats().heartbeats_sent;
+        let ticks = 50;
+        sim.run_until(5_300_000 + ticks * TICK_US);
+        let sent = sim.stats().heartbeats_sent - before;
+        assert_eq!(sent, ticks * 2 * (u64::from(n) - 2), "n = {n}");
+        assert_eq!(beats(&mut sim, 0), quiet, "n = {n}: the coordinator ticked");
+        for i in 0..n {
+            assert_eq!(
+                with(&mut sim, i, |m| m.seen.solicits_sent),
+                0,
+                "{i} searched"
+            );
+            assert_eq!(view(&mut sim, i).id, 2, "n = {n}, at {i}");
+        }
+    }
+}
+
+/// (j) When the casts stop, a cast just inside half a period of a tick
+/// excuses that tick, and the next tick sends: the coordinator's longest
+/// silence is one and a half periods. Tried with the last cast at each
+/// 50 ms phase of a tick; the skip must show in one of them.
+#[test]
+fn once_the_casts_stop_no_member_hears_the_coordinator_go_quieter_than_1_5_periods() {
+    let mut longest = 0;
+    for last_cast in [6_001_000, 6_051_000, 6_101_000, 6_151_000] {
+        let mut sim = group(12);
+        with(&mut sim, 0, |m| m.casting = true);
+        sim.run_until(last_cast);
+        with(&mut sim, 0, |m| m.casting = false);
+        sim.run_until(last_cast + 2_000_000);
+        for n in 1..12 {
+            let silence = longest_silence_from_node_0(&mut sim, n, 5_100_000);
+            assert!(
+                silence <= 3 * TICK_US / 2 + FLIGHT_US,
+                "last cast at {last_cast}: {n} heard nothing for {silence} µs"
+            );
+            longest = longest.max(silence);
+        }
+        for n in 0..12 {
+            assert!(
+                installs_since(&mut sim, n, 5_100_000).is_empty(),
+                "{n} installed"
+            );
+        }
+    }
+    assert!(longest > TICK_US, "no tick was skipped: {longest} µs");
+}
+
+/// (k) After a skipped tick a link still survives the next two heartbeats
+/// lost, both ways on every link of the coordinator: three and a half
+/// periods of silence, under the detector's four-period floor.
+#[test]
+fn losing_the_two_heartbeats_after_a_skipped_tick_evicts_nobody() {
+    let mut sim = group(12);
+    with(&mut sim, 0, |m| m.casting = true);
+    // The last cast, at 6.101 s, excuses the 6.2 s tick on both sides.
+    sim.run_until(6_101_000);
+    with(&mut sim, 0, |m| m.casting = false);
+    // Lose what the 6.4 s and 6.6 s ticks send to and from node 0.
+    sim.run_until(6_300_000);
+    let rest: Vec<u32> = (1..12).collect();
+    mute(&mut sim, &rest, 0, 2 * TICK_US);
+    for &n in &rest {
+        mute(&mut sim, &[0], n, 2 * TICK_US);
+    }
+    sim.run_until(20_000_000);
+    for n in 0..12 {
+        assert!(
+            installs_since(&mut sim, n, 5_100_000).is_empty(),
+            "{n} installed"
+        );
+        assert!(evictions(&mut sim, n).is_empty(), "{n} was evicted");
+        assert_eq!(view(&mut sim, n).id, 2, "at {n}");
+    }
+    let silence = longest_silence_from_node_0(&mut sim, 5, 5_100_000);
+    assert!(
+        silence > 3 * TICK_US + TICK_US / 2 - FLIGHT_US,
+        "{silence} µs"
+    );
+    assert!(silence < SILENCE_US, "{silence} µs");
+}
+
+/// (l) Only a settled member skips, and only its view-mates. A searching
+/// junior that casts, a non-member that replies and a coordinator replying
+/// to a partitioned-off view all still heartbeat those peers every tick.
+#[test]
+fn searchers_non_members_and_other_views_still_get_a_heartbeat_every_tick() {
+    let ticks = 20;
+    let others = |me: u32| (0..12u32).filter(move |&p| p != me);
+    let window = |sim: &mut Sim, n: u32, from: u64| {
+        sim.run_until(from);
+        let before = beats(sim, n);
+        sim.run_until(from + ticks * TICK_US);
+        (before, beats(sim, n))
+    };
+
+    // Junior 5 casts to the view but hears neither senior, so it searches.
+    let mut sim = group(12);
+    mute(&mut sim, &[0, 1], 5, 30_000_000);
+    with(&mut sim, 5, |m| m.casting = true);
+    let (before, after) = window(&mut sim, 5, 7_100_000);
+    assert!(
+        with(&mut sim, 5, |m| m.seen.solicits_sent) > 0,
+        "5 never searched"
+    );
+    for p in others(5) {
+        assert_eq!(beats_between(&before, &after, p), ticks, "searcher to {p}");
+    }
+
+    // The seniors stop hearing 7 and evict it; it replies to everyone.
+    let mut sim = group(12);
+    mute(&mut sim, &[7], 0, 30_000_000);
+    mute(&mut sim, &[7], 1, 30_000_000);
+    sim.run_until(7_100_000);
+    assert!(!with(&mut sim, 7, |m| m.gm.is_member()), "7 still a member");
+    with(&mut sim, 7, |m| {
+        m.replying_to = others(7).map(addr).collect()
+    });
+    let (before, after) = window(&mut sim, 7, 7_300_000);
+    for p in others(7) {
+        assert_eq!(
+            beats_between(&before, &after, p),
+            ticks,
+            "non-member to {p}"
+        );
+    }
+
+    // Nodes 8–11 are cut off and form a view of their own; the coordinator
+    // casts to its own view and replies to them.
+    let mut sim = group(12);
+    sim.with_fault_plan(|p| {
+        for n in 8..12 {
+            p.set_partition(NodeId(n), 1);
+        }
+    });
+    sim.run_until(15_100_000);
+    assert_eq!(view(&mut sim, 0).len(), 8);
+    assert_eq!(view(&mut sim, 8).len(), 4);
+    with(&mut sim, 0, |m| {
+        m.casting = true;
+        m.replying_to = (8..12).map(addr).collect();
+    });
+    let (before, after) = window(&mut sim, 0, 15_300_000);
+    for p in others(0) {
+        let expected = if p < 8 { 0 } else { ticks };
+        assert_eq!(
+            beats_between(&before, &after, p),
+            expected,
+            "coordinator to {p}"
+        );
+    }
 }

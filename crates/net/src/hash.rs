@@ -86,71 +86,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// A deterministic, table-free `std::hash::Hasher` for hot-path hash maps
-/// (one multiply per word, FxHash-style).
-///
-/// `std`'s default hasher is SipHash with a per-process random key — safe
-/// against adversarial keys, but an order of magnitude slower on the tiny
-/// fixed-width keys the engine hashes (timer tokens, port ids), and its
-/// random state is one more thing that could leak into an iteration order.
-/// Engine-internal maps are never keyed by remote input, so the DoS
-/// hardening buys nothing there. Use as
-/// `HashMap<K, V, DetHashState>` with `HashMap::default()`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DetHasher(u64);
-
-/// `BuildHasherDefault` alias for [`DetHasher`].
-pub type DetHashState = std::hash::BuildHasherDefault<DetHasher>;
-
-impl DetHasher {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(Self::K);
-    }
-}
-
-impl std::hash::Hasher for DetHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().expect("len 8")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(tail) | ((rest.len() as u64) << 56));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.mix(u64::from(v));
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

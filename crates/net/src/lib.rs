@@ -34,7 +34,7 @@ pub use actor::{send_msg, Endpoint, Host};
 pub use addr::{Addr, NodeId, PortId};
 pub use arena::{NodeList, SeqWindow, SlotArena, NODE_LIST_INLINE};
 pub use fault::{FaultOp, FaultPlan, LinkFault};
-pub use hash::{fnv64, DetHashState, DetHasher, Fnv64};
+pub use hash::{fnv64, Fnv64};
 pub use machine::{MachineClass, MachineInfo};
 pub use message::Envelope;
 pub use stats::{MsgCategory, NetStats};
