@@ -6,22 +6,27 @@
 //! both sides know the schema, so no `WireType` bytes are spent. The tagged,
 //! self-describing path lives in [`crate::value`].
 //!
-//! This module decides how an integer goes on the wire, once for every
+//! This module decides how a number goes on the wire, once for every
 //! message type built on it:
 //!
-//! * `u64` and `i64` are 8-byte big-endian words. They carry times, random
-//!   incarnations and hashes, whose high bits are as likely set as not.
-//! * `u8`, `u16`, `u32` and `usize` are LEB128 uvarints
-//!   ([`Encoder::put_uvarint`]): one byte below 128.
-//! * `i8`, `i16` and `i32` are zig-zag uvarints: 0, −1, 1, −2, … map to
-//!   0, 1, 2, 3, …, so a small magnitude is short whatever its sign.
+//! * Every unsigned integer — `u8`, `u16`, `u32`, `u64` and `usize` — is a
+//!   LEB128 uvarint ([`Encoder::put_uvarint`]): one byte below 128, ten for
+//!   `u64::MAX`.
+//! * Every signed integer — `i8`, `i16`, `i32` and `i64` — is a zig-zag
+//!   uvarint: 0, −1, 1, −2, … map to 0, 1, 2, 3, …, so a small magnitude is
+//!   short whatever its sign.
+//! * `f64` (and `f32`, widened) is the uvarint of its byte-swapped bits
+//!   ([`Encoder::put_f64`]): 1 byte for 0.0, 2–4 for round values such as
+//!   1.5, 100.0 or 2000.0, 8–10 for one that uses its low mantissa bits
+//!   (0.1 takes 10, two more than the word).
 //! * Every [`impl_codec_for_enum!`] discriminant is a uvarint.
 //! * Every length and count prefix is a uvarint: strings and byte fields
 //!   ([`Encoder::put_len_bytes`]), `Vec` and `BTreeMap` here, and the lists
 //!   and maps the protocol crates and [`crate::Value`] write by hand.
 //!
-//! A `u64` that is a small counter rather than a time or a hash (a view id,
-//! a sequence number) is written with `put_uvarint` by the type that owns it.
+//! The protocol crates choose no widths: a field goes through its type's
+//! `Codec`. Fixed-width words ([`Encoder::put_u64`]) belong to formats
+//! outside this rule, such as the `.vct` recorder's hashes.
 //!
 //! Decoding is total and strict: a uvarint has one encoding (padded forms are
 //! refused), a value past its type's range is refused rather than truncated,
@@ -74,16 +79,7 @@ macro_rules! impl_codec_uint {
         }
     )*};
 }
-impl_codec_uint!(u8, u16, u32, usize);
-
-impl Codec for u64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(*self);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        dec.get_u64()
-    }
-}
+impl_codec_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_codec_sint {
     ($($t:ty),*) => {$(
@@ -103,16 +99,7 @@ macro_rules! impl_codec_sint {
         }
     )*};
 }
-impl_codec_sint!(i8, i16, i32);
-
-impl Codec for i64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_i64(*self);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        dec.get_i64()
-    }
-}
+impl_codec_sint!(i8, i16, i32, i64);
 
 impl Codec for f64 {
     fn encode(&self, enc: &mut Encoder) {

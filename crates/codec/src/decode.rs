@@ -99,16 +99,11 @@ impl<'a> Decoder<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Read a big-endian u64.
+    /// Read a big-endian u64 (see [`crate::Encoder::put_u64`]: the `.vct`
+    /// recorder's fixed fields, not a `u64` value).
     pub fn get_u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_be_bytes(b.try_into().expect("slice len 8")))
-    }
-
-    /// Read a big-endian i64.
-    pub fn get_i64(&mut self) -> Result<i64> {
-        let b = self.take(8)?;
-        Ok(i64::from_be_bytes(b.try_into().expect("slice len 8")))
     }
 
     /// Read an LEB128 varint u64 (see [`crate::Encoder::put_uvarint`]).
@@ -142,10 +137,11 @@ impl<'a> Decoder<'a> {
         T::try_from(value).map_err(|_| CodecError::InvalidDiscriminant { value, type_name })
     }
 
-    /// Read a big-endian IEEE-754 binary64.
+    /// Read an IEEE-754 binary64 written by [`crate::Encoder::put_f64`]:
+    /// the uvarint of its byte-swapped bits. Total: every uvarint is some
+    /// `f64`, and a padded one is refused like any other.
     pub fn get_f64(&mut self) -> Result<f64> {
-        let b = self.take(8)?;
-        Ok(f64::from_be_bytes(b.try_into().expect("slice len 8")))
+        Ok(f64::from_bits(self.get_uvarint()?.swap_bytes()))
     }
 
     /// Read a boolean byte, rejecting anything but 0/1.

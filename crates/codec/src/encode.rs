@@ -1,5 +1,6 @@
-//! The encoder: appends length-exact fields — LEB128 varints or fixed-width
-//! big-endian words — to a growable buffer.
+//! The encoder: appends length-exact fields — LEB128 varints, or the
+//! fixed-width big-endian words of formats outside the [`crate::Codec`]
+//! rule — to a growable buffer.
 
 use bytes::{BufMut, BytesMut};
 
@@ -102,14 +103,11 @@ impl Encoder {
         self.buf.put_u32(v);
     }
 
-    /// Write a big-endian u64.
+    /// Write a big-endian u64: a fixed field of a format outside the
+    /// [`crate::Codec`] rule — the `.vct` recorder's hashes and counters. A
+    /// `u64` value is a uvarint.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.put_u64(v);
-    }
-
-    /// Write a big-endian i64 (two's complement).
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64(v);
     }
 
     /// Write a u64 as an LEB128 varint (7 value bits per byte, low group
@@ -124,9 +122,14 @@ impl Encoder {
         self.buf.put_u8(v as u8);
     }
 
-    /// Write a big-endian IEEE-754 binary64.
+    /// Write an IEEE-754 binary64 as the uvarint of its byte-swapped bits.
+    /// The swap puts the sign, exponent and high mantissa bits in the low
+    /// groups, so a value whose low mantissa bits are zero — 0.0, 1.5,
+    /// 100.0, 2000.0 — is 1 to 4 bytes, and one that uses them all is 8 to
+    /// 10 (0.1 is 10). Exact for every bit pattern (NaN payloads, −0.0,
+    /// infinities, subnormals), with one encoding per value.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64(v);
+        self.put_uvarint(v.to_bits().swap_bytes());
     }
 
     /// Write a boolean as one byte.
@@ -167,13 +170,6 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u32(0x0102_0304);
         assert_eq!(e.finish(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn i64_two_complement() {
-        let mut e = Encoder::new();
-        e.put_i64(-1);
-        assert_eq!(e.finish(), vec![0xff; 8]);
     }
 
     #[test]
@@ -240,9 +236,12 @@ mod tests {
 
     #[test]
     fn f64_bits_round() {
+        // 1.5 is 0x3ff8_0000_0000_0000; swapped, 0xf83f: a 3-byte uvarint.
         let mut e = Encoder::new();
         e.put_f64(1.5);
-        let bytes = e.finish();
-        assert_eq!(bytes, 1.5f64.to_be_bytes().to_vec());
+        assert_eq!(e.finish(), vec![0xbf, 0xf0, 0x03]);
+        let mut e = Encoder::new();
+        e.put_f64(0.0);
+        assert_eq!(e.finish(), vec![0]);
     }
 }

@@ -9,10 +9,11 @@
 //! the job of Sun XDR or the OMG IDL compiler's marshaling stubs.
 //!
 //! This crate is the reproduction of that layer: a compact wire format whose
-//! byte order is fixed by the format, never by the host — LEB128 uvarints
-//! for counts, lengths, discriminants and narrow integers, **big-endian**
-//! (network order) words for `u64`, `i64` and `f64`; the rule is stated
-//! once, in [`codec`] — with
+//! byte order is fixed by the format, never by the host — every number is a
+//! LEB128 uvarint, low group first: unsigned integers as they are, signed
+//! ones zig-zagged, floats as their byte-swapped IEEE-754 bits; counts,
+//! lengths and discriminants too. The rule is stated once, in [`codec`] —
+//! with
 //!
 //! * a [`Codec`] trait implemented for all primitives, strings, byte buffers,
 //!   `Option`, `Vec`, tuples and maps — the static (stub-generated) path;

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::codec::Codec;
 use crate::decode::Decoder;
 use crate::encode::Encoder;
 use crate::error::{CodecError, Result};
@@ -66,8 +67,8 @@ impl Value {
         match self {
             Value::Unit => {}
             Value::Bool(b) => enc.put_bool(*b),
-            Value::U64(v) => enc.put_u64(*v),
-            Value::I64(v) => enc.put_i64(*v),
+            Value::U64(v) => v.encode(enc),
+            Value::I64(v) => v.encode(enc),
             Value::F64(v) => enc.put_f64(*v),
             Value::Str(s) => enc.put_str(s),
             Value::Bytes(b) => enc.put_len_bytes(b),
@@ -94,8 +95,8 @@ impl Value {
         let v = match tag {
             WireType::Unit => Value::Unit,
             WireType::Bool => Value::Bool(dec.get_bool()?),
-            WireType::U64 => Value::U64(dec.get_u64()?),
-            WireType::I64 => Value::I64(dec.get_i64()?),
+            WireType::U64 => Value::U64(u64::decode(dec)?),
+            WireType::I64 => Value::I64(i64::decode(dec)?),
             WireType::F64 => Value::F64(dec.get_f64()?),
             WireType::Str => Value::Str(dec.get_str()?.to_owned()),
             WireType::Bytes => Value::Bytes(dec.get_len_bytes()?.to_vec()),
@@ -333,6 +334,22 @@ mod tests {
         assert_eq!(Value::from(-5i64), Value::I64(-5));
         assert_eq!(Value::from("hi"), Value::Str("hi".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
+    }
+
+    #[test]
+    fn numbers_follow_the_codec_rule() {
+        // After the tag, each number is written exactly as its `Codec` is.
+        for (v, body) in [
+            (Value::U64(0), crate::to_bytes(&0u64)),
+            (Value::U64(u64::MAX), crate::to_bytes(&u64::MAX)),
+            (Value::I64(-9), crate::to_bytes(&-9i64)),
+            (Value::F64(100.0), crate::to_bytes(&100.0f64)),
+        ] {
+            let bytes = v.to_bytes();
+            assert_eq!(&bytes[1..], &body[..], "{v}");
+            assert_eq!(Value::from_bytes(&bytes).unwrap(), v);
+        }
+        assert_eq!(Value::U64(0).to_bytes().len(), 2);
     }
 
     #[test]

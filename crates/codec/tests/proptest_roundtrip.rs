@@ -1,8 +1,9 @@
 //! Property tests: decode(encode(x)) == x for every Codec impl and for
 //! arbitrary dynamic Values, plus "malformed input never panics" — and the
-//! integer rule of `codec.rs` held at its edges: every narrow type over its
+//! number rule of `codec.rs` held at its edges: every narrow type over its
 //! range and at the uvarint boundaries, zig-zag extremes, one past a type's
-//! max, padded and forged counts and lengths.
+//! max, every `f64` bit pattern, pinned lengths, padded and forged counts
+//! and lengths.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,14 +73,14 @@ fn uvarint_boundaries_cost_one_more_byte() {
     for (v, len) in [(0u64, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3)] {
         assert_eq!(to_bytes(&(v as u16)).len(), len, "u16 {v}");
         assert_eq!(to_bytes(&(v as u32)).len(), len, "u32 {v}");
+        assert_eq!(to_bytes(&v).len(), len, "u64 {v}");
         assert_eq!(to_bytes(&(v as usize)).len(), len, "usize {v}");
     }
     assert_eq!(to_bytes(&127u8), [0x7f]);
     assert_eq!(to_bytes(&128u8), [0x80, 0x01]);
     assert_eq!(to_bytes(&16_384u32), [0x80, 0x80, 0x01]);
     assert_eq!(to_bytes(&u32::MAX).len(), 5);
-    assert_eq!(to_bytes(&u64::MAX).len(), 8, "a u64 stays a fixed word");
-    assert_eq!(to_bytes(&0u64).len(), 8);
+    assert!(is_uvarint(u64::MAX, u64::MAX) && is_uvarint(1u64 << 63, 1 << 63));
 }
 
 #[test]
@@ -98,7 +99,96 @@ fn zigzag_extremes() {
     assert!(is_uvarint(i16::MIN, 65_535) && is_uvarint(i16::MAX, 65_534));
     assert!(is_uvarint(i32::MIN, u64::from(u32::MAX)));
     assert!(is_uvarint(i32::MAX, u64::from(u32::MAX) - 1));
-    assert_eq!(to_bytes(&i64::MIN).len(), 8, "an i64 stays a fixed word");
+    assert!(is_uvarint(i64::MIN, u64::MAX) && is_uvarint(i64::MAX, u64::MAX - 1));
+    assert!(is_uvarint(-1i64, 1) && is_uvarint(64i64, 128));
+}
+
+/// What each number costs on the wire. A float is the uvarint of its
+/// byte-swapped bits, so the round values a bid or a status carries are
+/// short and only a value that uses its lowest mantissa byte's top bit
+/// costs more than the old fixed eight.
+#[test]
+fn number_lengths_are_pinned() {
+    for (v, len) in [
+        (0.0f64, 1),
+        (1.5, 3),
+        (2.5, 2),
+        (50.0, 3),
+        (100.0, 3),
+        (2000.0, 4),
+        (1.0 / 3.0, 9),
+        (0.1, 10),
+    ] {
+        assert_eq!(to_bytes(&v).len(), len, "{v}");
+    }
+    assert_eq!(to_bytes(&0.0f64), [0]);
+    assert_eq!(to_bytes(&-0.0f64), [0x80, 0x01], "the sign bit is the 8th");
+    assert_eq!(to_bytes(&1.5f32), to_bytes(&1.5f64), "f32 widens");
+    for (len, wire) in [
+        (1, to_bytes(&0u64)),
+        (10, to_bytes(&u64::MAX)),
+        (1, to_bytes(&0i64)),
+        (10, to_bytes(&i64::MIN)),
+    ] {
+        assert_eq!(wire.len(), len, "{wire:x?}");
+    }
+}
+
+/// The float, `u64` and `i64` forms are uvarints, so a padded spelling is
+/// refused there too: every value has exactly one encoding.
+#[test]
+fn padded_numbers_are_refused() {
+    for v in [0u8, 1, 0x3f, 0x7f] {
+        let wire = padded(v);
+        assert!(from_bytes::<f64>(&wire).is_err(), "{wire:x?}");
+        assert!(from_bytes::<u64>(&wire).is_err(), "{wire:x?}");
+        assert!(from_bytes::<i64>(&wire).is_err(), "{wire:x?}");
+        assert!(from_bytes::<f64>(&[v]).is_ok());
+    }
+    // 1.5 spelled with a trailing zero group after its three bytes.
+    assert!(from_bytes::<f64>(&[0xbf, 0xf0, 0x83, 0x00]).is_err());
+    // Eleven bytes, and a tenth byte past bit 63: no f64 at all.
+    assert!(from_bytes::<f64>(&[0xff; 11]).is_err());
+    assert!(from_bytes::<f64>(&[&[0xff; 9][..], &[0x02]].concat()).is_err());
+}
+
+/// Bit patterns the float form must carry exactly and that a uniform
+/// `u64` draw almost never hits.
+const SPECIAL_F64_BITS: [u64; 13] = [
+    0,                     // 0.0
+    1 << 63,               // -0.0
+    0x7ff0_0000_0000_0000, // +inf
+    0xfff0_0000_0000_0000, // -inf
+    0x7ff8_0000_0000_0000, // the quiet NaN
+    0x7ff0_0000_0000_0001, // a signalling NaN with payload 1
+    0xfff8_dead_beef_0000, // a negative quiet NaN with a payload
+    1,                     // the smallest subnormal
+    0x000f_ffff_ffff_ffff, // the largest subnormal
+    0x8000_0000_0000_0001, // the smallest negative subnormal
+    0x0010_0000_0000_0000, // f64::MIN_POSITIVE
+    0x7fef_ffff_ffff_ffff, // f64::MAX
+    u64::MAX,              // a negative NaN, every payload bit set
+];
+
+/// `bits`, read as an `f64`, is the uvarint of its byte-swapped bits and
+/// comes back bit-exact, through `Codec` and through a tagged `Value`.
+fn f64_bits_round_trip(bits: u64) -> bool {
+    let v = f64::from_bits(bits);
+    let wire = to_bytes(&v);
+    let tagged = Value::from_bytes(&Value::F64(v).to_bytes());
+    wire == uvarint(bits.swap_bytes())
+        && from_bytes::<f64>(&wire).map(f64::to_bits) == Ok(bits)
+        && tagged.ok().and_then(|t| t.as_f64()).map(f64::to_bits) == Some(bits)
+}
+
+#[test]
+fn special_floats_round_trip_bit_exact() {
+    assert_eq!(f64::NAN.to_bits(), SPECIAL_F64_BITS[4]);
+    assert_eq!(f64::MIN_POSITIVE.to_bits(), SPECIAL_F64_BITS[10]);
+    assert_eq!(f64::MAX.to_bits(), SPECIAL_F64_BITS[11]);
+    for bits in SPECIAL_F64_BITS {
+        assert!(f64_bits_round_trip(bits), "{bits:#018x}");
+    }
 }
 
 #[test]
@@ -160,11 +250,16 @@ proptest! {
         prop_assert_eq!(from_bytes::<i64>(&to_bytes(&v)).unwrap(), v);
     }
 
+    /// Any `u64` bit pattern, read as an `f64`, comes back bit-exact: NaN
+    /// payloads, ±0.0, ±inf and subnormals forced in beside uniform draws.
     #[test]
-    fn f64_round_trip(v in prop::num::f64::ANY) {
-        let back = from_bytes::<f64>(&to_bytes(&v)).unwrap();
-        // Bit-exact round trip, including NaN payloads and -0.0.
-        prop_assert_eq!(back.to_bits(), v.to_bits());
+    fn f64_round_trip(
+        bits in prop_oneof![
+            any::<u64>(),
+            (0..SPECIAL_F64_BITS.len()).prop_map(|i| SPECIAL_F64_BITS[i]),
+        ],
+    ) {
+        prop_assert!(f64_bits_round_trip(bits), "{:#018x}", bits);
     }
 
     #[test]
@@ -280,6 +375,8 @@ proptest! {
         let _ = Value::from_bytes(&bytes);
         let _ = from_bytes::<Vec<String>>(&bytes);
         let _ = from_bytes::<(u64, String, bool)>(&bytes);
+        let _ = from_bytes::<(f64, i64, u64)>(&bytes);
+        let _ = from_bytes::<Vec<f64>>(&bytes);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Codec for LoadProgram {
         enc.put_f64(self.work_mops);
         self.mem_mb.encode(enc);
         enc.put_bool(self.checkpoints);
-        enc.put_u64(self.checkpoint_interval_us);
+        self.checkpoint_interval_us.encode(enc);
         enc.put_bool(self.restartable);
         enc.put_bool(self.core_dumpable);
         enc.put_bool(self.redundant);
@@ -122,7 +122,7 @@ impl Codec for LoadProgram {
             work_mops: dec.get_f64()?,
             mem_mb: u32::decode(dec)?,
             checkpoints: dec.get_bool()?,
-            checkpoint_interval_us: dec.get_u64()?,
+            checkpoint_interval_us: u64::decode(dec)?,
             restartable: dec.get_bool()?,
             core_dumpable: dec.get_bool()?,
             redundant: dec.get_bool()?,
@@ -160,11 +160,11 @@ impl Codec for MigrationState {
         self.key.encode(enc);
         self.unit.encode(enc);
         enc.put_f64(self.remaining_mops);
-        enc.put_u64(self.state_kib);
+        self.state_kib.encode(enc);
         self.technique.encode(enc);
         self.mem_mb.encode(enc);
         enc.put_bool(self.checkpoints);
-        enc.put_u64(self.checkpoint_interval_us);
+        self.checkpoint_interval_us.encode(enc);
         self.reply_to.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
@@ -172,11 +172,11 @@ impl Codec for MigrationState {
             key: InstanceKey::decode(dec)?,
             unit: String::decode(dec)?,
             remaining_mops: dec.get_f64()?,
-            state_kib: dec.get_u64()?,
+            state_kib: u64::decode(dec)?,
             technique: MigrationTechnique::decode(dec)?,
             mem_mb: u32::decode(dec)?,
             checkpoints: dec.get_bool()?,
-            checkpoint_interval_us: dec.get_u64()?,
+            checkpoint_interval_us: u64::decode(dec)?,
             reply_to: Addr::decode(dec)?,
         })
     }
@@ -492,7 +492,7 @@ impl Codec for ExmMsg {
             ExmMsg::AnticipateFile { file, kib } => {
                 enc.put_u8(T_ANT_FILE);
                 file.encode(enc);
-                enc.put_u64(*kib);
+                kib.encode(enc);
             }
             ExmMsg::RequestQueued { req } => {
                 enc.put_u8(T_REQUEST_QUEUED);
@@ -590,7 +590,7 @@ impl DaemonInput {
             },
             T_ANT_FILE => ExmMsg::AnticipateFile {
                 file: String::decode(dec)?,
-                kib: dec.get_u64()?,
+                kib: u64::decode(dec)?,
             },
             T_REQUEST_QUEUED => ExmMsg::RequestQueued {
                 req: ReqId::decode(dec)?,

@@ -255,7 +255,8 @@ mod tests {
     #[test]
     fn decoding_from_a_buffer_takes_views_of_it() {
         let mut enc = Encoder::new();
-        enc.put_u64(1);
+        // A field ahead of the list, so the views start inside the buffer.
+        1u64.encode(&mut enc);
         names(&["a name that is too long to be stored inline"]).encode(&mut enc);
         let msg = enc.finish_bytes();
         let (_, list): (u64, NameList) = from_backing(&msg).unwrap();

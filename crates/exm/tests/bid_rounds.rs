@@ -252,9 +252,10 @@ fn a_malformed_bid_is_dropped_whole() {
 }
 
 /// The round's four messages as `alloc_steady` sends them, byte for byte:
-/// every field that is a count, a length, a discriminant or a narrow
-/// integer is a uvarint, so a small value costs one byte. A size that grows
-/// back fails here before it shows in the benchmark's bytes per operation.
+/// every number is a uvarint — a float the uvarint of its byte-swapped
+/// bits — so a small integer costs one byte and a round float one to
+/// three. A size that grows back fails here before it shows in the
+/// benchmark's bytes per operation.
 #[test]
 fn the_round_s_messages_keep_their_pinned_sizes() {
     let req = ReqId {
@@ -278,9 +279,10 @@ fn the_round_s_messages_keep_their_pinned_sizes() {
         units: [UNIT].map(Into::into).into_iter().collect(),
     };
     assert_eq!(encode_msg(&disclose).len(), 1 + 1 + 1 + UNIT.len());
-    // A bare bid: node, class, three f64s, memory, willing, an empty task
-    // list and the `staged` mask; then the reply's tags, `BcastId` and
-    // payload length around it.
+    // A bare bid: node, class, three f64s (0.0 and 0.0 one byte each, 100.0
+    // three), memory, willing, an empty task list and the `staged` mask —
+    // 30 bytes when the floats were fixed words; then the reply's tags,
+    // `BcastId` and payload length around it.
     let bid = DaemonStatus {
         node: NodeId(2),
         class: MachineClass::Workstation,
@@ -293,13 +295,13 @@ fn the_round_s_messages_keep_their_pinned_sizes() {
         staged: 1,
     };
     let bid = Bytes::from(to_bytes(&bid));
-    assert_eq!(bid.len(), 30);
+    assert_eq!(bid.len(), 11);
     let to = vce_isis::BcastId {
         origin: Addr::leader(NodeId(0)),
         seq: 3,
     };
     let reply = ExmMsg::Isis(IsisMsg::Reply { to, payload: bid });
-    assert_eq!(encode_msg(&reply).len(), 36);
+    assert_eq!(encode_msg(&reply).len(), 17);
     let allocation = ExmMsg::Allocation {
         req,
         nodes: vec![NodeId(2)].into(),

@@ -426,8 +426,10 @@ impl GroupMember {
     /// Must be called from the embedding endpoint's `on_start`.
     pub fn start(&mut self, host: &mut dyn Host) {
         self.started_at = host.now_us();
-        // Restart-detection: a fresh random incarnation per boot.
-        self.incarnation = host.rand_u64() | 1;
+        // Restart-detection: the boot time names the incarnation. Peers only
+        // compare it for equality with this member's last one, the clock is
+        // monotone and no node boots twice in one µs; + 1 keeps it nonzero.
+        self.incarnation = host.now_us() + 1;
         // Rebooted members start over (endpoint state may survive a
         // kill/revive cycle in the simulator). Rows are emptied in place:
         // the arrival rings keep their storage.

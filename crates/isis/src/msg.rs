@@ -1,8 +1,8 @@
 //! The isis wire protocol.
 //!
-//! Sequence numbers and counters that start near zero (`BcastId.seq`,
-//! `fifo_seq`, `Nack.expected`, a heartbeat's `view_id`/`view_len`/
-//! `fifo_next`) are uvarints on the wire; byte layouts are in
+//! Every number is a uvarint on the wire (`BcastId.seq`, `fifo_seq`,
+//! `Nack.expected`, a heartbeat's `incarnation`/`view_id`/`view_len`/
+//! `fifo_next`), as `vce-codec` writes every integer; byte layouts are in
 //! docs/PROTOCOL.md § Framing.
 
 use bytes::Bytes;
@@ -55,11 +55,11 @@ impl Codec for BcastId {
 /// Every message the isis layer exchanges.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IsisMsg {
-    /// Periodic liveness + membership beacon. On the wire `view_len` and
-    /// `joining` share one uvarint (`view_len << 1 | joining`) and only
-    /// `incarnation`, a random 64-bit value, keeps its eight fixed bytes.
+    /// Periodic liveness + membership beacon: five uvarints, with
+    /// `view_len` and `joining` sharing one (`view_len << 1 | joining`).
     Heartbeat {
-        /// Sender's incarnation (restart counter / boot time).
+        /// Sender's incarnation: its boot time in µs, plus one. One byte for
+        /// a fleet booted at t = 0; a revived node's is 4–5 bytes.
         incarnation: u64,
         /// Highest view id the sender has installed (0 = none).
         view_id: u64,
@@ -148,7 +148,7 @@ impl Codec for IsisMsg {
                 fifo_next,
             } => {
                 enc.put_u8(T_HEARTBEAT);
-                enc.put_u64(*incarnation);
+                enc.put_uvarint(*incarnation);
                 enc.put_uvarint(*view_id);
                 enc.put_uvarint(u64::from(*view_len) << 1 | u64::from(*joining));
                 enc.put_uvarint(*fifo_next);
@@ -196,7 +196,7 @@ impl Codec for IsisMsg {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(match dec.get_u8()? {
             T_HEARTBEAT => {
-                let (incarnation, view_id) = (dec.get_u64()?, dec.get_uvarint()?);
+                let (incarnation, view_id) = (dec.get_uvarint()?, dec.get_uvarint()?);
                 let packed = dec.get_uvarint()?;
                 IsisMsg::Heartbeat {
                     incarnation,
@@ -330,27 +330,25 @@ mod tests {
     }
 
     /// The win, pinned where it is made: a steady-state heartbeat of a
-    /// 14-member view is 12 bytes (30 with fixed-width fields) and the
-    /// daemon → daemon envelope around it has a 5-byte header (28), so the
-    /// 59-byte frame `app_dense` sends 3,550 of per application is 18 with
-    /// the exm layer's tag byte.
+    /// 14-member view booted at t = 0 is 5 bytes (30 with fixed-width
+    /// fields) and the daemon → daemon envelope around it has a 5-byte
+    /// header (28), so the 59-byte frame `app_dense` sends 3,550 of per
+    /// application is 11 with the exm layer's tag byte.
     #[test]
     fn steady_state_heartbeat_frame_is_small() {
         let hb = to_bytes(&IsisMsg::Heartbeat {
-            incarnation: 0x9e37_79b9_7f4a_7c15,
+            incarnation: 1,
             view_id: 127,
             view_len: 14,
             joining: false,
             fifo_next: 127,
         });
-        assert_eq!(hb.len(), 12);
-        assert_eq!(hb[0], T_HEARTBEAT);
-        assert_eq!(&hb[9..], &[127, 14 << 1, 127]);
+        assert_eq!(hb, [T_HEARTBEAT, 1, 127, 14 << 1, 127]);
         let tagged = [&[0u8][..], &hb].concat();
         let (src, dst) = (Addr::daemon(NodeId(13)), Addr::daemon(NodeId(12)));
         let env = vce_net::Envelope::new(src, dst, tagged);
         assert_eq!(env.wire_size() - env.payload.len(), 5);
-        assert_eq!(env.wire_size(), 18);
+        assert_eq!(env.wire_size(), 11);
         assert_eq!(to_bytes(&env).len(), env.wire_size());
     }
 
@@ -359,7 +357,7 @@ mod tests {
         let frame = |packed: u64| {
             let mut enc = Encoder::new();
             enc.put_u8(T_HEARTBEAT);
-            enc.put_u64(7);
+            enc.put_uvarint(7);
             enc.put_uvarint(2);
             enc.put_uvarint(packed);
             enc.put_uvarint(4);
@@ -393,7 +391,7 @@ mod tests {
         assert!(from_bytes::<IsisMsg>(&[&valid[..], &[0]].concat()).is_err());
         // A padded uvarint is not a second spelling of the same heartbeat.
         let mut padded = valid.clone();
-        padded.splice(9..10, [0x82, 0x00]);
+        padded.splice(2..3, [0x82, 0x00]);
         assert!(from_bytes::<IsisMsg>(&padded).is_err());
     }
 

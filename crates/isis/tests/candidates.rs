@@ -164,8 +164,8 @@ fn a_refused_heartbeat_changes_nothing() {
     let (hash, before) = (gm.snapshot_hash(), effects(&host));
     let mut hostile: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
     // view_id 9 spelt in two bytes; view_len << 1 | joining = 2^33.
-    hostile.push([&valid[..9], &[0x89, 0x00], &valid[10..]].concat());
-    hostile.push([&valid[..10], &[0x80, 0x80, 0x80, 0x80, 0x20, 0x00]].concat());
+    hostile.push([&valid[..2], &[0x89, 0x00], &valid[3..]].concat());
+    hostile.push([&valid[..3], &[0x80, 0x80, 0x80, 0x80, 0x20, 0x00]].concat());
     for wire in hostile {
         assert!(deliver(&mut gm, &mut host, &wire).is_err(), "{wire:x?}");
         assert_eq!(gm.snapshot_hash(), hash, "{wire:x?} changed state");

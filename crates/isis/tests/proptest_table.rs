@@ -100,9 +100,9 @@ impl Model {
         self.view.coordinator() == Some(self.me)
     }
 
-    fn start(&mut self, now: u64, rand: u64) {
+    fn start(&mut self, now: u64) {
         self.started_at = now;
-        self.incarnation = rand | 1;
+        self.incarnation = now + 1;
         self.view = View::default();
         self.last_heard.clear();
         self.joiners.clear();
@@ -528,13 +528,11 @@ proptest! {
             cfg = cfg.with_fixed_detection();
         }
         let mut host = MockHost::new(NodeId(me));
-        // A fresh draw for every boot, so each gets its own incarnation.
-        let mut draw = 0;
-        let mut boot = |gm: &mut GroupMember, model: &mut Model, host: &mut MockHost| {
-            draw += 2;
-            host.rand.push_back(draw);
+        // Every boot after the first is at least a µs after the one before,
+        // so each gets its own incarnation, as on a monotone clock.
+        let boot = |gm: &mut GroupMember, model: &mut Model, host: &mut MockHost| {
             gm.start(host);
-            model.start(host.now, draw);
+            model.start(host.now);
         };
         let mut gm = GroupMember::new(addr(me), cfg.clone());
         let mut model = Model::new(addr(me), cfg);
@@ -581,7 +579,10 @@ proptest! {
                     gm.on_timer(TOKEN_QUARANTINE_SWEEP, &mut host, &mut ups);
                     model.sweep(host.now);
                 }
-                Op::Reboot => boot(&mut gm, &mut model, &mut host),
+                Op::Reboot => {
+                    host.now += 1;
+                    boot(&mut gm, &mut model, &mut host);
+                }
             }
             prop_assert_eq!(gm.view(), &model.view, "view after step {} ({:?})", step, op);
             prop_assert_eq!(gm.is_member(), model.is_member());

@@ -121,8 +121,15 @@ mod tests {
 
     #[test]
     fn decode_wrong_type_fails() {
+        // `("bid", 0.25)` read as `(String, bool)`: the float's first byte
+        // (0xbf) is no bool. As a `Vec<u64>` it would read three uvarints
+        // (the count 3, then b'b', b'i', b'd') and stop, so the type named
+        // here is one the bytes cannot be.
         let env = sample();
-        assert!(env.decode_payload::<Vec<u64>>().is_err());
+        assert_eq!(
+            env.decode_payload::<(String, bool)>(),
+            Err(vce_codec::CodecError::InvalidBool(0xbf))
+        );
     }
 
     #[test]

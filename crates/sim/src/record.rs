@@ -32,8 +32,11 @@
 //! record, `cause` as a zigzag delta, `node`/`a`/`b` as plain varints) —
 //! a ~3× size cut on real recordings. Version 3 records a delivery's
 //! payload length where version 2 recorded the envelope's sequence number,
-//! which the envelope no longer carries; version-1 (fixed-width) and
-//! version-2 files are rejected. The engine writes frames at driver-call
+//! which the envelope no longer carries. Version 4 is version 3's layout
+//! under the wire rule that makes every `u64`, `i64` and `f64` a uvarint
+//! (DESIGN decision 36): every delivery's payload length moved, so a
+//! version-3 file cannot replay. Version-1 (fixed-width), version-2 and
+//! version-3 files are rejected. The engine writes frames at driver-call
 //! boundaries, which are independent of the shard count — so a `.vct` file
 //! is **byte-identical for `VCE_SHARDS` ∈ {1, 2, 4, 8}**, making the
 //! sharded engine independently verifiable (`scripts/ci.sh` diffs the
@@ -52,8 +55,9 @@ pub const MAGIC: &[u8; 4] = b"VCT1";
 /// Format version written in the header frame, and the only one the
 /// reader accepts. Version 2 varint delta-encodes `Events` frames (see
 /// [`TraceWriter::append_events`]); version 3 gives `EV_DELIVER` records
-/// the payload length as their `a`.
-pub const VERSION: u16 = 3;
+/// the payload length as their `a`; version 4 records payloads whose every
+/// number is a uvarint.
+pub const VERSION: u16 = 4;
 
 // Event-kind tags inside an `Events` frame (one per engine event pop).
 /// An endpoint `on_start` (node boot or revive).
@@ -863,8 +867,9 @@ mod tests {
     }
 
     /// Version 2 recorded a delivery's envelope sequence number in `a`;
-    /// its files are refused rather than compared against version-3 `a`s.
-    /// A version-3 delivery's `a` is the length of the payload delivered.
+    /// its files are refused rather than compared against later `a`s.
+    /// Since version 3 a delivery's `a` is the length of the payload
+    /// delivered.
     #[test]
     fn version_2_is_refused_and_a_delivery_records_its_payload_length() {
         let err = refusal_of_version(2);
@@ -887,6 +892,17 @@ mod tests {
         let delivery = trace.events.iter().find(|e| e.kind == EV_DELIVER).unwrap();
         assert_eq!((delivery.at_us, delivery.a), (5, 17));
         assert_eq!(delivery.b, 1 << 32, "source code: node 1, daemon port 0");
+    }
+
+    /// Version 3 payloads carried fixed-width `u64`s, `i64`s and `f64`s,
+    /// so its delivery lengths cannot match a replay's: refused.
+    #[test]
+    fn version_3_recordings_are_refused() {
+        let err = refusal_of_version(3);
+        assert!(
+            err.contains("unsupported version 3"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

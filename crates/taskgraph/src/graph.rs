@@ -40,14 +40,14 @@ impl Codec for Arc {
         self.from.encode(enc);
         self.to.encode(enc);
         self.kind.encode(enc);
-        enc.put_u64(self.data_kib);
+        self.data_kib.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(Arc {
             from: TaskId::decode(dec)?,
             to: TaskId::decode(dec)?,
             kind: ArcKind::decode(dec)?,
-            data_kib: dec.get_u64()?,
+            data_kib: u64::decode(dec)?,
         })
     }
 }
