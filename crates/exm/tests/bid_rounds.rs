@@ -282,7 +282,7 @@ fn the_round_s_messages_keep_their_pinned_sizes() {
     // A bare bid: node, class, three f64s (0.0 and 0.0 one byte each, 100.0
     // three), memory, willing, an empty task list and the `staged` mask —
     // 30 bytes when the floats were fixed words; then the reply's tags,
-    // `BcastId` and payload length around it.
+    // the answered cast's `fifo_seq` and the payload length around it.
     let bid = DaemonStatus {
         node: NodeId(2),
         class: MachineClass::Workstation,
@@ -296,12 +296,11 @@ fn the_round_s_messages_keep_their_pinned_sizes() {
     };
     let bid = Bytes::from(to_bytes(&bid));
     assert_eq!(bid.len(), 11);
-    let to = vce_isis::BcastId {
-        origin: Addr::leader(NodeId(0)),
-        seq: 3,
-    };
-    let reply = ExmMsg::Isis(IsisMsg::Reply { to, payload: bid });
-    assert_eq!(encode_msg(&reply).len(), 17);
+    let reply = ExmMsg::Isis(IsisMsg::Reply {
+        to: 3,
+        payload: bid,
+    });
+    assert_eq!(encode_msg(&reply).len(), 15);
     let allocation = ExmMsg::Allocation {
         req,
         nodes: vec![NodeId(2)].into(),

@@ -21,10 +21,13 @@
 //! * **Coordinator succession by seniority**: the oldest surviving member
 //!   (smallest join sequence number) of the last installed view becomes
 //!   coordinator — exactly the paper's leader-failover rule.
-//! * **Ordered reliable broadcast** ([`CastOrder`]): per-sender FIFO
-//!   (`fbcast`) with NACK-based retransmission as the base layer, causal
-//!   (`cbcast`, vector-clock holdback) and total (`abcast`,
-//!   coordinator-sequenced) on top.
+//! * **Reliable FIFO broadcast** ([`GroupMember::bcast`]): per-sender FIFO
+//!   order with NACK-based retransmission — the one order §5's `bcast`
+//!   needs. A cast is named ([`BcastId`]) by its sender and its place in
+//!   that sender's stream, both of which the transport already carries,
+//!   so a cast cannot speak for another member. Isis's causal (`cbcast`)
+//!   and total (`abcast`) orders are not reproduced: the VCE never used
+//!   them (DESIGN.md decision 37).
 //! * **`bcast`/`reply` collection**: broadcast a request and gather one
 //!   reply per member with a deadline — the primitive the VCE group leader
 //!   uses to collect bids (Fig. 3).
@@ -36,8 +39,7 @@
 //! message broadcast in view *v* may be delivered in view *v+1*. The VCE
 //! scheduler tolerates this by construction (bids carry request ids;
 //! stale replies are ignored), which is also how the original prototype
-//! survived on Isis's weaker `fbcast`. Total order likewise restarts its
-//! sequence at a coordinator change. DESIGN.md records this substitution.
+//! survived on Isis's weaker `fbcast`. DESIGN.md records this substitution.
 //!
 //! ## Embedding
 //!
@@ -52,13 +54,11 @@ pub mod detector;
 pub mod member;
 pub mod msg;
 pub mod ordering;
-pub mod vclock;
 pub mod view;
 
 pub use detector::{ArrivalWindow, DetectorConfig, FlapState, QuarantineConfig};
 pub use member::{GroupConfig, GroupMember, Upcall};
-pub use msg::{BcastId, CastOrder, IsisMsg};
-pub use vclock::VClock;
+pub use msg::{BcastId, IsisMsg};
 pub use view::{Member, View};
 
 /// Base of the timer-token namespace reserved for isis protocol timers.

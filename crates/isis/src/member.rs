@@ -51,8 +51,8 @@ use vce_net::{Addr, Host};
 
 use crate::collect::{CollectResult, Collector};
 use crate::detector::{ArrivalWindow, DetectorConfig, FlapState, QuarantineConfig};
-use crate::msg::{BcastId, CastOrder, IsisMsg};
-use crate::ordering::{CastData, Delivered, OrderingState};
+use crate::msg::{BcastId, IsisMsg};
+use crate::ordering::{Delivered, OrderingState};
 use crate::view::{Member, View};
 use crate::ISIS_TOKEN_BASE;
 
@@ -146,12 +146,11 @@ pub enum Upcall {
     /// This member was excluded from the group (suspected dead); it will
     /// automatically re-join when communication resumes.
     Evicted,
-    /// An ordered broadcast is delivered.
+    /// A broadcast is delivered, in its sender's FIFO order.
     Deliver {
-        /// Broadcast identity; replies go to `id.origin`.
+        /// Broadcast identity: the transport sender and its `fifo_seq`;
+        /// replies go to `id.origin`.
         id: BcastId,
-        /// Discipline it was sent under.
-        order: CastOrder,
         /// Application payload.
         payload: Bytes,
     },
@@ -230,12 +229,12 @@ pub struct GroupMember {
     searching: Option<u64>,
     // Coordinator state.
     next_join_seq: u64,
-    next_total_seq: u64,
     // Outbound.
     out_fifo_seq: u64,
-    resend: VecDeque<(u64, IsisMsg)>,
-    bcast_counter: u64,
-    causal_out: u64,
+    /// Payloads of the last [`RESEND_BUFFER`] casts, oldest first: the
+    /// back one is cast `out_fifo_seq - 1`, so an entry's place in the
+    /// ring is its `fifo_seq`.
+    resend: VecDeque<Bytes>,
     // Inbound.
     ordering: OrderingState,
     collector: Collector,
@@ -243,7 +242,6 @@ pub struct GroupMember {
     token_of_collect: BTreeMap<BcastId, u64>,
     next_collect_token: u64,
     // Per-tick scratch (drained every use, capacity retained).
-    deliver_scratch: Vec<Delivered>,
     nack_scratch: Vec<(usize, u64)>,
 }
 
@@ -297,17 +295,13 @@ impl GroupMember {
             seniors: [None; SENIORS],
             searching: None,
             next_join_seq: 0,
-            next_total_seq: 0,
             out_fifo_seq: 0,
             resend: VecDeque::new(),
-            bcast_counter: 0,
-            causal_out: 0,
             ordering,
             collector: Collector::new(),
             collect_deadlines: BTreeMap::new(),
             token_of_collect: BTreeMap::new(),
             next_collect_token: 0,
-            deliver_scratch: Vec::new(),
             nack_scratch: Vec::new(),
         }
     }
@@ -348,13 +342,11 @@ impl GroupMember {
 
     /// Deterministic digest of the group-membership state, folded into the
     /// embedding endpoint's `snapshot_hash` for record/replay divergence
-    /// detection. Covers the installed view, sequencer counters and, per
-    /// peer in `Addr` (= rank) order, three sections: every peer heard from
-    /// with the time, every tracked arrival window, every flap record —
-    /// each section prefixed by its count, as when they were three sorted
-    /// maps, so recordings made before the table still compare equal.
-    /// Deliberately skips the collect bookkeeping — its effects surface
-    /// through the counters folded here.
+    /// detection. Covers the installed view, the join and cast counters and,
+    /// per peer in `Addr` (= rank) order, three sections: every peer heard
+    /// from with the time, every tracked arrival window, every flap record,
+    /// each prefixed by its count. Deliberately skips the collect
+    /// bookkeeping — its effects surface through the counters folded here.
     pub fn snapshot_hash(&self) -> u64 {
         let mut h = vce_net::Fnv64::new();
         h.write_u64(u64::from(self.me.node.0))
@@ -367,10 +359,7 @@ impl GroupMember {
                 .write_u64(m.joined_seq);
         }
         h.write_u64(self.next_join_seq)
-            .write_u64(self.next_total_seq)
             .write_u64(self.out_fifo_seq)
-            .write_u64(self.bcast_counter)
-            .write_u64(self.causal_out)
             .write_u64(self.resend.len() as u64)
             .write_u64(self.next_collect_token);
         let rows = || self.cfg.candidates.iter().zip(&self.peers);
@@ -611,67 +600,33 @@ impl GroupMember {
                     }
                 }
             }
-            IsisMsg::Cast {
-                id,
-                order,
-                fifo_seq,
-                vclock,
-                total_seq,
-                requester: _,
-                payload,
-            } => {
-                let data = CastData {
-                    id,
-                    order,
-                    vclock,
-                    total_seq,
-                    payload,
+            IsisMsg::Cast { fifo_seq, payload } => {
+                // Named by who sent it: no cast speaks for another member.
+                let id = BcastId {
+                    origin: src,
+                    seq: fifo_seq,
                 };
-                let mut delivered = std::mem::take(&mut self.deliver_scratch);
-                debug_assert!(delivered.is_empty());
                 self.ordering
-                    .on_cast(rank, fifo_seq, data, now, &mut delivered);
-                for d in delivered.drain(..) {
-                    up.push(Upcall::Deliver {
-                        id: d.id,
-                        order: d.order,
-                        payload: d.payload,
-                    });
-                }
-                self.deliver_scratch = delivered;
-            }
-            IsisMsg::TotalReq { req, payload } => {
-                if self.is_coordinator() {
-                    let seq = self.next_total_seq;
-                    self.next_total_seq += 1;
-                    self.cast_to_group(
-                        host,
-                        IsisMsg::Cast {
-                            id: req,
-                            order: CastOrder::Total,
-                            fifo_seq: 0, // assigned by cast_to_group
-                            vclock: None,
-                            total_seq: Some(seq),
-                            requester: Some(src),
-                            payload,
-                        },
-                    );
-                }
-                // Non-coordinators silently drop: the requester sends only
-                // to the coordinator it believes in; a lost request is a
-                // documented weakening of our abcast during succession.
+                    .on_cast(rank, Delivered { id, payload }, now, up);
             }
             IsisMsg::Nack { expected } => {
                 // Retransmit everything still buffered from `expected` on.
+                let first = self.resend_base();
                 let resend = std::mem::take(&mut self.resend);
-                for (seq, m) in &resend {
-                    if *seq >= expected {
-                        self.out(host, src, m);
+                for (fifo_seq, payload) in (first..).zip(&resend) {
+                    if fifo_seq >= expected {
+                        let payload = payload.clone();
+                        self.out(host, src, &IsisMsg::Cast { fifo_seq, payload });
                     }
                 }
                 self.resend = resend;
             }
             IsisMsg::Reply { to, payload } => {
+                // Replies come to the cast's origin: this member.
+                let to = BcastId {
+                    origin: self.me,
+                    seq: to,
+                };
                 if let Some(result) = self.collector.on_reply(to, src, payload) {
                     if let Some(token) = self.token_of_collect.remove(&to) {
                         self.collect_deadlines.remove(&token);
@@ -693,62 +648,37 @@ impl GroupMember {
 
     // ---- application primitives ----
 
-    /// Ordered broadcast to the current view (including self, delivered via
-    /// loopback). Returns `None` when not yet a member.
-    pub fn bcast(
-        &mut self,
-        order: CastOrder,
-        payload: Bytes,
-        host: &mut dyn Host,
-    ) -> Option<BcastId> {
+    /// Reliable FIFO broadcast to the current view (self included —
+    /// loopback delivery keeps the delivery path uniform). Assigns the next
+    /// `fifo_seq`, keeps the payload for retransmission, and encodes once,
+    /// fanning the cheap `Bytes` clone out to every destination. Returns
+    /// `None` when not yet a member.
+    pub fn bcast(&mut self, payload: Bytes, host: &mut dyn Host) -> Option<BcastId> {
         if !self.is_member() {
             return None;
         }
-        self.bcast_counter += 1;
-        let id = BcastId {
-            origin: self.me,
-            seq: self.bcast_counter,
-        };
-        match order {
-            CastOrder::Fifo => {
-                self.cast_to_group(
-                    host,
-                    IsisMsg::Cast {
-                        id,
-                        order,
-                        fifo_seq: 0,
-                        vclock: None,
-                        total_seq: None,
-                        requester: None,
-                        payload,
-                    },
-                );
-            }
-            CastOrder::Causal => {
-                self.causal_out += 1;
-                let mut vc = self.ordering.local_vc().clone();
-                vc.set(self.me, self.causal_out);
-                self.cast_to_group(
-                    host,
-                    IsisMsg::Cast {
-                        id,
-                        order,
-                        fifo_seq: 0,
-                        vclock: Some(vc),
-                        total_seq: None,
-                        requester: None,
-                        payload,
-                    },
-                );
-            }
-            CastOrder::Total => {
-                let Some(coord) = self.view.coordinator() else {
-                    return None; // membership raced away: nowhere to sequence
-                };
-                self.out(host, coord, &IsisMsg::TotalReq { req: id, payload });
-            }
+        let fifo_seq = self.out_fifo_seq;
+        self.out_fifo_seq += 1;
+        let bytes = self.encode(
+            host,
+            &IsisMsg::Cast {
+                fifo_seq,
+                payload: payload.clone(),
+            },
+        );
+        let view = std::mem::take(&mut self.view);
+        for dst in view.addrs() {
+            self.send(host, dst, bytes.clone());
         }
-        Some(id)
+        self.view = view;
+        self.resend.push_back(payload);
+        while self.resend.len() > RESEND_BUFFER {
+            self.resend.pop_front();
+        }
+        Some(BcastId {
+            origin: self.me,
+            seq: fifo_seq,
+        })
     }
 
     /// The paper's `bcast`+`reply` pattern: FIFO-broadcast `payload` and
@@ -762,7 +692,7 @@ impl GroupMember {
         host: &mut dyn Host,
     ) -> Option<BcastId> {
         let expected = expected.unwrap_or(self.view.len());
-        let id = self.bcast(CastOrder::Fifo, payload, host)?;
+        let id = self.bcast(payload, host)?;
         self.collector.open(id, expected);
         let token = TOKEN_COLLECT_BASE + self.next_collect_token;
         self.next_collect_token += 1;
@@ -779,21 +709,28 @@ impl GroupMember {
     /// The entry stays, so a NACK still finds every sequence number and
     /// gets this one re-sent empty.
     fn forget_question(&mut self, id: BcastId) {
-        // Collects rarely overlap: the cast is at or near the back.
-        let question = self.resend.iter_mut().rev().find_map(|(_, m)| match m {
-            IsisMsg::Cast {
-                id: of, payload, ..
-            } if *of == id => Some(payload),
-            _ => None,
+        let first = self.resend_base();
+        let question = id.seq.checked_sub(first).and_then(|at| {
+            let at = usize::try_from(at).ok()?;
+            self.resend.get_mut(at)
         });
         if let Some(payload) = question {
             *payload = Bytes::new();
         }
     }
 
+    /// The `fifo_seq` of the oldest cast in `resend`.
+    fn resend_base(&self) -> u64 {
+        self.out_fifo_seq - self.resend.len() as u64
+    }
+
     /// Reply to a delivered broadcast (unicast to its origin).
     pub fn reply(&mut self, to: BcastId, payload: Bytes, host: &mut dyn Host) {
-        self.out(host, to.origin, &IsisMsg::Reply { to, payload });
+        let reply = IsisMsg::Reply {
+            to: to.seq,
+            payload,
+        };
+        self.out(host, to.origin, &reply);
     }
 
     /// Return a finished [`CollectResult`]'s reply vector for reuse by the
@@ -821,30 +758,6 @@ impl GroupMember {
             p.sent = Some(host.now_us());
         }
         host.send(self.me, dst, bytes);
-    }
-
-    /// Assign the next FIFO sequence, buffer for retransmission, and send to
-    /// every view member (self included — loopback delivery keeps the
-    /// delivery path uniform). Encodes once and fans the cheap `Bytes`
-    /// clone out to every destination.
-    fn cast_to_group(&mut self, host: &mut dyn Host, mut msg: IsisMsg) {
-        let seq = self.out_fifo_seq;
-        self.out_fifo_seq += 1;
-        if let IsisMsg::Cast { fifo_seq, .. } = &mut msg {
-            *fifo_seq = seq;
-        } else {
-            unreachable!("cast_to_group takes Cast messages only");
-        }
-        let bytes = self.encode(host, &msg);
-        let view = std::mem::take(&mut self.view);
-        for dst in view.addrs() {
-            self.send(host, dst, bytes.clone());
-        }
-        self.view = view;
-        self.resend.push_back((seq, msg));
-        while self.resend.len() > RESEND_BUFFER {
-            self.resend.pop_front();
-        }
     }
 
     fn heartbeat(&self) -> IsisMsg {
@@ -1081,7 +994,7 @@ impl GroupMember {
 
     fn install(&mut self, view: View, now: u64, up: &mut Vec<Upcall>) {
         let was_coordinator = self.is_coordinator();
-        let (old_coord, was_senior) = (self.coord(), self.is_senior(self.me_rank));
+        let was_senior = self.is_senior(self.me_rank);
         for p in &mut self.peers {
             p.in_view = false;
         }
@@ -1108,13 +1021,6 @@ impl GroupMember {
             }
         }
         self.view = view.clone();
-        if old_coord != self.coord() {
-            // New sequencer ⇒ total order restarts (documented weakening).
-            self.ordering.reset_total_order();
-            if self.is_coordinator() {
-                self.next_total_seq = 0;
-            }
-        }
         up.push(Upcall::ViewInstalled(view.clone()));
         if self.is_coordinator() && !was_coordinator {
             up.push(Upcall::BecameCoordinator(view));
@@ -1132,6 +1038,5 @@ impl GroupMember {
             p.in_view = false;
             p.joiner = false;
         }
-        self.ordering.reset_total_order();
     }
 }

@@ -1,55 +1,31 @@
 //! The isis wire protocol.
 //!
-//! Every number is a uvarint on the wire (`BcastId.seq`, `fifo_seq`,
+//! Every number is a uvarint on the wire (`fifo_seq`, a reply's `to`,
 //! `Nack.expected`, a heartbeat's `incarnation`/`view_id`/`view_len`/
 //! `fifo_next`), as `vce-codec` writes every integer; byte layouts are in
 //! docs/PROTOCOL.md § Framing.
+//!
+//! A cast is named by where it came from and its place in that sender's
+//! FIFO stream, and both are already on the wire: the sender is the
+//! envelope's `src`, the place is `fifo_seq`. So a [`BcastId`] is never
+//! encoded — the receiver of a cast rebuilds it from the transport sender,
+//! and the receiver of a reply (always the cast's origin) from itself.
 
 use bytes::Bytes;
-use vce_codec::{impl_codec_for_enum, Codec, CodecError, Decoder, Encoder, Result};
+use vce_codec::{Codec, CodecError, Decoder, Encoder, Result};
 use vce_net::Addr;
 
-use crate::vclock::VClock;
 use crate::view::View;
 
-/// Broadcast ordering discipline, named as in Isis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CastOrder {
-    /// Per-sender FIFO (`fbcast`).
-    Fifo,
-    /// Causal (`cbcast`).
-    Causal,
-    /// Total (`abcast`), sequenced by the coordinator.
-    Total,
-}
-
-impl_codec_for_enum!(CastOrder {
-    CastOrder::Fifo => 0,
-    CastOrder::Causal => 1,
-    CastOrder::Total => 2,
-});
-
-/// Globally unique broadcast identity: origin endpoint + origin-local
-/// counter.
+/// A broadcast's identity: its origin and the origin's `fifo_seq` for
+/// it. An in-memory key only — see the module docs for why it never
+/// travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BcastId {
-    /// The broadcasting member.
+    /// The broadcasting member (the transport sender of the cast).
     pub origin: Addr,
-    /// Origin-local broadcast counter.
+    /// The cast's `fifo_seq` in the origin's stream.
     pub seq: u64,
-}
-
-impl Codec for BcastId {
-    fn encode(&self, enc: &mut Encoder) {
-        self.origin.encode(enc);
-        enc.put_uvarint(self.seq);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(BcastId {
-            origin: Addr::decode(dec)?,
-            seq: dec.get_uvarint()?,
-        })
-    }
 }
 
 /// Every message the isis layer exchanges.
@@ -84,29 +60,11 @@ pub enum IsisMsg {
         /// The view to install.
         view: View,
     },
-    /// Reliable-FIFO data transport for all broadcast disciplines.
+    /// A reliable-FIFO broadcast: the one cast order (§5's `bcast`).
     Cast {
-        /// Broadcast identity (origin + origin counter). For `Total` casts
-        /// the origin is the *sequencer* and `total_seq` is set.
-        id: BcastId,
-        /// Ordering discipline.
-        order: CastOrder,
-        /// Per-(sender→group) FIFO transport sequence.
+        /// Per-(sender→group) FIFO sequence; with the transport sender it
+        /// names the cast.
         fifo_seq: u64,
-        /// Vector timestamp (causal casts only).
-        vclock: Option<VClock>,
-        /// Global sequence (total casts only).
-        total_seq: Option<u64>,
-        /// The requester that asked the sequencer to order this cast
-        /// (total casts only; `id.origin` is the sequencer).
-        requester: Option<Addr>,
-        /// Application payload.
-        payload: Bytes,
-    },
-    /// Ask the coordinator to sequence a total-order broadcast.
-    TotalReq {
-        /// Requester-side id used to correlate.
-        req: BcastId,
         /// Application payload.
         payload: Bytes,
     },
@@ -117,8 +75,8 @@ pub enum IsisMsg {
     },
     /// Point-to-point reply to a collected broadcast (`reply` primitive).
     Reply {
-        /// Which broadcast this answers.
-        to: BcastId,
+        /// The `fifo_seq` of the answered cast, which the receiver sent.
+        to: u64,
         /// Reply payload.
         payload: Bytes,
     },
@@ -132,7 +90,7 @@ pub enum IsisMsg {
 const T_HEARTBEAT: u8 = 0;
 const T_VIEW_INSTALL: u8 = 1;
 const T_CAST: u8 = 2;
-const T_TOTAL_REQ: u8 = 3;
+// 3 is unassigned (it was a total-order request) and refused.
 const T_NACK: u8 = 4;
 const T_REPLY: u8 = 5;
 const T_SOLICIT: u8 = 6;
@@ -157,27 +115,9 @@ impl Codec for IsisMsg {
                 enc.put_u8(T_VIEW_INSTALL);
                 view.encode(enc);
             }
-            IsisMsg::Cast {
-                id,
-                order,
-                fifo_seq,
-                vclock,
-                total_seq,
-                requester,
-                payload,
-            } => {
+            IsisMsg::Cast { fifo_seq, payload } => {
                 enc.put_u8(T_CAST);
-                id.encode(enc);
-                order.encode(enc);
                 enc.put_uvarint(*fifo_seq);
-                vclock.encode(enc);
-                total_seq.encode(enc);
-                requester.encode(enc);
-                enc.put_len_bytes(payload);
-            }
-            IsisMsg::TotalReq { req, payload } => {
-                enc.put_u8(T_TOTAL_REQ);
-                req.encode(enc);
                 enc.put_len_bytes(payload);
             }
             IsisMsg::Nack { expected } => {
@@ -186,7 +126,7 @@ impl Codec for IsisMsg {
             }
             IsisMsg::Reply { to, payload } => {
                 enc.put_u8(T_REPLY);
-                to.encode(enc);
+                enc.put_uvarint(*to);
                 enc.put_len_bytes(payload);
             }
             IsisMsg::Solicit => enc.put_u8(T_SOLICIT),
@@ -215,23 +155,14 @@ impl Codec for IsisMsg {
                 view: View::decode(dec)?,
             },
             T_CAST => IsisMsg::Cast {
-                id: BcastId::decode(dec)?,
-                order: CastOrder::decode(dec)?,
                 fifo_seq: dec.get_uvarint()?,
-                vclock: Option::<VClock>::decode(dec)?,
-                total_seq: Option::<u64>::decode(dec)?,
-                requester: Option::<Addr>::decode(dec)?,
-                payload: dec.get_bytes()?,
-            },
-            T_TOTAL_REQ => IsisMsg::TotalReq {
-                req: BcastId::decode(dec)?,
                 payload: dec.get_bytes()?,
             },
             T_NACK => IsisMsg::Nack {
                 expected: dec.get_uvarint()?,
             },
             T_REPLY => IsisMsg::Reply {
-                to: BcastId::decode(dec)?,
+                to: dec.get_uvarint()?,
                 payload: dec.get_bytes()?,
             },
             T_SOLICIT => IsisMsg::Solicit,
@@ -261,8 +192,6 @@ mod tests {
 
     #[test]
     fn all_variants_round_trip() {
-        let mut vc = VClock::new();
-        vc.set(Addr::daemon(NodeId(1)), 3);
         let msgs = vec![
             IsisMsg::Heartbeat {
                 incarnation: 7,
@@ -295,30 +224,16 @@ mod tests {
                 ),
             },
             IsisMsg::Cast {
-                id: id(1, 5),
-                order: CastOrder::Causal,
                 fifo_seq: 9,
-                vclock: Some(vc),
-                total_seq: None,
-                requester: None,
                 payload: Bytes::from_static(b"data"),
             },
             IsisMsg::Cast {
-                id: id(0, 6),
-                order: CastOrder::Total,
-                fifo_seq: 10,
-                vclock: None,
-                total_seq: Some(44),
-                requester: Some(Addr::daemon(NodeId(2))),
-                payload: Bytes::from_static(b"t"),
-            },
-            IsisMsg::TotalReq {
-                req: id(2, 1),
-                payload: Bytes::from_static(b"req"),
+                fifo_seq: u64::MAX,
+                payload: Bytes::new(),
             },
             IsisMsg::Nack { expected: 12 },
             IsisMsg::Reply {
-                to: id(1, 5),
+                to: 5,
                 payload: Bytes::from_static(b"bid"),
             },
             IsisMsg::Solicit,
@@ -397,13 +312,14 @@ mod tests {
 
     #[test]
     fn an_address_past_u32_is_refused_wherever_it_rides() {
-        // A reply to a `BcastId` whose origin node is u32::MAX + 1.
+        // A view install whose one member's node is u32::MAX + 1.
         let mut enc = Encoder::new();
-        enc.put_u8(T_REPLY);
+        enc.put_u8(T_VIEW_INSTALL);
+        enc.put_uvarint(3);
+        enc.put_uvarint(1);
         enc.put_uvarint(u64::from(u32::MAX) + 1);
         enc.put_uvarint(0);
-        enc.put_uvarint(5);
-        enc.put_len_bytes(b"bid");
+        enc.put_uvarint(0);
         assert!(matches!(
             from_bytes::<IsisMsg>(&enc.finish()),
             Err(CodecError::InvalidDiscriminant {
@@ -411,6 +327,21 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A cast is its tag, its `fifo_seq` and its payload; a reply the
+    /// answered cast's `fifo_seq` and its payload. No address rides in
+    /// either, so neither can name another member's broadcast.
+    #[test]
+    fn casts_and_replies_carry_no_address() {
+        let payload = Bytes::from_static(b"bid");
+        let cast = to_bytes(&IsisMsg::Cast {
+            fifo_seq: 300,
+            payload: payload.clone(),
+        });
+        assert_eq!(cast, [&[T_CAST, 0xac, 0x02, 3][..], b"bid"].concat());
+        let reply = to_bytes(&IsisMsg::Reply { to: 3, payload });
+        assert_eq!(reply, [&[T_REPLY, 3, 3][..], b"bid"].concat());
     }
 
     #[test]

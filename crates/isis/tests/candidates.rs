@@ -5,9 +5,7 @@
 //! same message from a candidate does something.
 
 use bytes::Bytes;
-use vce_isis::{
-    BcastId, CastOrder, GroupConfig, GroupMember, IsisMsg, Member, Upcall, View, ISIS_TOKEN_BASE,
-};
+use vce_isis::{BcastId, GroupConfig, GroupMember, IsisMsg, Member, Upcall, View, ISIS_TOKEN_BASE};
 use vce_net::testing::MockHost;
 use vce_net::{Addr, NodeId};
 
@@ -64,27 +62,12 @@ fn every_variant(open: BcastId) -> Vec<IsisMsg> {
             ),
         },
         IsisMsg::Cast {
-            id: BcastId {
-                origin: outsider,
-                seq: 1,
-            },
-            order: CastOrder::Fifo,
             fifo_seq: 0,
-            vclock: None,
-            total_seq: None,
-            requester: None,
-            payload: Bytes::from_static(b"x"),
-        },
-        IsisMsg::TotalReq {
-            req: BcastId {
-                origin: outsider,
-                seq: 1,
-            },
             payload: Bytes::from_static(b"x"),
         },
         IsisMsg::Nack { expected: 0 },
         IsisMsg::Reply {
-            to: open,
+            to: open.seq,
             payload: Bytes::from_static(b"bid"),
         },
         // From a candidate this is answered with a heartbeat.
@@ -206,18 +189,17 @@ fn a_closed_collect_is_re_sent_without_its_question() {
     let resent = |gm: &mut GroupMember, host: &mut MockHost, expected| {
         gm.handle(addr(1), IsisMsg::Nack { expected }, host, &mut Vec::new());
         match vce_codec::from_bytes(&host.sent.last().expect("a re-send").2) {
-            Ok(IsisMsg::Cast {
-                id,
-                fifo_seq,
-                payload,
-                ..
-            }) => (id, fifo_seq, payload),
+            Ok(IsisMsg::Cast { fifo_seq, payload }) => (fifo_seq, payload),
             other => panic!("re-sent {other:?}"),
         }
     };
+    assert_eq!(open.seq, 0, "the first cast");
     let asked = resent(&mut gm, &mut host, 0);
-    assert_eq!(asked, (open, 0, Bytes::from_static(b"bids?")));
-    let reply = |payload| IsisMsg::Reply { to: open, payload };
+    assert_eq!(asked, (0, Bytes::from_static(b"bids?")));
+    let reply = |payload| IsisMsg::Reply {
+        to: open.seq,
+        payload,
+    };
     let mut ups = Vec::new();
     gm.handle(
         addr(1),
@@ -233,7 +215,7 @@ fn a_closed_collect_is_re_sent_without_its_question() {
         &mut ups,
     );
     assert!(matches!(ups.as_slice(), [Upcall::CollectDone(done)] if done.replies.len() == 2));
-    assert_eq!(resent(&mut gm, &mut host, 0), (open, 0, Bytes::new()));
+    assert_eq!(resent(&mut gm, &mut host, 0), (0, Bytes::new()));
     // The same when the deadline closes it, short of replies.
     let late = gm
         .bcast_collect(
@@ -244,10 +226,50 @@ fn a_closed_collect_is_re_sent_without_its_question() {
         )
         .expect("still a member");
     let deadline = host.timers.last().expect("the collect's deadline").1;
+    assert_eq!(late.seq, 1, "the second cast");
     let asked = resent(&mut gm, &mut host, 1);
-    assert_eq!(asked, (late, 1, Bytes::from_static(b"more bids?")));
+    assert_eq!(asked, (1, Bytes::from_static(b"more bids?")));
     ups.clear();
     gm.on_timer(deadline, &mut host, &mut ups);
     assert!(matches!(ups.as_slice(), [Upcall::CollectDone(done)] if done.timed_out));
-    assert_eq!(resent(&mut gm, &mut host, 1), (late, 1, Bytes::new()));
+    assert_eq!(resent(&mut gm, &mut host, 1), (1, Bytes::new()));
+}
+
+/// A cast carries no origin of its own: it is named by the member that
+/// sent it and its `fifo_seq`, so a reply to it goes back to that member
+/// and no cast can steer the group's replies to a third party.
+#[test]
+fn a_cast_is_named_by_its_transport_sender() {
+    let (mut gm, mut host, _) = coordinator();
+    let mut ups = Vec::new();
+    for (src, fifo_seq) in [(1, 7), (2, 7), (1, 8)] {
+        let cast = IsisMsg::Cast {
+            fifo_seq,
+            payload: Bytes::from_static(b"x"),
+        };
+        gm.handle(addr(src), cast, &mut host, &mut ups);
+    }
+    let named: Vec<BcastId> = ups
+        .iter()
+        .filter_map(|u| match u {
+            Upcall::Deliver { id, .. } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let id = |n, seq| BcastId {
+        origin: addr(n),
+        seq,
+    };
+    assert_eq!(named, [id(1, 7), id(2, 7), id(1, 8)]);
+    // The reply goes to the sender, naming the cast by its `fifo_seq`.
+    gm.reply(named[1], Bytes::from_static(b"bid"), &mut host);
+    let (_, dst, wire) = host.sent.last().expect("the reply");
+    assert_eq!(*dst, addr(2));
+    assert_eq!(
+        vce_codec::from_bytes::<IsisMsg>(wire),
+        Ok(IsisMsg::Reply {
+            to: 7,
+            payload: Bytes::from_static(b"bid"),
+        })
+    );
 }

@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use vce_codec::from_bytes;
 use vce_isis::collect::CollectResult;
-use vce_isis::{is_isis_token, CastOrder, GroupConfig, GroupMember, IsisMsg, Upcall, View};
+use vce_isis::{is_isis_token, GroupConfig, GroupMember, IsisMsg, Upcall, View};
 use vce_net::{Addr, Endpoint, Envelope, Host, LinkFault, MachineInfo, NodeId};
 use vce_sim::{Sim, SimConfig};
 
@@ -18,10 +18,8 @@ struct TestMember {
     upcalls: Vec<(u64, Upcall)>,
     /// Reply to every delivered broadcast with this payload.
     auto_reply: Option<Bytes>,
-    /// When a broadcast with payload `.0` is delivered, cast `.1` (causal).
-    cast_on_deliver: Option<(Bytes, Bytes)>,
     /// Casts to perform on the next tick.
-    pending_casts: Vec<(CastOrder, Bytes)>,
+    pending_casts: Vec<Bytes>,
     /// Collect to perform on the next tick: (payload, expected, timeout).
     pending_collect: Option<(Bytes, Option<usize>, u64)>,
 }
@@ -32,7 +30,6 @@ impl TestMember {
             gm: GroupMember::new(me, cfg),
             upcalls: Vec::new(),
             auto_reply: None,
-            cast_on_deliver: None,
             pending_casts: Vec::new(),
             pending_collect: None,
         }
@@ -41,16 +38,8 @@ impl TestMember {
     fn process(&mut self, ups: Vec<Upcall>, host: &mut dyn Host) {
         let now = host.now_us();
         for up in ups {
-            if let Upcall::Deliver { id, payload, .. } = &up {
-                if let Some(reply) = &self.auto_reply {
-                    self.gm.reply(*id, reply.clone(), host);
-                }
-                if let Some((trigger, response)) = self.cast_on_deliver.clone() {
-                    if payload == &trigger {
-                        self.gm.bcast(CastOrder::Causal, response, host);
-                        self.cast_on_deliver = None;
-                    }
-                }
+            if let (Upcall::Deliver { id, .. }, Some(reply)) = (&up, &self.auto_reply) {
+                self.gm.reply(*id, reply.clone(), host);
             }
             self.upcalls.push((now, up));
         }
@@ -58,8 +47,8 @@ impl TestMember {
 
     fn drain_pending(&mut self, host: &mut dyn Host) {
         if self.gm.is_member() {
-            for (order, payload) in std::mem::take(&mut self.pending_casts) {
-                self.gm.bcast(order, payload, host);
+            for payload in std::mem::take(&mut self.pending_casts) {
+                self.gm.bcast(payload, host);
             }
             if let Some((payload, expected, timeout)) = self.pending_collect.take() {
                 self.gm.bcast_collect(payload, expected, timeout, host);
@@ -230,7 +219,7 @@ fn fbcast_delivers_everywhere_exactly_once_in_order() {
     sim.run_until(3_000_000);
     let msgs: Vec<Bytes> = (0..10u8).map(|k| Bytes::from(vec![k])).collect();
     sim.with_endpoint_mut::<TestMember, _>(addr(2), |m| {
-        m.pending_casts = msgs.iter().map(|p| (CastOrder::Fifo, p.clone())).collect();
+        m.pending_casts = msgs.clone();
     });
     sim.run_until(6_000_000);
     for &a in &addrs {
@@ -252,62 +241,13 @@ fn fbcast_survives_a_lossy_network() {
     });
     let msgs: Vec<Bytes> = (0..20u8).map(|k| Bytes::from(vec![k])).collect();
     sim.with_endpoint_mut::<TestMember, _>(addr(1), |m| {
-        m.pending_casts = msgs.iter().map(|p| (CastOrder::Fifo, p.clone())).collect();
+        m.pending_casts = msgs.clone();
     });
     // Generous horizon for NACK/retransmit rounds.
     sim.run_until(40_000_000);
     for &a in &addrs {
         let got = payloads_at(&mut sim, a);
         assert_eq!(got, msgs, "at {a} (got {} of 20)", got.len());
-    }
-}
-
-#[test]
-fn cbcast_respects_causality() {
-    let mut sim = Sim::new(SimConfig::default());
-    let addrs = build_group(&mut sim, 3);
-    sim.run_until(3_000_000);
-    let m1 = Bytes::from_static(b"m1");
-    let m2 = Bytes::from_static(b"m2-caused-by-m1");
-    // Node 1 responds to m1 with m2 (causally after).
-    sim.with_endpoint_mut::<TestMember, _>(addr(1), |m| {
-        m.cast_on_deliver = Some((m1.clone(), m2.clone()));
-    });
-    sim.with_endpoint_mut::<TestMember, _>(addr(0), |m| {
-        m.pending_casts = vec![(CastOrder::Causal, m1.clone())];
-    });
-    sim.run_until(8_000_000);
-    for &a in &addrs {
-        let got = payloads_at(&mut sim, a);
-        let i1 = got.iter().position(|p| p == &m1).expect("m1 delivered");
-        let i2 = got.iter().position(|p| p == &m2).expect("m2 delivered");
-        assert!(i1 < i2, "at {a}: m1 must precede m2");
-    }
-}
-
-#[test]
-fn abcast_gives_identical_order_everywhere() {
-    let mut sim = Sim::new(SimConfig::default());
-    let addrs = build_group(&mut sim, 4);
-    sim.run_until(3_000_000);
-    // Two members abcast concurrently (same tick).
-    sim.with_endpoint_mut::<TestMember, _>(addr(1), |m| {
-        m.pending_casts = vec![
-            (CastOrder::Total, Bytes::from_static(b"a1")),
-            (CastOrder::Total, Bytes::from_static(b"a2")),
-        ];
-    });
-    sim.with_endpoint_mut::<TestMember, _>(addr(2), |m| {
-        m.pending_casts = vec![
-            (CastOrder::Total, Bytes::from_static(b"b1")),
-            (CastOrder::Total, Bytes::from_static(b"b2")),
-        ];
-    });
-    sim.run_until(8_000_000);
-    let reference = payloads_at(&mut sim, addrs[0]);
-    assert_eq!(reference.len(), 4, "all four total casts delivered");
-    for &a in &addrs[1..] {
-        assert_eq!(payloads_at(&mut sim, a), reference, "at {a}");
     }
 }
 
@@ -387,47 +327,4 @@ fn group_runs_are_deterministic() {
     let (_, _, views_a) = run(7);
     let (_, _, views_b) = run(8);
     assert_eq!(views_a.last().unwrap().len(), views_b.last().unwrap().len());
-}
-
-#[test]
-fn abcast_survivors_agree_after_sequencer_death() {
-    // The documented weakening: total order restarts at a coordinator
-    // change. What must still hold: every surviving member delivers the
-    // post-failover total casts in the same order.
-    let mut sim = Sim::new(SimConfig::default());
-    let addrs = build_group(&mut sim, 4);
-    sim.run_until(3_000_000);
-    // A first batch sequenced by the original coordinator (node 0).
-    sim.with_endpoint_mut::<TestMember, _>(addr(1), |m| {
-        m.pending_casts = vec![
-            (CastOrder::Total, Bytes::from_static(b"pre-1")),
-            (CastOrder::Total, Bytes::from_static(b"pre-2")),
-        ];
-    });
-    sim.run_until(5_000_000);
-    // Kill the sequencer; the oldest survivor takes over.
-    sim.kill_node(NodeId(0));
-    sim.run_until(10_000_000);
-    // A second batch sequenced by the successor.
-    sim.with_endpoint_mut::<TestMember, _>(addr(2), |m| {
-        m.pending_casts = vec![
-            (CastOrder::Total, Bytes::from_static(b"post-1")),
-            (CastOrder::Total, Bytes::from_static(b"post-2")),
-        ];
-    });
-    sim.with_endpoint_mut::<TestMember, _>(addr(3), |m| {
-        m.pending_casts = vec![(CastOrder::Total, Bytes::from_static(b"post-3"))];
-    });
-    sim.run_until(16_000_000);
-    let survivors = &addrs[1..];
-    let reference = payloads_at(&mut sim, survivors[0]);
-    // All five casts delivered at every survivor, identically ordered.
-    assert_eq!(reference.len(), 5, "got {reference:?}");
-    for &a in &survivors[1..] {
-        assert_eq!(payloads_at(&mut sim, a), reference, "at {a}");
-    }
-    // The pre-failover casts still precede the post-failover ones.
-    let pos = |needle: &[u8]| reference.iter().position(|p| p.as_ref() == needle).unwrap();
-    assert!(pos(b"pre-1") < pos(b"post-1"));
-    assert!(pos(b"pre-2") < pos(b"post-1"));
 }

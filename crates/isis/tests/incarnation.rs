@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use vce_codec::from_bytes;
-use vce_isis::{BcastId, CastOrder, GroupConfig, GroupMember, IsisMsg, Upcall};
+use vce_isis::{GroupConfig, GroupMember, IsisMsg, Upcall};
 use vce_net::testing::MockHost;
 use vce_net::{Addr, NodeId};
 
@@ -39,17 +39,9 @@ fn incarnation(hb: &IsisMsg) -> u64 {
     }
 }
 
-fn cast(origin: u32, fifo_seq: u64) -> IsisMsg {
+fn cast(fifo_seq: u64) -> IsisMsg {
     IsisMsg::Cast {
-        id: BcastId {
-            origin: addr(origin),
-            seq: fifo_seq,
-        },
-        order: CastOrder::Fifo,
         fifo_seq,
-        vclock: None,
-        total_seq: None,
-        requester: None,
         payload: Bytes::from_static(b"x"),
     }
 }
@@ -82,12 +74,12 @@ fn a_revived_member_heartbeats_a_new_incarnation_and_its_stream_starts_over() {
     peer_host.now = 10_000;
     assert!(hear(&mut peer, &mut peer_host, 1, first.clone()).is_empty());
     for seq in 0..3 {
-        assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(1, seq)), [(1, seq)]);
+        assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(seq)), [(1, seq)]);
     }
     // The same incarnation again changes nothing: a cast it already
     // delivered is a duplicate.
     assert!(hear(&mut peer, &mut peer_host, 1, first).is_empty());
-    assert!(hear(&mut peer, &mut peer_host, 1, cast(1, 0)).is_empty());
+    assert!(hear(&mut peer, &mut peer_host, 1, cast(0)).is_empty());
     let before = peer.snapshot_hash();
 
     // Killed and revived 5 s later, it heartbeats its boot time + 1, and
@@ -108,8 +100,8 @@ fn a_revived_member_heartbeats_a_new_incarnation_and_its_stream_starts_over() {
     );
     // The peer forgot the old stream: the new incarnation's cast 0 is
     // delivered, not dropped as a duplicate of the old one's.
-    assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(1, 0)), [(1, 0)]);
-    assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(1, 1)), [(1, 1)]);
+    assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(0)), [(1, 0)]);
+    assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(1)), [(1, 1)]);
 }
 
 #[test]
@@ -128,20 +120,17 @@ fn members_booted_in_the_same_microsecond_share_an_incarnation_without_harm() {
     peer_host.now = 10_000;
     for (src, hb) in [(1, hb1.clone()), (2, hb2)] {
         assert!(hear(&mut peer, &mut peer_host, src, hb).is_empty());
-        assert_eq!(
-            hear(&mut peer, &mut peer_host, src, cast(src, 0)),
-            [(src, 0)]
-        );
+        assert_eq!(hear(&mut peer, &mut peer_host, src, cast(0)), [(src, 0)]);
     }
     // …one member's unchanged incarnation resets nothing of its own…
     assert!(hear(&mut peer, &mut peer_host, 1, hb1).is_empty());
-    assert!(hear(&mut peer, &mut peer_host, 1, cast(1, 0)).is_empty());
+    assert!(hear(&mut peer, &mut peer_host, 1, cast(0)).is_empty());
     // …and when the other reboots, only its stream starts over.
     let revived = boot(&mut two, &mut host2, 2_000_000);
     assert_eq!(incarnation(&revived), 2_000_001);
     peer_host.now = 2_010_000;
     assert!(hear(&mut peer, &mut peer_host, 2, revived).is_empty());
-    assert_eq!(hear(&mut peer, &mut peer_host, 2, cast(2, 0)), [(2, 0)]);
-    assert!(hear(&mut peer, &mut peer_host, 1, cast(1, 0)).is_empty());
-    assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(1, 1)), [(1, 1)]);
+    assert_eq!(hear(&mut peer, &mut peer_host, 2, cast(0)), [(2, 0)]);
+    assert!(hear(&mut peer, &mut peer_host, 1, cast(0)).is_empty());
+    assert_eq!(hear(&mut peer, &mut peer_host, 1, cast(1)), [(1, 1)]);
 }

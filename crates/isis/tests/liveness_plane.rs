@@ -14,9 +14,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use vce_codec::from_bytes;
-use vce_isis::{
-    is_isis_token, BcastId, CastOrder, GroupConfig, GroupMember, IsisMsg, Upcall, View,
-};
+use vce_isis::{is_isis_token, BcastId, GroupConfig, GroupMember, IsisMsg, Upcall, View};
 use vce_net::testing::ForwardHost;
 use vce_net::{
     Addr, Endpoint, Envelope, FaultOp, Host, LinkFault, MachineInfo, MsgCategory, NodeId,
@@ -134,7 +132,7 @@ impl Endpoint for Member {
         if token == TALK {
             host.set_timer(TALK_US, TALK);
             if self.casting {
-                self.gm.bcast(CastOrder::Fifo, Bytes::new(), host);
+                self.gm.bcast(Bytes::new(), host);
             }
             for &to in &self.replying_to {
                 let id = BcastId { origin: to, seq: 0 };

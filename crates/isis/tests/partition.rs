@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use vce_codec::from_bytes;
 use vce_isis::collect::CollectResult;
-use vce_isis::{is_isis_token, CastOrder, GroupConfig, GroupMember, IsisMsg, Upcall, View};
+use vce_isis::{is_isis_token, GroupConfig, GroupMember, IsisMsg, Upcall, View};
 use vce_net::{Addr, Endpoint, Envelope, Host, MachineInfo, NodeId};
 use vce_sim::{Sim, SimConfig};
 
@@ -66,7 +66,7 @@ impl Endpoint for Member {
         self.process(ups, host);
         if self.gm.is_member() {
             for p in std::mem::take(&mut self.pending_casts) {
-                self.gm.bcast(CastOrder::Fifo, p, host);
+                self.gm.bcast(p, host);
             }
             if let Some((payload, timeout)) = self.pending_collect.take() {
                 self.gm.bcast_collect(payload, None, timeout, host);

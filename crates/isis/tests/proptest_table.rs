@@ -395,7 +395,7 @@ impl Model {
     }
 
     /// `GroupMember::snapshot_hash` as it folded the maps. This test never
-    /// casts, so the sequencer and resend counters stay zero.
+    /// casts, so the cast, resend and collect counters stay zero.
     fn snapshot_hash(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(u64::from(self.me.node.0))
@@ -408,7 +408,7 @@ impl Model {
                 .write_u64(m.joined_seq);
         }
         h.write_u64(self.next_join_seq);
-        for _ in 0..6 {
+        for _ in 0..3 {
             h.write_u64(0);
         }
         h.write_u64(self.last_heard.len() as u64);

@@ -13,7 +13,7 @@
 //!   inserts and removes at the same rate allocates nothing. Its surface
 //!   is what the EXM leader's three request tables call and no more.
 //! * [`SeqWindow`] — a ring buffer keyed by a dense monotone sequence
-//!   number (FIFO/total-order holdback): insert ahead of the base, take
+//!   number (FIFO holdback): insert ahead of the base, take
 //!   contiguously from the base, no per-entry nodes at all.
 //! * [`NodeList`] — an inline small-vector of [`NodeId`]s wire-compatible
 //!   with `Vec<NodeId>`, so allocation fan-out lists (≤ 8 nodes in every
@@ -160,7 +160,7 @@ impl<K: Ord + Copy, V> SlotArena<K, V> {
 ///
 /// Entries are inserted at arbitrary positions at or ahead of the window
 /// `base` and consumed contiguously from the base — exactly the access
-/// pattern of FIFO and total-order holdback queues. Storage is a power-of-
+/// pattern of FIFO holdback queues. Storage is a power-of-
 /// two ring of `Option<T>`; the ring grows (amortized, rarely after warm-
 /// up) when a sequence lands beyond the current capacity, and never holds
 /// per-entry heap nodes.

@@ -35,12 +35,13 @@ impl Envelope {
         }
     }
 
-    /// Decode the payload as a `T`. The payload buffer is passed as the
-    /// decoder's backing store, so nested byte fields (e.g. the payload
-    /// inside an `IsisMsg::Cast`) decode as zero-copy sub-views of it.
+    /// Decode the payload as exactly one `T`: bytes left over are
+    /// `TrailingBytes`, as in [`Self::decode_from`]. The payload buffer is
+    /// passed as the decoder's backing store, so nested byte fields (e.g.
+    /// the payload inside an `IsisMsg::Cast`) decode as zero-copy sub-views
+    /// of it.
     pub fn decode_payload<T: Codec>(&self) -> Result<T> {
-        let mut dec = Decoder::with_backing(&self.payload);
-        T::decode(&mut dec)
+        vce_codec::from_backing(&self.payload)
     }
 
     /// Decode a whole envelope from its wire buffer without copying the
@@ -120,11 +121,23 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_with_a_byte_to_spare_is_refused() {
+        let mut payload = to_bytes(&("bid".to_string(), 0.25f64));
+        payload.push(0);
+        let env = Envelope::new(Addr::daemon(NodeId(1)), Addr::leader(NodeId(2)), payload);
+        assert_eq!(
+            env.decode_payload::<(String, f64)>(),
+            Err(vce_codec::CodecError::TrailingBytes { remaining: 1 })
+        );
+    }
+
+    #[test]
     fn decode_wrong_type_fails() {
         // `("bid", 0.25)` read as `(String, bool)`: the float's first byte
         // (0xbf) is no bool. As a `Vec<u64>` it would read three uvarints
-        // (the count 3, then b'b', b'i', b'd') and stop, so the type named
-        // here is one the bytes cannot be.
+        // (the count 3, then b'b', b'i', b'd') and be refused only for the
+        // float left over, so the type named here is one the bytes cannot
+        // begin to be.
         let env = sample();
         assert_eq!(
             env.decode_payload::<(String, bool)>(),

@@ -35,8 +35,11 @@
 //! which the envelope no longer carries. Version 4 is version 3's layout
 //! under the wire rule that makes every `u64`, `i64` and `f64` a uvarint
 //! (DESIGN decision 36): every delivery's payload length moved, so a
-//! version-3 file cannot replay. Version-1 (fixed-width), version-2 and
-//! version-3 files are rejected. The engine writes frames at driver-call
+//! version-3 file cannot replay. Version 5 is version 4's layout under the
+//! isis wire form that names a cast by its sender and FIFO number (DESIGN
+//! decision 37): cast and reply payload lengths moved, and so did every
+//! isis member's snapshot hash. Files of versions 1 (fixed-width) to 4 are
+//! rejected. The engine writes frames at driver-call
 //! boundaries, which are independent of the shard count — so a `.vct` file
 //! is **byte-identical for `VCE_SHARDS` ∈ {1, 2, 4, 8}**, making the
 //! sharded engine independently verifiable (`scripts/ci.sh` diffs the
@@ -56,8 +59,9 @@ pub const MAGIC: &[u8; 4] = b"VCT1";
 /// reader accepts. Version 2 varint delta-encodes `Events` frames (see
 /// [`TraceWriter::append_events`]); version 3 gives `EV_DELIVER` records
 /// the payload length as their `a`; version 4 records payloads whose every
-/// number is a uvarint.
-pub const VERSION: u16 = 4;
+/// number is a uvarint; version 5 records isis casts and replies that carry
+/// no broadcast id, and member hashes without the ordering counters.
+pub const VERSION: u16 = 5;
 
 // Event-kind tags inside an `Events` frame (one per engine event pop).
 /// An endpoint `on_start` (node boot or revive).
@@ -901,6 +905,18 @@ mod tests {
         let err = refusal_of_version(3);
         assert!(
             err.contains("unsupported version 3"),
+            "unexpected error: {err}"
+        );
+    }
+
+    /// Version 4 recorded isis casts and replies that carried a broadcast
+    /// id, and member hashes that folded the causal and total counters:
+    /// its lengths and hashes cannot match a replay's, so it is refused.
+    #[test]
+    fn version_4_recordings_are_refused() {
+        let err = refusal_of_version(4);
+        assert!(
+            err.contains("unsupported version 4"),
             "unexpected error: {err}"
         );
     }
