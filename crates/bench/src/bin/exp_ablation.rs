@@ -5,9 +5,11 @@
 //! * **A: staged-binary preference** — placement breaks load ties toward
 //!   machines whose bids advertise the unit's binary. Off, anticipatory
 //!   compilation can be wasted on machines placement never picks.
-//! * **B: soft reservations** — the leader inflates just-allocated
-//!   machines' bids for ~1 s. Off, a burst of concurrent requests piles
-//!   onto the same machines between state disclosures.
+//! * **B: soft reservations** — the leader charges each grant to its
+//!   machine in every bidding round that began before it. Off, a burst of
+//!   concurrent requests piles onto the same machines between state
+//!   disclosures; on, a burst larger than the group fills each machine up
+//!   to the overload bar and queues the rest.
 //! * **C: watchdog probe period** — host-crash detection latency vs
 //!   probing overhead.
 
@@ -64,10 +66,11 @@ fn arm_a(prefer: bool) -> u64 {
     report.makespan_us.unwrap()
 }
 
-/// Arm B: a burst of parallel jobs with and without soft reservations —
-/// without them, several requests allocate the same machine before its
-/// load shows in a disclosure.
-fn arm_b(soft: bool) -> (u64, f64) {
+/// Arm B: a burst of `jobs` parallel jobs with and without soft
+/// reservations — without them, several requests allocate the same
+/// machine before its load shows in a disclosure. Returns the makespan,
+/// the machines used and the most jobs one machine was given.
+fn arm_b(jobs: usize, soft: bool) -> (u64, usize, usize) {
     let mut b = VceBuilder::new(83);
     for i in 0..6 {
         b.machine(MachineInfo::workstation(NodeId(i), 100.0));
@@ -79,7 +82,7 @@ fn arm_b(soft: bool) -> (u64, f64) {
     let mut vce = b.build();
     vce.settle();
     let mut g = TaskGraph::new("burst");
-    for i in 0..6 {
+    for i in 0..jobs {
         g.add_task(
             TaskSpec::new(format!("job{i}"))
                 .with_class(ProblemClass::Asynchronous)
@@ -91,8 +94,14 @@ fn arm_b(soft: bool) -> (u64, f64) {
     let handle = vce.submit(app, NodeId(0));
     let report = vce.run_until_done(&handle, 3_600_000_000);
     assert!(report.completed, "{:?}", report.failed);
-    // Spread quality: how many distinct machines hosted work.
-    (report.makespan_us.unwrap(), report.machines_used() as f64)
+    // Spread quality: how many distinct machines hosted work, and how
+    // many jobs the busiest one hosted.
+    let mut per_machine = std::collections::BTreeMap::<NodeId, usize>::new();
+    for node in report.placements.values() {
+        *per_machine.entry(*node).or_default() += 1;
+    }
+    let most = per_machine.values().copied().max().unwrap_or(0);
+    (report.makespan_us.unwrap(), report.machines_used(), most)
 }
 
 /// Arm C: kill the worker hosting a task; measure completion vs probe
@@ -138,12 +147,26 @@ fn main() {
     t.print();
 
     let mut t = Table::new(
-        "Ablation B: soft reservations (6-job burst on 6 machines)",
-        &["soft reservations", "makespan (s)", "machines used"],
+        "Ablation B: soft reservations (bursts on 6 machines)",
+        &[
+            "burst",
+            "soft reservations",
+            "makespan (s)",
+            "machines used",
+            "most jobs on one",
+        ],
     );
-    for (on, label) in [(true, "on (default)"), (false, "off")] {
-        let (mk, used) = arm_b(on);
-        t.row(&[label.into(), secs(mk), format!("{used:.0}")]);
+    for jobs in [6, 24] {
+        for (on, label) in [(true, "on (default)"), (false, "off")] {
+            let (mk, used, most) = arm_b(jobs, on);
+            t.row(&[
+                format!("{jobs} jobs"),
+                label.into(),
+                secs(mk),
+                used.to_string(),
+                most.to_string(),
+            ]);
+        }
     }
     t.print();
 
@@ -161,7 +184,8 @@ fn main() {
     println!(
         "Expected: A-off wastes the anticipatory compile (makespan rises by\n\
          ~the compile time); B-off narrows the burst's spread across machines\n\
-         or co-schedules; C shows recovery latency growing linearly with the\n\
-         probe period."
+         or co-schedules, and with B on a burst larger than the group fills\n\
+         each machine up to the overload bar, queueing the rest; C shows\n\
+         recovery latency growing linearly with the probe period."
     );
 }

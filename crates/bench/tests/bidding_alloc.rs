@@ -1,8 +1,8 @@
 //! The steady-state bidding round allocates nothing: once a workstation
 //! group is warmed up, a full request → disclose → bid → select →
 //! allocation cycle runs entirely out of reused state — the host's pooled
-//! encode buffers, the leader's slab arenas (`served`/`pending`/
-//! `recent_alloc`), the collector's recycled reply vectors and the
+//! encode buffers, the leader's slab arenas (`served`/`pending`) and
+//! grant ledger, the collector's recycled reply vectors and the
 //! engine's calendar queue. Two fleets drive hundreds of real allocation
 //! rounds through the daemon protocol and assert that the measured window
 //! performs no per-round heap traffic:

@@ -14,10 +14,14 @@
 //! previous window left ahead.
 //!
 //! It also prints the largest bucket one load put in the run. At S=1 the
-//! application's opening burst fills two buckets past one chunk (1,408
-//! and 704 entries), which load by the counting sort; its other ≈ 640
+//! application's opening burst fills buckets past one chunk (the largest
+//! holds 1,408 entries), which load by the counting sort; its other
 //! buckets, like every `storm_dense` bucket, fit in one chunk and load in
 //! place.
+//!
+//! The bag runs 4,391 events at either shard count, its 64 tasks spread
+//! over the fleet (DESIGN decision 38); the floor below only guards
+//! against a run that never gets going.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -70,7 +74,7 @@ fn bag_run(shards: usize) -> (u64, u64, u64) {
 fn an_application_shifts_at_most_two_entries_per_event() {
     for shards in [1, 2] {
         let (shifted, events, largest_run) = bag_run(shards);
-        assert!(events > 10_000, "S={shards}: only {events} events");
+        assert!(events > 4_000, "S={shards}: only {events} events");
         assert!(
             shifted <= 2 * events,
             "S={shards}: {shifted} entries shifted over {events} events \

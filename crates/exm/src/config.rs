@@ -73,9 +73,10 @@ pub struct ExmConfig {
     /// staged binary (the §4.5 payoff path). Ablation knob — see
     /// `exp_ablation`.
     pub prefer_staged_binaries: bool,
-    /// Leader inflates the bids of just-allocated machines for ~1 s so a
-    /// burst of requests doesn't pile onto one machine between state
-    /// disclosures. Ablation knob.
+    /// Leader charges each grant to its machine, one job a grant, in every
+    /// bidding round that began before it, so a burst of requests doesn't
+    /// pile onto one machine between state disclosures (DESIGN decision
+    /// 38). Ablation knob.
     pub soft_reservations: bool,
     /// Executor watchdog probe period, µs (host-crash detection latency is
     /// roughly `probe_period_us × (miss limit + 1)`).

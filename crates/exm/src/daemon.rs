@@ -19,7 +19,7 @@
 //!   allocating or queueing with priority aging, and driving §4.4
 //!   migrations on its rebalance sweep.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vce_codec::{Codec, Decoder};
 use vce_isis::{is_isis_token, BcastId, GroupConfig, GroupMember, Upcall};
@@ -122,7 +122,7 @@ enum CollectKind {
 /// Leader-role state (meaningful only while this daemon coordinates).
 ///
 /// The request-keyed tables are [`SlotArena`]s, not `BTreeMap`s: every
-/// bidding round touches `served`/`pending`/`recent_alloc`, and the arenas
+/// bidding round touches `served` and `pending`, and the arenas
 /// keep entries in dense recycled slots (iteration order still sorted by
 /// key) instead of allocating a tree node per insert.
 struct LeaderState {
@@ -134,10 +134,15 @@ struct LeaderState {
     served_swept_us: u64,
     pending: SlotArena<ReqId, (Needs, Addr, i32)>,
     queue: RequestQueue,
-    collects: BTreeMap<BcastId, CollectKind>,
-    /// Soft reservations: nodes allocated recently, with expiry µs — their
-    /// bids are inflated until the loads show up for real.
-    recent_alloc: SlotArena<NodeId, u64>,
+    /// Rounds in flight, with the time each began.
+    collects: BTreeMap<BcastId, (u64, CollectKind)>,
+    /// Soft reservations, the grant ledger: `(granted at µs, machine)`,
+    /// oldest first, one entry per machine a grant named while a round
+    /// was in flight. A round's bids predate every grant made since it
+    /// began, so each such grant adds one job to its machine's bid
+    /// (DESIGN decision 38). Holds nothing older than the oldest round
+    /// in flight, and nothing once none is.
+    grants: VecDeque<(u64, NodeId)>,
     last_rebalance_us: u64,
     /// Instances this leader ordered to migrate that a sweep must skip:
     /// still in flight, or inside the cooldown since the order.
@@ -155,7 +160,7 @@ impl LeaderState {
             pending: SlotArena::new(),
             queue: RequestQueue::new(aging_quantum_us),
             collects: BTreeMap::new(),
-            recent_alloc: SlotArena::new(),
+            grants: VecDeque::new(),
             last_rebalance_us: 0,
             migration_orders: BTreeMap::new(),
             short_rounds: 0,
@@ -757,8 +762,9 @@ impl DaemonEndpoint {
             self.leader.short_rounds,
             host.rand_u64(),
         );
+        let began = host.now_us();
         if let Some(id) = self.gm.bcast_collect(payload, None, timeout, host) {
-            self.leader.collects.insert(id, kind);
+            self.leader.collects.insert(id, (began, kind));
         }
     }
 
@@ -794,17 +800,21 @@ impl DaemonEndpoint {
         reserved.dedup();
     }
 
-    /// Decode the collected bids into `out` (cleared first; the caller
-    /// hands back a reusable scratch vector so steady-state rounds reuse
-    /// its capacity), dropping any that does not decode and any `staged`
-    /// bit past the `asked` units. Task lists are views of `replies`.
+    /// Decode the collected bids of a round that began at `began` into
+    /// `out` (cleared first; the caller hands back a reusable scratch
+    /// vector so steady-state rounds reuse its capacity), dropping any
+    /// that does not decode and any `staged` bit past the `asked` units,
+    /// and charging each bid one job per ledger grant to its machine made
+    /// since the round began. Task lists are views of `replies`.
     fn effective_bids_into(
         &self,
         replies: &[(Addr, bytes::Bytes)],
-        now: u64,
+        began: u64,
         asked: usize,
         out: &mut Vec<DaemonStatus>,
     ) {
+        let grants = &self.leader.grants;
+        let since = grants.range(grants.partition_point(|&(at, _)| at < began)..);
         out.clear();
         out.extend(
             replies
@@ -812,19 +822,24 @@ impl DaemonEndpoint {
                 .filter_map(|(_, bytes)| vce_codec::from_backing::<DaemonStatus>(bytes).ok())
                 .map(|mut b| {
                     b.clear_unasked(asked);
-                    // Soft-reserve recently allocated machines.
-                    if self.cfg.soft_reservations
-                        && self
-                            .leader
-                            .recent_alloc
-                            .get(&b.node)
-                            .is_some_and(|&until| until > now)
-                    {
-                        b.load += 1.0;
+                    let charged = since.clone().filter(|&&(_, n)| n == b.node).count();
+                    if charged > 0 {
+                        b.load += charged as f64;
                     }
                     b
                 }),
         );
+    }
+
+    /// Drop the ledger's grants older than the oldest round still in
+    /// flight: no round left can be charged for them.
+    fn forget_settled_grants(&mut self) {
+        let collects = self.leader.collects.values();
+        let oldest = collects.map(|&(began, _)| began).min().unwrap_or(u64::MAX);
+        let grants = &mut self.leader.grants;
+        while grants.front().is_some_and(|&(at, _)| at < oldest) {
+            grants.pop_front();
+        }
     }
 
     fn try_allocate(
@@ -887,13 +902,13 @@ impl DaemonEndpoint {
         true
     }
 
-    /// Make an allocation stick: soft-reserve its machines, journal it,
-    /// keep it for retries (for a retry horizon) and tell the executor;
-    /// `how` is for the trace.
+    /// Make an allocation stick: charge its machines to the rounds in
+    /// flight, journal it, keep it for retries (for a retry horizon) and
+    /// tell the executor; `how` is for the trace.
     fn grant(&mut self, req: ReqId, nodes: NodeList, to: Addr, how: &str, host: &mut dyn Host) {
         let now = host.now_us();
-        for &n in nodes.iter() {
-            self.leader.recent_alloc.insert(n, now + 1_000_000);
+        if self.cfg.soft_reservations && !self.leader.collects.is_empty() {
+            self.leader.grants.extend(nodes.iter().map(|&n| (now, n)));
         }
         // Only build the (heap-backed) journal record when the WAL is on:
         // with it off the clone would be pure waste on the hot path.
@@ -925,9 +940,10 @@ impl DaemonEndpoint {
         host: &mut dyn Host,
     ) {
         let kind = self.leader.collects.remove(&id);
-        let (Some(kind), true) = (kind, self.gm.is_coordinator()) else {
+        let (Some((began, kind)), true) = (kind, self.gm.is_coordinator()) else {
             // Unknown collect, or deposed mid-collect. Still hand the
             // reply vector (and its pooled payload views) back for reuse.
+            self.forget_settled_grants();
             self.gm.recycle_replies(replies);
             return;
         };
@@ -936,9 +952,9 @@ impl DaemonEndpoint {
         } else {
             self.leader.short_rounds = 0;
         }
-        let now = host.now_us();
         let mut bids = std::mem::take(&mut self.bids_scratch);
-        self.effective_bids_into(&replies, now, self.asked(&kind).len(), &mut bids);
+        self.effective_bids_into(&replies, began, self.asked(&kind).len(), &mut bids);
+        self.forget_settled_grants();
         // Bids are decoded; the raw reply payloads can go back to the
         // collector's spare pool (dropping their pooled-buffer views).
         self.gm.recycle_replies(replies);
@@ -1343,8 +1359,6 @@ impl Endpoint for DaemonEndpoint {
                         self.leader.last_rebalance_us = now;
                         self.start_collect(CollectKind::Rebalance(self.sweep_asks(now)), host);
                     }
-                    // Expire soft reservations.
-                    self.leader.recent_alloc.retain(|_, &mut until| until > now);
                 }
             }
             t if decode_token(t).0 == TAG_TRANSFER => {
@@ -1617,6 +1631,171 @@ mod queue_tests {
         }
         // Swept three times over; the slab holds no more than two horizons.
         assert!(daemon.leader.served.slab_len() as u64 <= 2 * horizon / period + 1);
+    }
+
+    /// One reply per machine `1..=machines`: idle except for the
+    /// `loaded` ones, willing, and with memory to spare.
+    fn bids(machines: u32, loaded: &[(u32, f64)]) -> Vec<(Addr, bytes::Bytes)> {
+        (1..=machines)
+            .map(|i| {
+                let load = loaded.iter().find(|l| l.0 == i).map_or(0.0, |l| l.1);
+                let bid = DaemonStatus {
+                    node: NodeId(i),
+                    class: MachineClass::Workstation,
+                    load,
+                    background: 0.0,
+                    speed_mops: 100.0,
+                    mem_mb: 256,
+                    willing: true,
+                    tasks: Default::default(),
+                    staged: 0,
+                };
+                (Addr::daemon(NodeId(i)), vce_codec::to_bytes(&bid).into())
+            })
+            .collect()
+    }
+
+    /// Open one Allocate round for request `seq` at the host's clock and
+    /// return its id.
+    fn open_round(daemon: &mut DaemonEndpoint, seq: u32, host: &mut MockHost) -> BcastId {
+        let before: BTreeSet<BcastId> = daemon.leader.collects.keys().copied().collect();
+        daemon.handle_resource_request(request(seq), host);
+        let mut opened = daemon
+            .leader
+            .collects
+            .keys()
+            .filter(|id| !before.contains(id));
+        *opened.next().expect("a round opened")
+    }
+
+    /// What the leader told the executor since `host.sent` was last
+    /// cleared: the machine of each grant, `None` for each queued request.
+    fn answers(host: &mut MockHost) -> Vec<Option<NodeId>> {
+        let to = request(0).reply_to;
+        let answers = host.sent.iter().filter(|(_, dst, _)| *dst == to);
+        let answers = answers.map(|(_, _, payload)| match vce_codec::from_backing(payload) {
+            Ok(ExmMsg::Allocation { nodes, .. }) => Some(nodes.as_slice()[0]),
+            Ok(ExmMsg::RequestQueued { .. }) => None,
+            other => panic!("not an answer to a request: {other:?}"),
+        });
+        let answers = answers.collect();
+        host.sent.clear();
+        answers
+    }
+
+    /// The ledger holds no grant older than the oldest round in flight,
+    /// and none once no round is.
+    fn assert_ledger_bounded(daemon: &DaemonEndpoint) {
+        let oldest = daemon.leader.collects.values().map(|r| r.0).min();
+        match oldest {
+            None => assert!(
+                daemon.leader.grants.is_empty(),
+                "no round, yet a grant kept"
+            ),
+            Some(oldest) => assert!(
+                daemon.leader.grants.iter().all(|&(at, _)| at >= oldest),
+                "a grant older than every round in flight"
+            ),
+        }
+    }
+
+    /// A burst of 64 requests whose rounds all open before any completes
+    /// fills each of 12 idle machines up to the overload bar, one grant
+    /// at a time, and queues the rest: no round reuses the pre-burst bids
+    /// as if nothing had been granted since.
+    #[test]
+    fn a_burst_fills_each_machine_to_the_overload_bar() {
+        let mut host = MockHost::new(NodeId(0));
+        let cfg = short_retry_cfg();
+        let bar = cfg.overload_threshold;
+        let mut daemon = lone_leader(cfg, &mut host);
+        let rounds: Vec<BcastId> = (1..=64)
+            .map(|seq| open_round(&mut daemon, seq, &mut host))
+            .collect();
+        host.sent.clear();
+        let mut per_machine = BTreeMap::<NodeId, u32>::new();
+        let mut queued = 0;
+        for id in rounds {
+            host.now += 1_000;
+            daemon.handle_collect_done(id, bids(12, &[]), false, &mut host);
+            assert_ledger_bounded(&daemon);
+            for answer in answers(&mut host) {
+                match answer {
+                    Some(node) => *per_machine.entry(node).or_default() += 1,
+                    None => queued += 1,
+                }
+            }
+        }
+        assert_eq!(per_machine.len(), 12, "machines left idle: {per_machine:?}");
+        assert!(
+            per_machine.values().all(|&n| f64::from(n) <= bar),
+            "a machine granted past the bar: {per_machine:?}"
+        );
+        let granted: u32 = per_machine.values().sum();
+        assert_eq!((granted, queued), (36, 28));
+        assert_eq!(daemon.leader.queue.len(), 28);
+    }
+
+    /// A grant counts against its machine in the rounds that began before
+    /// it, and a round that began after it trusts the disclosed loads.
+    #[test]
+    fn a_round_opened_after_a_grant_sees_only_the_disclosed_loads() {
+        let mut host = MockHost::new(NodeId(0));
+        let mut daemon = lone_leader(short_retry_cfg(), &mut host);
+        let early = [1, 2].map(|seq| open_round(&mut daemon, seq, &mut host));
+        host.sent.clear();
+        // Machine 1 is idle, machine 2 half busy; machines 1 and 2 alone bid.
+        let disclosed = || bids(2, &[(2, 0.5)]);
+        host.now += 1_000;
+        daemon.handle_collect_done(early[0], disclosed(), false, &mut host);
+        assert_eq!(answers(&mut host), [Some(NodeId(1))]);
+        assert_eq!(daemon.leader.grants, [(host.now, NodeId(1))]);
+
+        host.now += 1_000;
+        let late = open_round(&mut daemon, 3, &mut host);
+        host.sent.clear();
+        host.now += 1_000;
+        daemon.handle_collect_done(late, disclosed(), false, &mut host);
+        assert_eq!(
+            answers(&mut host),
+            [Some(NodeId(1))],
+            "charged a later round"
+        );
+        // The second early round is charged both grants to machine 1.
+        host.now += 1_000;
+        daemon.handle_collect_done(early[1], disclosed(), false, &mut host);
+        assert_eq!(answers(&mut host), [Some(NodeId(2))], "missed a grant");
+        assert_ledger_bounded(&daemon);
+    }
+
+    /// The ledger is emptied as the last round in flight completes, and a
+    /// new coordinator starts without one.
+    #[test]
+    fn the_ledger_empties_with_the_rounds_and_with_a_new_coordinator() {
+        let mut host = MockHost::new(NodeId(0));
+        let mut daemon = lone_leader(short_retry_cfg(), &mut host);
+        let rounds = [1, 2, 3].map(|seq| open_round(&mut daemon, seq, &mut host));
+        for id in &rounds[..2] {
+            host.now += 1_000;
+            daemon.handle_collect_done(*id, bids(4, &[]), false, &mut host);
+        }
+        assert_eq!(daemon.leader.grants.len(), 2);
+        host.now += 1_000;
+        daemon.handle_collect_done(rounds[2], bids(4, &[]), false, &mut host);
+        assert!(daemon.leader.grants.is_empty(), "no round left in flight");
+
+        let rounds = [4, 5].map(|seq| open_round(&mut daemon, seq, &mut host));
+        host.now += 1_000;
+        daemon.handle_collect_done(rounds[0], bids(4, &[]), false, &mut host);
+        assert_eq!(daemon.leader.grants.len(), 1);
+        let view = daemon.gm.view().clone();
+        let mut ups = vec![Upcall::BecameCoordinator(view)];
+        daemon.process_upcalls(&mut ups, &mut host);
+        assert!(
+            daemon.leader.grants.is_empty(),
+            "a new coordinator inherits a ledger"
+        );
+        assert!(daemon.leader.collects.is_empty());
     }
 }
 

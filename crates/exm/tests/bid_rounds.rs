@@ -154,14 +154,14 @@ fn the_machine_holding_the_unit_wins_a_direct_round_and_a_queued_one() {
     let mut sim = group(&[100.0, 100.0], None);
     with_daemon(&mut sim, 1, |d| d.stage_binary(UNIT));
     request(&mut sim, 2, 1, UNIT);
-    sim.run_for(3_000_000); // the round, then its soft reservation lapses
+    sim.run_for(3_000_000); // the round ends before the next begins
     request(&mut sim, 2, 2, "some other unit");
     sim.run_for(1_000_000);
     assert_eq!(allocated(&mut sim, 1), Some(vec![NodeId(1)]));
     assert_eq!(allocated(&mut sim, 2), Some(vec![NodeId(0)]));
 
     // Their owners return: nothing is willing, the next request queues.
-    sim.run_for(2_000_000); // the soft reservations above lapse
+    sim.run_for(2_000_000);
     sim.set_background(NodeId(0), 4.0);
     sim.set_background(NodeId(1), 4.0);
     request(&mut sim, 2, 3, UNIT);
@@ -206,7 +206,8 @@ fn bits_nobody_asked_for_win_nothing() {
         "tie on node id"
     );
     // Bit 0 is the asked one: there the liar is believed, as any bidder is
-    // about its own machine. (Soft reservation: node 0 now reads loaded.)
+    // about its own machine. (The first round ended before this one
+    // began, so its grant is not charged here: node 0 reads idle too.)
     request(&mut sim, 3, 2, UNIT);
     sim.run_for(1_000_000);
     assert_eq!(allocated(&mut sim, 2), Some(vec![NodeId(2)]));

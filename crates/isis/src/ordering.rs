@@ -14,7 +14,7 @@
 use bytes::Bytes;
 use vce_net::SeqWindow;
 
-use crate::member::{Upcall, NACK_AFTER_US};
+use crate::member::{Upcall, NACK_AFTER_US, RESEND_BUFFER};
 use crate::msg::BcastId;
 
 /// A cast held back until its sender's earlier casts arrive.
@@ -68,7 +68,10 @@ impl OrderingState {
     /// `now_us`; `cast.id.seq` is its `fifo_seq`. Everything that becomes
     /// deliverable is appended to the caller's upcall vector as
     /// [`Upcall::Deliver`], in delivery order, so the per-message hot path
-    /// allocates nothing.
+    /// allocates nothing. A cast [`RESEND_BUFFER`] or more past the next
+    /// expected one is dropped: its sender can no longer re-send the cast
+    /// the stream waits for, and holding it back would size the ring to
+    /// the gap.
     pub fn on_cast(&mut self, sender: usize, cast: Delivered, now_us: u64, out: &mut Vec<Upcall>) {
         let Some(fifo) = self.per_sender.get_mut(sender) else {
             return;
@@ -80,6 +83,8 @@ impl OrderingState {
             fifo.holdback.rebase(fifo_seq);
         } else if fifo_seq < fifo.holdback.base() {
             return; // duplicate
+        } else if fifo_seq - fifo.holdback.base() >= RESEND_BUFFER as u64 {
+            return; // past the sender's resend ring
         }
         fifo.holdback.insert(fifo_seq, cast);
         while let Some(Delivered { id, payload }) = fifo.holdback.take_next() {
@@ -283,6 +288,30 @@ mod tests {
         st.forget_sender(2);
         assert!(cast(&mut st, 2, 0, 0).is_empty());
         assert!(gaps(&mut st, 100 * NACK_AFTER_US).is_empty());
+    }
+
+    #[test]
+    fn a_cast_past_the_resend_ring_is_refused() {
+        let mut st = OrderingState::new(4);
+        cast(&mut st, 1, 0, 0);
+        cast(&mut st, 1, 2, 1); // held back for seq 1
+        let ring = st.per_sender[1].holdback.capacity();
+        assert!(cast(&mut st, 1, 1 << 40, 2).is_empty());
+        assert_eq!(st.per_sender[1].holdback.len(), 1, "refused cast buffered");
+        assert_eq!(st.per_sender[1].holdback.capacity(), ring, "ring grew");
+        // The gap fills as before.
+        assert_eq!(cast(&mut st, 1, 1, 3).len(), 2);
+    }
+
+    #[test]
+    fn a_cast_just_inside_the_resend_ring_is_held_back() {
+        let mut st = OrderingState::new(4);
+        cast(&mut st, 1, 0, 0);
+        let last = 1 + RESEND_BUFFER as u64 - 1;
+        assert!(cast(&mut st, 1, last, 1).is_empty());
+        assert!(cast(&mut st, 1, last + 1, 1).is_empty());
+        assert_eq!(st.per_sender[1].holdback.len(), 1, "only the cast inside");
+        assert!(st.per_sender[1].holdback.contains(last));
     }
 
     #[test]

@@ -200,6 +200,12 @@ impl<T> SeqWindow<T> {
         self.occupied == 0
     }
 
+    /// Slots in the ring: the largest gap past the base it holds without
+    /// growing.
+    pub fn capacity(&self) -> usize {
+        self.ring.len()
+    }
+
     /// The sequence number the next contiguous take will yield.
     pub fn base(&self) -> u64 {
         self.base
